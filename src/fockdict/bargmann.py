@@ -23,20 +23,15 @@ from .hermite import (
     GAUSS_CONST,
     LineVector,
     QuadratureRule,
-    default_line_rule,
+    default_nodes,
+    gauss_hermite,
     gauss_hermite_plane,
-    project_line,
 )
 
 
 def bargmann_coeff(f: LineVector) -> FockVector:
     """Exact transform: h_n coefficients become e_n coefficients unchanged."""
     return FockVector(f.coeffs)
-
-
-def inverse_bargmann_coeff(F: FockVector) -> LineVector:
-    """Exact inverse transform on coefficients."""
-    return LineVector(F.coeffs)
 
 
 def bargmann_quadrature(f: Callable, z, rule: QuadratureRule, warn: bool = True):
@@ -99,13 +94,8 @@ class BargmannPipeline:
 
     @classmethod
     def default(cls, degree: int, plane_nodes: int = 64, tol: float = 1e-7):
-        return cls(degree, default_line_rule(degree), gauss_hermite_plane(plane_nodes), tol)
-
-    def forward(self, f: LineVector) -> FockVector:
-        return bargmann_coeff(f)
-
-    def forward_from_callable(self, f: Callable, warn: bool = True) -> FockVector:
-        return bargmann_coeff(project_line(f, self.degree, self.line_rule, warn=warn))
+        line_rule = gauss_hermite(default_nodes(degree))
+        return cls(degree, line_rule, gauss_hermite_plane(plane_nodes), tol)
 
     def cross_validate(self, f: LineVector, z_points) -> float:
         """Max |quadrature - coefficient| of Bf over the given points."""

@@ -4,13 +4,14 @@ All vector input/output uses the JSON pair format (arrays of [re, im]); CSV
 output uses index,re,im rows for vectors and row,col,re,im for matrices,
 both with round-trip-exact floats.  The default truncation degree is 64 and
 can be overridden per call with --degree or globally with FOCKDICT_DEGREE.
+Bad input or an unreadable/unwritable file ends the call with one
+``fockdict: error: ...`` line on stderr and exit code 2.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -23,7 +24,7 @@ from . import quantize as qz
 from . import singular as sg
 from . import uncertainty as uc
 from .fock import FockVector
-from .report import SuiteConfig, run_suite
+from .report import SuiteConfig, default_degree, run_suite
 from .serialize import (
     matrix_to_csv,
     matrix_to_json,
@@ -34,28 +35,20 @@ from .serialize import (
 
 
 def _default_degree(args) -> int:
-    if getattr(args, "degree", None):
-        return args.degree
-    return int(os.environ.get("FOCKDICT_DEGREE", "64"))
+    return args.degree or default_degree()
 
 
 def _write(text: str, out: str | None) -> None:
     if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
-            raise SystemExit(f"cannot write {out}: {exc}")
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text if text.endswith("\n") else text + "\n")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def _read_vector(path: str, kind: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return vector_from_json(fh.read(), kind)
-    except OSError as exc:
-        raise SystemExit(f"cannot read {path}: {exc}")
+    with open(path, "r", encoding="utf-8") as fh:
+        return vector_from_json(fh.read(), kind)
 
 
 def _emit_vector(vec, args) -> None:
@@ -69,7 +62,7 @@ def _emit_matrix(entries, args) -> None:
 
 
 def _emit_obj(obj, args) -> None:
-    _write(json.dumps(obj, sort_keys=True, indent=2), args.out)
+    _write(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False), args.out)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -83,7 +76,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _parse_pair(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise SystemExit(f"expected two comma-separated numbers, got {text!r}")
+        raise ValueError(f"expected two comma-separated numbers, got {text!r}")
     return float(parts[0]), float(parts[1])
 
 
@@ -100,7 +93,7 @@ def _cmd_bargmann(args) -> int:
         _emit_vector(bg.bargmann_coeff(lv), args)
         return 0
     # quadrature path: coefficients recovered from the defining integrals
-    rule = hm.gauss_hermite(args.nodes or min(256, max(64, 4 * N)))
+    rule = hm.gauss_hermite(args.nodes or hm.default_nodes(N))
     coeffs = hm.project_line(lambda x: lv(x), N, rule, warn=False)
     _emit_vector(bg.bargmann_coeff(coeffs), args)
     return 0
@@ -114,15 +107,15 @@ def _cmd_op_apply(args) -> int:
         out = op.fourier_fock(f)
     elif args.op == "rotate":
         if len(params) != 1:
-            raise SystemExit("rotate needs --params THETA")
+            raise ValueError("rotate needs --params THETA")
         out = op.rotation(params[0], f)
     elif args.op == "weyl":
         if len(params) != 2:
-            raise SystemExit("weyl needs --params RE,IM")
+            raise ValueError("weyl needs --params RE,IM")
         out = op.weyl_matrix(complex(params[0], params[1]), N).apply(f)
     elif args.op == "dilate":
         if len(params) != 1:
-            raise SystemExit("dilate needs --params R")
+            raise ValueError("dilate needs --params R")
         pipe = bg.BargmannPipeline.default(min(N, 32))
         res = op.dilation_fock(params[0], FockVector(f.coeffs[: min(N, 24) + 1]), pipe)
         sys.stderr.write(f"dual-path discrepancy: {res.discrepancy:.3e}\n")
@@ -132,7 +125,7 @@ def _cmd_op_apply(args) -> int:
     elif args.op == "a2":
         out = op.a2_matrix(N).apply(f)
     else:
-        raise SystemExit(f"unknown operator {args.op!r}")
+        raise ValueError(f"unknown operator {args.op!r}")
     _emit_vector(out, args)
     return 0
 
@@ -170,13 +163,13 @@ def _cmd_op_verify(args) -> int:
         })
         a = 0.5
         W = op.weyl_matrix(a, N)
-        blk = max(4, int(N - math.ceil(a * a + 5 * a * math.sqrt(N)) - 4))
+        blk = op.weyl_interior_block(a, N)
         results.append({
             "name": "weyl(0.5)", "block": f"0..{blk - 1}",
             "residual": op.unitarity_residual(W, blk),
         })
     else:
-        raise SystemExit(f"unknown verification {args.op!r}")
+        raise ValueError(f"unknown verification {args.op!r}")
     _emit_obj(results, args)
     return 0
 
@@ -208,7 +201,7 @@ def _cmd_singular(args) -> int:
                        "ratio_to_series": col_norm_sq / (4.0 / np.pi * series)}, args)
         return 0
     if not args.phi or not args.apply:
-        raise SystemExit("singular needs --phi and --apply (or the hilbert subcommand)")
+        raise ValueError("singular needs --phi and --apply (or the hilbert subcommand)")
     taylor = _read_vector(args.phi, "fock").coeffs
     sym = sg.symbol_from_taylor(taylor)
     f = _read_vector(args.apply, "fock").pad(N)
@@ -259,7 +252,7 @@ def _cmd_uncertainty(args) -> int:
         _emit_vector(uc.extremal_coeffs(params, N), args)
         return 0
     if not args.f:
-        raise SystemExit("uncertainty needs --f (or the extremal subcommand)")
+        raise ValueError("uncertainty needs --f (or the extremal subcommand)")
     f = _read_vector(args.f, "fock")
     lhs, rhs = uc.uncertainty_product(f, args.a, args.b)
     _emit_obj({"lhs": lhs, "rhs": rhs, "gap": lhs - rhs}, args)
@@ -378,8 +371,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.degree < 0 or args.nodes < 0:
+        parser.error("--degree and --nodes must be >= 0")
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:
+        sys.stderr.write(f"fockdict: error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

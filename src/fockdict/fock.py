@@ -87,6 +87,27 @@ def evaluate(f: FockVector, z):
     return complex(acc[0]) if scalar else acc
 
 
+def log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n, by a running sum of logs (any prefix is bit-stable)."""
+    return np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, n + 1)))])
+
+
+def exp_quadratic_taylor(alpha, beta, degree: int, c0=1.0) -> np.ndarray:
+    """Taylor coefficients t_0..t_N of c0 exp(alpha z^2 + beta z).
+
+    Exact recurrence (n+1) t_{n+1} = beta t_n + 2 alpha t_{n-1}; an array
+    ``beta`` gives one column per entry, shape (N+1,) + beta.shape.  Basis
+    coefficients against e_n are t_n sqrt(n!).
+    """
+    t = np.zeros((degree + 1,) + np.shape(beta), dtype=np.complex128)
+    t[0] = c0
+    if degree >= 1:
+        t[1] = beta * c0
+    for n in range(1, degree):
+        t[n + 1] = (beta * t[n] + 2.0 * alpha * t[n - 1]) / (n + 1)
+    return t
+
+
 def kernel_vector(a: complex, degree: int, normalized: bool = True) -> FockVector:
     """Truncated reproducing kernel K(., a), optionally normalized to k_a.
 

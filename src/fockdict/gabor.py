@@ -152,6 +152,8 @@ def density_estimate(
     estimates at the largest radius.
     """
     radii = np.asarray(sorted(radii), dtype=np.float64)
+    if not np.all(radii > 0):
+        raise ValueError("radii must be positive")
     if center_grid is None:
         if Z.is_lattice:
             o1, o2 = Z.generators

@@ -154,9 +154,9 @@ def composite_legendre(lo: float, hi: float, n_panels: int, points: int = 32) ->
     return QuadratureRule(np.concatenate(nodes), np.concatenate(weights), "legendre")
 
 
-def default_line_rule(degree: int) -> QuadratureRule:
-    """4 nodes per degree for smooth integrands, capped at the rule limit."""
-    return gauss_hermite(min(_MAX_GH_NODES, max(64, 4 * degree)))
+def default_nodes(degree: int) -> int:
+    """4 nodes per degree for smooth integrands, at least 64, capped at the rule limit."""
+    return min(_MAX_GH_NODES, max(64, 4 * degree))
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,12 +196,21 @@ class LineVector:
         return cls(c)
 
 
-def _tail_ratio(coeffs: np.ndarray) -> float:
+def _project(f: Callable, degree: int, x: np.ndarray, flat_weights: np.ndarray,
+             warn: bool) -> LineVector:
+    """b_n = sum_k flat_weights_k f(x_k) h_n(x_k), with the tail-ratio check."""
+    fw = flat_weights * np.asarray(f(x), dtype=np.complex128)
+    coeffs = hermite_functions(degree, x) @ fw
     total = np.linalg.norm(coeffs)
-    if total == 0.0:
-        return 0.0
     n_tail = max(2, len(coeffs) // 8)
-    return float(np.linalg.norm(coeffs[-n_tail:]) / total)
+    ratio = 0.0 if total == 0.0 else float(np.linalg.norm(coeffs[-n_tail:]) / total)
+    if warn and ratio > 1e-6:
+        warnings.warn(
+            f"projection tail ratio {ratio:.2e} > 1e-6: expansion under-resolved",
+            AccuracyWarning,
+            stacklevel=3,
+        )
+    return LineVector(coeffs, tail_ratio=ratio)
 
 
 def project_line(
@@ -214,18 +223,7 @@ def project_line(
     """
     if rule.weight != "hermite":
         raise ValueError("project_line needs a Gauss-Hermite rule")
-    x = rule.nodes
-    fw = rule.flat_weights() * np.asarray(f(x), dtype=np.complex128)
-    basis = hermite_functions(degree, x)
-    coeffs = basis @ fw
-    ratio = _tail_ratio(coeffs)
-    if warn and ratio > 1e-6:
-        warnings.warn(
-            f"projection tail ratio {ratio:.2e} > 1e-6: expansion under-resolved",
-            AccuracyWarning,
-            stacklevel=2,
-        )
-    return LineVector(coeffs, tail_ratio=ratio)
+    return _project(f, degree, rule.nodes, rule.flat_weights(), warn)
 
 
 def project_line_interval(
@@ -245,15 +243,4 @@ def project_line_interval(
     if n_panels is None:
         n_panels = max(4, int(np.ceil((degree + 1) * (hi - lo) / 20.0)))
     rule = composite_legendre(lo, hi, n_panels, points)
-    x = rule.nodes
-    fw = rule.weights * np.asarray(f(x), dtype=np.complex128)
-    basis = hermite_functions(degree, x)
-    coeffs = basis @ fw
-    ratio = _tail_ratio(coeffs)
-    if warn and ratio > 1e-6:
-        warnings.warn(
-            f"projection tail ratio {ratio:.2e} > 1e-6: expansion under-resolved",
-            AccuracyWarning,
-            stacklevel=2,
-        )
-    return LineVector(coeffs, tail_ratio=ratio)
+    return _project(f, degree, rule.nodes, rule.weights, warn)

@@ -17,7 +17,12 @@ import numpy as np
 
 from .bargmann import BargmannPipeline, inverse_bargmann_quadrature
 from .errors import AccuracyWarning
-from .fock import FockVector, kernel_truncation_defect
+from .fock import (
+    FockVector,
+    exp_quadratic_taylor,
+    kernel_truncation_defect,
+    log_factorials,
+)
 from .hermite import QuadratureRule, hermite_functions
 
 
@@ -75,6 +80,16 @@ def unitarity_residual(op: OperatorMatrix, block: int) -> float:
     g = op.entries.conj().T @ op.entries
     b = min(block, op.dim)
     return float(np.max(np.abs(g[:b, :b] - np.eye(b))))
+
+
+def weyl_interior_block(a: complex, degree: int) -> int:
+    """Size of the leading block on which the truncated W_a keeps its contracts.
+
+    Clears the kernel's spread |a|^2 + 5 |a| sqrt(N) plus a margin of 4,
+    and never goes below 4.
+    """
+    r = abs(a) ** 2
+    return max(4, int(degree - np.ceil(r + 5 * abs(a) * np.sqrt(degree)) - 4))
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +173,7 @@ def weyl_matrix(a: complex, degree: int, warn: bool = True) -> OperatorMatrix:
 
 def _weyl_float_digit_loss(r: float, N: int) -> float:
     """log10 of the worst term-to-result ratio of the j-sum at index (N, N)."""
-    gl = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, N + 1)))])
+    gl = log_factorials(N)
     j = np.arange(N + 1)
     log_terms = (gl[N] - gl[j] - gl[N - j]) + (2 * N - 2 * j) * 0.5 * np.log(r) - gl[N - j]
     return float((np.max(log_terms) - r / 2.0) / np.log(10.0))
@@ -169,7 +184,7 @@ def _weyl_entries_float(a: complex, N: int) -> np.ndarray:
     r = abs(a) ** 2
     log_mod_a = np.log(abs(a))
     theta = np.angle(a)
-    gl = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, N + 1)))])
+    gl = log_factorials(N)
     p = np.arange(N + 1)
     out = np.zeros((N + 1, N + 1), dtype=np.complex128)
     for n in range(N + 1):
@@ -208,7 +223,7 @@ def _weyl_entries_exact(a: complex, N: int) -> np.ndarray:
     R, Q = fr.numerator, fr.denominator
     log_r = math.log(r)
     log_q = math.log(Q)
-    gl = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, N + 1)))])
+    gl = log_factorials(N)
     R_pows = [1] * (N + 1)
     Q_pows = [1] * (N + 1)
     for k in range(1, N + 1):
@@ -301,18 +316,8 @@ def dilation_fock(r: float, f: FockVector, pipeline: BargmannPipeline,
     fvals = f(-1j * w)
     base = pipeline.plane_rule.weights * fvals * np.exp(gamma * wbar**2)
     beta = 2j * r * wbar / (1.0 + r * r)
-    # t_n = Taylor coeffs of e^{gamma z^2 + beta z}: (n+1) t_{n+1} = beta t_n + 2 gamma t_{n-1}
-    tn = np.zeros((N + 1, len(w)), dtype=np.complex128)
-    tn[0] = 1.0
-    if N >= 1:
-        tn[1] = beta
-    for n in range(1, N):
-        tn[n + 1] = (beta * tn[n] + 2.0 * gamma * tn[n - 1]) / (n + 1)
-    moments = tn @ base
-    half_log_fact = 0.5 * np.concatenate(
-        [[0.0], np.cumsum(np.log(np.arange(1, N + 1)))]
-    )
-    cross = FockVector(pref * np.exp(half_log_fact) * moments)
+    moments = exp_quadratic_taylor(gamma, beta, N) @ base
+    cross = FockVector(pref * np.exp(0.5 * log_factorials(N)) * moments)
 
     disc = float(np.linalg.norm(primary.coeffs - cross.coeffs))
     if warn and disc > 1e-5:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fock import log_factorials
 from .operators import OperatorMatrix, a1_matrix, a2_matrix, md_matrices
 
 
@@ -90,10 +91,6 @@ class PhasePolynomial:
         return cls({k: v for k, v in out.items() if abs(v) > 0})
 
 
-def _half_log_fact(n: int) -> np.ndarray:
-    return 0.5 * np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, n + 1)))])
-
-
 def toeplitz_monomial_matrix(m: int, n: int, degree: int) -> OperatorMatrix:
     """Toeplitz matrix of phi = conj(z)^m z^n on e_0..e_N.
 
@@ -106,8 +103,8 @@ def toeplitz_monomial_matrix(m: int, n: int, degree: int) -> OperatorMatrix:
     if m + n > degree:
         raise ValueError("monomial degree exceeds the matrix degree")
     N = degree
-    gl = 2.0 * _half_log_fact(max(N + n, N) + 1)  # gl[k] = log k!
-    half = _half_log_fact(N)
+    gl = log_factorials(N + n)
+    half = 0.5 * log_factorials(N)
     out = np.zeros((N + 1, N + 1), dtype=np.complex128)
     for j in range(N + 1):
         k = n + j - m

@@ -34,16 +34,20 @@ SUITE_NAMES = (
 )
 
 
+def default_degree() -> int:
+    """Truncation degree when none is given: FOCKDICT_DEGREE, else 64."""
+    return int(os.environ.get("FOCKDICT_DEGREE", "64"))
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
-    degree: int = 0  # 0 means: FOCKDICT_DEGREE env var or 64
-    nodes: int = 0  # 0 means 4 * degree, capped
+    degree: int = 0  # 0 means default_degree()
+    nodes: int = 0  # 0 means hermite.default_nodes(degree)
     seed: int = 0
 
     def resolved(self) -> "SuiteConfig":
-        deg = self.degree or int(os.environ.get("FOCKDICT_DEGREE", "64"))
-        nodes = self.nodes or min(256, max(64, 4 * deg))
-        return SuiteConfig(deg, nodes, self.seed)
+        deg = self.degree or default_degree()
+        return SuiteConfig(deg, self.nodes or hm.default_nodes(deg), self.seed)
 
 
 @dataclass(frozen=True)
@@ -177,11 +181,6 @@ def _case_fourier(cfg: SuiteConfig) -> list[CaseResult]:
     return out
 
 
-def _weyl_block(N: int, a: complex) -> int:
-    r = abs(a) ** 2
-    return max(4, int(N - np.ceil(r + 5 * abs(a) * np.sqrt(N)) - 4))
-
-
 def _case_weyl(cfg: SuiteConfig) -> list[CaseResult]:
     N = cfg.degree
     a = 0.5 + 0.0j
@@ -192,7 +191,7 @@ def _case_weyl(cfg: SuiteConfig) -> list[CaseResult]:
     out.append(CaseResult("w2-kernel-column", "first column is the normalized kernel",
                           float(np.max(np.abs(W.entries[:, 0] - kernel_vector(a, N).coeffs))), 1e-12))
 
-    blk = _weyl_block(N, a)
+    blk = op.weyl_interior_block(a, N)
     out.append(CaseResult("w3-unitarity-interior", "unitary away from the truncation boundary",
                           op.unitarity_residual(W, blk), 1e-10))
 

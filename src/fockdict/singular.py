@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AccuracyWarning
-from .fock import FockVector, evaluate, kernel_vector
+from .fock import FockVector, evaluate, kernel_vector, log_factorials
 from .hermite import QuadratureRule
 from .operators import OperatorMatrix
 
@@ -42,13 +42,6 @@ def _cfrac(value: complex) -> _CFrac:
 
 def _cfrac_mul(x: _CFrac, y: _CFrac) -> _CFrac:
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _cfrac_pow(base: _CFrac, n: int) -> _CFrac:
-    out: _CFrac = (Fraction(1), Fraction(0))
-    for _ in range(n):
-        out = _cfrac_mul(out, base)
-    return out
 
 
 def _frac_to_float_scaled(fr: Fraction, log_scale: float) -> float:
@@ -111,7 +104,7 @@ class EntireSymbol:
         nz = np.nonzero(mags)[0]
         if len(nz) < 2:
             return 0.0
-        gl = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, len(mags))))])
+        gl = log_factorials(len(mags) - 1)
         log_terms = 2.0 * np.log(mags[nz]) + gl[nz]
         ratios = np.exp(np.diff(log_terms) / np.diff(nz))
         tail = ratios[-4:]
@@ -122,31 +115,34 @@ def symbol_from_taylor(taylor, name: str = "") -> EntireSymbol:
     return EntireSymbol(np.asarray(taylor, dtype=np.complex128), name)
 
 
+def _symbol_from_exact(exact: list[_CFrac], name: str, scale: float = 1.0) -> EntireSymbol:
+    """Symbol with phi_k = scale * exact[k]; each float is rounded once."""
+    taylor = [scale * complex(float(re), float(im)) for re, im in exact]
+    return EntireSymbol(taylor, name, tuple(exact), scale)
+
+
+def _odd_antiderivative(degree: int, squeeze: int, name: str) -> EntireSymbol:
+    """A(z / sqrt(squeeze)) with exact z^{2n+1} coefficient 1/((2n+1) n! squeeze^n).
+
+    The leftover factor 1/sqrt(squeeze) is carried by the scale.
+    """
+    exact: list[_CFrac] = [(Fraction(0), Fraction(0))] * (degree + 1)
+    for n in range(0, (degree - 1) // 2 + 1):
+        fr = Fraction(1, (2 * n + 1) * math.factorial(n) * squeeze**n)
+        exact[2 * n + 1] = (fr, Fraction(0))
+    return _symbol_from_exact(exact, name, 1.0 / math.sqrt(squeeze))
+
+
 def antiderivative_coeffs(degree: int) -> EntireSymbol:
     """Taylor series of the odd antiderivative of e^{z^2}: sum z^{2n+1}/((2n+1) n!)."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    taylor = np.zeros(degree + 1, dtype=np.complex128)
-    exact: list[_CFrac] = [(Fraction(0), Fraction(0))] * (degree + 1)
-    for n in range(0, (degree - 1) // 2 + 1):
-        k = 2 * n + 1
-        fr = Fraction(1, (2 * n + 1) * math.factorial(n))
-        exact[k] = (fr, Fraction(0))
-        taylor[k] = float(fr)
-    return EntireSymbol(taylor, "antiderivative-exp-z2", tuple(exact), 1.0)
+    return _odd_antiderivative(degree, 1, "antiderivative-exp-z2")
 
 
 def scaled_antiderivative_symbol(degree: int) -> EntireSymbol:
     """A(z / sqrt(2)) with A the antiderivative above; scale carries 1/sqrt(2)."""
-    taylor = np.zeros(degree + 1, dtype=np.complex128)
-    exact: list[_CFrac] = [(Fraction(0), Fraction(0))] * (degree + 1)
-    scale = 1.0 / math.sqrt(2.0)
-    for n in range(0, (degree - 1) // 2 + 1):
-        k = 2 * n + 1
-        fr = Fraction(1, (2 * n + 1) * math.factorial(n) * 2**n)
-        exact[k] = (fr, Fraction(0))
-        taylor[k] = scale * float(fr)
-    return EntireSymbol(taylor, "antiderivative-scaled", tuple(exact), scale)
+    return _odd_antiderivative(degree, 2, "antiderivative-scaled")
 
 
 def hilbert_symbol(degree: int) -> EntireSymbol:
@@ -158,32 +154,26 @@ def hilbert_symbol(degree: int) -> EntireSymbol:
     )
 
 
+def _exp_power_symbol(c: complex, power: int, degree: int, name: str) -> EntireSymbol:
+    """phi(u) = exp(c u^power): exact coefficient c^n / n! at u^(power n)."""
+    exact: list[_CFrac] = [(Fraction(0), Fraction(0))] * (degree + 1)
+    cx = _cfrac(c)
+    term: _CFrac = (Fraction(1), Fraction(0))
+    for n in range(degree // power + 1):
+        exact[power * n] = term
+        re, im = _cfrac_mul(term, cx)
+        term = (re / (n + 1), im / (n + 1))
+    return _symbol_from_exact(exact, name)
+
+
 def gaussian_square_symbol(a: complex, degree: int) -> EntireSymbol:
     """phi(u) = exp(a u^2), truncated; bounded S_phi requires real a < 1/2."""
-    taylor = np.zeros(degree + 1, dtype=np.complex128)
-    exact: list[_CFrac] = [(Fraction(0), Fraction(0))] * (degree + 1)
-    ax = _cfrac(complex(a))
-    for n in range(0, degree // 2 + 1):
-        num = _cfrac_pow(ax, n)
-        fact = math.factorial(n)
-        re, im = num[0] / fact, num[1] / fact
-        exact[2 * n] = (re, im)
-        taylor[2 * n] = float(re) + 1j * float(im)
-    return EntireSymbol(taylor, f"exp({a}u^2)", tuple(exact), 1.0)
+    return _exp_power_symbol(complex(a), 2, degree, f"exp({a}u^2)")
 
 
 def exp_linear_symbol(a: complex, degree: int) -> EntireSymbol:
     """phi(u) = exp(u conj(a)); S_phi is a weighted displacement, bounded iff a is real."""
-    taylor = np.zeros(degree + 1, dtype=np.complex128)
-    exact: list[_CFrac] = [(Fraction(0), Fraction(0))] * (degree + 1)
-    ab = _cfrac(np.conj(complex(a)))
-    for k in range(degree + 1):
-        num = _cfrac_pow(ab, k)
-        fact = math.factorial(k)
-        re, im = num[0] / fact, num[1] / fact
-        exact[k] = (re, im)
-        taylor[k] = float(re) + 1j * float(im)
-    return EntireSymbol(taylor, f"exp(u*conj({a}))", tuple(exact), 1.0)
+    return _exp_power_symbol(np.conj(complex(a)), 1, degree, f"exp(u*conj({a}))")
 
 
 def fock_norm_A(n_terms: int, with_tail: bool = False):
@@ -213,7 +203,7 @@ def symbol_to_fock(symbol: EntireSymbol, degree: int) -> FockVector:
     Combined in log scale through the exact representation, since sqrt(k!)
     alone overflows well before the products do.
     """
-    gl = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, degree + 1)))])
+    gl = log_factorials(degree)
     c = np.zeros(degree + 1, dtype=np.complex128)
     sgn = 1.0 if symbol.scale >= 0 else -1.0
     log_scale = math.log(abs(symbol.scale)) if symbol.scale != 0 else -math.inf
@@ -238,7 +228,7 @@ def s_phi_matrix(symbol: EntireSymbol, degree: int) -> OperatorMatrix:
     exact = symbol.exact
     nonzero = [k for k in range(K + 1) if exact[k][0] != 0 or exact[k][1] != 0]
     nonzero_set = set(nonzero)
-    gl = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, N + 1)))])
+    gl = log_factorials(N)
     fact = [math.factorial(i) for i in range(N + 1)]
     out = np.zeros((N + 1, N + 1), dtype=np.complex128)
     for q in range(N + 1):
@@ -318,34 +308,17 @@ def berezin_check(symbol: EntireSymbol, z: complex, degree: int) -> tuple[comple
     return lhs, rhs
 
 
-def boundedness_probe(
-    symbol: EntireSymbol,
-    degree_list,
-    n_iter: int = 200,
-    seed: int = 0,
-) -> list[float]:
-    """Spectral-norm estimates of S_phi across truncation degrees.
+def boundedness_probe(symbol: EntireSymbol, degree_list) -> list[float]:
+    """Spectral norms ||S_phi|| of the truncations at the given degrees.
 
-    Power iteration with a fixed seeded start; the monotone trend across
-    degrees is the deliverable, not a certified norm.  Growth without bound
-    is reported, never raised.
+    Each value is the exact 2-norm of the truncated matrix; the monotone
+    trend across degrees is the deliverable, not a bound on the operator.
+    Growth without bound is reported, never raised.
     """
-    out = []
-    for N in degree_list:
-        sym = symbol.truncated(2 * N)
-        A = s_phi_matrix(sym, N).entries
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)
-        v /= np.linalg.norm(v)
-        H = A.conj().T @ A
-        for _ in range(n_iter):
-            v = H @ v
-            nv = np.linalg.norm(v)
-            if nv == 0.0:
-                break
-            v /= nv
-        out.append(float(np.linalg.norm(A @ v)))
-    return out
+    return [
+        float(np.linalg.norm(s_phi_matrix(symbol.truncated(2 * N), N).entries, 2))
+        for N in degree_list
+    ]
 
 
 def hilbert_line_pv(f, x, cutoff: float = None, points: int = 32,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector
+from .fock import FockVector, exp_quadratic_taylor, log_factorials
 from .operators import OperatorMatrix, md_matrices
 
 
@@ -105,17 +105,8 @@ def extremal_coeffs(params: ExtremalParams, degree: int) -> FockVector:
     coefficients are t_n sqrt(n!).  Fails when the top coefficient is not yet
     below the 1e-10 tail certificate (pick a larger degree).
     """
-    alpha, beta = params.alpha, params.beta
-    t = np.zeros(degree + 1, dtype=np.complex128)
-    t[0] = params.C
-    if degree >= 1:
-        t[1] = beta * params.C
-    for n in range(1, degree):
-        t[n + 1] = (beta * t[n] + 2.0 * alpha * t[n - 1]) / (n + 1)
-    half_log_fact = 0.5 * np.concatenate(
-        [[0.0], np.cumsum(np.log(np.arange(1, degree + 1)))]
-    )
-    coeffs = t * np.exp(half_log_fact)
+    t = exp_quadratic_taylor(params.alpha, params.beta, degree, params.C)
+    coeffs = t * np.exp(0.5 * log_factorials(degree))
     vec = FockVector(coeffs)
     norm = vec.norm()
     if norm > 0 and abs(coeffs[-1]) > 1e-10 * norm:

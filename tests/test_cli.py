@@ -81,6 +81,12 @@ def test_report_determinism():
     assert a == b
 
 
+def test_report_env_degree(monkeypatch):
+    monkeypatch.setenv("FOCKDICT_DEGREE", "9")
+    rep = run_suite("fourier", SuiteConfig())
+    assert (rep.config.degree, rep.config.nodes) == (9, 64)
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("nope")
@@ -177,3 +183,23 @@ def test_cli_env_degree(tmp_path):
     )
     assert proc.returncode == 0
     assert len(json.loads(proc.stdout)) == 10
+
+
+@pytest.mark.parametrize("args", [
+    ("op", "apply", "--op", "fourier", "--in", "{tmp}/bad.json"),
+    ("quantize", "verify-weyl", "--symbol", "{tmp}/missing.json"),
+    ("op", "apply", "--op", "weyl", "--params", "x,y", "--in", "{tmp}/e1.json"),
+    ("bargmann", "--input", "{tmp}/e1.json", "--degree", "-3"),
+    ("bargmann", "--input", "{tmp}/e1.json", "--nodes", "-1"),
+    ("uncertainty", "extremal", "--c", "2", "--a", "0.3", "--b", "-0.2", "--degree", "40"),
+    ("gabor", "density", "--lattice", "1,1", "--R", "0"),
+], ids=["malformed-json", "missing-symbol", "bad-params", "negative-degree",
+        "negative-nodes", "tail-certificate", "zero-radius"])
+def test_cli_errors_are_one_line(tmp_path, args):
+    (tmp_path / "bad.json").write_text("[[1.0, 0.0], ")
+    (tmp_path / "e1.json").write_text(vector_to_json(FockVector.basis(1, 4)))
+    proc = run_cli(*(a.format(tmp=tmp_path) for a in args), check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert ": error: " in proc.stderr.strip().splitlines()[-1]

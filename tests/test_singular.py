@@ -209,6 +209,9 @@ def test_boundedness_probe_trends():
     assert imag_shift[2] > 10 * imag_shift[1] > 100 * imag_shift[0] / 10
     real_shift = boundedness_probe(exp_linear_symbol(0.5, 128), degrees)
     assert abs(real_shift[2] - real_shift[0]) < 0.05 * real_shift[0]
+    # S[exp(u a)] = e^{a^2/2} W_a for real a, and the truncated unitary W_a
+    # keeps norm 1 up to a kernel tail far below 1e-12, so each value is e^{1/8}
+    assert max(abs(x - math.exp(0.125)) for x in real_shift) < 1e-12
 
 
 def test_probe_is_deterministic():
