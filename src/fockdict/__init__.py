@@ -15,7 +15,6 @@ from .bargmann import (
     BargmannPipeline,
     bargmann_coeff,
     bargmann_quadrature,
-    fock_p_norm,
     fock_sup_norm,
     inverse_bargmann_quadrature,
     verify_pbound,

@@ -126,24 +126,6 @@ def fock_sup_norm(F: FockVector, grid_radius: float, grid_step: float) -> float:
     return float(np.max(vals))
 
 
-def fock_p_norm(F: FockVector, p: float, grid_radius: float, grid_step: float) -> float:
-    """Grid estimate of the F^p norm (p/(2 pi) int |F e^{-|z|^2/2}|^p dA)^(1/p).
-
-    Exposed for experimentation; no accuracy contract.
-    """
-    if p <= 0:
-        raise ValueError("p must be positive")
-    radii = np.arange(grid_step / 2.0, grid_radius, grid_step)
-    total = 0.0
-    for r in radii:
-        n_theta = max(16, int(np.ceil(2.0 * np.pi * r / grid_step)))
-        theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-        z = r * np.exp(1j * theta)
-        w = np.abs(evaluate(F, z)) * np.exp(-np.abs(z) ** 2 / 2.0)
-        total += np.sum(w**p) * r * grid_step * (2.0 * np.pi / n_theta)
-    return float((p / (2.0 * np.pi) * total) ** (1.0 / p))
-
-
 def verify_pbound(
     f: Callable,
     rule: QuadratureRule,

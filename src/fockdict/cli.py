@@ -116,7 +116,7 @@ def _cmd_op_apply(args) -> int:
     elif args.op == "dilate":
         if len(params) != 1:
             raise ValueError("dilate needs --params R")
-        pipe = bg.BargmannPipeline.default(min(N, 32))
+        pipe = op.dilation_pipeline(N)
         res = op.dilation_fock(params[0], FockVector(f.coeffs[: min(N, 24) + 1]), pipe)
         sys.stderr.write(f"dual-path discrepancy: {res.discrepancy:.3e}\n")
         out = res.primary
@@ -267,7 +267,11 @@ def _cmd_quantize(args) -> int:
         return 0
     with open(args.symbol, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
-    sym = qz.PolySymbol({(int(m), int(n)): complex(re, im) for m, n, re, im in spec["terms"]})
+    try:
+        terms = {(int(m), int(n)): complex(re, im) for m, n, re, im in spec["terms"]}
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise ValueError(f'{args.symbol}: needs "terms": [[m, n, re, im], ...]') from None
+    sym = qz.PolySymbol(terms)
     if args.action == "verify-anti-wick":
         residual = qz.anti_wick_toeplitz_residual(sym, N)
     else:

@@ -215,7 +215,7 @@ def _case_weyl(cfg: SuiteConfig) -> list[CaseResult]:
 
 
 def _case_dilation(cfg: SuiteConfig) -> list[CaseResult]:
-    pipe = bg.BargmannPipeline.default(min(cfg.degree, 32))
+    pipe = op.dilation_pipeline(cfg.degree)
     res1 = op.dilation_fock(1.0, FockVector.basis(1, 8), pipe)
     out = [CaseResult("d1-identity", "unit ratio is the identity",
                       float(np.max(np.abs(res1.primary.coeffs - FockVector.basis(1, pipe.degree).coeffs))), 1e-9)]

@@ -24,8 +24,14 @@ def vector_to_json(vec) -> str:
 
 
 def vector_from_json(text: str, kind: str = "fock"):
+    """Parse an array of [re, im] pairs; ValueError on any other shape or non-finite value."""
     pairs = json.loads(text)
-    coeffs = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+    try:
+        coeffs = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("vector JSON must be an array of [re, im] number pairs") from None
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("vector JSON has a non-finite coefficient")
     return FockVector(coeffs) if kind == "fock" else LineVector(coeffs)
 
 

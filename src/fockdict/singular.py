@@ -6,17 +6,18 @@ dlambda = f^(j)(z) gives the normal-ordered form
 
     S_phi = sum_k phi_k sum_j C(k,j) (-1)^j M^{k-j} D^j,
 
-with M multiplication by z and D differentiation.  The matrix entry at
-(row p, col q) collapses to a single alternating series over j,
+with M multiplication by z and D differentiation.  For phi(u) = e^{cu} this is
+e^{cM} e^{-cD} = e^{c^2/2} e^{c(M-D)}, so every S_phi commutes with M - D.  With
+S_phi z^q = sum_p a[p,q] z^p, column 0 is the symbol, a[p,0] = phi_p, and
+S_phi z^{q+1} = (M - D) S_phi z^q + q S_phi z^{q-1} gives the recurrence
 
-    <S_phi e_q, e_p> = sqrt(p! q!) sum_j (-1)^j C(d+2j, j) phi_{d+2j} / (q-j)!,
+    a[p,q+1] = a[p-1,q] - (p+1) a[p+1,q] + q a[p,q-1],   S[p,q] = a[p,q] sqrt(p!/q!).
 
-with d = p - q.  For symbols of high degree the terms of that series exceed
-the result by dozens of orders of magnitude before cancelling, far beyond
-double precision, so the series is summed in exact rational arithmetic:
-symbols carry their Taylor coefficients as exact fractions (times one real
-scale factor) and only the final value is rounded.  The defining integral is
-retained as a quadrature oracle for cross-validation at low degree.
+The a[p,q] exceed the entries by dozens of orders of magnitude before
+cancelling, so the recurrence runs in exact integers: symbols carry exact
+fractional coefficients (times one real scale factor), brought over one
+common denominator, and only the final value is rounded.  The defining
+integral is retained as a quadrature oracle for cross-validation.
 """
 from __future__ import annotations
 
@@ -215,48 +216,38 @@ def symbol_to_fock(symbol: EntireSymbol, degree: int) -> FockVector:
 
 
 def s_phi_matrix(symbol: EntireSymbol, degree: int) -> OperatorMatrix:
-    """Matrix of S_phi on e_0..e_N via the normal-ordered expansion.
+    """Matrix of S_phi on e_0..e_N by the column recurrence of the module docstring.
 
-    The per-entry alternating series is summed exactly in rational
-    arithmetic (see module docstring); one rounding happens at the end,
-    scaled by sqrt(p! q!) in log space.
+    Columns 0..N need rows up to 2N - q, hence phi_0..phi_2N.  The integers
+    u = L a, with L the common denominator of ``symbol.exact``, advance as
+    real and imaginary columns; each entry is rounded once in log space.
     """
     N = degree
     K = symbol.degree
     if K > 2 * N:
         raise ValueError(f"symbol degree {K} exceeds 2 * matrix degree {2 * N}")
-    exact = symbol.exact
-    nonzero = [k for k in range(K + 1) if exact[k][0] != 0 or exact[k][1] != 0]
-    nonzero_set = set(nonzero)
+    L = math.lcm(*(c.denominator for pair in symbol.exact for c in pair))
+    pad = [0] * (2 * N - K)
+    cols = [[(pair[i] * L).numerator for pair in symbol.exact] + pad for i in (0, 1)]
+    prev = [[0] * (2 * N + 1)] * 2
     gl = log_factorials(N)
-    fact = [math.factorial(i) for i in range(N + 1)]
+    log_scale = math.log(abs(symbol.scale))
+    sgn = 1.0 if symbol.scale >= 0 else -1.0
     out = np.zeros((N + 1, N + 1), dtype=np.complex128)
     for q in range(N + 1):
+        re, im = cols
+        den = L * math.factorial(q)
         for p in range(N + 1):
-            d = p - q
-            j_lo = max(0, (-d + 1) // 2)
-            j_hi = min(q, (K - d) // 2)
-            if j_hi < j_lo:
-                continue
-            js = [j for j in range(j_lo, j_hi + 1) if (d + 2 * j) in nonzero_set]
-            if not js:
-                continue
-            s_re = Fraction(0)
-            s_im = Fraction(0)
-            for j in js:
-                k = d + 2 * j
-                mult = Fraction(math.comb(k, j), fact[q - j])
-                if j % 2:
-                    mult = -mult
-                ck = exact[k]
-                s_re += mult * ck[0]
-                s_im += mult * ck[1]
-            log_pref = 0.5 * (gl[p] + gl[q]) + math.log(abs(symbol.scale))
-            sgn = 1.0 if symbol.scale >= 0 else -1.0
-            out[p, q] = sgn * (
-                _frac_to_float_scaled(s_re, log_pref)
-                + 1j * _frac_to_float_scaled(s_im, log_pref)
-            )
+            if re[p] or im[p]:
+                shift = 0.5 * (gl[p] + gl[q]) + log_scale
+                out[p, q] = sgn * (
+                    _frac_to_float_scaled(Fraction(re[p], den), shift)
+                    + 1j * _frac_to_float_scaled(Fraction(im[p], den), shift)
+                )
+        cols, prev = [
+            [(u[p - 1] if p else 0) - (p + 1) * u[p + 1] + q * v[p] for p in range(2 * N - q)]
+            for u, v in zip(cols, prev)
+        ], cols
     return OperatorMatrix(out, "fock", f"S[{symbol.name}]")
 
 

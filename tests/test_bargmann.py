@@ -7,7 +7,6 @@ from fockdict.bargmann import (
     BargmannPipeline,
     bargmann_coeff,
     bargmann_quadrature,
-    fock_p_norm,
     fock_sup_norm,
     inverse_bargmann_quadrature,
     verify_pbound,
@@ -138,9 +137,3 @@ def test_pbound_gauss():
     assert abs(rhs - math.sqrt(2.0)) < 1e-12
     assert lhs <= rhs
 
-
-def test_p_norm_agrees_with_l2_norm():
-    # grid F^2 norm of a low vector approximates its coefficient norm
-    f = FockVector(np.array([1.0, 0.5j, 0.25], dtype=complex))
-    est = fock_p_norm(f, 2.0, 8.0, 0.02)
-    assert abs(est - f.norm()) / f.norm() < 1e-3

@@ -87,6 +87,12 @@ def test_report_env_degree(monkeypatch):
     assert (rep.config.degree, rep.config.nodes) == (9, 64)
 
 
+@pytest.mark.parametrize("degree", [1, 4, 8, 16, 24, 32])
+def test_dilation_suite_passes_at_low_degree(degree):
+    # the suite keeps output degree min(N, 32) but always the 128-node line rule
+    assert run_suite("dilation", SuiteConfig(degree=degree)).passed
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("nope")
@@ -193,10 +199,17 @@ def test_cli_env_degree(tmp_path):
     ("bargmann", "--input", "{tmp}/e1.json", "--nodes", "-1"),
     ("uncertainty", "extremal", "--c", "2", "--a", "0.3", "--b", "-0.2", "--degree", "40"),
     ("gabor", "density", "--lattice", "1,1", "--R", "0"),
+    ("op", "apply", "--op", "fourier", "--in", "{tmp}/shape.json"),
+    ("quantize", "verify-weyl", "--symbol", "{tmp}/noterms.json"),
+    ("op", "apply", "--op", "fourier", "--in", "{tmp}/nan.json"),
 ], ids=["malformed-json", "missing-symbol", "bad-params", "negative-degree",
-        "negative-nodes", "tail-certificate", "zero-radius"])
+        "negative-nodes", "tail-certificate", "zero-radius", "wrong-shape-vector",
+        "symbol-without-terms", "non-finite-vector"])
 def test_cli_errors_are_one_line(tmp_path, args):
     (tmp_path / "bad.json").write_text("[[1.0, 0.0], ")
+    (tmp_path / "shape.json").write_text("[1, 2]")
+    (tmp_path / "noterms.json").write_text('{"x": 1}')
+    (tmp_path / "nan.json").write_text("[[NaN, 0], [1, 0]]")
     (tmp_path / "e1.json").write_text(vector_to_json(FockVector.basis(1, 4)))
     proc = run_cli(*(a.format(tmp=tmp_path) for a in args), check=False)
     assert proc.returncode == 2

@@ -1,12 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fockdict.fock import FockVector, evaluate
+from fockdict.fock import FockVector, evaluate, log_factorials
 from fockdict.hermite import gauss_hermite, gauss_hermite_plane, hermite_function, hermite_functions
 from fockdict.operators import md_matrices, weyl_matrix
 from fockdict.singular import (
+    EntireSymbol,
+    _frac_to_float_scaled,
     antiderivative_coeffs,
     berezin_check,
     boundedness_probe,
@@ -100,6 +103,51 @@ def test_displacement_symbol_identity():
     assert np.max(np.abs(R[:b, :b])) < 1e-8
 
 
+def _series_reference(symbol, N):
+    """Per-entry normal-ordered series in exact fractions, rounded once.
+
+    <S e_q, e_p> = scale sqrt(p! q!) sum_j (-1)^j C(d+2j, j) phi_{d+2j} / (q-j)!
+    with d = p - q and phi_k = scale * exact[k].
+    """
+    gl = log_factorials(N)
+    sgn = 1.0 if symbol.scale >= 0 else -1.0
+    out = np.zeros((N + 1, N + 1), dtype=np.complex128)
+    for q in range(N + 1):
+        for p in range(N + 1):
+            d = p - q
+            s_re = s_im = Fraction(0)
+            for j in range(max(0, -d), q + 1):
+                k = d + 2 * j
+                if k > symbol.degree:
+                    break
+                mult = Fraction((-1) ** j * math.comb(k, j), math.factorial(q - j))
+                s_re += mult * symbol.exact[k][0]
+                s_im += mult * symbol.exact[k][1]
+            shift = 0.5 * (gl[p] + gl[q]) + math.log(abs(symbol.scale))
+            out[p, q] = sgn * (_frac_to_float_scaled(s_re, shift)
+                               + 1j * _frac_to_float_scaled(s_im, shift))
+    return out
+
+
+def _negated(symbol):
+    return EntireSymbol(-2.5 * symbol.taylor, "negated", symbol.exact, -2.5 * symbol.scale)
+
+
+_RNG_TAYLOR = np.random.default_rng(11).standard_normal((33, 2)) @ np.array([1.0, 1j])
+
+
+@pytest.mark.parametrize("make", [
+    lambda N: hilbert_symbol(2 * N - 1),
+    lambda N: exp_linear_symbol(0.3 - 0.8j, 2 * N),
+    lambda N: symbol_from_taylor(_RNG_TAYLOR[: 2 * N + 1]),
+    lambda N: _negated(gaussian_square_symbol(0.25 + 0.1j, 2 * N)),
+], ids=["hilbert", "exp-linear-complex", "random-at-guard", "negative-scale"])
+@pytest.mark.parametrize("N", [1, 5, 16])
+def test_recurrence_equals_exact_series(make, N):
+    sym = make(N)
+    assert np.array_equal(s_phi_matrix(sym, N).entries, _series_reference(sym, N))
+
+
 def test_symbol_degree_guard():
     with pytest.raises(ValueError):
         s_phi_matrix(symbol_from_taylor(np.ones(30)), 10)
@@ -130,6 +178,15 @@ def test_hilbert_parity_and_skew_adjointness():
     same_parity = np.add.outer(np.arange(33), np.arange(33)) % 2 == 0
     assert np.max(np.abs(T.entries[same_parity])) == 0.0
     assert np.max(np.abs(T.entries + T.entries.conj().T)) == 0.0
+
+
+def test_hilbert_exact_structure_at_degree_256():
+    N = 256
+    T = s_phi_matrix(hilbert_symbol(2 * N - 1), N).entries
+    same_parity = np.add.outer(np.arange(N + 1), np.arange(N + 1)) % 2 == 0
+    assert np.all(T[same_parity] == 0.0)
+    assert np.all(T + T.conj().T == 0.0)
+    assert np.array_equal(T[:, 0], symbol_to_fock(hilbert_symbol(2 * N - 1), N).coeffs)
 
 
 def test_hilbert_vacuum_column_norm():
