@@ -140,18 +140,14 @@ def fourier_line_quadrature(f: Callable, x, rule: QuadratureRule):
 def weyl_matrix(a: complex, degree: int, warn: bool = True) -> OperatorMatrix:
     """Matrix of W_a f(z) = f(z - a) exp(z conj(a) - |a|^2/2) on e_0..e_N.
 
-    Entries come from the finite double series of (z-a)^n times the kernel
-    exponential,
-
-        <W_a e_n, e_p> = e^{-|a|^2/2} sqrt(p!/n!)
-                         sum_j C(n,j) (-a)^{n-j} conj(a)^{p-j} / (p-j)!.
-
-    The phase of a factors out of the j-sum, leaving an alternating series
-    in r = |a|^2 whose terms can exceed the (bounded) entries by many orders
-    of magnitude at high indices; when the predicted digit loss is harmless
-    the series is summed in float log scale, otherwise in exact integer
-    arithmetic over the binary-rational r.  Column 0 is exactly the
-    truncated normalized kernel k_a either way.
+    With r = |a|^2, <W_a e_n, e_p> = e^{-r/2} sqrt(n!/p!) conj(a)^{p-n}
+    L_n^{(p-n)}(r) for p >= n (Cahill & Glauber 1969); above the diagonal p
+    and n swap and (-a)^{n-p} replaces conj(a)^{p-n}.  Expanding (z-a)^n
+    times the kernel exponential gives them as an alternating series in r
+    whose terms can exceed the entries by many orders of magnitude at high
+    indices: while the predicted digit loss is at most 10 that series is
+    summed in float log scale, otherwise the normalized Laguerre recurrence
+    builds every diagonal.  Column 0 is the truncated normalized kernel k_a.
     """
     a = complex(a)
     N = degree
@@ -165,7 +161,7 @@ def weyl_matrix(a: complex, degree: int, warn: bool = True) -> OperatorMatrix:
             stacklevel=2,
         )
     if _weyl_float_digit_loss(abs(a) ** 2, N) > 10.0:
-        entries = _weyl_entries_exact(a, N)
+        entries = _weyl_entries_laguerre(a, N)
     else:
         entries = _weyl_entries_float(a, N)
     return OperatorMatrix(entries, "fock", f"weyl({a})", unitary=True)
@@ -207,52 +203,37 @@ def _weyl_entries_float(a: complex, N: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=16)
-def _weyl_entries_exact(a: complex, N: int) -> np.ndarray:
-    """Exact-integer evaluation of the displacement series.
+def _weyl_entries_laguerre(a: complex, N: int) -> np.ndarray:
+    """Displacement entries from the normalized Laguerre functions.
 
-    With r = |a|^2 = R/Q exact, the j-sum over a common denominator Q^T p!
-    is one integer; only the final scaling is floated.
+    On diagonal alpha = |p - n| the entry at m = min(p, n) has modulus
+    g_m = sqrt(m!/(m+alpha)!) r^{alpha/2} e^{-r/2} L_m^{(alpha)}(r) <= 1, and
+    g_{m+1} = ((2m+1+alpha-r) g_m - sqrt(m(m+alpha)) g_{m-1}) / sqrt((m+1)(m+1+alpha))
+    runs for all diagonals at once.  Each diagonal passes from its classically
+    forbidden region into the oscillating one as m grows, so the recurrence
+    runs in its stable, growing direction.  Starts below e^{-600} (r above
+    about 1400) carry a per-diagonal log scale so that they cannot underflow.
+    The phase is e^{-i alpha theta} below the diagonal, (-1)^alpha e^{i alpha theta} above.
     """
-    import math
-    from fractions import Fraction
-
     r = abs(a) ** 2
-    theta = np.angle(a)
-    fr = Fraction(r)
-    R, Q = fr.numerator, fr.denominator
-    log_r = math.log(r)
-    log_q = math.log(Q)
-    gl = log_factorials(N)
-    R_pows = [1] * (N + 1)
-    Q_pows = [1] * (N + 1)
-    for k in range(1, N + 1):
-        R_pows[k] = R_pows[k - 1] * R
-        Q_pows[k] = Q_pows[k - 1] * Q
-    out = np.zeros((N + 1, N + 1), dtype=np.complex128)
-    for n in range(N + 1):
-        for p in range(N + 1):
-            T = (n + p) // 2
-            odd = (n + p) % 2
-            binom = 1  # C(n, j)
-            falling = 1  # p! / (p - j)!
-            total = 0
-            for j in range(min(n, p) + 1):
-                term = binom * R_pows[T - j] * Q_pows[j] * falling
-                total += -term if (n - j) % 2 else term
-                binom = binom * (n - j) // (j + 1)
-                falling *= p - j
-            if total == 0:
-                continue
-            log_mag = (
-                math.log(abs(total))
-                - r / 2.0
-                + 0.5 * odd * log_r
-                - 0.5 * (gl[p] + gl[n])
-                - T * log_q
-            )
-            sign = 1.0 if total > 0 else -1.0
-            out[p, n] = sign * math.exp(log_mag) * np.exp(1j * theta * (n - p))
+    alpha = np.arange(N + 1)
+    log_g0 = 0.5 * alpha * np.log(r) - r / 2.0 - 0.5 * log_factorials(N)
+    log_scale = np.minimum(log_g0 + 600.0, 0.0)
+    prev, cur = np.zeros(N + 1), np.exp(log_g0 - log_scale)
+    g = np.empty((N + 1, N + 1))  # g[m, alpha]
+    for m in range(N + 1):
+        g[m] = cur * np.exp(log_scale)
+        nxt = ((2 * m + 1 + alpha - r) * cur - np.sqrt(m * (m + alpha)) * prev) / np.sqrt(
+            (m + 1) * (m + 1 + alpha))
+        shrink = np.where(np.abs(nxt) > 1e100, 1e-100, 1.0)
+        log_scale -= np.log(shrink)
+        prev, cur = cur * shrink, nxt * shrink
+    out = np.empty((N + 1, N + 1), dtype=np.complex128)
+    phase = np.exp(-1j * np.angle(a) * alpha)
+    for d in alpha:
+        m = np.arange(N + 1 - d)
+        out[m + d, m] = g[m, d] * phase[d]
+        out[m, m + d] = g[m, d] * ((-1) ** d * phase[d].conjugate())
     return out
 
 

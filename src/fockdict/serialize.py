@@ -30,9 +30,33 @@ def vector_from_json(text: str, kind: str = "fock"):
         coeffs = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     except (TypeError, ValueError, OverflowError):
         raise ValueError("vector JSON must be an array of [re, im] number pairs") from None
-    if not np.all(np.isfinite(coeffs)):
-        raise ValueError("vector JSON has a non-finite coefficient")
+    _finite(coeffs, "vector JSON")
     return FockVector(coeffs) if kind == "fock" else LineVector(coeffs)
+
+
+def _finite(values: np.ndarray, source: str) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{source} has a non-finite coefficient")
+    return values
+
+
+def _csv_rows(text: str, layout: str) -> tuple[np.ndarray, np.ndarray]:
+    """Index columns and finite complex values of CSV rows laid out as ``layout``."""
+    index, values = [], []
+    for k, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            try:
+                *idx, re, im = line.split(",")
+                idx = [int(i) for i in idx]
+                if len(idx) != layout.count(",") - 1 or min(idx) < 0:
+                    raise ValueError
+                values.append(complex(float(re), float(im)))
+            except ValueError:
+                raise ValueError(f"CSV line {k} is not {layout} with indices >= 0: {line!r}") from None
+            index.append(idx)
+    if not index or len(np.unique(index, axis=0)) != len(index):
+        raise ValueError("CSV input has no rows or gives an index twice")
+    return np.array(index), _finite(np.array(values, dtype=np.complex128), "CSV input")
 
 
 def vector_to_csv(vec) -> str:
@@ -42,10 +66,11 @@ def vector_to_csv(vec) -> str:
 
 
 def vector_from_csv(text: str, kind: str = "fock"):
-    rows = [line.split(",") for line in text.strip().splitlines() if line.strip()]
-    coeffs = np.zeros(len(rows), dtype=np.complex128)
-    for idx, re, im in rows:
-        coeffs[int(idx)] = complex(float(re), float(im))
+    """Parse index,re,im rows; the indices must be 0..n-1 for n rows, in any order."""
+    index, values = _csv_rows(text, "index,re,im")
+    if index.max() != len(values) - 1:
+        raise ValueError(f"vector CSV indices must be 0..{len(values) - 1}")
+    coeffs = values[np.argsort(index[:, 0])]
     return FockVector(coeffs) if kind == "fock" else LineVector(coeffs)
 
 
@@ -59,12 +84,10 @@ def matrix_to_csv(entries: np.ndarray) -> str:
 
 
 def matrix_from_csv(text: str) -> np.ndarray:
-    rows = [line.split(",") for line in text.strip().splitlines() if line.strip()]
-    size = max(int(r[0]) for r in rows) + 1
-    cols = max(int(r[1]) for r in rows) + 1
-    out = np.zeros((size, cols), dtype=np.complex128)
-    for r, c, re, im in rows:
-        out[int(r), int(c)] = complex(float(re), float(im))
+    """Parse row,col,re,im rows; the shape is one past the largest indices, absent entries are 0."""
+    index, values = _csv_rows(text, "row,col,re,im")
+    out = np.zeros(tuple(index.max(axis=0) + 1), dtype=np.complex128)
+    out[tuple(index.T)] = values
     return out
 
 

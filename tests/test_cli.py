@@ -216,3 +216,38 @@ def test_cli_errors_are_one_line(tmp_path, args):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert ": error: " in proc.stderr.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("text, match", [
+    ("0,1,0\n1,nan,0\n", "non-finite"),
+    ("0,1,0\n1,0,-inf\n", "non-finite"),
+    ("0,1,0\n1,2\n", "line 2 is not index,re,im"),
+    ("0,1,0,5\n", "line 1 is not index,re,im"),
+    ("0,1,x\n", "line 1 is not index,re,im"),
+    ("0,1,0\n-1,0,0\n", "line 2 is not index,re,im with indices >= 0"),
+    ("0,1,0\n2,0,0\n", "indices must be 0..1"),
+    ("0,1,0\n0,2,0\n", "index twice"),
+    ("\n\n", "no rows"),
+])
+def test_vector_csv_rejects_bad_rows(text, match):
+    with pytest.raises(ValueError, match=match):
+        vector_from_csv(text, "fock")
+
+
+@pytest.mark.parametrize("text, match", [
+    ("0,0,1,0\n0,1,inf,0\n", "non-finite"),
+    ("0,0,1,0\n0,1,1\n", "line 2 is not row,col,re,im"),
+    ("0,0,1,0,0\n", "line 1 is not row,col,re,im"),
+    ("0,-1,1,0\n", "line 1 is not row,col,re,im with indices >= 0"),
+    ("0,0,1,0\n0,0,2,0\n", "index twice"),
+])
+def test_matrix_csv_rejects_bad_rows(text, match):
+    with pytest.raises(ValueError, match=match):
+        matrix_from_csv(text)
+
+
+def test_csv_readers_accept_any_row_order():
+    v = vector_from_csv("1,2,0\n0,1,-1\n", "line")
+    assert np.array_equal(v.coeffs, [1 - 1j, 2])
+    m = matrix_from_csv("1,0,3,0\n0,1,0,1\n")
+    assert np.array_equal(m, [[0, 1j], [3, 0]])
