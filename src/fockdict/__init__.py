@@ -1,13 +1,12 @@
 """Numerical dictionary between L2(R) and the Fock space of entire functions."""
 
-from .fock import FockVector, KernelPoint, inner, evaluate, kernel_vector
+from .fock import FockVector, inner, evaluate, kernel_vector
 from .hermite import (
     LineVector,
     QuadratureRule,
     gauss_hermite,
     gauss_hermite_plane,
     hermite_function,
-    hermite_poly,
     project_line,
     project_line_interval,
 )

@@ -130,14 +130,3 @@ def kernel_vector(a: complex, degree: int, normalized: bool = True) -> FockVecto
 def kernel_truncation_defect(a: complex, degree: int) -> float:
     """1 - ||k_a truncated at degree||^2, i.e. the mass lost to truncation."""
     return max(0.0, 1.0 - kernel_vector(a, degree, normalized=True).norm() ** 2)
-
-
-@dataclass(frozen=True)
-class KernelPoint:
-    """A kernel evaluation point; ``normalized`` selects k_a over K(., a)."""
-
-    a: complex
-    normalized: bool = True
-
-    def vector(self, degree: int) -> FockVector:
-        return kernel_vector(self.a, degree, self.normalized)

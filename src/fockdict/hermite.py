@@ -1,4 +1,4 @@
-"""Hermite polynomials and functions, Gauss quadrature, and real-line vectors.
+"""Hermite functions, Gauss quadrature, and real-line vectors.
 
 The orthonormal basis of L2(R) used throughout is
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -20,28 +21,6 @@ from .errors import AccuracyWarning
 GAUSS_CONST = (2.0 / np.pi) ** 0.25  # normalizing constant of h_0
 
 _MAX_GH_NODES = 256
-
-
-def hermite_poly(n: int, y):
-    """Physicists' Hermite polynomial H_n by the three-term recurrence.
-
-    Raises OverflowError instead of returning infinities.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    ya = np.asarray(y, dtype=np.float64)
-    h_prev = np.ones_like(ya)
-    if n == 0:
-        out = h_prev
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            h = 2.0 * ya
-            for k in range(1, n):
-                h, h_prev = 2.0 * ya * h - 2.0 * k * h_prev, h
-        out = h
-    if not np.all(np.isfinite(out)):
-        raise OverflowError(f"H_{n} overflows at the requested argument")
-    return float(out) if np.isscalar(y) else out
 
 
 def hermite_function(n: int, x):
@@ -70,7 +49,7 @@ def hermite_functions(n_max: int, x) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Nodes and weights tagged with the weight function they integrate.
 
@@ -79,13 +58,25 @@ class QuadratureRule:
     weight == "legendre": plain composite rule, int f(x) dx on [lo, hi].
 
     ``log_weights`` stores log w_k for the hermite rule so that the
-    re-weighting w_k exp(x_k^2) can be formed without overflow.
+    re-weighting w_k exp(x_k^2) can be formed without overflow.  ``line`` is
+    the hermite rule a plane rule is the tensor square of.  The arrays are
+    read-only copies, since the rule builders hand one cached rule to every
+    caller.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     weight: str = "hermite"
     log_weights: np.ndarray | None = None
+    line: QuadratureRule | None = None
+
+    def __post_init__(self):
+        for name in ("nodes", "weights", "log_weights"):
+            arr = getattr(self, name)
+            if arr is not None:
+                arr = np.array(arr)
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
     @property
     def n_nodes(self) -> int:
@@ -100,6 +91,7 @@ class QuadratureRule:
         raise ValueError("flat weights are only defined for real-line rules")
 
 
+@lru_cache(maxsize=None)
 def gauss_hermite(n_nodes: int) -> QuadratureRule:
     """Gauss-Hermite rule for the weight exp(-x^2) on R (Golub-Welsch).
 
@@ -108,7 +100,8 @@ def gauss_hermite(n_nodes: int) -> QuadratureRule:
     w_k = exp(-x_k^2) / sum_j psi_j(x_k)^2 with psi_j the orthonormal
     weight-one Hermite functions: unlike the first-eigenvector formula this
     stays accurate (in log scale) at the extreme nodes, where eigenvector
-    components sink below machine noise.  Weights sum to sqrt(pi).
+    components sink below machine noise.  Weights sum to sqrt(pi).  Each
+    rule is built once per process.
     """
     if not 1 <= n_nodes <= _MAX_GH_NODES:
         raise ValueError(f"n_nodes must be in 1..{_MAX_GH_NODES}")
@@ -133,14 +126,19 @@ def gauss_hermite(n_nodes: int) -> QuadratureRule:
     return QuadratureRule(vals, np.exp(log_weights), "hermite", log_weights)
 
 
+@lru_cache(maxsize=8)  # a 256-node plane rule alone holds 65,536 nodes
 def gauss_hermite_plane(n_nodes: int) -> QuadratureRule:
-    """Tensor rule on C for the Gaussian measure dlambda = exp(-|z|^2)/pi dA."""
+    """Tensor rule on C for the Gaussian measure dlambda = exp(-|z|^2)/pi dA.
+
+    Node j * n_nodes + k is u_j + i v_k with u, v the nodes of ``line``, so
+    sums over the plane can be contracted one axis at a time.
+    """
     line = gauss_hermite(n_nodes)
     u, v = np.meshgrid(line.nodes, line.nodes, indexing="ij")
     wu, wv = np.meshgrid(line.weights, line.weights, indexing="ij")
     nodes = (u + 1j * v).ravel()
     weights = (wu * wv).ravel() / np.pi
-    return QuadratureRule(nodes, weights, "plane")
+    return QuadratureRule(nodes, weights, "plane", line=line)
 
 
 def composite_legendre(lo: float, hi: float, n_panels: int, points: int = 32) -> QuadratureRule:

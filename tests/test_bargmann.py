@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fockdict.fock import FockVector, evaluate
 from fockdict.hermite import (
     GAUSS_CONST,
     LineVector,
+    QuadratureRule,
     gauss_hermite,
     gauss_hermite_plane,
     hermite_function,
@@ -61,6 +63,60 @@ def test_oscillation_budget_warning():
         bargmann_quadrature(gauss, 20j, gauss_hermite(64))
 
 
+def _accuracy_warnings(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    return [w for w in caught if issubclass(w.category, AccuracyWarning)]
+
+
+def test_oscillation_budget_boundary():
+    # |Im z| may reach n_nodes / 8 = 8 on a 64-node rule, and no further
+    rule = gauss_hermite(64)
+    assert not _accuracy_warnings(lambda: bargmann_quadrature(gauss, 0.5 + 8j, rule))
+    assert _accuracy_warnings(lambda: bargmann_quadrature(gauss, 0.5 + (8 + 1e-9) * 1j, rule))
+
+
+def test_plane_rule_too_coarse_boundary():
+    # the 64 x 64 plane rule takes F up to degree sqrt(4096) = 64
+    rng = np.random.default_rng(5)
+    for degree, warns in ((64, False), (65, True)):
+        F = FockVector(rng.standard_normal(degree + 1))
+        got = _accuracy_warnings(lambda: inverse_bargmann_quadrature(F, 0.3, PLANE))
+        assert bool(got) == warns
+
+
+def _dense_inverse(F, x, plane):
+    """The inverse integral summed against one dense (points x plane nodes) kernel."""
+    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    zb = np.conj(plane.nodes)
+    fz = plane.weights * evaluate(F, plane.nodes) * np.exp(-(zb**2) / 2.0)
+    kernel = np.exp(2.0 * np.outer(xs, zb) - (xs**2)[:, None])
+    return GAUSS_CONST * kernel @ fz
+
+
+@pytest.mark.parametrize("m", [8, 16, 32, 64])
+def test_contracted_inverse_matches_dense_sum(m):
+    plane = gauss_hermite_plane(m)
+    xs = np.linspace(-6.0, 6.0, 41)
+    rng = np.random.default_rng(m)
+    vectors = [FockVector.basis(n, m) for n in (0, 1, m // 2, m)]
+    vectors.append(FockVector(rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1)))
+    for F in vectors:
+        want = _dense_inverse(F, xs, plane)
+        got = inverse_bargmann_quadrature(F, xs, plane)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        one = inverse_bargmann_quadrature(F, 0.7, plane)
+        assert isinstance(one, complex)
+        assert abs(one - _dense_inverse(F, 0.7, plane)[0]) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_inverse_needs_the_line_factor():
+    bare = QuadratureRule(PLANE.nodes, PLANE.weights, "plane")
+    with pytest.raises(ValueError):
+        inverse_bargmann_quadrature(FockVector.basis(0, 4), 0.0, bare)
+
+
 def test_inverse_integral_values():
     assert abs(inverse_bargmann_quadrature(FockVector.basis(0, 4), 0.4, PLANE)
                - hermite_function(0, 0.4)) < 1e-8
@@ -93,7 +149,8 @@ def test_pipeline_cross_validation():
     f = LineVector(coeffs)
     zs = (rng.standard_normal(20) + 1j * rng.standard_normal(20)) * (2.0 / math.sqrt(2))
     zs = zs[np.abs(zs) <= 2.0]
-    assert pipe.cross_validate(f, zs) < 1e-7
+    quad_vals = bargmann_quadrature(f, zs, pipe.line_rule)
+    assert np.max(np.abs(quad_vals - evaluate(bargmann_coeff(f), zs))) < 1e-7
 
 
 def test_sup_norm_vacuum():

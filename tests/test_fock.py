@@ -3,7 +3,6 @@ import pytest
 
 from fockdict.fock import (
     FockVector,
-    KernelPoint,
     evaluate,
     inner,
     kernel_truncation_defect,
@@ -91,11 +90,6 @@ def test_kernel_norm_monotone_in_degree():
     norms = [kernel_vector(a, N).norm() for N in (4, 8, 16, 32)]
     assert all(n1 < n2 for n1, n2 in zip(norms, norms[1:]))
     assert norms[-1] <= 1.0 + 1e-14
-
-
-def test_kernel_point_wrapper():
-    kp = KernelPoint(0.5 + 0.1j, normalized=False)
-    assert np.array_equal(kp.vector(6).coeffs, kernel_vector(0.5 + 0.1j, 6, False).coeffs)
 
 
 def test_eval_vectorized_matches_scalar():

@@ -7,31 +7,15 @@ from fockdict.errors import AccuracyWarning
 from fockdict.hermite import (
     GAUSS_CONST,
     LineVector,
+    QuadratureRule,
     composite_legendre,
     gauss_hermite,
     gauss_hermite_plane,
     hermite_function,
     hermite_functions,
-    hermite_poly,
     project_line,
     project_line_interval,
 )
-
-
-def test_hermite_poly_base_cases():
-    assert hermite_poly(0, 3.7) == 1.0
-    assert hermite_poly(2, 1.0) == 2.0  # 4y^2 - 2
-    assert hermite_poly(3, 0.0) == 0.0
-
-
-def test_hermite_poly_against_explicit():
-    y = 0.8
-    assert abs(hermite_poly(4, y) - (16 * y**4 - 48 * y**2 + 12)) < 1e-12
-
-
-def test_hermite_poly_overflow_signals():
-    with pytest.raises(OverflowError):
-        hermite_poly(300, 60.0)
 
 
 def test_hermite_function_values():
@@ -66,6 +50,41 @@ def test_gauss_hermite_two_nodes():
 def test_weights_sum_to_sqrt_pi(n_nodes):
     rule = gauss_hermite(n_nodes)
     assert abs(rule.weights.sum() - math.sqrt(math.pi)) < 1e-14
+
+
+@pytest.mark.parametrize("n_nodes", [1, 2, 9, 64, 128, 256])
+def test_gauss_hermite_is_cached_and_unchanged(n_nodes):
+    rule = gauss_hermite(n_nodes)
+    assert gauss_hermite(n_nodes) is rule
+    fresh = gauss_hermite.__wrapped__(n_nodes)
+    for name in ("nodes", "weights", "log_weights"):
+        assert np.array_equal(getattr(rule, name), getattr(fresh, name))
+
+
+def test_plane_rule_is_cached_and_keeps_its_line_factor():
+    plane = gauss_hermite_plane(16)
+    assert gauss_hermite_plane(16) is plane
+    assert plane.line is gauss_hermite(16)
+    fresh = gauss_hermite_plane.__wrapped__(16)
+    assert np.array_equal(plane.nodes, fresh.nodes)
+    assert np.array_equal(plane.weights, fresh.weights)
+    u, v = np.meshgrid(plane.line.nodes, plane.line.nodes, indexing="ij")
+    assert np.array_equal(plane.nodes, (u + 1j * v).ravel())
+
+
+@pytest.mark.parametrize("name", ["nodes", "weights", "log_weights"])
+def test_cached_rule_is_read_only(name):
+    rule = gauss_hermite(8)
+    with pytest.raises(ValueError):
+        getattr(rule, name)[0] = 99.0
+    assert np.array_equal(gauss_hermite(8).nodes, gauss_hermite.__wrapped__(8).nodes)
+
+
+def test_rule_copies_its_arrays():
+    nodes = np.array([-1.0, 1.0])
+    rule = QuadratureRule(nodes, np.ones(2), "legendre")
+    nodes[0] = 5.0
+    assert rule.nodes[0] == -1.0
 
 
 def test_gauss_hermite_bounds():

@@ -18,6 +18,7 @@ from fockdict.operators import (
     weyl_matrix,
 )
 from fockdict.singular import hilbert_fock_matrix
+from fockdict.uncertainty import uncertainty_product
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=15)
 
@@ -65,3 +66,11 @@ def test_weyl_composition_cancels_where_recurrence_is_chosen(N, r, phi):
     assume(blk > 4)
     P = weyl_matrix(a, N).entries @ weyl_matrix(-a, N).entries
     assert np.max(np.abs(P[:blk, :blk] - np.eye(blk))) <= 1e-10
+
+
+@PROFILE
+@given(st.lists(st.tuples(finite, finite), min_size=1, max_size=65), finite, finite)
+def test_uncertainty_product_inequality(pairs, a, b):
+    f = FockVector(np.array([complex(x, y) for x, y in pairs]))
+    lhs, rhs = uncertainty_product(f, a, b)
+    assert lhs >= rhs * (1.0 - 1e-12)
