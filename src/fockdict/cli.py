@@ -101,7 +101,8 @@ def _cmd_bargmann(args) -> int:
 
 def _cmd_op_apply(args) -> int:
     N = _default_degree(args)
-    f = _read_vector(args.infile, "fock").pad(N)
+    raw = _read_vector(args.infile, "fock")
+    f = raw.pad(N)
     params = [float(p) for p in args.params.split(",")] if args.params else []
     if args.op == "fourier":
         out = op.fourier_fock(f)
@@ -116,8 +117,9 @@ def _cmd_op_apply(args) -> int:
     elif args.op == "dilate":
         if len(params) != 1:
             raise ValueError("dilate needs --params R")
-        pipe = op.dilation_pipeline(N)
-        res = op.dilation_fock(params[0], FockVector(f.coeffs[: min(N, 24) + 1]), pipe)
+        # the input at its own degree: zero padding would only raise it
+        res = op.dilation_fock(params[0], FockVector(raw.coeffs[: N + 1]),
+                               bg.BargmannPipeline.default(N))
         sys.stderr.write(f"dual-path discrepancy: {res.discrepancy:.3e}\n")
         out = res.primary
     elif args.op == "a1":
@@ -177,13 +179,9 @@ def _cmd_op_verify(args) -> int:
 def _cmd_singular(args) -> int:
     N = _default_degree(args)
     if args.mode == "hilbert":
-        T = sg.hilbert_fock_matrix(N)
         if args.check == "tsquare":
-            R = T.entries @ T.entries + np.eye(N + 1)
-            span = min(8, N)
-            residual = max(float(np.linalg.norm(R[:, j])) for j in range(span + 1))
-            _emit_obj({"check": "tsquare", "degree": N, "span": f"0..{span}",
-                       "residual": residual}, args)
+            _emit_obj({"check": "tsquare", "degree": N, "span": f"0..{min(8, N)}",
+                       "residual": sg.tsquare_residual(N)}, args)
         elif args.check == "berezin":
             sym = sg.hilbert_symbol(max(1, 2 * N - 1))
             z = 0.5 + 0.5j
@@ -193,7 +191,7 @@ def _cmd_singular(args) -> int:
                        "difference": abs(lhs - rhs)}, args)
         else:  # norm
             series, tail = sg.fock_norm_A(200, with_tail=True)
-            col_norm_sq = float(np.linalg.norm(T.entries[:, 0]) ** 2)
+            col_norm_sq = float(np.linalg.norm(sg.hilbert_fock_matrix(N).entries[:, 0]) ** 2)
             _emit_obj({"check": "norm", "degree": N,
                        "antiderivative_norm_sq_series": series,
                        "series_tail_estimate": tail,

@@ -93,19 +93,21 @@ def log_factorials(n: int) -> np.ndarray:
 
 
 def exp_quadratic_taylor(alpha, beta, degree: int, c0=1.0) -> np.ndarray:
-    """Taylor coefficients t_0..t_N of c0 exp(alpha z^2 + beta z).
+    """Coefficients u_0..u_N of c0 exp(alpha z^2 + beta z) against e_n.
 
-    Exact recurrence (n+1) t_{n+1} = beta t_n + 2 alpha t_{n-1}; an array
-    ``beta`` gives one column per entry, shape (N+1,) + beta.shape.  Basis
-    coefficients against e_n are t_n sqrt(n!).
+    u_n = t_n sqrt(n!) for Taylor coefficients t_n, by the normalized recurrence
+    sqrt(n+1) u_{n+1} = beta u_n + 2 alpha sqrt(n) u_{n-1}: no factorial is
+    formed, so u_n stays finite for |alpha| < 1/2 at any degree.  An array
+    ``beta`` gives one column per entry, shape (N+1,) + beta.shape.
     """
-    t = np.zeros((degree + 1,) + np.shape(beta), dtype=np.complex128)
-    t[0] = c0
+    root = np.sqrt(np.arange(degree + 1))
+    u = np.zeros((degree + 1,) + np.shape(beta), dtype=np.complex128)
+    u[0] = c0
     if degree >= 1:
-        t[1] = beta * c0
+        u[1] = beta * c0
     for n in range(1, degree):
-        t[n + 1] = (beta * t[n] + 2.0 * alpha * t[n - 1]) / (n + 1)
-    return t
+        u[n + 1] = (beta * u[n] + 2.0 * alpha * root[n] * u[n - 1]) / root[n + 1]
+    return u
 
 
 def kernel_vector(a: complex, degree: int, normalized: bool = True) -> FockVector:
@@ -117,7 +119,6 @@ def kernel_vector(a: complex, degree: int, normalized: bool = True) -> FockVecto
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    n = np.arange(degree + 1)
     c = np.ones(degree + 1, dtype=np.complex128)
     ab = np.conj(complex(a))
     for k in range(1, degree + 1):

@@ -9,7 +9,7 @@ e_n(z) = z^n/sqrt(n!) unless tagged otherwise.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -260,52 +260,48 @@ class DilationResult:
     discrepancy: float
 
 
-def dilation_pipeline(degree: int) -> BargmannPipeline:
-    """Output degree min(degree, 32) on the degree-32 line rule (128 nodes):
-    the primary path's projection needs it even at low output degree, where
-    64-96 nodes leave the dilated Gaussian off by up to about 1e-6."""
-    return replace(BargmannPipeline.default(32), degree=min(degree, 32))
-
-
 def dilation_fock(r: float, f: FockVector, pipeline: BargmannPipeline,
                   warn: bool = True) -> DilationResult:
     """Fock-side dilation: conjugate of D_r g(x) = sqrt(r) g(rx) on the line.
 
     primary path: down to the line by the inverse integral, rescale the
-    sample points, project back.  cross path: plane quadrature of the direct
-    kernel
+    sample points, project back.  Its integrand is a polynomial of degree
+    n + N (input plus output degree) times e^{-(1+r^2)x^2}, so the line rule
+    is rescaled to that weight (nodes x_k/s, flat weights /s, s = sqrt(1+r^2))
+    and is exact while n + N < 2 * (line nodes).  cross path: plane
+    quadrature of the direct kernel
 
         sqrt(2r/(1+r^2)) e^{g z^2} int f(-iw) e^{g conj(w)^2}
             e^{2 i r z conj(w)/(1+r^2)} dlambda(w),
 
     with g = (1-r^2)/(2(1+r^2)); the z^2 prefactor is required for the two
     routes to coincide (check against D_r of the Gaussian in closed form).
-    Coefficients of the cross path are extracted with the exact Taylor
-    recurrence of e^{g z^2 + beta z} rather than pointwise sampling.
+    Coefficients of the cross path come from the e_n recurrence of
+    e^{g z^2 + beta z}.  ValueError past either rule: input degree above the
+    plane rule's line nodes (the inverse integral's limit), or n + N at
+    2 * (line nodes) or more.
     """
     if not 0.25 <= r <= 4.0:
         raise ValueError("r must lie in [1/4, 4]")
-    if f.degree > 24:
-        raise ValueError("dilation input degree must be <= 24")
-    N = pipeline.degree
+    N, line, plane = pipeline.degree, pipeline.line_rule, pipeline.plane_rule
+    if f.degree > plane.line.n_nodes or f.degree + N >= 2 * line.n_nodes:
+        raise ValueError(f"dilation needs input degree <= {plane.line.n_nodes} (plane rule) and input "
+                         f"+ output degree < {2 * line.n_nodes} (line rule), got {f.degree} + {N}")
 
     # primary: B . D_r . B^{-1}
-    x = pipeline.line_rule.nodes
-    g_scaled = inverse_bargmann_quadrature(f, r * x, pipeline.plane_rule, warn=False)
-    vals = np.sqrt(r) * g_scaled
-    fw = pipeline.line_rule.flat_weights() * vals
+    s = np.sqrt(1.0 + r * r)
+    x = line.nodes / s
+    g_scaled = inverse_bargmann_quadrature(f, r * x, plane, warn=False)
+    fw = line.flat_weights() / s * np.sqrt(r) * g_scaled
     primary = FockVector(hermite_functions(N, x) @ fw)
 
     # cross: direct plane quadrature of the kernel
     gamma = (1.0 - r * r) / (2.0 * (1.0 + r * r))
     pref = np.sqrt(2.0 * r / (1.0 + r * r))
-    w = pipeline.plane_rule.nodes
-    wbar = np.conj(w)
-    fvals = f(-1j * w)
-    base = pipeline.plane_rule.weights * fvals * np.exp(gamma * wbar**2)
+    wbar = np.conj(plane.nodes)
+    base = plane.weights * f(-1j * plane.nodes) * np.exp(gamma * wbar**2)
     beta = 2j * r * wbar / (1.0 + r * r)
-    moments = exp_quadratic_taylor(gamma, beta, N) @ base
-    cross = FockVector(pref * np.exp(0.5 * log_factorials(N)) * moments)
+    cross = FockVector(pref * (exp_quadratic_taylor(gamma, beta, N) @ base))
 
     disc = float(np.linalg.norm(primary.coeffs - cross.coeffs))
     if warn and disc > 1e-5:

@@ -2,7 +2,8 @@
 
 Vectors are JSON arrays of [re, im] pairs indexed by n; CSV rows are
 index,re,im for vectors and row,col,re,im for matrices.  Floats are written
-with 17 significant digits so that re-parsing is bit-exact.
+with 17 significant digits so that re-parsing is bit-exact; the writers refuse
+non-finite values with a ValueError, as the readers do.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ def _fmt(x: float) -> str:
 
 def vector_to_json(vec) -> str:
     coeffs = vec.coeffs if hasattr(vec, "coeffs") else np.asarray(vec)
-    return json.dumps([[c.real, c.imag] for c in np.asarray(coeffs, dtype=complex)])
+    return json.dumps([[c.real, c.imag] for c in np.asarray(coeffs, dtype=complex)], allow_nan=False)
 
 
 def vector_from_json(text: str, kind: str = "fock"):
@@ -60,7 +61,7 @@ def _csv_rows(text: str, layout: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def vector_to_csv(vec) -> str:
-    coeffs = np.asarray(vec.coeffs if hasattr(vec, "coeffs") else vec, dtype=complex)
+    coeffs = _finite(np.asarray(vec.coeffs if hasattr(vec, "coeffs") else vec, dtype=complex), "output")
     lines = [f"{i},{_fmt(c.real)},{_fmt(c.imag)}" for i, c in enumerate(coeffs)]
     return "\n".join(lines) + "\n"
 
@@ -75,6 +76,7 @@ def vector_from_csv(text: str, kind: str = "fock"):
 
 
 def matrix_to_csv(entries: np.ndarray) -> str:
+    _finite(entries, "output")
     lines = []
     for r in range(entries.shape[0]):
         for c in range(entries.shape[1]):
@@ -93,5 +95,6 @@ def matrix_from_csv(text: str) -> np.ndarray:
 
 def matrix_to_json(entries: np.ndarray) -> str:
     return json.dumps(
-        [[[v.real, v.imag] for v in row] for row in np.asarray(entries, dtype=complex)]
+        [[[v.real, v.imag] for v in row] for row in np.asarray(entries, dtype=complex)],
+        allow_nan=False,
     )

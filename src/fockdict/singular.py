@@ -281,6 +281,13 @@ def hilbert_fock_matrix(degree: int) -> OperatorMatrix:
     return OperatorMatrix(op.entries, "fock", "hilbert", unitary=True)
 
 
+def tsquare_residual(degree: int, span: int = 8) -> float:
+    """max over columns j <= min(span, degree) of ||(T^2 + I) e_j||, T = hilbert_fock_matrix(degree)."""
+    T = hilbert_fock_matrix(degree).entries
+    R = T @ T + np.eye(degree + 1)
+    return float(max(np.linalg.norm(R[:, j]) for j in range(min(span, degree) + 1)))
+
+
 def berezin_check(symbol: EntireSymbol, z: complex, degree: int) -> tuple[complex, complex]:
     """Berezin transform identity: <S_phi k_z, k_z> = phi(z - conj(z)).
 

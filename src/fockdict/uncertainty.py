@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, exp_quadratic_taylor, log_factorials
+from .fock import FockVector, exp_quadratic_taylor
 from .operators import OperatorMatrix, md_matrices
 
 
@@ -101,17 +101,15 @@ class ExtremalParams:
 def extremal_coeffs(params: ExtremalParams, degree: int) -> FockVector:
     """Coefficients of C exp(alpha z^2 + beta z) against e_n.
 
-    Taylor recurrence (n+1) t_{n+1} = beta t_n + 2 alpha t_{n-1}; basis
-    coefficients are t_n sqrt(n!).  Fails when the top coefficient is not yet
-    below the 1e-10 tail certificate (pick a larger degree).
+    Built by the normalized recurrence of ``exp_quadratic_taylor``.  Fails
+    when the top coefficient is not yet below the 1e-10 tail certificate
+    (pick a larger degree).
     """
-    t = exp_quadratic_taylor(params.alpha, params.beta, degree, params.C)
-    coeffs = t * np.exp(0.5 * log_factorials(degree))
-    vec = FockVector(coeffs)
+    vec = FockVector(exp_quadratic_taylor(params.alpha, params.beta, degree, params.C))
     norm = vec.norm()
-    if norm > 0 and abs(coeffs[-1]) > 1e-10 * norm:
+    if norm > 0 and abs(vec.coeffs[-1]) > 1e-10 * norm:
         raise ValueError(
-            f"tail certificate failed: |c_N| = {abs(coeffs[-1]):.2e} "
+            f"tail certificate failed: |c_N| = {abs(vec.coeffs[-1]):.2e} "
             f"> 1e-10 * ||f||; increase the degree"
         )
     return vec

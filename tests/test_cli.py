@@ -1,21 +1,30 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fockdict import cli
+from fockdict.errors import AccuracyWarning
 from fockdict.fock import FockVector
-from fockdict.report import SuiteConfig, run_suite
+from fockdict.report import SUITE_NAMES, SuiteConfig, run_suite
 from fockdict.serialize import (
     matrix_from_csv,
     matrix_to_csv,
+    matrix_to_json,
     vector_from_csv,
     vector_from_json,
     vector_to_csv,
     vector_to_json,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*args, check=True):
@@ -58,6 +67,17 @@ def test_matrix_csv_round_trip_bit_exact():
     assert np.array_equal(matrix_from_csv(matrix_to_csv(m)), m)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("writer", [vector_to_json, vector_to_csv, matrix_to_json, matrix_to_csv])
+def test_writers_refuse_non_finite(writer, bad):
+    values = np.ones((3, 3), dtype=complex)
+    values[1, 2] = bad
+    if writer in (vector_to_json, vector_to_csv):
+        values = values[1]
+    with pytest.raises(ValueError):
+        writer(values)
+
+
 # ----------------------------------------------------------------------
 # Report contract
 # ----------------------------------------------------------------------
@@ -89,7 +109,7 @@ def test_report_env_degree(monkeypatch):
 
 @pytest.mark.parametrize("degree", [1, 4, 8, 16, 24, 32])
 def test_dilation_suite_passes_at_low_degree(degree):
-    # the suite keeps output degree min(N, 32) but always the 128-node line rule
+    # the suite keeps output degree min(N, 32) on that degree's default pipeline
     assert run_suite("dilation", SuiteConfig(degree=degree)).passed
 
 
@@ -202,11 +222,14 @@ def test_cli_env_degree(tmp_path):
     ("op", "apply", "--op", "fourier", "--in", "{tmp}/shape.json"),
     ("quantize", "verify-weyl", "--symbol", "{tmp}/noterms.json"),
     ("op", "apply", "--op", "fourier", "--in", "{tmp}/nan.json"),
+    ("op", "apply", "--op", "dilate", "--params", "2.0", "--in", "{tmp}/wide.json",
+     "--degree", "128"),
 ], ids=["malformed-json", "missing-symbol", "bad-params", "negative-degree",
         "negative-nodes", "tail-certificate", "zero-radius", "wrong-shape-vector",
-        "symbol-without-terms", "non-finite-vector"])
+        "symbol-without-terms", "non-finite-vector", "dilate-input-beyond-plane-rule"])
 def test_cli_errors_are_one_line(tmp_path, args):
     (tmp_path / "bad.json").write_text("[[1.0, 0.0], ")
+    (tmp_path / "wide.json").write_text(vector_to_json(np.ones(66)))
     (tmp_path / "shape.json").write_text("[1, 2]")
     (tmp_path / "noterms.json").write_text('{"x": 1}')
     (tmp_path / "nan.json").write_text("[[NaN, 0], [1, 0]]")
@@ -251,3 +274,63 @@ def test_csv_readers_accept_any_row_order():
     assert np.array_equal(v.coeffs, [1 - 1j, 2])
     m = matrix_from_csv("1,0,3,0\n0,1,0,1\n")
     assert np.array_equal(m, [[0, 1j], [3, 0]])
+
+
+def test_cli_dilate_keeps_the_input_and_the_output_degree(tmp_path, capsys, exact_dilation):
+    # a degree-20 input, output at --degree 64, against the exact line dilation
+    rng = np.random.default_rng(21)
+    c = rng.standard_normal(21) + 1j * rng.standard_normal(21)
+    path = tmp_path / "f.json"
+    path.write_text(vector_to_json(c))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        code = cli.main(["op", "apply", "--op", "dilate", "--params", "2.0",
+                         "--degree", "64", "--in", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 0
+    got = np.array([complex(re, im) for re, im in json.loads(out)])
+    assert got.shape == (65,)
+    disc = float(re.search(r"dual-path discrepancy: (\S+)", err).group(1))
+    assert disc <= 1e-12
+    want = sum(c[n] * exact_dilation(2.0, n, 64) for n in range(21))
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("degree", range(1, 17))
+def test_cli_verify_low_degree_never_crashes(degree, capsys):
+    # honest FAILs (exit 1) and refused configurations (exit 2) are fine here
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        for suite in SUITE_NAMES:
+            assert cli.main(["verify", suite, "--degree", str(degree)]) in (0, 1, 2)
+            assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_extremal_high_degree_is_finite():
+    proc = run_cli("uncertainty", "extremal", "--c", "2.0", "--a", "0.5", "--b", "0.3",
+                   "--degree", "400")
+    coeffs = json.loads(proc.stdout, parse_constant=lambda name: pytest.fail(name))
+    assert len(coeffs) == 401
+    assert np.all(np.isfinite(coeffs))
+
+
+def _readme_commands() -> list[list[str]]:
+    """Every ``fockdict ...`` line of README's fenced sh blocks, in order."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    return [shlex.split(line, comments=True)[1:]
+            for block in blocks for line in block.splitlines()
+            if line.startswith("fockdict ")]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FOCKDICT_DEGREE", raising=False)
+    (tmp_path / "line.json").write_text(vector_to_json([0.6, 0.0, 0.8]))
+    (tmp_path / "f.json").write_text(vector_to_json([1.0, 0.5j, 0.0, -0.25]))
+    (tmp_path / "taylor.json").write_text(vector_to_json([0.0, 1.0]))
+    (tmp_path / "sym.json").write_text(json.dumps({"terms": [[1, 1, 1.0, 0.0]]}))
+    commands = _readme_commands()
+    assert len(commands) >= 17
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+        assert "error" not in capsys.readouterr().err

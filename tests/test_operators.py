@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -340,11 +341,30 @@ def test_dilation_dual_path_agreement(r, n):
 
 
 def test_dilation_preconditions():
+    # both guards come from the pipeline's rules: 64 plane line nodes, 96 line nodes
     pipe = BargmannPipeline.default(24)
     with pytest.raises(ValueError):
         dilation_fock(10.0, FockVector.basis(0, 4), pipe)
-    with pytest.raises(ValueError):
-        dilation_fock(2.0, FockVector.basis(0, 30), pipe)
+    dilation_fock(2.0, FockVector.basis(0, 64), pipe)
+    with pytest.raises(ValueError, match=r"<= 64 \(plane rule\).*got 65 \+ 24"):
+        dilation_fock(2.0, FockVector.basis(0, 65), pipe)
+    wide = replace(pipe, degree=2 * 96 - 64)
+    dilation_fock(2.0, FockVector.basis(0, 63), wide)
+    with pytest.raises(ValueError, match=r"< 192 \(line rule\), got 64 \+ 128"):
+        dilation_fock(2.0, FockVector.basis(0, 64), wide)
+
+
+@pytest.mark.parametrize("r", [0.25, 0.5, 2.0, 4.0])
+@pytest.mark.parametrize("n", [0, 8, 24, 48, 64])
+def test_dilation_boundary_scan(r, n, exact_dilation):
+    # input degree up to the plane rule's 64 line nodes, output degree up to
+    # the 256-node line rule; n = 64 is where the plane rule runs out
+    tol = 1e-9 if n == 64 else 1e-12
+    for N in (0, 1, 32, 64, 128, 256):
+        res = dilation_fock(r, FockVector.basis(n, n), BargmannPipeline.default(N))
+        want = exact_dilation(r, n, N)
+        assert np.max(np.abs(res.primary.coeffs - want)) <= tol, N
+        assert np.max(np.abs(res.cross.coeffs - want)) <= tol, N
 
 
 # ----------------------------------------------------------------------
