@@ -101,8 +101,7 @@ def _cmd_bargmann(args) -> int:
 
 def _cmd_op_apply(args) -> int:
     N = _default_degree(args)
-    raw = _read_vector(args.infile, "fock")
-    f = raw.pad(N)
+    f = _read_vector(args.infile, "fock").pad(N)
     params = [float(p) for p in args.params.split(",")] if args.params else []
     if args.op == "fourier":
         out = op.fourier_fock(f)
@@ -117,9 +116,9 @@ def _cmd_op_apply(args) -> int:
     elif args.op == "dilate":
         if len(params) != 1:
             raise ValueError("dilate needs --params R")
-        # the input at its own degree: zero padding would only raise it
-        res = op.dilation_fock(params[0], FockVector(raw.coeffs[: N + 1]),
-                               bg.BargmannPipeline.default(N))
+        # the input at its own degree: trailing zeros would only raise it
+        top = max(1, len(np.trim_zeros(f.coeffs, "b")))
+        res = op.dilation_fock(params[0], FockVector(f.coeffs[:top]), bg.BargmannPipeline.default(N))
         sys.stderr.write(f"dual-path discrepancy: {res.discrepancy:.3e}\n")
         out = res.primary
     elif args.op == "a1":
@@ -180,7 +179,7 @@ def _cmd_singular(args) -> int:
     N = _default_degree(args)
     if args.mode == "hilbert":
         if args.check == "tsquare":
-            _emit_obj({"check": "tsquare", "degree": N, "span": f"0..{min(8, N)}",
+            _emit_obj({"check": "tsquare", "degree": N, "span": f"0..{min(sg.TSQUARE_SPAN, N)}",
                        "residual": sg.tsquare_residual(N)}, args)
         elif args.check == "berezin":
             sym = sg.hilbert_symbol(max(1, 2 * N - 1))

@@ -92,7 +92,7 @@ def log_factorials(n: int) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, n + 1)))])
 
 
-def exp_quadratic_taylor(alpha, beta, degree: int, c0=1.0) -> np.ndarray:
+def exp_quadratic_coeffs(alpha, beta, degree: int, c0=1.0) -> np.ndarray:
     """Coefficients u_0..u_N of c0 exp(alpha z^2 + beta z) against e_n.
 
     u_n = t_n sqrt(n!) for Taylor coefficients t_n, by the normalized recurrence

@@ -19,7 +19,7 @@ from .bargmann import BargmannPipeline, inverse_bargmann_quadrature
 from .errors import AccuracyWarning
 from .fock import (
     FockVector,
-    exp_quadratic_taylor,
+    exp_quadratic_coeffs,
     kernel_truncation_defect,
     log_factorials,
 )
@@ -301,7 +301,7 @@ def dilation_fock(r: float, f: FockVector, pipeline: BargmannPipeline,
     wbar = np.conj(plane.nodes)
     base = plane.weights * f(-1j * plane.nodes) * np.exp(gamma * wbar**2)
     beta = 2j * r * wbar / (1.0 + r * r)
-    cross = FockVector(pref * (exp_quadratic_taylor(gamma, beta, N) @ base))
+    cross = FockVector(pref * (exp_quadratic_coeffs(gamma, beta, N) @ base))
 
     disc = float(np.linalg.norm(primary.coeffs - cross.coeffs))
     if warn and disc > 1e-5:

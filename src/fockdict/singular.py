@@ -35,6 +35,7 @@ from .hermite import QuadratureRule
 from .operators import OperatorMatrix
 
 _CFrac = tuple[Fraction, Fraction]
+TSQUARE_SPAN = 8  # last column checked by tsquare_residual
 
 
 def _cfrac(value: complex) -> _CFrac:
@@ -281,11 +282,11 @@ def hilbert_fock_matrix(degree: int) -> OperatorMatrix:
     return OperatorMatrix(op.entries, "fock", "hilbert", unitary=True)
 
 
-def tsquare_residual(degree: int, span: int = 8) -> float:
-    """max over columns j <= min(span, degree) of ||(T^2 + I) e_j||, T = hilbert_fock_matrix(degree)."""
+def tsquare_residual(degree: int) -> float:
+    """max over columns j <= min(TSQUARE_SPAN, degree) of ||(T^2 + I) e_j||, T = hilbert_fock_matrix(degree)."""
     T = hilbert_fock_matrix(degree).entries
     R = T @ T + np.eye(degree + 1)
-    return float(max(np.linalg.norm(R[:, j]) for j in range(min(span, degree) + 1)))
+    return float(max(np.linalg.norm(R[:, j]) for j in range(min(TSQUARE_SPAN, degree) + 1)))
 
 
 def berezin_check(symbol: EntireSymbol, z: complex, degree: int) -> tuple[complex, complex]:

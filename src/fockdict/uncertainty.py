@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, exp_quadratic_taylor
+from .fock import FockVector, exp_quadratic_coeffs
 from .operators import OperatorMatrix, md_matrices
 
 
@@ -101,11 +101,11 @@ class ExtremalParams:
 def extremal_coeffs(params: ExtremalParams, degree: int) -> FockVector:
     """Coefficients of C exp(alpha z^2 + beta z) against e_n.
 
-    Built by the normalized recurrence of ``exp_quadratic_taylor``.  Fails
+    Built by the normalized recurrence of ``exp_quadratic_coeffs``.  Fails
     when the top coefficient is not yet below the 1e-10 tail certificate
     (pick a larger degree).
     """
-    vec = FockVector(exp_quadratic_taylor(params.alpha, params.beta, degree, params.C))
+    vec = FockVector(exp_quadratic_coeffs(params.alpha, params.beta, degree, params.C))
     norm = vec.norm()
     if norm > 0 and abs(vec.coeffs[-1]) > 1e-10 * norm:
         raise ValueError(

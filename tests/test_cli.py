@@ -224,9 +224,12 @@ def test_cli_env_degree(tmp_path):
     ("op", "apply", "--op", "fourier", "--in", "{tmp}/nan.json"),
     ("op", "apply", "--op", "dilate", "--params", "2.0", "--in", "{tmp}/wide.json",
      "--degree", "128"),
+    ("op", "apply", "--op", "dilate", "--params", "2.0", "--in", "{tmp}/e1.json",
+     "--degree", "512"),
 ], ids=["malformed-json", "missing-symbol", "bad-params", "negative-degree",
         "negative-nodes", "tail-certificate", "zero-radius", "wrong-shape-vector",
-        "symbol-without-terms", "non-finite-vector", "dilate-input-beyond-plane-rule"])
+        "symbol-without-terms", "non-finite-vector", "dilate-input-beyond-plane-rule",
+        "dilate-output-beyond-line-rule"])
 def test_cli_errors_are_one_line(tmp_path, args):
     (tmp_path / "bad.json").write_text("[[1.0, 0.0], ")
     (tmp_path / "wide.json").write_text(vector_to_json(np.ones(66)))
@@ -294,6 +297,19 @@ def test_cli_dilate_keeps_the_input_and_the_output_degree(tmp_path, capsys, exac
     assert disc <= 1e-12
     want = sum(c[n] * exact_dilation(2.0, n, 64) for n in range(21))
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_cli_dilate_ignores_trailing_zeros(tmp_path, capsys, exact_dilation):
+    # e_0 as every fockdict command writes it at --degree 100: 101 coefficients,
+    # of degree 0 in content, so within the 64-node plane rule
+    path = tmp_path / "e0.json"
+    path.write_text(vector_to_json(FockVector.basis(0, 100)))
+    code = cli.main(["op", "apply", "--op", "dilate", "--params", "2.0",
+                     "--degree", "100", "--in", str(path)])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    got = np.array([complex(re, im) for re, im in json.loads(out)])
+    assert np.max(np.abs(got - exact_dilation(2.0, 0, 100))) <= 1e-12
 
 
 @pytest.mark.parametrize("degree", range(1, 17))

@@ -7,7 +7,7 @@ import pytest
 from fockdict.fock import (
     FockVector,
     evaluate,
-    exp_quadratic_taylor,
+    exp_quadratic_coeffs,
     inner,
     kernel_truncation_defect,
     kernel_vector,
@@ -111,21 +111,21 @@ def test_eval_vectorized_matches_scalar():
     (Fraction(2, 5), Fraction(-7, 4)),
     (Fraction(0), Fraction(5, 2)),
 ])
-def test_exp_quadratic_taylor_against_exact_series(alpha, beta):
+def test_exp_quadratic_coeffs_against_exact_series(alpha, beta):
     # t_n sqrt(n!) with t_n the exact Taylor coefficients of 3 exp(alpha z^2 + beta z)
     N = 40
     t = [Fraction(3), 3 * beta]
     for n in range(1, N):
         t.append((beta * t[n] + 2 * alpha * t[n - 1]) / (n + 1))
     want = np.array([float(t[n]) * math.sqrt(math.factorial(n)) for n in range(N + 1)])
-    got = exp_quadratic_taylor(float(alpha), float(beta), N, c0=3.0)
+    got = exp_quadratic_coeffs(float(alpha), float(beta), N, c0=3.0)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def test_exp_quadratic_taylor_finite_at_high_degree():
+def test_exp_quadratic_coeffs_finite_at_high_degree():
     # the factor sqrt(N!) of the Taylor form overflows past N = 303
     beta = np.array([1.0 + 1.0j, -2.0, 0.5j])
-    u = exp_quadratic_taylor(0.3, beta, 400)
+    u = exp_quadratic_coeffs(0.3, beta, 400)
     assert u.shape == (401, 3)
     assert np.all(np.isfinite(u))
     assert np.all(np.abs(u[-1]) < 1e-10 * np.max(np.abs(u), axis=0))
