@@ -28,6 +28,10 @@ from .hermite import (
     gauss_hermite_plane,
 )
 
+# points per kernel block of the forward quadrature: a call holds at most
+# _BLOCK x n_nodes kernel entries at once, however many points it is given
+_BLOCK = 128
+
 
 def bargmann_coeff(f: LineVector) -> FockVector:
     """Exact transform: h_n coefficients become e_n coefficients unchanged."""
@@ -39,21 +43,53 @@ def bargmann_quadrature(f: Callable, z, rule: QuadratureRule, warn: bool = True)
 
     The Gaussian weight of the rule absorbs exp(-x^2); the factor
     exp(2x i Im z) oscillates, so accuracy degrades once |Im z| outruns the
-    rule's phase resolution (flagged at |Im z| > n_nodes / 8).
+    rule's phase resolution (flagged at |Im z| > n_nodes / 8).  The kernel
+    is formed for _BLOCK points at a time, sorted by Re z, over the
+    node window ``_node_window`` certifies for the block.
     """
     if rule.weight != "hermite":
         raise ValueError("bargmann_quadrature needs a Gauss-Hermite rule")
     scalar = np.isscalar(z)
-    zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    zs = np.atleast_1d(np.asarray(z, dtype=np.complex128)).ravel()
     if warn and np.max(np.abs(zs.imag)) > rule.n_nodes / 8.0:
         warnings.warn(
             "oscillation budget exceeded: |Im z| > n_nodes/8", AccuracyWarning, stacklevel=2
         )
     x = rule.nodes
     fx = rule.weights * np.asarray(f(x), dtype=np.complex128)
-    kernel = np.exp(2.0 * np.outer(zs, x) - (zs**2 / 2.0)[:, None])
-    vals = GAUSS_CONST * kernel @ fx
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(np.abs(fx)) if np.all(np.isfinite(fx)) else None
+    order = np.argsort(zs.real)
+    vals = np.empty(zs.shape, dtype=np.complex128)
+    for start in range(0, zs.size, _BLOCK):
+        idx = order[start : start + _BLOCK]
+        zb = zs[idx]
+        lo, hi = _node_window(log_mag, x, zb.real[0], zb.real[-1])
+        kernel = np.exp(2.0 * np.outer(zb, x[lo:hi]) - (zb**2 / 2.0)[:, None])
+        vals[idx] = GAUSS_CONST * (kernel @ fx[lo:hi])
     return complex(vals[0]) if scalar else vals
+
+
+def _node_window(log_mag, x, s0: float, s1: float) -> tuple[int, int]:
+    """Nodes [lo, hi) whose terms can matter anywhere on the block s0 <= Re z <= s1.
+
+    The term k at z has modulus exp(g_k(Re z) - Re(z^2)/2) with
+    g_k(s) = log|w_k f(x_k)| + 2 s x_k, and the second part is common to
+    all k.  Each g_k is linear in s, so U_k = max(g_k(s0), g_k(s1)) bounds
+    it on the block and L = max_k min(g_k(s0), g_k(s1)) bounds every point's
+    largest term from below.  A node is dropped only if
+    U_k < L + log(eps / n_nodes): the dropped terms then add up to less than
+    eps times the largest term at every point, under the rounding of the sum
+    itself.  Without finite data (log_mag None, or a non-finite Re z) every
+    node is kept, so NaN and inf propagate as in the full sum.
+    """
+    n = x.size
+    if log_mag is None or not (np.isfinite(s0) and np.isfinite(s1)):
+        return 0, n
+    ends = log_mag + 2.0 * np.outer((s0, s1), x)
+    floor = ends.min(axis=0).max() + np.log(np.finfo(np.float64).eps / n)
+    keep = np.flatnonzero(ends.max(axis=0) >= floor)
+    return int(keep[0]), int(keep[-1]) + 1
 
 
 def inverse_bargmann_quadrature(

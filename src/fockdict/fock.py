@@ -71,19 +71,20 @@ def inner(f: FockVector, g: FockVector) -> complex:
 def evaluate(f: FockVector, z):
     """Evaluate sum c_n z^n/sqrt(n!) at one point or an array of points.
 
-    Uses the term recurrence t_{n+1} = t_n * z / sqrt(n+1) so no factorial is
-    ever formed.  Raises OverflowError when exp(|z|^2/2) would leave double
-    range, since values of that size are meaningless in the weighted space.
+    Horner's rule in the normalized basis, acc <- acc * z / sqrt(n+1) + c_n
+    for n = N-1 down to 0: no factorial is formed, and each point's value
+    depends on that point alone.  Raises OverflowError when exp(|z|^2/2)
+    would leave double range, since values of that size are meaningless in
+    the weighted space.
     """
     scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     if np.any(np.abs(zs) ** 2 / 2.0 > _EVAL_HALF_MOD_SQ_LIMIT):
         raise OverflowError("|z|^2/2 exceeds the floating exponent range")
-    term = np.ones_like(zs)
-    acc = f.coeffs[0] * term
-    for n in range(1, len(f.coeffs)):
-        term = term * zs / np.sqrt(n)
-        acc = acc + f.coeffs[n] * term
+    inv_root = 1.0 / np.sqrt(np.arange(1, len(f.coeffs)))
+    acc = np.full(zs.shape, f.coeffs[-1])
+    for n in range(len(f.coeffs) - 2, -1, -1):
+        acc = acc * zs * inv_root[n] + f.coeffs[n]
     return complex(acc[0]) if scalar else acc
 
 

@@ -40,10 +40,13 @@ def hermite_functions(n_max: int, x) -> np.ndarray:
     xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
     out = np.zeros((n_max + 1, xa.size))
     out[0] = GAUSS_CONST * np.exp(-(xa**2))
+    two_x = 2.0 * xa
     if n_max >= 1:
-        out[1] = 2.0 * xa * out[0]
-    for n in range(1, n_max):
-        out[n + 1] = 2.0 * xa / np.sqrt(n + 1) * out[n] - np.sqrt(n / (n + 1)) * out[n - 1]
+        out[1] = two_x * out[0]
+    n = np.arange(n_max + 1)
+    root, ratio = np.sqrt(n + 1.0), np.sqrt(n / (n + 1.0))
+    for k in range(1, n_max):
+        out[k + 1] = two_x / root[k] * out[k] - ratio[k] * out[k - 1]
     if np.isscalar(x):
         return out[:, 0]
     return out

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from fockdict.bargmann import (
+    _BLOCK,
     BargmannPipeline,
     bargmann_coeff,
     bargmann_quadrature,
@@ -75,6 +77,88 @@ def test_oscillation_budget_boundary():
     rule = gauss_hermite(64)
     assert not _accuracy_warnings(lambda: bargmann_quadrature(gauss, 0.5 + 8j, rule))
     assert _accuracy_warnings(lambda: bargmann_quadrature(gauss, 0.5 + (8 + 1e-9) * 1j, rule))
+
+
+def _dense_forward(f, z, rule):
+    """The defining integral summed against one dense (points x nodes) kernel.
+
+    Returns the values and, per point, the sum of the moduli of its terms.
+    """
+    zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    fx = rule.weights * np.asarray(f(rule.nodes), dtype=np.complex128)
+    kernel = np.exp(2.0 * np.outer(zs, rule.nodes) - (zs**2 / 2.0)[:, None])
+    return GAUSS_CONST * (kernel @ fx), GAUSS_CONST * (np.abs(kernel) @ np.abs(fx))
+
+
+def _packet(a, b):
+    return lambda x: np.exp(2j * math.pi * b * x) * gauss(x - a)
+
+
+_WINDOW_INPUTS = (
+    [_packet(a, b) for a, b in ((0.0, 0.0), (1.3, -0.4), (-1.5, 0.35))]
+    + [lambda x: np.ones_like(x)]
+    + [lambda x, n=n: hermite_function(n, x) for n in range(7)]
+)
+
+
+@pytest.mark.parametrize("n_nodes", [64, 256])
+@pytest.mark.parametrize("k", range(len(_WINDOW_INPUTS)))
+def test_node_window_stays_within_rounding(n_nodes, k):
+    # |Im z| scanned up to the oscillation budget n_nodes / 8; |Re z| <= 4
+    # keeps the dense reference's kernel below overflow at |Im z| = 32
+    rule = gauss_hermite(n_nodes)
+    rng = np.random.default_rng(n_nodes + k)
+    budget = n_nodes / 8.0
+    zs = rng.uniform(-4.0, 4.0, 300) + 1j * rng.permutation(np.linspace(-budget, budget, 300))
+    got = bargmann_quadrature(_WINDOW_INPUTS[k], zs, rule)
+    want, terms = _dense_forward(_WINDOW_INPUTS[k], zs, rule)
+    assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * terms)
+
+
+@pytest.mark.parametrize("count", [1, _BLOCK, _BLOCK + 1])
+def test_point_blocks_keep_the_order_of_z(count):
+    rng = np.random.default_rng(count)
+    zs = 3.0 * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
+    f = _packet(0.4, 0.2)
+    got = bargmann_quadrature(f, zs, RULE)
+    want, terms = _dense_forward(f, zs, RULE)
+    assert got.shape == (count,)
+    assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * terms)
+    one = bargmann_quadrature(f, complex(zs[0]), RULE)
+    assert isinstance(one, complex)
+    assert abs(one - want[0]) <= 4.0 * np.finfo(float).eps * terms[0]
+
+
+def test_quadrature_of_zero_is_zero():
+    zs = np.linspace(-5.0, 5.0, 2 * _BLOCK + 3) + 1j
+    got = bargmann_quadrature(np.zeros_like, zs, RULE)
+    assert np.array_equal(got, np.zeros_like(zs))
+
+
+def test_nan_at_one_node_propagates_as_in_the_dense_sum():
+    def f(x):
+        out = gauss(x)
+        out[40] = np.nan
+        return out
+
+    zs = np.linspace(-5.0, 5.0, _BLOCK + 7) + 0.5j
+    want, _ = _dense_forward(f, zs, RULE)
+    got = bargmann_quadrature(f, zs, RULE)
+    assert np.isnan(want).any()
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+
+
+def test_pbound_memory_stays_in_point_blocks():
+    # a dense kernel over the polar grid would take 11,541 x 256 complex numbers
+    rule = gauss_hermite(256)
+    verify_pbound(lambda x: np.ones_like(x), rule, grid_radius=6.0)
+    tracemalloc.start()
+    try:
+        verify_pbound(lambda x: np.ones_like(x), rule, grid_radius=6.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_plane_rule_too_coarse_boundary():

@@ -314,11 +314,11 @@ def test_cli_dilate_ignores_trailing_zeros(tmp_path, capsys, exact_dilation):
 
 @pytest.mark.parametrize("degree", range(1, 17))
 def test_cli_verify_low_degree_never_crashes(degree, capsys):
-    # honest FAILs (exit 1) and refused configurations (exit 2) are fine here
+    # honest FAILs (exit 1) are fine here; every suite runs at every degree
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AccuracyWarning)
         for suite in SUITE_NAMES:
-            assert cli.main(["verify", suite, "--degree", str(degree)]) in (0, 1, 2)
+            assert cli.main(["verify", suite, "--degree", str(degree)]) in (0, 1)
             assert "Traceback" not in capsys.readouterr().err
 
 

@@ -105,6 +105,36 @@ def test_eval_vectorized_matches_scalar():
         assert v == evaluate(f, complex(z))
 
 
+def _loop_reference(coeffs, zs):
+    """Sum c_n z^n/sqrt(n!) by the term recurrence, one degree at a time."""
+    term = np.ones_like(zs)
+    acc = coeffs[0] * term
+    for n in range(1, len(coeffs)):
+        term = term * zs / np.sqrt(n)
+        acc = acc + coeffs[n] * term
+    return acc
+
+
+@pytest.mark.parametrize("degree", [0, 1, 8, 64, 200])
+@pytest.mark.parametrize("count", [1, 300, 4096])
+def test_horner_evaluation_matches_the_loop(degree, count):
+    rng = np.random.default_rng(degree * 1000 + count)
+    f = FockVector(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
+    radius = np.sqrt(2.0 * max(degree, 1)) * 1.5
+    zs = radius * np.sqrt(rng.uniform(size=count)) * np.exp(2j * np.pi * rng.uniform(size=count))
+    weight = np.exp(-np.abs(zs) ** 2 / 2.0)
+    got = evaluate(f, zs) * weight
+    want = _loop_reference(f.coeffs, zs) * weight
+    assert got.shape == zs.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_evaluation_keeps_the_shape_of_z():
+    f = FockVector([1.0, 2.0, 3.0])
+    zs = np.arange(6.0).reshape(2, 3) + 0.5j
+    assert np.array_equal(evaluate(f, zs), np.vectorize(lambda z: evaluate(f, complex(z)))(zs))
+
+
 @pytest.mark.parametrize("alpha, beta", [
     (Fraction(1, 5), Fraction(3, 4)),
     (Fraction(-3, 10), Fraction(1, 2)),

@@ -34,6 +34,23 @@ def test_hermite_function_large_argument_underflows_quietly():
     assert np.isfinite(vals).all()
 
 
+def _recurrence_reference(n_max, x):
+    """The three-term recurrence with every factor formed inside the loop."""
+    out = np.zeros((n_max + 1, x.size))
+    out[0] = GAUSS_CONST * np.exp(-(x**2))
+    if n_max >= 1:
+        out[1] = 2.0 * x * out[0]
+    for n in range(1, n_max):
+        out[n + 1] = 2.0 * x / np.sqrt(n + 1) * out[n] - np.sqrt(n / (n + 1)) * out[n - 1]
+    return out
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 64, 128, 200])
+def test_hoisted_recurrence_is_bit_identical(n_max):
+    x = np.concatenate([gauss_hermite(256).nodes, np.linspace(-30.0, 30.0, 61)])
+    assert np.array_equal(hermite_functions(n_max, x), _recurrence_reference(n_max, x))
+
+
 def test_gauss_hermite_one_node():
     rule = gauss_hermite(1)
     assert rule.nodes[0] == 0.0
