@@ -129,9 +129,8 @@ class BargmannPipeline:
     plane_rule: QuadratureRule
 
     @classmethod
-    def default(cls, degree: int, plane_nodes: int = 64):
-        line_rule = gauss_hermite(default_nodes(degree))
-        return cls(degree, line_rule, gauss_hermite_plane(plane_nodes))
+    def default(cls, degree: int):
+        return cls(degree, gauss_hermite(default_nodes(degree)), gauss_hermite_plane(64))
 
 
 def _polar_grid(radius: float, step: float) -> np.ndarray:
@@ -156,23 +155,17 @@ def fock_sup_norm(F: FockVector, grid_radius: float, grid_step: float) -> float:
 
 
 def verify_pbound(
-    f: Callable,
-    rule: QuadratureRule,
-    grid_radius: float = 8.0,
-    grid_step: float = 0.1,
-    f_sup: float | None = None,
-    sup_scan: float = 50.0,
+    f: Callable, rule: QuadratureRule, grid_radius: float = 8.0
 ) -> tuple[float, float]:
     """Check ||Bf||_{F-infinity} <= c sqrt(pi) ||f||_infinity for bounded f.
 
-    Returns (lhs, rhs): lhs is the weighted sup of Bf on a polar grid with Bf
-    evaluated by quadrature; rhs the bound.  ||f||_inf is scanned on a dense
-    real grid unless supplied.
+    Returns (lhs, rhs): lhs is the weighted sup of Bf on a polar grid of step
+    0.1 with Bf evaluated by quadrature; rhs the bound, with ||f||_inf
+    scanned on 20001 points of [-50, 50].
     """
-    if f_sup is None:
-        xs = np.linspace(-sup_scan, sup_scan, 20001)
-        f_sup = float(np.max(np.abs(np.asarray(f(xs), dtype=np.complex128))))
-    grid = _polar_grid(grid_radius, grid_step)
+    xs = np.linspace(-50.0, 50.0, 20001)
+    f_sup = float(np.max(np.abs(np.asarray(f(xs), dtype=np.complex128))))
+    grid = _polar_grid(grid_radius, 0.1)
     vals = bargmann_quadrature(f, grid, rule, warn=False)
     lhs = float(np.max(np.abs(vals) * np.exp(-np.abs(grid) ** 2 / 2.0)))
     rhs = float(GAUSS_CONST * np.sqrt(np.pi) * f_sup)

@@ -24,7 +24,7 @@ from . import quantize as qz
 from . import singular as sg
 from . import uncertainty as uc
 from .fock import FockVector
-from .report import SuiteConfig, default_degree, run_suite
+from .report import SUITE_NAMES, SuiteConfig, default_degree, run_suite
 from .serialize import (
     matrix_to_csv,
     matrix_to_json,
@@ -128,50 +128,6 @@ def _cmd_op_apply(args) -> int:
     else:
         raise ValueError(f"unknown operator {args.op!r}")
     _emit_vector(out, args)
-    return 0
-
-
-def _cmd_op_verify(args) -> int:
-    N = _default_degree(args)
-    results = []
-    if args.op == "commutator":
-        M, D = op.md_matrices(N)
-        C = op.commutator(D, M)
-        results.append({
-            "name": "derivative-multiplication", "block": f"0..{N - 1}",
-            "residual": float(np.max(np.abs(C[:N, :N] - np.eye(N)))),
-        })
-        C2 = op.commutator(op.a2_matrix(N), op.a1_matrix(N))
-        results.append({
-            "name": "line-pair-transport", "block": f"0..{N - 2}",
-            "residual": float(np.max(np.abs(C2[: N - 1, : N - 1] - np.eye(N - 1)))),
-        })
-        C3 = op.commutator(uc.s1_matrix(N), uc.s2_matrix(N))
-        results.append({
-            "name": "uncertainty-pair", "block": f"0..{N - 2}",
-            "residual": float(np.max(np.abs(C3[: N - 1, : N - 1] + 2j * np.eye(N - 1)))),
-        })
-    elif args.op == "unitarity":
-        rng = np.random.default_rng(args.seed)
-        f = FockVector(rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1))
-        results.append({
-            "name": "fourier", "block": f"0..{N}",
-            "residual": abs(op.fourier_fock(f).norm() - f.norm()),
-        })
-        results.append({
-            "name": "rotation", "block": f"0..{N}",
-            "residual": abs(op.rotation(0.9, f).norm() - f.norm()),
-        })
-        a = 0.5
-        W = op.weyl_matrix(a, N)
-        blk = op.weyl_interior_block(a, N)
-        results.append({
-            "name": "weyl(0.5)", "block": f"0..{blk - 1}",
-            "residual": op.unitarity_residual(W, blk),
-        })
-    else:
-        raise ValueError(f"unknown verification {args.op!r}")
-    _emit_obj(results, args)
     return 0
 
 
@@ -303,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=_cmd_bargmann)
 
-    p = sub.add_parser("op", help="apply or verify dictionary operators")
+    p = sub.add_parser("op", help="apply dictionary operators")
     opsub = p.add_subparsers(dest="action", required=True)
     pa = opsub.add_parser("apply")
     pa.add_argument("--op", required=True,
@@ -312,10 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--in", dest="infile", required=True, help="FockVector JSON file")
     _add_common(pa)
     pa.set_defaults(fn=_cmd_op_apply)
-    pv = opsub.add_parser("verify")
-    pv.add_argument("--op", required=True, choices=["commutator", "unitarity"])
-    _add_common(pv)
-    pv.set_defaults(fn=_cmd_op_verify)
 
     p = sub.add_parser("singular", help="singular integral operators")
     p.add_argument("mode", nargs="?", choices=["hilbert"], default=None)
@@ -363,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         pq.set_defaults(fn=_cmd_quantize)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=["bargmann", "fourier", "weyl", "dilation",
-                                     "gabor", "hilbert", "uncertainty", "quantize", "all"])
+    p.add_argument("suite", choices=[*SUITE_NAMES, "all"])
     _add_common(p)
     p.set_defaults(fn=_cmd_verify)
 

@@ -60,13 +60,6 @@ class PointSet:
             raise ValueError("lattice steps must be positive")
         return cls(np.empty(0, dtype=np.complex128), generators=(complex(a), complex(0, -np.pi * b)))
 
-    @classmethod
-    def lattice(cls, omega1: complex, omega2: complex) -> "PointSet":
-        o1, o2 = complex(omega1), complex(omega2)
-        if abs(o1.real * o2.imag - o1.imag * o2.real) < 1e-15:
-            raise ValueError("lattice generators must be independent over R^2")
-        return cls(np.empty(0, dtype=np.complex128), generators=(o1, o2))
-
     @property
     def is_lattice(self) -> bool:
         return self.generators is not None
@@ -142,25 +135,22 @@ class DensityReport:
     upper_extrapolated: float
 
 
-def density_estimate(
-    Z: PointSet, radii: Sequence[float], center_grid: Sequence[complex] | None = None
-) -> DensityReport:
+def density_estimate(Z: PointSet, radii: Sequence[float]) -> DensityReport:
     """Beurling density estimates: inf/sup over centers of count / (pi R^2).
 
-    For lattices the centers default to a grid over one fundamental cell
-    (counts are periodic in the center); the extrapolated values are the
-    estimates at the largest radius.
+    For lattices the centers are a 6 x 6 grid over one fundamental cell
+    (counts are periodic in the center), for finite sets the origin alone;
+    the extrapolated values are the estimates at the largest radius.
     """
     radii = np.asarray(sorted(radii), dtype=np.float64)
     if not np.all(radii > 0):
         raise ValueError("radii must be positive")
-    if center_grid is None:
-        if Z.is_lattice:
-            o1, o2 = Z.generators
-            frac = (np.arange(6) + 0.5) / 6.0
-            center_grid = [u * o1 + v * o2 for u in frac for v in frac]
-        else:
-            center_grid = [0.0 + 0.0j]
+    if Z.is_lattice:
+        o1, o2 = Z.generators
+        frac = (np.arange(6) + 0.5) / 6.0
+        center_grid = [u * o1 + v * o2 for u in frac for v in frac]
+    else:
+        center_grid = [0.0 + 0.0j]
     lower = np.empty(len(radii))
     upper = np.empty(len(radii))
     for i, R in enumerate(radii):
@@ -227,22 +217,20 @@ def lattice_frame_predicate(a: float, b: float) -> bool:
     return a * b < 1.0
 
 
-def density_frame_predicate(
-    Z: PointSet, report: DensityReport, separated: bool, margin: float = 0.10
-) -> str:
+def density_frame_predicate(Z: PointSet, report: DensityReport, separated: bool) -> str:
     """Numerical proxy for the density criterion: lower density vs 1/pi.
 
     Returns "frame", "not-frame", or "undecided" when the estimate lands
-    inside the margin band around the critical density; the criterion itself
-    is asymptotic, so near-critical configurations are undecidable at any
-    finite radius.  Requires the report to reach radius 30.
+    within 10% of the critical density; the criterion itself is asymptotic,
+    so near-critical configurations are undecidable at any finite radius.
+    Requires the report to reach radius 30.
     """
     if report.radii[-1] < 30.0:
         raise ValueError("density report must reach radius >= 30")
     lo = report.lower_extrapolated
-    if separated and lo > CRITICAL_DENSITY * (1.0 + margin):
+    if separated and lo > CRITICAL_DENSITY * 1.1:
         return "frame"
-    if lo < CRITICAL_DENSITY * (1.0 - margin):
+    if lo < CRITICAL_DENSITY * 0.9:
         return "not-frame"
     return "undecided"
 
@@ -251,9 +239,9 @@ def density_frame_predicate(
 # Box window
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=4)
-def _box_rule(n_panels: int = 8, points: int = 32):
-    return composite_legendre(0.0, 1.0, n_panels, points)
+@lru_cache(maxsize=None)
+def _box_rule():
+    return composite_legendre(0.0, 1.0, 8, 32)
 
 
 def box_window_fock(z):

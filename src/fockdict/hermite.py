@@ -228,20 +228,14 @@ def project_line(
 
 
 def project_line_interval(
-    f: Callable,
-    degree: int,
-    support: tuple[float, float],
-    points: int = 32,
-    n_panels: int | None = None,
-    warn: bool = True,
+    f: Callable, degree: int, support: tuple[float, float], warn: bool = True
 ) -> LineVector:
     """Expand a compactly supported function via composite Gauss-Legendre.
 
     Meant for discontinuous windows (the function must vanish outside
-    ``support``); panels default to enough to resolve h_N's oscillation.
+    ``support``); 32-point panels, enough of them to resolve h_N's oscillation.
     """
     lo, hi = support
-    if n_panels is None:
-        n_panels = max(4, int(np.ceil((degree + 1) * (hi - lo) / 20.0)))
-    rule = composite_legendre(lo, hi, n_panels, points)
+    n_panels = max(4, int(np.ceil((degree + 1) * (hi - lo) / 20.0)))
+    rule = composite_legendre(lo, hi, n_panels, 32)
     return _project(f, degree, rule.nodes, rule.weights, warn)

@@ -31,14 +31,13 @@ class OperatorMatrix:
     """Dense matrix of an operator in a truncated orthonormal basis.
 
     ``basis`` records which space the matrix acts on ("fock" for e_n,
-    "line" for h_n); contracts on unitary-tagged matrices hold on interior
-    index blocks only, away from the truncation boundary.
+    "line" for h_n); contracts of unitary operators hold on interior index
+    blocks only, away from the truncation boundary.
     """
 
     entries: np.ndarray
     basis: str = "fock"
     name: str = ""
-    unitary: bool = False
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=np.complex128).copy()
@@ -55,24 +54,8 @@ class OperatorMatrix:
     def degree(self) -> int:
         return self.dim - 1
 
-    def apply(self, vec):
-        from .hermite import LineVector
-
-        if isinstance(vec, FockVector):
-            return FockVector(self.entries @ vec.pad(self.degree).coeffs)
-        if isinstance(vec, LineVector):
-            coeffs = np.zeros(self.dim, dtype=np.complex128)
-            m = min(self.dim, len(vec.coeffs))
-            coeffs[:m] = vec.coeffs[:m]
-            return LineVector(self.entries @ coeffs)
-        arr = np.asarray(vec, dtype=np.complex128)
-        return self.entries @ arr
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.basis != other.basis:
-            raise ValueError("cannot compose operators on different bases")
-        return OperatorMatrix(self.entries @ other.entries, self.basis,
-                              f"{self.name}*{other.name}")
+    def apply(self, vec: FockVector) -> FockVector:
+        return FockVector(self.entries @ vec.pad(self.degree).coeffs)
 
 
 def unitarity_residual(op: OperatorMatrix, block: int) -> float:
@@ -152,8 +135,7 @@ def weyl_matrix(a: complex, degree: int, warn: bool = True) -> OperatorMatrix:
     a = complex(a)
     N = degree
     if a == 0:
-        return OperatorMatrix(np.eye(N + 1, dtype=np.complex128), "fock",
-                              "weyl(0)", unitary=True)
+        return OperatorMatrix(np.eye(N + 1, dtype=np.complex128), "fock", "weyl(0)")
     if warn and kernel_truncation_defect(a, N) > 1e-8:
         warnings.warn(
             f"weyl displacement |a|={abs(a):.3g} poorly resolved at degree {N}",
@@ -164,7 +146,7 @@ def weyl_matrix(a: complex, degree: int, warn: bool = True) -> OperatorMatrix:
         entries = _weyl_entries_laguerre(a, N)
     else:
         entries = _weyl_entries_float(a, N)
-    return OperatorMatrix(entries, "fock", f"weyl({a})", unitary=True)
+    return OperatorMatrix(entries, "fock", f"weyl({a})")
 
 
 def _weyl_float_digit_loss(r: float, N: int) -> float:
@@ -245,8 +227,7 @@ def translation_modulation_fock(a: float, b: float, degree: int) -> OperatorMatr
     """
     w = weyl_matrix(complex(a, -np.pi * b), degree)
     phase = np.exp(1j * np.pi * a * b)
-    return OperatorMatrix(phase * w.entries, "fock",
-                          f"trans-mod({a},{b})", unitary=True)
+    return OperatorMatrix(phase * w.entries, "fock", f"trans-mod({a},{b})")
 
 
 # ----------------------------------------------------------------------

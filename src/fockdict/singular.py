@@ -277,9 +277,7 @@ def hilbert_fock_matrix(degree: int) -> OperatorMatrix:
     skew-adjoint with odd parity (entries vanish when row and column have
     equal parity).
     """
-    sym = hilbert_symbol(max(1, 2 * degree - 1))
-    op = s_phi_matrix(sym, degree)
-    return OperatorMatrix(op.entries, "fock", "hilbert", unitary=True)
+    return s_phi_matrix(hilbert_symbol(max(1, 2 * degree - 1)), degree)
 
 
 def tsquare_residual(degree: int) -> float:
@@ -320,8 +318,7 @@ def boundedness_probe(symbol: EntireSymbol, degree_list) -> list[float]:
     ]
 
 
-def hilbert_line_pv(f, x, cutoff: float = None, points: int = 32,
-                    tail_coeff: float = 0.0):
+def hilbert_line_pv(f, x, cutoff: float = None, tail_coeff: float = 0.0):
     """Line-side Hilbert transform (1/pi) PV int f(t)/(t - x) dt by quadrature.
 
     Mirrored nodes around the singularity: substituting t = x +- s turns the
@@ -336,13 +333,16 @@ def hilbert_line_pv(f, x, cutoff: float = None, points: int = 32,
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
     S = (float(np.max(np.abs(xs))) + 10.0) if cutoff is None else float(cutoff)
-    rule = composite_legendre(0.0, S, max(8, int(S)), points)
+    rule = composite_legendre(0.0, S, max(8, int(S)), 32)
     s = rule.nodes
-    # one batched evaluation of f over all (x, s) pairs
-    plus = np.asarray(f((xs[:, None] + s[None, :]).ravel())).reshape(len(xs), len(s))
-    minus = np.asarray(f((xs[:, None] - s[None, :]).ravel())).reshape(len(xs), len(s))
-    vals = ((plus - minus) / s[None, :]) @ rule.weights / np.pi
-    vals = vals.astype(np.complex128)
+    vals = np.empty(len(xs), dtype=np.complex128)
+    # f runs over the (x, s) pairs of 64 points x at a time, which bounds the
+    # memory of the pair grid however many points are asked for
+    for i in range(0, len(xs), 64):
+        blk = xs[i : i + 64, None]
+        plus = np.asarray(f((blk + s).ravel())).reshape(len(blk), len(s))
+        minus = np.asarray(f((blk - s).ravel())).reshape(len(blk), len(s))
+        vals[i : i + 64] = ((plus - minus) / s) @ rule.weights / np.pi
     if tail_coeff != 0.0:
         small = np.abs(xs) < 1e-12
         corr = np.empty_like(xs)

@@ -304,7 +304,7 @@ def test_criterion_12_sup_norm_bound_endpoints():
         ("sign", np.sign),
         ("gauss", lambda x: hm.GAUSS_CONST * np.exp(-(x**2))),
     ]:
-        lhs, rhs = bg.verify_pbound(f, rule, grid_radius=8.0, grid_step=0.1)
+        lhs, rhs = bg.verify_pbound(f, rule, grid_radius=8.0)
         results[name] = (lhs, rhs)
         assert lhs <= rhs * (1 + 1e-3), name
     eq = abs(results["one"][0] / results["one"][1] - 1.0)

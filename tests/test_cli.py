@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -113,6 +114,20 @@ def test_dilation_suite_passes_at_low_degree(degree):
     assert run_suite("dilation", SuiteConfig(degree=degree)).passed
 
 
+def test_hilbert_suite_passes_at_degree_256():
+    # h5 integrates on the suite's own 256-node rule; a 192-node rule
+    # missed the 1e-10 contract from about degree 210
+    assert run_suite("hilbert", SuiteConfig(degree=256)).passed
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "w3/w4 read 1.17e-10 / 1.15e-10 against 1e-10: the Weyl float path at a = 0.5 "
+    "differs from the Laguerre recurrence by 4.5e-10 at degree 180 (ROADMAP item 1; "
+    "pinned in bench/test_oracles.py::test_weyl_float_path_misses_stay_visible)"))
+def test_weyl_suite_passes_at_degree_180():
+    assert run_suite("weyl", SuiteConfig(degree=180)).passed
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("nope")
@@ -133,18 +148,12 @@ def test_cli_bargmann_modes(tmp_path):
     assert abs(complex(*coeffs[1]) - 1.0) < 1e-10
 
 
-def test_cli_op_apply_and_verify(tmp_path):
+def test_cli_op_apply(tmp_path):
     path = tmp_path / "e1.json"
     path.write_text(vector_to_json(FockVector.basis(1, 4)))
     out = run_cli("op", "apply", "--op", "fourier", "--in", str(path), "--degree", "4")
     coeffs = json.loads(out.stdout)
     assert coeffs[1] == [0.0, 1.0]  # i * e_1
-    out = run_cli("op", "verify", "--op", "commutator", "--degree", "16")
-    doc = json.loads(out.stdout)
-    assert all(entry["residual"] < 1e-12 for entry in doc)
-    assert {entry["name"] for entry in doc} == {
-        "derivative-multiplication", "line-pair-transport", "uncertainty-pair"
-    }
 
 
 def test_cli_gabor_density():
@@ -226,10 +235,11 @@ def test_cli_env_degree(tmp_path):
      "--degree", "128"),
     ("op", "apply", "--op", "dilate", "--params", "2.0", "--in", "{tmp}/e1.json",
      "--degree", "512"),
+    ("op", "verify", "--op", "commutator"),
 ], ids=["malformed-json", "missing-symbol", "bad-params", "negative-degree",
         "negative-nodes", "tail-certificate", "zero-radius", "wrong-shape-vector",
         "symbol-without-terms", "non-finite-vector", "dilate-input-beyond-plane-rule",
-        "dilate-output-beyond-line-rule"])
+        "dilate-output-beyond-line-rule", "removed-op-verify"])
 def test_cli_errors_are_one_line(tmp_path, args):
     (tmp_path / "bad.json").write_text("[[1.0, 0.0], ")
     (tmp_path / "wide.json").write_text(vector_to_json(np.ones(66)))
@@ -336,6 +346,23 @@ def _readme_commands() -> list[list[str]]:
     return [shlex.split(line, comments=True)[1:]
             for block in blocks for line in block.splitlines()
             if line.startswith("fockdict ")]
+
+
+def _subcommand_paths(parser, prefix=()) -> list[tuple[str, ...]]:
+    """Every leaf subcommand path of an argparse parser, e.g. ("op", "apply")."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [prefix]
+    return [path for name, child in subs[0].choices.items()
+            for path in _subcommand_paths(child, prefix + (name,))]
+
+
+def test_readme_shows_every_subcommand():
+    commands = _readme_commands()
+    paths = _subcommand_paths(cli.build_parser())
+    assert ("op", "apply") in paths and ("verify",) in paths
+    missing = [p for p in paths if not any(tuple(argv[:len(p)]) == p for argv in commands)]
+    assert not missing
 
 
 def test_readme_examples_run(tmp_path, monkeypatch, capsys):

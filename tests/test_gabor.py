@@ -58,7 +58,7 @@ def test_shifted_union_doubles_density():
     base = PointSet.rectangular(1.0, 1.0)
     pts = base.points_in_disk(0.0, 60.0)
     union = PointSet(np.concatenate([pts, pts + (0.5 + 0.5j)]), clip_radius=58.0)
-    rep = density_estimate(union, [50.0], center_grid=[0.0])
+    rep = density_estimate(union, [50.0])
     target = 2.0 / math.pi
     assert abs(rep.lower_extrapolated - target) / target < 0.05
 

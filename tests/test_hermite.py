@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from fockdict.hermite import (
     LineVector,
     QuadratureRule,
     composite_legendre,
+    default_nodes,
     gauss_hermite,
     gauss_hermite_plane,
     hermite_function,
@@ -159,6 +161,20 @@ def test_project_box_first_coefficient():
 def test_projection_warns_when_underresolved():
     with pytest.warns(AccuracyWarning):
         project_line_interval(lambda x: np.ones_like(x), 24, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("N", [16, 64])
+def test_projection_tail_ratio_warning_boundary(N):
+    # f = h_0 + t h_N has tail ratio t / sqrt(1 + t^2); the warning starts above 1e-6
+    rule = gauss_hermite(default_nodes(N))
+    for scale, warns in ((1.0 - 1e-6, False), (1.0 + 1e-6, True)):
+        t = 1e-6 * scale
+        f = lambda x: hermite_function(0, x) + t * hermite_function(N, x)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            v = project_line(f, N, rule)
+        assert abs(v.tail_ratio - t / math.sqrt(1.0 + t * t)) < 1e-15
+        assert any(issubclass(w.category, AccuracyWarning) for w in caught) == warns
 
 
 def test_tail_ratio_recorded():

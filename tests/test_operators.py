@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 from dataclasses import replace
 from functools import lru_cache
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from fockdict.bargmann import BargmannPipeline, inverse_bargmann_quadrature
+from fockdict.errors import AccuracyWarning
 from fockdict.fock import FockVector, kernel_vector, log_factorials
 from fockdict.hermite import gauss_hermite, gauss_hermite_plane, hermite_function, hermite_functions
 from fockdict.operators import (
@@ -249,6 +251,25 @@ def test_weyl_recurrence_survives_underflowing_starts():
 def test_weyl_float_path_meets_contract_below_switch():
     a, N = 1.8 + 0.666j, 64  # digit loss 9.9: the float path is chosen
     assert np.max(np.abs(weyl_matrix(a, N).entries - _exact_series_reference(a, N))) <= 1e-10
+
+
+def _kernel_tail(r: float, N: int) -> float:
+    """e^{-r} sum_{n > N} r^n / n!, summed term by term: the mass k_a loses past N."""
+    return math.fsum(math.exp(n * math.log(r) - r - math.lgamma(n + 1)) for n in range(N + 1, N + 400))
+
+
+def test_weyl_truncation_warning_boundary():
+    # bisect |a| for a tail mass of exactly 1e-8 at N = 32 (|a| = 3.18...)
+    N, lo, hi = 32, 0.0, math.sqrt(32)
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        lo, hi = (lo, mid) if _kernel_tail(mid * mid, N) > 1e-8 else (mid, hi)
+    for scale, warns in ((1.0 - 1e-6, False), (1.0 + 1e-6, True)):
+        a = lo * scale * np.exp(0.7j)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            weyl_matrix(a, N)
+        assert any(issubclass(w.category, AccuracyWarning) for w in caught) == warns
 
 
 def test_weyl_unitary_on_interior():

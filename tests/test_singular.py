@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -203,6 +204,22 @@ def test_hilbert_columns_match_line_side_pv_oracle():
         hv = hilbert_line_pv(lambda t: hermite_function(n, t), rule.nodes)
         col = hermite_functions(N, rule.nodes) @ (rule.flat_weights() * hv)
         assert np.max(np.abs(col - T.entries[:, n])) < 1e-10
+
+
+def test_line_pv_evaluates_in_point_blocks():
+    # 200 points: three blocks of 64 and a partial one; all 200 x 960 (x, s)
+    # pairs at once peaked at 14.7 MiB
+    x = gauss_hermite(200).nodes
+    f = lambda t: hermite_function(2, t)
+    tracemalloc.start()
+    try:
+        hv = hilbert_line_pv(f, x, cutoff=30.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    for k in (0, 63, 64, 199):
+        assert abs(hv[k] - hilbert_line_pv(f, x[k], cutoff=30.0)) < 1e-15
 
 
 def test_hilbert_squared_residual_decreases():
