@@ -3,7 +3,8 @@
 All vector input/output uses the JSON pair format (arrays of [re, im]); CSV
 output uses index,re,im rows for vectors and row,col,re,im for matrices,
 both with round-trip-exact floats.  The default truncation degree is 64 and
-can be overridden per call with --degree or globally with FOCKDICT_DEGREE.
+can be overridden per call with --degree or globally with FOCKDICT_DEGREE,
+either an integer >= 1.  Each command declares only the options it reads.
 Bad input or an unreadable/unwritable file ends the call with one
 ``fockdict: error: ...`` line on stderr and exit code 2.
 """
@@ -24,7 +25,7 @@ from . import quantize as qz
 from . import singular as sg
 from . import uncertainty as uc
 from .fock import FockVector
-from .report import SUITE_NAMES, SuiteConfig, default_degree, run_suite
+from .report import SUITE_NAMES, SuiteConfig, default_degree, run_suite, truncation_degree
 from .serialize import (
     matrix_to_csv,
     matrix_to_json,
@@ -32,10 +33,6 @@ from .serialize import (
     vector_to_csv,
     vector_to_json,
 )
-
-
-def _default_degree(args) -> int:
-    return args.degree or default_degree()
 
 
 def _write(text: str, out: str | None) -> None:
@@ -52,25 +49,31 @@ def _read_vector(path: str, kind: str):
 
 
 def _emit_vector(vec, args) -> None:
-    fmt = getattr(args, "format", "json") or "json"
-    _write(vector_to_csv(vec) if fmt == "csv" else vector_to_json(vec), args.out)
+    _write(vector_to_csv(vec) if args.format == "csv" else vector_to_json(vec), args.out)
 
 
 def _emit_matrix(entries, args) -> None:
-    fmt = getattr(args, "format", "json") or "json"
-    _write(matrix_to_csv(entries) if fmt == "csv" else matrix_to_json(entries), args.out)
+    _write(matrix_to_csv(entries) if args.format == "csv" else matrix_to_json(entries), args.out)
 
 
 def _emit_obj(obj, args) -> None:
+    if getattr(args, "format", "json") == "csv":
+        raise ValueError("this mode writes a JSON object; --format csv is for vectors and matrices")
     _write(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False), args.out)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--degree", type=int, default=0, help="truncation degree (default 64 or FOCKDICT_DEGREE)")
-    p.add_argument("--nodes", type=int, default=0, help="quadrature nodes (default 4*degree, capped at 256)")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    p.add_argument("--format", choices=["json", "csv"], default="json", help="output format")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+_OPTIONS = {
+    "degree": dict(type=truncation_degree, help="truncation degree >= 1 (default FOCKDICT_DEGREE, else 64)"),
+    "seed": dict(type=int, default=0, help="seed for randomized checks"),
+    "format": dict(choices=["json", "csv"], default="json", help="output format"),
+    "out": dict(default=None, help="output path (default stdout)"),
+}
+
+
+def _add_options(p: argparse.ArgumentParser, *names: str) -> None:
+    """Declare the shared options ``names`` and --out, which every command takes."""
+    for name in (*names, "out"):
+        p.add_argument(f"--{name}", **_OPTIONS[name])
 
 
 def _parse_pair(text: str) -> tuple[float, float]:
@@ -85,7 +88,7 @@ def _parse_pair(text: str) -> tuple[float, float]:
 # ----------------------------------------------------------------------
 
 def _cmd_bargmann(args) -> int:
-    N = _default_degree(args)
+    N = args.degree or default_degree()
     line = _read_vector(args.input, "line").coeffs
     line = np.concatenate([line, np.zeros(max(0, N + 1 - len(line)))])[: N + 1]
     lv = hm.LineVector(line)
@@ -93,14 +96,14 @@ def _cmd_bargmann(args) -> int:
         _emit_vector(bg.bargmann_coeff(lv), args)
         return 0
     # quadrature path: coefficients recovered from the defining integrals
-    rule = hm.gauss_hermite(args.nodes or hm.default_nodes(N))
+    rule = bg.BargmannPipeline.default(N).line_rule
     coeffs = hm.project_line(lambda x: lv(x), N, rule, warn=False)
     _emit_vector(bg.bargmann_coeff(coeffs), args)
     return 0
 
 
 def _cmd_op_apply(args) -> int:
-    N = _default_degree(args)
+    N = args.degree or default_degree()
     f = _read_vector(args.infile, "fock").pad(N)
     params = [float(p) for p in args.params.split(",")] if args.params else []
     if args.op == "fourier":
@@ -132,7 +135,7 @@ def _cmd_op_apply(args) -> int:
 
 
 def _cmd_singular(args) -> int:
-    N = _default_degree(args)
+    N = args.degree or default_degree()
     if args.mode == "hilbert":
         if args.check == "tsquare":
             _emit_obj({"check": "tsquare", "degree": N, "span": f"0..{min(sg.TSQUARE_SPAN, N)}",
@@ -164,7 +167,6 @@ def _cmd_singular(args) -> int:
 
 
 def _cmd_gabor(args) -> int:
-    N = _default_degree(args)
     a, b = _parse_pair(args.lattice)
     if args.action == "density":
         radii = [float(r) for r in args.radii.split(",")]
@@ -179,6 +181,7 @@ def _cmd_gabor(args) -> int:
             "cell_density": 1.0 / (np.pi * a * b),
         }, args)
     elif args.action == "frame-bounds":
+        N = args.degree or default_degree()
         Z = gb.PointSet.rectangular(a, b).clip_to_disk(math.sqrt(N / 2.0))
         core = args.core or max(2, N // 8)
         A, B = gb.frame_bounds_finite(Z, N, core)
@@ -191,15 +194,14 @@ def _cmd_gabor(args) -> int:
             "lattice": [a, b],
             "product": a * b,
             "lattice_criterion": gb.lattice_frame_predicate(a, b),
-            "density_verdict": gb.density_frame_predicate(
-                gb.PointSet.rectangular(a, b), rep, sep),
+            "density_verdict": gb.density_frame_predicate(rep, sep),
             "min_gap": gap,
         }, args)
     return 0
 
 
 def _cmd_uncertainty(args) -> int:
-    N = _default_degree(args)
+    N = args.degree or default_degree()
     if args.mode == "extremal":
         params = uc.ExtremalParams(C=1.0, c=args.c, a=args.a, b=args.b)
         _emit_vector(uc.extremal_coeffs(params, N), args)
@@ -213,7 +215,7 @@ def _cmd_uncertainty(args) -> int:
 
 
 def _cmd_quantize(args) -> int:
-    N = _default_degree(args)
+    N = args.degree or default_degree()
     if args.action == "toeplitz":
         T = qz.toeplitz_monomial_matrix(args.m, args.n, N)
         _emit_matrix(T.entries, args)
@@ -234,10 +236,8 @@ def _cmd_quantize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = SuiteConfig(degree=args.degree, nodes=args.nodes, seed=args.seed)
-    report = run_suite(args.suite, cfg)
-    text = report.to_json()
-    _write(text, args.out)
+    report = run_suite(args.suite, SuiteConfig(args.degree, args.seed))
+    _write(report.to_json(), args.out)
     for case in sorted(report.cases, key=lambda c: c.id):
         status = "PASS" if case.passed else "FAIL"
         sys.stderr.write(f"{status} {case.id}: residual={case.residual:.3e} "
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bargmann", help="transform a line vector to the Fock side")
     p.add_argument("--input", required=True, help="LineVector JSON file")
     p.add_argument("--mode", choices=["coeff", "quad"], default="coeff")
-    _add_common(p)
+    _add_options(p, "degree", "format")
     p.set_defaults(fn=_cmd_bargmann)
 
     p = sub.add_parser("op", help="apply dictionary operators")
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["fourier", "rotate", "weyl", "dilate", "a1", "a2"])
     pa.add_argument("--params", default="", help="comma-separated operator parameters")
     pa.add_argument("--in", dest="infile", required=True, help="FockVector JSON file")
-    _add_common(pa)
+    _add_options(pa, "degree", "format")
     pa.set_defaults(fn=_cmd_op_apply)
 
     p = sub.add_parser("singular", help="singular integral operators")
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", help="symbol Taylor coefficients (vector JSON)")
     p.add_argument("--apply", help="FockVector JSON file to apply the operator to")
     p.add_argument("--check", choices=["tsquare", "berezin", "norm"], default="tsquare")
-    _add_common(p)
+    _add_options(p, "degree", "format")
     p.set_defaults(fn=_cmd_singular)
 
     p = sub.add_parser("gabor", help="lattices, densities, frame bounds")
@@ -288,7 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
         if action == "frame-bounds":
             pg.add_argument("--core", type=int, default=0,
                             help="core subspace degree (default degree/8)")
-        _add_common(pg)
+            _add_options(pg, "degree")
+        else:
+            _add_options(pg)
         pg.set_defaults(fn=_cmd_gabor)
 
     p = sub.add_parser("uncertainty", help="uncertainty product and extremal family")
@@ -297,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--b", type=float, default=0.0)
     p.add_argument("--c", type=float, default=1.0, help="extremal family parameter (positive)")
-    _add_common(p)
+    _add_options(p, "degree", "format")
     p.set_defaults(fn=_cmd_uncertainty)
 
     p = sub.add_parser("quantize", help="Toeplitz and pseudo-differential calculi")
@@ -305,28 +307,25 @@ def build_parser() -> argparse.ArgumentParser:
     pt = qsub.add_parser("toeplitz")
     pt.add_argument("--m", type=int, required=True, help="antiholomorphic power")
     pt.add_argument("--n", type=int, required=True, help="holomorphic power")
-    _add_common(pt)
+    _add_options(pt, "degree", "format")
     pt.set_defaults(fn=_cmd_quantize)
     for action in ("verify-anti-wick", "verify-weyl"):
         pq = qsub.add_parser(action)
         pq.add_argument("--symbol", required=True,
                         help='symbol JSON: {"terms": [[m, n, re, im], ...]}')
-        _add_common(pq)
+        _add_options(pq, "degree")
         pq.set_defaults(fn=_cmd_quantize)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=[*SUITE_NAMES, "all"])
-    _add_common(p)
+    _add_options(p, "degree", "seed")
     p.set_defaults(fn=_cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.degree < 0 or args.nodes < 0:
-        parser.error("--degree and --nodes must be >= 0")
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

@@ -217,7 +217,7 @@ def lattice_frame_predicate(a: float, b: float) -> bool:
     return a * b < 1.0
 
 
-def density_frame_predicate(Z: PointSet, report: DensityReport, separated: bool) -> str:
+def density_frame_predicate(report: DensityReport, separated: bool) -> str:
     """Numerical proxy for the density criterion: lower density vs 1/pi.
 
     Returns "frame", "not-frame", or "undecided" when the estimate lands

@@ -4,7 +4,7 @@ Fourier transform as rotation, spectral projections, displacement (Weyl)
 operators, the translation/modulation correspondence, dilation through two
 redundant pipelines, and the multiplication/differentiation pair with its
 commutation relation.  All matrices act on coefficient vectors against
-e_n(z) = z^n/sqrt(n!) unless tagged otherwise.
+e_n(z) = z^n/sqrt(n!).
 """
 from __future__ import annotations
 
@@ -30,14 +30,11 @@ from .hermite import QuadratureRule, hermite_functions
 class OperatorMatrix:
     """Dense matrix of an operator in a truncated orthonormal basis.
 
-    ``basis`` records which space the matrix acts on ("fock" for e_n,
-    "line" for h_n); contracts of unitary operators hold on interior index
-    blocks only, away from the truncation boundary.
+    Contracts of unitary operators hold on interior index blocks only, away
+    from the truncation boundary.
     """
 
     entries: np.ndarray
-    basis: str = "fock"
-    name: str = ""
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=np.complex128).copy()
@@ -135,7 +132,7 @@ def weyl_matrix(a: complex, degree: int, warn: bool = True) -> OperatorMatrix:
     a = complex(a)
     N = degree
     if a == 0:
-        return OperatorMatrix(np.eye(N + 1, dtype=np.complex128), "fock", "weyl(0)")
+        return OperatorMatrix(np.eye(N + 1, dtype=np.complex128))
     if warn and kernel_truncation_defect(a, N) > 1e-8:
         warnings.warn(
             f"weyl displacement |a|={abs(a):.3g} poorly resolved at degree {N}",
@@ -146,7 +143,7 @@ def weyl_matrix(a: complex, degree: int, warn: bool = True) -> OperatorMatrix:
         entries = _weyl_entries_laguerre(a, N)
     else:
         entries = _weyl_entries_float(a, N)
-    return OperatorMatrix(entries, "fock", f"weyl({a})")
+    return OperatorMatrix(entries)
 
 
 def _weyl_float_digit_loss(r: float, N: int) -> float:
@@ -227,7 +224,7 @@ def translation_modulation_fock(a: float, b: float, degree: int) -> OperatorMatr
     """
     w = weyl_matrix(complex(a, -np.pi * b), degree)
     phase = np.exp(1j * np.pi * a * b)
-    return OperatorMatrix(phase * w.entries, "fock", f"trans-mod({a},{b})")
+    return OperatorMatrix(phase * w.entries)
 
 
 # ----------------------------------------------------------------------
@@ -311,20 +308,19 @@ def md_matrices(degree: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     idx = np.arange(N)
     M[idx + 1, idx] = root
     D[idx, idx + 1] = root
-    return (OperatorMatrix(M, "fock", "mult-z"),
-            OperatorMatrix(D, "fock", "d/dz"))
+    return OperatorMatrix(M), OperatorMatrix(D)
 
 
 def a1_matrix(degree: int) -> OperatorMatrix:
     """Fock-side image of multiplication by x: f -> (z f + f')/2."""
     M, D = md_matrices(degree)
-    return OperatorMatrix((M.entries + D.entries) / 2.0, "fock", "position")
+    return OperatorMatrix((M.entries + D.entries) / 2.0)
 
 
 def a2_matrix(degree: int) -> OperatorMatrix:
     """Fock-side image of d/dx: f -> f' - z f."""
     M, D = md_matrices(degree)
-    return OperatorMatrix(D.entries - M.entries, "fock", "derivative")
+    return OperatorMatrix(D.entries - M.entries)
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> np.ndarray:

@@ -111,7 +111,7 @@ def toeplitz_monomial_matrix(m: int, n: int, degree: int) -> OperatorMatrix:
         if 0 <= k <= N:
             # symmetric grouping keeps real symbols exactly Hermitian
             out[k, j] = math.exp(gl[n + j] - (half[j] + half[k]))
-    return OperatorMatrix(out, "fock", f"toeplitz[zb^{m} z^{n}]")
+    return OperatorMatrix(out)
 
 
 def toeplitz_poly_matrix(phi: PolySymbol, degree: int) -> OperatorMatrix:
@@ -119,7 +119,7 @@ def toeplitz_poly_matrix(phi: PolySymbol, degree: int) -> OperatorMatrix:
     out = np.zeros((degree + 1, degree + 1), dtype=np.complex128)
     for (m, n), c in phi.coeffs.items():
         out += c * toeplitz_monomial_matrix(m, n, degree).entries
-    return OperatorMatrix(out, "fock", "toeplitz")
+    return OperatorMatrix(out)
 
 
 def anti_wick_matrix(sigma: PolySymbol, degree: int) -> OperatorMatrix:
@@ -143,7 +143,7 @@ def anti_wick_matrix(sigma: PolySymbol, degree: int) -> OperatorMatrix:
     out = np.zeros((N + 1, N + 1), dtype=np.complex128)
     for (m, n), c in sigma.coeffs.items():
         out += c * (D_pows[n] @ M_pows[m])
-    return OperatorMatrix(out, "fock", "anti-wick")
+    return OperatorMatrix(out)
 
 
 def heat_symbol(phi: PolySymbol) -> PolySymbol:
@@ -188,7 +188,7 @@ def weyl_quantize_poly(sigma: PhasePolynomial, degree: int) -> OperatorMatrix:
     out = np.zeros((N + 1, N + 1), dtype=np.complex128)
     for (i, k), c in sigma.coeffs.items():
         out += c * blocks[(i, k)]
-    return OperatorMatrix(out, "line", "weyl-quantized")
+    return OperatorMatrix(out)
 
 
 def anti_wick_toeplitz_residual(sigma: PolySymbol, degree: int) -> float:

@@ -23,20 +23,26 @@ from . import uncertainty as uc
 from .fock import FockVector, kernel_vector
 
 
+def truncation_degree(value, source: str = "degree") -> int:
+    """``value`` (an int or its decimal text) as a truncation degree: an integer >= 1."""
+    if not str(value).strip().isdecimal() or int(value) < 1:
+        raise ValueError(f"{source} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def default_degree() -> int:
     """Truncation degree when none is given: FOCKDICT_DEGREE, else 64."""
-    return int(os.environ.get("FOCKDICT_DEGREE", "64"))
+    return truncation_degree(os.environ.get("FOCKDICT_DEGREE", "64"), "FOCKDICT_DEGREE")
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    degree: int = 0  # 0 means default_degree()
-    nodes: int = 0  # 0 means hermite.default_nodes(degree)
+    degree: int | None = None  # None means default_degree()
     seed: int = 0
 
     def resolved(self) -> "SuiteConfig":
-        deg = self.degree or default_degree()
-        return SuiteConfig(deg, self.nodes or hm.default_nodes(deg), self.seed)
+        deg = default_degree() if self.degree is None else truncation_degree(self.degree)
+        return SuiteConfig(deg, self.seed)
 
 
 @dataclass(frozen=True)
@@ -75,7 +81,7 @@ class VerificationReport:
             "suite": self.suite,
             "config": {
                 "degree": self.config.degree,
-                "nodes": self.config.nodes,
+                "nodes": hm.default_nodes(self.config.degree),
                 "seed": self.config.seed,
             },
             "cases": [c.to_dict() for c in sorted(self.cases, key=lambda c: c.id)],
@@ -91,8 +97,8 @@ class VerificationReport:
 # ----------------------------------------------------------------------
 
 def _case_bargmann(cfg: SuiteConfig) -> list[CaseResult]:
-    rule = hm.gauss_hermite(cfg.nodes)
-    plane = hm.gauss_hermite_plane(64)
+    pipe = bg.BargmannPipeline.default(cfg.degree)
+    rule, plane = pipe.line_rule, pipe.plane_rule
     rng = np.random.default_rng(cfg.seed)
     zs = (rng.standard_normal(10) + 1j * rng.standard_normal(10)) * 0.9
     worst = 0.0
@@ -157,7 +163,7 @@ def _case_fourier(cfg: SuiteConfig) -> list[CaseResult]:
     out.append(CaseResult("f3-spectral-recombination", "projection recombination equals the transform",
                           float(np.max(np.abs(rec - op.fourier_fock(f).coeffs))), 1e-15))
 
-    rule = hm.gauss_hermite(cfg.nodes)
+    rule = bg.BargmannPipeline.default(cfg.degree).line_rule
     xs = np.linspace(-4.0, 4.0, 33)
     vals = op.fourier_line_quadrature(lambda t: hm.hermite_function(2, t), xs, rule)
     out.append(CaseResult("f4-line-transport", "line-side eigenrelation for index 2",
@@ -297,7 +303,7 @@ def _case_hilbert(cfg: SuiteConfig) -> list[CaseResult]:
     out.append(CaseResult("h4-skew-adjoint", "matrix is skew-adjoint",
                           float(np.max(np.abs(T.entries + T.entries.conj().T))), 1e-15))
 
-    rule = hm.gauss_hermite(cfg.nodes)
+    rule = bg.BargmannPipeline.default(N).line_rule
     worst = 0.0
     for n in range(min(3, N + 1)):
         hv = sg.hilbert_line_pv(lambda t: hm.hermite_function(n, t), rule.nodes)
@@ -353,7 +359,7 @@ def _case_uncertainty(cfg: SuiteConfig) -> list[CaseResult]:
 def _case_quantize(cfg: SuiteConfig) -> list[CaseResult]:
     import math
 
-    plane = hm.gauss_hermite_plane(64)
+    plane = bg.BargmannPipeline.default(cfg.degree).plane_rule
     worst = 0.0
     for p in range(7):
         for q in range(7):

@@ -66,7 +66,6 @@ class EntireSymbol:
     """
 
     taylor: np.ndarray
-    name: str = ""
     exact: tuple[_CFrac, ...] | None = None
     scale: float = 1.0
 
@@ -94,7 +93,7 @@ class EntireSymbol:
 
     def truncated(self, degree: int) -> "EntireSymbol":
         k = min(degree, self.degree) + 1
-        return EntireSymbol(self.taylor[:k], self.name, self.exact[:k], self.scale)
+        return EntireSymbol(self.taylor[:k], self.exact[:k], self.scale)
 
     def f2_tail_ratio(self) -> float:
         """sup of recent per-degree growth ratios of |phi_n|^2 n!.
@@ -113,17 +112,17 @@ class EntireSymbol:
         return float(np.max(tail))
 
 
-def symbol_from_taylor(taylor, name: str = "") -> EntireSymbol:
-    return EntireSymbol(np.asarray(taylor, dtype=np.complex128), name)
+def symbol_from_taylor(taylor) -> EntireSymbol:
+    return EntireSymbol(np.asarray(taylor, dtype=np.complex128))
 
 
-def _symbol_from_exact(exact: list[_CFrac], name: str, scale: float = 1.0) -> EntireSymbol:
+def _symbol_from_exact(exact: list[_CFrac], scale: float = 1.0) -> EntireSymbol:
     """Symbol with phi_k = scale * exact[k]; each float is rounded once."""
     taylor = [scale * complex(float(re), float(im)) for re, im in exact]
-    return EntireSymbol(taylor, name, tuple(exact), scale)
+    return EntireSymbol(taylor, tuple(exact), scale)
 
 
-def _odd_antiderivative(degree: int, squeeze: int, name: str) -> EntireSymbol:
+def _odd_antiderivative(degree: int, squeeze: int) -> EntireSymbol:
     """A(z / sqrt(squeeze)) with exact z^{2n+1} coefficient 1/((2n+1) n! squeeze^n).
 
     The leftover factor 1/sqrt(squeeze) is carried by the scale.
@@ -132,31 +131,29 @@ def _odd_antiderivative(degree: int, squeeze: int, name: str) -> EntireSymbol:
     for n in range(0, (degree - 1) // 2 + 1):
         fr = Fraction(1, (2 * n + 1) * math.factorial(n) * squeeze**n)
         exact[2 * n + 1] = (fr, Fraction(0))
-    return _symbol_from_exact(exact, name, 1.0 / math.sqrt(squeeze))
+    return _symbol_from_exact(exact, 1.0 / math.sqrt(squeeze))
 
 
 def antiderivative_coeffs(degree: int) -> EntireSymbol:
     """Taylor series of the odd antiderivative of e^{z^2}: sum z^{2n+1}/((2n+1) n!)."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    return _odd_antiderivative(degree, 1, "antiderivative-exp-z2")
+    return _odd_antiderivative(degree, 1)
 
 
 def scaled_antiderivative_symbol(degree: int) -> EntireSymbol:
     """A(z / sqrt(2)) with A the antiderivative above; scale carries 1/sqrt(2)."""
-    return _odd_antiderivative(degree, 2, "antiderivative-scaled")
+    return _odd_antiderivative(degree, 2)
 
 
 def hilbert_symbol(degree: int) -> EntireSymbol:
     """Symbol of the Fock-side Hilbert transform: -(2/sqrt(pi)) A(u/sqrt(2))."""
     base = scaled_antiderivative_symbol(degree)
     scale = -2.0 / math.sqrt(np.pi) * base.scale
-    return EntireSymbol(
-        base.taylor * (-2.0 / math.sqrt(np.pi)), "hilbert", base.exact, scale
-    )
+    return EntireSymbol(base.taylor * (-2.0 / math.sqrt(np.pi)), base.exact, scale)
 
 
-def _exp_power_symbol(c: complex, power: int, degree: int, name: str) -> EntireSymbol:
+def _exp_power_symbol(c: complex, power: int, degree: int) -> EntireSymbol:
     """phi(u) = exp(c u^power): exact coefficient c^n / n! at u^(power n)."""
     exact: list[_CFrac] = [(Fraction(0), Fraction(0))] * (degree + 1)
     cx = _cfrac(c)
@@ -165,17 +162,17 @@ def _exp_power_symbol(c: complex, power: int, degree: int, name: str) -> EntireS
         exact[power * n] = term
         re, im = _cfrac_mul(term, cx)
         term = (re / (n + 1), im / (n + 1))
-    return _symbol_from_exact(exact, name)
+    return _symbol_from_exact(exact)
 
 
 def gaussian_square_symbol(a: complex, degree: int) -> EntireSymbol:
     """phi(u) = exp(a u^2), truncated; bounded S_phi requires real a < 1/2."""
-    return _exp_power_symbol(complex(a), 2, degree, f"exp({a}u^2)")
+    return _exp_power_symbol(complex(a), 2, degree)
 
 
 def exp_linear_symbol(a: complex, degree: int) -> EntireSymbol:
     """phi(u) = exp(u conj(a)); S_phi is a weighted displacement, bounded iff a is real."""
-    return _exp_power_symbol(np.conj(complex(a)), 1, degree, f"exp(u*conj({a}))")
+    return _exp_power_symbol(np.conj(complex(a)), 1, degree)
 
 
 def fock_norm_A(n_terms: int, with_tail: bool = False):
@@ -249,7 +246,7 @@ def s_phi_matrix(symbol: EntireSymbol, degree: int) -> OperatorMatrix:
             [(u[p - 1] if p else 0) - (p + 1) * u[p + 1] + q * v[p] for p in range(2 * N - q)]
             for u, v in zip(cols, prev)
         ], cols
-    return OperatorMatrix(out, "fock", f"S[{symbol.name}]")
+    return OperatorMatrix(out)
 
 
 def s_phi_apply_quadrature(

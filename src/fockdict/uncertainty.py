@@ -24,13 +24,13 @@ from .operators import OperatorMatrix, md_matrices
 def s1_matrix(degree: int) -> OperatorMatrix:
     """S1 = D + M; self-adjoint on the truncated basis."""
     M, D = md_matrices(degree)
-    return OperatorMatrix(D.entries + M.entries, "fock", "s1")
+    return OperatorMatrix(D.entries + M.entries)
 
 
 def s2_matrix(degree: int) -> OperatorMatrix:
     """S2 = i(D - M); self-adjoint, with [S1, S2] = -2i I on the interior."""
     M, D = md_matrices(degree)
-    return OperatorMatrix(1j * (D.entries - M.entries), "fock", "s2")
+    return OperatorMatrix(1j * (D.entries - M.entries))
 
 
 def _apply_mult(c: np.ndarray) -> np.ndarray:

@@ -104,8 +104,8 @@ def test_report_determinism():
 
 def test_report_env_degree(monkeypatch):
     monkeypatch.setenv("FOCKDICT_DEGREE", "9")
-    rep = run_suite("fourier", SuiteConfig())
-    assert (rep.config.degree, rep.config.nodes) == (9, 64)
+    config = json.loads(run_suite("fourier", SuiteConfig()).to_json())["config"]
+    assert (config["degree"], config["nodes"]) == (9, 64)
 
 
 @pytest.mark.parametrize("degree", [1, 4, 8, 16, 24, 32])
@@ -225,7 +225,7 @@ def test_cli_env_degree(tmp_path):
     ("quantize", "verify-weyl", "--symbol", "{tmp}/missing.json"),
     ("op", "apply", "--op", "weyl", "--params", "x,y", "--in", "{tmp}/e1.json"),
     ("bargmann", "--input", "{tmp}/e1.json", "--degree", "-3"),
-    ("bargmann", "--input", "{tmp}/e1.json", "--nodes", "-1"),
+    ("bargmann", "--input", "{tmp}/e1.json", "--degree", "0"),
     ("uncertainty", "extremal", "--c", "2", "--a", "0.3", "--b", "-0.2", "--degree", "40"),
     ("gabor", "density", "--lattice", "1,1", "--R", "0"),
     ("op", "apply", "--op", "fourier", "--in", "{tmp}/shape.json"),
@@ -236,10 +236,15 @@ def test_cli_env_degree(tmp_path):
     ("op", "apply", "--op", "dilate", "--params", "2.0", "--in", "{tmp}/e1.json",
      "--degree", "512"),
     ("op", "verify", "--op", "commutator"),
+    ("singular", "hilbert", "--format", "csv"),
+    ("uncertainty", "--f", "{tmp}/e1.json", "--format", "csv"),
+    ("verify", "all", "--nodes", "128"),
+    ("gabor", "predicate", "--lattice", "1,1", "--seed", "7"),
 ], ids=["malformed-json", "missing-symbol", "bad-params", "negative-degree",
-        "negative-nodes", "tail-certificate", "zero-radius", "wrong-shape-vector",
+        "zero-degree", "tail-certificate", "zero-radius", "wrong-shape-vector",
         "symbol-without-terms", "non-finite-vector", "dilate-input-beyond-plane-rule",
-        "dilate-output-beyond-line-rule", "removed-op-verify"])
+        "dilate-output-beyond-line-rule", "removed-op-verify", "hilbert-object-as-csv",
+        "uncertainty-object-as-csv", "removed-nodes", "option-the-command-does-not-read"])
 def test_cli_errors_are_one_line(tmp_path, args):
     (tmp_path / "bad.json").write_text("[[1.0, 0.0], ")
     (tmp_path / "wide.json").write_text(vector_to_json(np.ones(66)))
@@ -252,6 +257,21 @@ def test_cli_errors_are_one_line(tmp_path, args):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert ": error: " in proc.stderr.strip().splitlines()[-1]
+    assert sum("error:" in line for line in proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "abc"])
+def test_cli_env_degree_must_be_a_positive_integer(value):
+    proc = subprocess.run(
+        [sys.executable, "-m", "fockdict.cli", "verify", "all"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "FOCKDICT_DEGREE": value},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"fockdict: error: FOCKDICT_DEGREE must be an integer >= 1, got {value!r}"]
 
 
 @pytest.mark.parametrize("text, match", [
@@ -348,32 +368,59 @@ def _readme_commands() -> list[list[str]]:
             if line.startswith("fockdict ")]
 
 
-def _subcommand_paths(parser, prefix=()) -> list[tuple[str, ...]]:
-    """Every leaf subcommand path of an argparse parser, e.g. ("op", "apply")."""
+def _leaf_parsers(parser, prefix=()) -> dict[tuple[str, ...], argparse.ArgumentParser]:
+    """Every leaf subcommand of an argparse parser by its path, e.g. ("op", "apply")."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     if not subs:
-        return [prefix]
-    return [path for name, child in subs[0].choices.items()
-            for path in _subcommand_paths(child, prefix + (name,))]
+        return {prefix: parser}
+    return {path: leaf for name, child in subs[0].choices.items()
+            for path, leaf in _leaf_parsers(child, prefix + (name,)).items()}
 
 
-def test_readme_shows_every_subcommand():
-    commands = _readme_commands()
-    paths = _subcommand_paths(cli.build_parser())
-    assert ("op", "apply") in paths and ("verify",) in paths
-    missing = [p for p in paths if not any(tuple(argv[:len(p)]) == p for argv in commands)]
-    assert not missing
-
-
-def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+def _readme_inputs(tmp_path, monkeypatch) -> None:
+    """The files the README examples read, in a fresh working directory."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("FOCKDICT_DEGREE", raising=False)
     (tmp_path / "line.json").write_text(vector_to_json([0.6, 0.0, 0.8]))
     (tmp_path / "f.json").write_text(vector_to_json([1.0, 0.5j, 0.0, -0.25]))
     (tmp_path / "taylor.json").write_text(vector_to_json([0.0, 1.0]))
     (tmp_path / "sym.json").write_text(json.dumps({"terms": [[1, 1, 1.0, 0.0]]}))
+
+
+def test_readme_shows_every_subcommand():
+    commands = _readme_commands()
+    paths = _leaf_parsers(cli.build_parser())
+    assert ("op", "apply") in paths and ("verify",) in paths
+    missing = [p for p in paths if not any(tuple(argv[:len(p)]) == p for argv in commands)]
+    assert not missing
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    _readme_inputs(tmp_path, monkeypatch)
     commands = _readme_commands()
     assert len(commands) >= 17
     for argv in commands:
         assert cli.main(argv) == 0, argv
         assert "error" not in capsys.readouterr().err
+
+
+def test_every_declared_option_is_read(tmp_path, monkeypatch, capsys):
+    # each README example runs its handler on a namespace that records every
+    # attribute read; an option no example of its command reads does nothing
+    _readme_inputs(tmp_path, monkeypatch)
+    leaves = _leaf_parsers(cli.build_parser())
+    read = {path: set() for path in leaves}
+    for argv in _readme_commands():
+        args = cli.build_parser().parse_args(argv)
+        seen = read[next(p for p in leaves if tuple(argv[:len(p)]) == p)]
+
+        class Recorder(argparse.Namespace):
+            def __getattribute__(self, name):
+                seen.add(name)
+                return super().__getattribute__(name)
+
+        assert args.fn(Recorder(**vars(args))) == 0, argv
+    capsys.readouterr()
+    for path, leaf in leaves.items():
+        declared = {a.dest for a in leaf._actions if not isinstance(a, argparse._HelpAction)}
+        assert declared <= read[path], (path, sorted(declared - read[path]))

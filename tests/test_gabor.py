@@ -138,7 +138,7 @@ def test_density_predicate_verdicts():
         Z = PointSet.rectangular(ab, ab)
         rep = density_estimate(Z, [30.0, 50.0])
         sep, _ = separation_check(Z)
-        assert density_frame_predicate(Z, rep, sep) == want
+        assert density_frame_predicate(rep, sep) == want
 
 
 def test_critical_density_constant():

@@ -388,6 +388,23 @@ def test_dilation_boundary_scan(r, n, exact_dilation):
         assert np.max(np.abs(res.cross.coeffs - want)) <= tol, N
 
 
+def test_dilation_discrepancy_warning_boundary():
+    # on a 12-node line rule and a 4 x 4 plane rule the two paths for e_2 part
+    # as r grows (4e-16 at r = 1/4, 1.2e-4 at r = 3) and cross 1e-5 once, at
+    # r = 1.3426; bisect r to that crossing
+    pipe = BargmannPipeline(2, gauss_hermite(12), gauss_hermite_plane(4))
+    f = FockVector.basis(2, 2)
+    lo, hi = 1.0, 2.0
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        lo, hi = (lo, mid) if dilation_fock(mid, f, pipe, warn=False).discrepancy > 1e-5 else (mid, hi)
+    for scale, warns in ((1.0 - 1e-6, False), (1.0 + 1e-6, True)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dilation_fock(lo * scale, f, pipe)
+        assert any(issubclass(w.category, AccuracyWarning) for w in caught) == warns
+
+
 # ----------------------------------------------------------------------
 # Multiplication / differentiation pair
 # ----------------------------------------------------------------------

@@ -134,7 +134,6 @@ def test_phase_polynomial_expansion():
 def test_weyl_quantize_position():
     X = weyl_quantize_poly(PhasePolynomial({(1, 0): 1.0}), 8)
     assert np.array_equal(X.entries, a1_matrix(8).entries)
-    assert X.basis == "line"
 
 
 def test_weyl_quantize_frequency_is_scaled_derivative():

@@ -131,7 +131,7 @@ def _series_reference(symbol, N):
 
 
 def _negated(symbol):
-    return EntireSymbol(-2.5 * symbol.taylor, "negated", symbol.exact, -2.5 * symbol.scale)
+    return EntireSymbol(-2.5 * symbol.taylor, symbol.exact, -2.5 * symbol.scale)
 
 
 _RNG_TAYLOR = np.random.default_rng(11).standard_normal((33, 2)) @ np.array([1.0, 1j])
