@@ -62,8 +62,15 @@ def _emit_obj(obj, args) -> None:
     _write(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False), args.out)
 
 
+def _degree_arg(text: str) -> int:
+    try:
+        return truncation_degree(text)
+    except ValueError as exc:  # argparse prints its own text for a ValueError
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 _OPTIONS = {
-    "degree": dict(type=truncation_degree, help="truncation degree >= 1 (default FOCKDICT_DEGREE, else 64)"),
+    "degree": dict(type=_degree_arg, help="truncation degree >= 1 (default FOCKDICT_DEGREE, else 64)"),
     "seed": dict(type=int, default=0, help="seed for randomized checks"),
     "format": dict(choices=["json", "csv"], default="json", help="output format"),
     "out": dict(default=None, help="output path (default stdout)"),
@@ -183,7 +190,7 @@ def _cmd_gabor(args) -> int:
     elif args.action == "frame-bounds":
         N = args.degree or default_degree()
         Z = gb.PointSet.rectangular(a, b).clip_to_disk(math.sqrt(N / 2.0))
-        core = args.core or max(2, N // 8)
+        core = max(2, N // 8) if args.core is None else args.core
         A, B = gb.frame_bounds_finite(Z, N, core)
         _emit_obj({"lattice": [a, b], "degree": N, "core": core,
                    "points": len(Z.points), "lower": A, "upper": B}, args)
@@ -208,7 +215,7 @@ def _cmd_uncertainty(args) -> int:
         return 0
     if not args.f:
         raise ValueError("uncertainty needs --f (or the extremal subcommand)")
-    f = _read_vector(args.f, "fock")
+    f = _read_vector(args.f, "fock").pad(N)
     lhs, rhs = uc.uncertainty_product(f, args.a, args.b)
     _emit_obj({"lhs": lhs, "rhs": rhs, "gap": lhs - rhs}, args)
     return 0
@@ -286,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
             pg.add_argument("--R", dest="radii", default="10,20,50",
                             help="comma-separated disk radii")
         if action == "frame-bounds":
-            pg.add_argument("--core", type=int, default=0,
+            pg.add_argument("--core", type=int, default=None,
                             help="core subspace degree (default degree/8)")
             _add_options(pg, "degree")
         else:

@@ -114,16 +114,14 @@ def exp_quadratic_coeffs(alpha, beta, degree: int, c0=1.0) -> np.ndarray:
 def kernel_vector(a: complex, degree: int, normalized: bool = True) -> FockVector:
     """Truncated reproducing kernel K(., a), optionally normalized to k_a.
 
-    Coefficients are conj(a)^n / sqrt(n!), times exp(-|a|^2/2) when
-    normalized; the normalized vector has unit norm up to the tail of the
-    exponential series beyond the truncation degree.
+    Coefficients are conj(a)^n / sqrt(n!) as a running product, times
+    exp(-|a|^2/2) when normalized; the normalized vector has unit norm up
+    to the tail of the exponential series beyond the truncation degree.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
     c = np.ones(degree + 1, dtype=np.complex128)
-    ab = np.conj(complex(a))
-    for k in range(1, degree + 1):
-        c[k] = c[k - 1] * ab / np.sqrt(k)
+    c[1:] = np.cumprod(np.conj(complex(a)) / np.sqrt(np.arange(1, degree + 1)))
     if normalized:
         c *= np.exp(-abs(complex(a)) ** 2 / 2.0)
     return FockVector(c)

@@ -195,8 +195,8 @@ def frame_bounds_finite(
     """
     if Z.is_lattice:
         raise ValueError("frame_bounds_finite needs a finite point set (clip first)")
-    if core_degree > degree // 2:
-        raise ValueError("core_degree must be <= degree/2")
+    if not 1 <= core_degree <= degree // 2:
+        raise ValueError(f"core_degree must be in 1..degree/2, got {core_degree}")
     pts = Z.points
     if np.any(np.abs(pts) ** 2 > degree / 2.0):
         raise ResolutionError("some |z|^2 exceeds degree/2: kernels unresolvable")

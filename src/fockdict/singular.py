@@ -15,9 +15,14 @@ S_phi z^{q+1} = (M - D) S_phi z^q + q S_phi z^{q-1} gives the recurrence
 
 The a[p,q] exceed the entries by dozens of orders of magnitude before
 cancelling, so the recurrence runs in exact integers: symbols carry exact
-fractional coefficients (times one real scale factor), brought over one
-common denominator, and only the final value is rounded.  The defining
-integral is retained as a quadrature oracle for cross-validation.
+fractional coefficients (times one real scale factor) over one common
+denominator L, as the integers u = L a[p,q] / scale.  Each entry
+S[p,q] = scale sqrt(p! q!) u/(L q!) is rounded in one canonical step:
+u/(L q!) = m 2^e with 1/2 <= |m| < 1 from one correctly rounded division,
+sqrt(k!) = r_k 2^(s_k) likewise, and S[p,q] is
+ldexp(m * (r_p * r_q * scale), e + s_p + s_q).  Equal ratios give equal
+(m, e) and r_p r_q is symmetric, so skew-adjointness, parity zeros and
+column 0 (``symbol_to_fock``) come out exact.
 """
 from __future__ import annotations
 
@@ -30,8 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AccuracyWarning
-from .fock import FockVector, evaluate, kernel_vector, log_factorials
-from .hermite import QuadratureRule
+from .fock import FockVector, kernel_vector, log_factorials
 from .operators import OperatorMatrix
 
 _CFrac = tuple[Fraction, Fraction]
@@ -46,13 +50,24 @@ def _cfrac_mul(x: _CFrac, y: _CFrac) -> _CFrac:
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
-def _frac_to_float_scaled(fr: Fraction, log_scale: float) -> float:
-    """float(fr * exp(log_scale)) without forming huge intermediates."""
-    if fr == 0:
-        return 0.0
-    sign = 1.0 if fr > 0 else -1.0
-    ln = math.log(abs(fr.numerator)) - math.log(fr.denominator)
-    return sign * math.exp(ln + log_scale)
+def _split(u: int, den: int) -> tuple[float, int]:
+    """u/den = m 2^e (den > 0, u != 0), 1/2 <= |m| < 1, rounded once: e from
+    the bit lengths, m from one correctly rounded int division, so equal
+    ratios give the same (m, e) whatever their form."""
+    e = abs(u).bit_length() - den.bit_length()
+    m = (u << -e) / den if e < 0 else u / (den << e)
+    return (m / 2, e + 1) if abs(m) >= 1.0 else (m, e)
+
+
+def _sqrt_factorials(n: int):
+    """sqrt(k!) = r[k] 2^s[k] for k = 0..n, split from isqrt(k! 4^64) / 2^64."""
+    return zip(*(_split(math.isqrt(math.factorial(k) << 128), 1 << 64) for k in range(n + 1)))
+
+
+def _round_scaled(u: int, den: int, w: float, sh: int) -> float:
+    """w 2^sh u/den from the split of u/den; w carries every float factor."""
+    m, e = _split(u, den) if u else (0.0, 0)
+    return math.ldexp(m * w, e + sh)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,17 +214,17 @@ def fock_norm_A(n_terms: int, with_tail: bool = False):
 def symbol_to_fock(symbol: EntireSymbol, degree: int) -> FockVector:
     """Coefficients of the symbol itself as a Fock vector: c_k = phi_k sqrt(k!).
 
-    Combined in log scale through the exact representation, since sqrt(k!)
-    alone overflows well before the products do.
+    Rounded by the q = 0 case of the rule of ``s_phi_matrix``, so the two
+    agree bit for bit; sqrt(k!) alone overflows well before the products do.
     """
-    gl = log_factorials(degree)
+    K = min(degree, symbol.degree)
+    r, s = _sqrt_factorials(K)
     c = np.zeros(degree + 1, dtype=np.complex128)
-    sgn = 1.0 if symbol.scale >= 0 else -1.0
-    log_scale = math.log(abs(symbol.scale)) if symbol.scale != 0 else -math.inf
-    for k in range(min(degree, symbol.degree) + 1):
+    for k in range(K + 1):
+        w, sh = r[k] * r[0] * symbol.scale, s[k] + s[0]
         re, im = symbol.exact[k]
-        shift = 0.5 * gl[k] + log_scale
-        c[k] = sgn * (_frac_to_float_scaled(re, shift) + 1j * _frac_to_float_scaled(im, shift))
+        c[k] = complex(_round_scaled(re.numerator, re.denominator, w, sh),
+                       _round_scaled(im.numerator, im.denominator, w, sh))
     return FockVector(c)
 
 
@@ -217,53 +232,32 @@ def s_phi_matrix(symbol: EntireSymbol, degree: int) -> OperatorMatrix:
     """Matrix of S_phi on e_0..e_N by the column recurrence of the module docstring.
 
     Columns 0..N need rows up to 2N - q, hence phi_0..phi_2N.  The integers
-    u = L a, with L the common denominator of ``symbol.exact``, advance as
-    real and imaginary columns; each entry is rounded once in log space.
+    u = L a / scale, with L the common denominator of ``symbol.exact``,
+    advance as real and imaginary columns; each entry is rounded once from
+    u/(L q!) by the canonical split.
     """
-    N = degree
-    K = symbol.degree
+    N, K = degree, symbol.degree
     if K > 2 * N:
         raise ValueError(f"symbol degree {K} exceeds 2 * matrix degree {2 * N}")
     L = math.lcm(*(c.denominator for pair in symbol.exact for c in pair))
-    pad = [0] * (2 * N - K)
-    cols = [[(pair[i] * L).numerator for pair in symbol.exact] + pad for i in (0, 1)]
+    cols = [[(pair[i] * L).numerator for pair in symbol.exact] + [0] * (2 * N - K)
+            for i in (0, 1)]
     prev = [[0] * (2 * N + 1)] * 2
-    gl = log_factorials(N)
-    log_scale = math.log(abs(symbol.scale))
-    sgn = 1.0 if symbol.scale >= 0 else -1.0
+    r, s = _sqrt_factorials(N)
     out = np.zeros((N + 1, N + 1), dtype=np.complex128)
     for q in range(N + 1):
         re, im = cols
         den = L * math.factorial(q)
         for p in range(N + 1):
             if re[p] or im[p]:
-                shift = 0.5 * (gl[p] + gl[q]) + log_scale
-                out[p, q] = sgn * (
-                    _frac_to_float_scaled(Fraction(re[p], den), shift)
-                    + 1j * _frac_to_float_scaled(Fraction(im[p], den), shift)
-                )
+                w, sh = r[p] * r[q] * symbol.scale, s[p] + s[q]
+                out[p, q] = complex(_round_scaled(re[p], den, w, sh),
+                                    _round_scaled(im[p], den, w, sh))
         cols, prev = [
             [(u[p - 1] if p else 0) - (p + 1) * u[p + 1] + q * v[p] for p in range(2 * N - q)]
             for u, v in zip(cols, prev)
         ], cols
     return OperatorMatrix(out)
-
-
-def s_phi_apply_quadrature(
-    symbol: EntireSymbol, F: FockVector, z, plane_rule: QuadratureRule
-):
-    """Quadrature oracle for the defining integral of S_phi at points z."""
-    if plane_rule.weight != "plane":
-        raise ValueError("needs a plane rule")
-    scalar = np.isscalar(z)
-    zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    w = plane_rule.nodes
-    wbar = np.conj(w)
-    base = plane_rule.weights * evaluate(F, w)
-    vals = np.empty(len(zs), dtype=np.complex128)
-    for i, zz in enumerate(zs):
-        vals[i] = np.sum(base * np.exp(zz * wbar) * symbol(zz - wbar))
-    return complex(vals[0]) if scalar else vals
 
 
 @lru_cache(maxsize=8)

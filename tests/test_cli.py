@@ -26,6 +26,9 @@ from fockdict.serialize import (
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+# the CLI subprocesses import the package from this checkout, as the tests do
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(README.parent / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(*args, check=True):
@@ -33,6 +36,7 @@ def run_cli(*args, check=True):
         [sys.executable, "-m", "fockdict.cli", *args],
         capture_output=True,
         text=True,
+        env=ENV,
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed: {proc.stderr}")
@@ -214,7 +218,7 @@ def test_cli_env_degree(tmp_path):
          "--mode", "coeff"],
         capture_output=True,
         text=True,
-        env={**os.environ, "FOCKDICT_DEGREE": "9"},
+        env={**ENV, "FOCKDICT_DEGREE": "9"},
     )
     assert proc.returncode == 0
     assert len(json.loads(proc.stdout)) == 10
@@ -240,11 +244,14 @@ def test_cli_env_degree(tmp_path):
     ("uncertainty", "--f", "{tmp}/e1.json", "--format", "csv"),
     ("verify", "all", "--nodes", "128"),
     ("gabor", "predicate", "--lattice", "1,1", "--seed", "7"),
+    ("gabor", "frame-bounds", "--lattice", "0.8,0.8", "--degree", "80", "--core", "-3"),
+    ("gabor", "frame-bounds", "--lattice", "0.8,0.8", "--degree", "80", "--core", "0"),
 ], ids=["malformed-json", "missing-symbol", "bad-params", "negative-degree",
         "zero-degree", "tail-certificate", "zero-radius", "wrong-shape-vector",
         "symbol-without-terms", "non-finite-vector", "dilate-input-beyond-plane-rule",
         "dilate-output-beyond-line-rule", "removed-op-verify", "hilbert-object-as-csv",
-        "uncertainty-object-as-csv", "removed-nodes", "option-the-command-does-not-read"])
+        "uncertainty-object-as-csv", "removed-nodes", "option-the-command-does-not-read",
+        "negative-core", "zero-core"])
 def test_cli_errors_are_one_line(tmp_path, args):
     (tmp_path / "bad.json").write_text("[[1.0, 0.0], ")
     (tmp_path / "wide.json").write_text(vector_to_json(np.ones(66)))
@@ -261,12 +268,31 @@ def test_cli_errors_are_one_line(tmp_path, args):
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+def test_cli_degree_error_names_the_check(value):
+    proc = run_cli("verify", "all", "--degree", value, check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1].endswith(
+        f"argument --degree: degree must be an integer >= 1, got {value!r}")
+
+
+def test_cli_uncertainty_product_reads_the_degree(tmp_path):
+    rng = np.random.default_rng(4)
+    path = tmp_path / "f.json"
+    path.write_text(vector_to_json(rng.standard_normal(21) + 1j * rng.standard_normal(21)))
+    docs = {deg: json.loads(run_cli("uncertainty", "--f", str(path), "--a", "0.5",
+                                    "--b", "0.3", "--degree", deg).stdout)
+            for deg in ("1", "20", "40")}
+    assert docs["1"]["rhs"] != docs["20"]["rhs"]
+    assert docs["20"] == docs["40"]  # padding with zeros changes nothing
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "abc"])
 def test_cli_env_degree_must_be_a_positive_integer(value):
     proc = subprocess.run(
         [sys.executable, "-m", "fockdict.cli", "verify", "all"],
         capture_output=True,
         text=True,
-        env={**os.environ, "FOCKDICT_DEGREE": value},
+        env={**ENV, "FOCKDICT_DEGREE": value},
     )
     assert proc.returncode == 2
     assert proc.stdout == ""

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -27,6 +28,24 @@ def test_kernel_unit_norm():
     k = kernel_vector(1.0, 40, normalized=True)
     assert abs(k.norm() ** 2 - 1.0) < 1e-12
     assert kernel_truncation_defect(1.0, 40) < 1e-12
+
+
+@pytest.mark.parametrize("N", [8, 64, 300])
+def test_kernel_vector_matches_log_space_closed_form(N):
+    # conj(a)^n e^{-|a|^2/2} / sqrt(n!) at 30 digits; the running product and
+    # e^{-|a|^2/2} each carry rounding that grows with n and with |a|^2, so
+    # the relative bound is (n + 1 + |a|^2) units of 2^-52
+    n = np.arange(N + 1)
+    for r2 in (N / 8, N / 2):
+        for theta in (0.3, 2.5, -1.9):
+            a = complex(math.sqrt(r2) * np.exp(1j * theta))
+            with mpmath.workdps(30):
+                ab = mpmath.mpc(a.real, -a.imag)
+                half = abs(ab) ** 2 / 2
+                want = np.array([complex(mpmath.exp(k * mpmath.log(ab) - half - mpmath.loggamma(k + 1) / 2))
+                                 for k in n])
+            got = kernel_vector(a, N).coeffs
+            assert np.all(np.abs(got - want) <= (n + 1 + r2) * 2.0**-52 * np.abs(want)), (r2, theta)
 
 
 def test_kernel_at_zero_is_vacuum():

@@ -2,15 +2,17 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
-from fockdict.fock import FockVector, evaluate, log_factorials
+from fockdict.fock import FockVector, evaluate
 from fockdict.hermite import gauss_hermite, gauss_hermite_plane, hermite_function, hermite_functions
 from fockdict.operators import md_matrices, weyl_matrix
 from fockdict.singular import (
     EntireSymbol,
-    _frac_to_float_scaled,
+    _round_scaled,
+    _sqrt_factorials,
     antiderivative_coeffs,
     berezin_check,
     boundedness_probe,
@@ -20,7 +22,6 @@ from fockdict.singular import (
     hilbert_fock_matrix,
     hilbert_line_pv,
     hilbert_symbol,
-    s_phi_apply_quadrature,
     s_phi_matrix,
     scaled_antiderivative_symbol,
     symbol_from_taylor,
@@ -61,6 +62,14 @@ def test_norm_series_tail_estimate():
 # The operator family
 # ----------------------------------------------------------------------
 
+def _defining_integral(symbol, F, z, plane_rule):
+    """Oracle: S_phi F(z) = int F(w) e^{z conj(w)} phi(z - conj(w)) dlambda(w) by plane quadrature."""
+    assert plane_rule.weight == "plane"
+    wbar = np.conj(plane_rule.nodes)
+    base = plane_rule.weights * evaluate(F, plane_rule.nodes)
+    return np.array([np.sum(base * np.exp(zz * wbar) * symbol(zz - wbar)) for zz in z])
+
+
 def test_constant_symbol_is_identity():
     S = s_phi_matrix(symbol_from_taylor([1.0]), 12)
     assert np.max(np.abs(S.entries - np.eye(13))) < 1e-14
@@ -90,7 +99,7 @@ def test_normal_ordered_matches_defining_integral():
     for n in range(5):
         en = FockVector.basis(n, 24)
         direct = evaluate(FockVector(S.entries @ en.coeffs), zs)
-        oracle = s_phi_apply_quadrature(sym, en, zs, plane)
+        oracle = _defining_integral(sym, en, zs, plane)
         assert np.max(np.abs(direct - oracle)) < 1e-6
 
 
@@ -104,29 +113,33 @@ def test_displacement_symbol_identity():
     assert np.max(np.abs(R[:b, :b])) < 1e-8
 
 
-def _series_reference(symbol, N):
-    """Per-entry normal-ordered series in exact fractions, rounded once.
+def _series_entry(symbol, p, q):
+    """S[p,q] / (scale sqrt(p! q!)) as exact (re, im) fractions by the j-series.
 
     <S e_q, e_p> = scale sqrt(p! q!) sum_j (-1)^j C(d+2j, j) phi_{d+2j} / (q-j)!
     with d = p - q and phi_k = scale * exact[k].
     """
-    gl = log_factorials(N)
-    sgn = 1.0 if symbol.scale >= 0 else -1.0
+    d = p - q
+    s_re = s_im = Fraction(0)
+    for j in range(max(0, -d), q + 1):
+        k = d + 2 * j
+        if k > symbol.degree:
+            break
+        mult = Fraction((-1) ** j * math.comb(k, j), math.factorial(q - j))
+        s_re += mult * symbol.exact[k][0]
+        s_im += mult * symbol.exact[k][1]
+    return s_re, s_im
+
+
+def _series_reference(symbol, N):
+    """Every entry from its reduced j-series fraction, rounded by the library's split."""
+    r, s = _sqrt_factorials(N)
     out = np.zeros((N + 1, N + 1), dtype=np.complex128)
     for q in range(N + 1):
         for p in range(N + 1):
-            d = p - q
-            s_re = s_im = Fraction(0)
-            for j in range(max(0, -d), q + 1):
-                k = d + 2 * j
-                if k > symbol.degree:
-                    break
-                mult = Fraction((-1) ** j * math.comb(k, j), math.factorial(q - j))
-                s_re += mult * symbol.exact[k][0]
-                s_im += mult * symbol.exact[k][1]
-            shift = 0.5 * (gl[p] + gl[q]) + math.log(abs(symbol.scale))
-            out[p, q] = sgn * (_frac_to_float_scaled(s_re, shift)
-                               + 1j * _frac_to_float_scaled(s_im, shift))
+            w, sh = r[p] * r[q] * symbol.scale, s[p] + s[q]
+            out[p, q] = complex(*(_round_scaled(x.numerator, x.denominator, w, sh)
+                                  for x in _series_entry(symbol, p, q)))
     return out
 
 
@@ -147,6 +160,29 @@ _RNG_TAYLOR = np.random.default_rng(11).standard_normal((33, 2)) @ np.array([1.0
 def test_recurrence_equals_exact_series(make, N):
     sym = make(N)
     assert np.array_equal(s_phi_matrix(sym, N).entries, _series_reference(sym, N))
+
+
+@pytest.mark.parametrize("make, N", [
+    (lambda N: hilbert_symbol(2 * N - 1), 128),
+    (lambda N: exp_linear_symbol(1.2345678, 2 * N), 32),
+    (lambda N: exp_linear_symbol(0.3 - 0.8j, 2 * N), 32),
+], ids=["hilbert-128", "exp-linear-real-32", "exp-linear-complex-32"])
+def test_entries_match_40_digit_values(make, N):
+    # scale sqrt(p! q!) u/(L q!) at 40 digits, u/(L q!) from the exact j-series
+    sym = make(N)
+    S = s_phi_matrix(sym, N).entries
+    rng = np.random.default_rng(N)
+    picks = [(0, 1), (1, 0), (N, N - 1), (N - 1, N), (N, 1), (1, N)]
+    picks += [tuple(pq) for pq in rng.integers(0, N + 1, size=(40, 2))]
+    with mpmath.workdps(40):
+        for p, q in picks:
+            root = mpmath.mpf(sym.scale) * mpmath.sqrt(mpmath.factorial(p) * mpmath.factorial(q))
+            re, im = (root * mpmath.mpf(x.numerator) / x.denominator for x in _series_entry(sym, p, q))
+            want = mpmath.mpc(re, im)
+            if want == 0:
+                assert S[p, q] == 0, (p, q)
+            else:
+                assert abs(S[p, q] - want) <= 1e-15 * abs(want), (p, q)
 
 
 def test_symbol_degree_guard():
@@ -186,7 +222,7 @@ def test_hilbert_exact_structure_at_degree_256():
     T = s_phi_matrix(hilbert_symbol(2 * N - 1), N).entries
     same_parity = np.add.outer(np.arange(N + 1), np.arange(N + 1)) % 2 == 0
     assert np.all(T[same_parity] == 0.0)
-    assert np.all(T + T.conj().T == 0.0)
+    assert np.array_equal(T, -T.conj().T)
     assert np.array_equal(T[:, 0], symbol_to_fock(hilbert_symbol(2 * N - 1), N).coeffs)
 
 
