@@ -1,16 +1,20 @@
-"""Toeplitz operators and two pseudo-differential correspondences.
+"""Toeplitz operators and the anti-Wick and Weyl calculi as Toeplitz operators.
 
 A Toeplitz operator on the Fock space compresses multiplication by a symbol:
-T_phi f = P(phi f).  For polynomial symbols two operator calculi are
-realized and checked against it:
+T_phi f = P(phi f).  Its matrix for a polynomial symbol has a closed form,
+exact in every entry (the truncation corner included), and it is the one
+engine here; both calculi are Toeplitz matrices of a transformed symbol, at
+any degree:
 
-* anti-Wick: sigma(z, conj z) = sum a_mn z^n conj(z)^m quantizes, on the
-  Fock side, to sum a_mn D^n M^m (derivative powers left of multiplication
-  powers), which equals the Toeplitz matrix of phi(z) = sigma(conj z, z)
-  entry by entry;
-* Weyl: symbols on phase space (position x, frequency zeta) quantize through
-  the symmetric ordering of X and the scaled derivative; the Gaussian heat
-  transform of a Toeplitz symbol produces the matching Weyl symbol.
+* anti-Wick (Berezin): sigma(z, conj z) = sum a_mn z^n conj(z)^m quantizes
+  to the Toeplitz matrix of the swapped symbol sigma(conj z, z);
+* Weyl: a phase-space polynomial in (x, zeta) is rewritten in (z, conj z)
+  through x = (z + conj z)/2, zeta = (z - conj z)/(2i) and quantizes to the
+  Toeplitz matrix of its inverse heat transform.
+
+Each calculus keeps an independent second path in its check only: the
+product sum a_mn D^n M^m for anti-Wick, and McCoy's symmetric ordering of
+the position and scaled-derivative matrices for Weyl.
 """
 from __future__ import annotations
 
@@ -18,8 +22,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import matrix_power
 
-from .fock import log_factorials
 from .operators import OperatorMatrix, a1_matrix, a2_matrix, md_matrices
 
 
@@ -68,10 +72,6 @@ class PhasePolynomial:
 
     coeffs: dict[tuple[int, int], complex] = field(default_factory=dict)
 
-    @property
-    def degree(self) -> int:
-        return max((i + k for (i, k) in self.coeffs), default=0)
-
     @classmethod
     def from_poly_symbol(cls, sigma: PolySymbol) -> "PhasePolynomial":
         """Rewrite a (z, conj z) polynomial via z = x + i zeta."""
@@ -95,22 +95,24 @@ def toeplitz_monomial_matrix(m: int, n: int, degree: int) -> OperatorMatrix:
     """Toeplitz matrix of phi = conj(z)^m z^n on e_0..e_N.
 
     From the Gaussian moment identity int z^p conj(z)^q dlambda = delta_pq p!,
-    the entries are <T e_j, e_k> = delta_{n+j, m+k} (n+j)!/sqrt(j! k!),
-    formed through log-factorial differences.
+    the entries are <T e_j, e_k> = delta_{n+j, m+k} (n+j)!/sqrt(j! k!), the
+    square root of the integer P = (j+1)...(n+j) * (k+1)...(n+j).  P is
+    symmetric in (j, k), so real symbols give exactly Hermitian matrices; past
+    1000 bits it is shifted right by an even e before the root, which is
+    scaled back by 2^(e/2).
     """
     if m < 0 or n < 0:
         raise ValueError("powers must be non-negative")
     if m + n > degree:
         raise ValueError("monomial degree exceeds the matrix degree")
     N = degree
-    gl = log_factorials(N + n)
-    half = 0.5 * log_factorials(N)
     out = np.zeros((N + 1, N + 1), dtype=np.complex128)
     for j in range(N + 1):
         k = n + j - m
         if 0 <= k <= N:
-            # symmetric grouping keeps real symbols exactly Hermitian
-            out[k, j] = math.exp(gl[n + j] - (half[j] + half[k]))
+            P = math.prod(range(j + 1, n + j + 1)) * math.prod(range(k + 1, n + j + 1))
+            e = max(0, P.bit_length() - 1000) & ~1
+            out[k, j] = math.ldexp(math.sqrt(P >> e), e // 2)
     return OperatorMatrix(out)
 
 
@@ -123,27 +125,24 @@ def toeplitz_poly_matrix(phi: PolySymbol, degree: int) -> OperatorMatrix:
 
 
 def anti_wick_matrix(sigma: PolySymbol, degree: int) -> OperatorMatrix:
-    """Fock-side anti-Wick quantization sum a_mn D^n M^m.
+    """Anti-Wick quantization of sigma: the Toeplitz matrix of sigma(conj z, z)."""
+    return toeplitz_poly_matrix(sigma.swapped(), degree)
 
-    The annihilation-like factor D acts after the creation-like factor M
-    (all D's to the left); that ordering is what reproduces the Toeplitz
-    matrix of the swapped symbol on interior blocks, pinned by the
-    |z|^2 -> diagonal j+1 check.
+
+def _heat(phi: PolySymbol, t: float) -> PolySymbol:
+    """exp(t d/dz d/dconj(z)) applied to phi, then z and conj(z) exchanged.
+
+    A z^n conj(z)^m term contributes C(n, j) C(m, j) j! t^j to
+    conj(z)^{n-j} z^{m-j}; t = 1/2 is the heat transform and t = -1/2 is its
+    exact inverse on polynomials.
     """
-    if sigma.degree > degree // 2:
-        raise ValueError("symbol degree exceeds degree/2")
-    N = degree
-    M, D = md_matrices(N)
-    max_pow = max((max(m, n) for (m, n) in sigma.coeffs), default=0)
-    M_pows = [np.eye(N + 1, dtype=np.complex128)]
-    D_pows = [np.eye(N + 1, dtype=np.complex128)]
-    for _ in range(max_pow):
-        M_pows.append(M.entries @ M_pows[-1])
-        D_pows.append(D.entries @ D_pows[-1])
-    out = np.zeros((N + 1, N + 1), dtype=np.complex128)
-    for (m, n), c in sigma.coeffs.items():
-        out += c * (D_pows[n] @ M_pows[m])
-    return OperatorMatrix(out)
+    out: dict[tuple[int, int], complex] = {}
+    for (m, n), c in phi.coeffs.items():
+        for j in range(min(m, n) + 1):
+            coef = c * math.comb(n, j) * math.comb(m, j) * math.factorial(j) * t**j
+            key = (n - j, m - j)  # (conj-power, z-power)
+            out[key] = out.get(key, 0.0) + coef
+    return PolySymbol({k: v for k, v in out.items() if abs(v) > 0})
 
 
 def heat_symbol(phi: PolySymbol) -> PolySymbol:
@@ -151,64 +150,55 @@ def heat_symbol(phi: PolySymbol) -> PolySymbol:
 
     sigma(z) = (2/pi) int phi(conj w) e^{-2|z-w|^2} dA(w); with w = z + v the
     moments (2/pi) int v^p conj(v)^q e^{-2|v|^2} dA = delta_pq p!/2^p reduce
-    it to the closed form below.  Note the conjugation: a z^n conj(z)^m term
+    it to ``_heat(phi, 1/2)``.  Note the conjugation: a z^n conj(z)^m term
     of phi contributes to conj(z)^{n-j} z^{m-j}.
     """
-    out: dict[tuple[int, int], complex] = {}
-    for (m, n), c in phi.coeffs.items():
-        for j in range(min(m, n) + 1):
-            coef = c * math.comb(n, j) * math.comb(m, j) * math.factorial(j) / 2**j
-            key = (n - j, m - j)  # (conj-power, z-power)
-            out[key] = out.get(key, 0.0) + coef
-    return PolySymbol({k: v for k, v in out.items() if abs(v) > 0})
+    return _heat(phi, 0.5)
 
 
 def weyl_quantize_poly(sigma: PhasePolynomial, degree: int) -> OperatorMatrix:
-    """Weyl quantization of a phase-space polynomial of total degree <= 2.
+    """Weyl quantization of a phase-space polynomial of any degree.
 
-    x quantizes to the position matrix, zeta to the scaled derivative
-    (f'/(2i) transported to the e_n basis), and the mixed term x zeta to the
-    symmetric average of the two orderings; degree > 2 would need a general
-    symmetrization scheme and is refused.
+    x^i zeta^k = sum_{a,b} C(i,a) C(k,b) (-1)^{k-b} / (2^i (2i)^k)
+    z^{a+b} conj(z)^{(i-a)+(k-b)}, and the Weyl operator of that symbol is
+    the Toeplitz operator of its inverse heat transform.
     """
-    if sigma.degree > 2:
-        raise ValueError("weyl quantization supported for degree <= 2 only")
-    N = degree
-    X = a1_matrix(N).entries
-    Dl = a2_matrix(N).entries / 2j
-    eye = np.eye(N + 1, dtype=np.complex128)
-    blocks = {
-        (0, 0): eye,
-        (1, 0): X,
-        (0, 1): Dl,
-        (2, 0): X @ X,
-        (0, 2): Dl @ Dl,
-        (1, 1): (X @ Dl + Dl @ X) / 2.0,
-    }
-    out = np.zeros((N + 1, N + 1), dtype=np.complex128)
+    terms: dict[tuple[int, int], complex] = {}
     for (i, k), c in sigma.coeffs.items():
-        out += c * blocks[(i, k)]
-    return OperatorMatrix(out)
+        for a in range(i + 1):
+            for b in range(k + 1):
+                coef = c * math.comb(i, a) * math.comb(k, b) * (-1) ** (k - b) * 0.5**i * (-0.5j) ** k
+                key = ((i - a) + (k - b), a + b)
+                terms[key] = terms.get(key, 0.0) + coef
+    return toeplitz_poly_matrix(_heat(PolySymbol(terms), -0.5), degree)
 
 
 def anti_wick_toeplitz_residual(sigma: PolySymbol, degree: int) -> float:
-    """Max interior difference between anti-Wick of sigma and Toeplitz of the
-    swapped symbol; zero in exact arithmetic."""
+    """Max interior difference between the product form sum a_mn D^n M^m
+    (derivative powers left of multiplication powers) and the anti-Wick
+    matrix; zero in exact arithmetic.  Refuses symbols of degree > degree/2."""
+    if sigma.degree > degree // 2:
+        raise ValueError("symbol degree exceeds degree/2")
+    M, D = (A.entries for A in md_matrices(degree))
+    products = sum(c * (matrix_power(D, n) @ matrix_power(M, m)) for (m, n), c in sigma.coeffs.items())
     aw = anti_wick_matrix(sigma, degree).entries
-    tp = toeplitz_poly_matrix(sigma.swapped(), degree).entries
     b = degree + 1 - sigma.degree
-    return float(np.max(np.abs(aw[:b, :b] - tp[:b, :b])))
+    return float(np.max(np.abs(products - aw)[:b, :b]))
 
 
 def weyl_toeplitz_residual(phi: PolySymbol, degree: int) -> float:
-    """Max interior difference between the Toeplitz matrix of phi and the Weyl
-    quantization of its heat symbol (carried to the e_n basis by the identity
-    coefficient map); contract <= 1e-8 for symbols of degree <= 2."""
-    if phi.degree > 2:
-        raise ValueError("verification capped at symbol degree 2")
+    """Max interior difference between the Toeplitz matrix of phi and McCoy's
+    symmetric ordering of its heat symbol, Weyl(x^i zeta^k) =
+    2^{-i} sum_j C(i,j) X^j Z^k X^{i-j} with X the position matrix and Z the
+    scaled derivative; products of truncated band matrices are exact on the
+    block N + 1 - deg phi.  Contract <= 1e-8."""
+    X = a1_matrix(degree).entries
+    Z = a2_matrix(degree).entries / 2j
+    mccoy = sum(
+        c * 0.5**i * math.comb(i, j) * (matrix_power(X, j) @ matrix_power(Z, k) @ matrix_power(X, i - j))
+        for (i, k), c in PhasePolynomial.from_poly_symbol(heat_symbol(phi)).coeffs.items()
+        for j in range(i + 1)
+    )
     tp = toeplitz_poly_matrix(phi, degree).entries
-    wz = weyl_quantize_poly(
-        PhasePolynomial.from_poly_symbol(heat_symbol(phi)), degree
-    ).entries
-    b = degree + 1 - 2
-    return float(np.max(np.abs(tp[:b, :b] - wz[:b, :b])))
+    b = degree + 1 - phi.degree
+    return float(np.max(np.abs(tp - mccoy)[:b, :b]))

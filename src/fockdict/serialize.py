@@ -1,9 +1,10 @@
 """JSON and CSV serialization for vectors, matrices, and reports.
 
 Vectors are JSON arrays of [re, im] pairs indexed by n; CSV rows are
-index,re,im for vectors and row,col,re,im for matrices.  Floats are written
-with 17 significant digits so that re-parsing is bit-exact; the writers refuse
-non-finite values with a ValueError, as the readers do.
+index,re,im for vectors and row,col,re,im for matrices.  CSV is an output
+format only.  Floats are written with 17 significant digits so that re-parsing
+is bit-exact; the writers refuse non-finite values with a ValueError, as the
+JSON reader does.
 """
 from __future__ import annotations
 
@@ -41,38 +42,10 @@ def _finite(values: np.ndarray, source: str) -> np.ndarray:
     return values
 
 
-def _csv_rows(text: str, layout: str) -> tuple[np.ndarray, np.ndarray]:
-    """Index columns and finite complex values of CSV rows laid out as ``layout``."""
-    index, values = [], []
-    for k, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            try:
-                *idx, re, im = line.split(",")
-                idx = [int(i) for i in idx]
-                if len(idx) != layout.count(",") - 1 or min(idx) < 0:
-                    raise ValueError
-                values.append(complex(float(re), float(im)))
-            except ValueError:
-                raise ValueError(f"CSV line {k} is not {layout} with indices >= 0: {line!r}") from None
-            index.append(idx)
-    if not index or len(np.unique(index, axis=0)) != len(index):
-        raise ValueError("CSV input has no rows or gives an index twice")
-    return np.array(index), _finite(np.array(values, dtype=np.complex128), "CSV input")
-
-
 def vector_to_csv(vec) -> str:
     coeffs = _finite(np.asarray(vec.coeffs if hasattr(vec, "coeffs") else vec, dtype=complex), "output")
     lines = [f"{i},{_fmt(c.real)},{_fmt(c.imag)}" for i, c in enumerate(coeffs)]
     return "\n".join(lines) + "\n"
-
-
-def vector_from_csv(text: str, kind: str = "fock"):
-    """Parse index,re,im rows; the indices must be 0..n-1 for n rows, in any order."""
-    index, values = _csv_rows(text, "index,re,im")
-    if index.max() != len(values) - 1:
-        raise ValueError(f"vector CSV indices must be 0..{len(values) - 1}")
-    coeffs = values[np.argsort(index[:, 0])]
-    return FockVector(coeffs) if kind == "fock" else LineVector(coeffs)
 
 
 def matrix_to_csv(entries: np.ndarray) -> str:
@@ -83,14 +56,6 @@ def matrix_to_csv(entries: np.ndarray) -> str:
             v = entries[r, c]
             lines.append(f"{r},{c},{_fmt(v.real)},{_fmt(v.imag)}")
     return "\n".join(lines) + "\n"
-
-
-def matrix_from_csv(text: str) -> np.ndarray:
-    """Parse row,col,re,im rows; the shape is one past the largest indices, absent entries are 0."""
-    index, values = _csv_rows(text, "row,col,re,im")
-    out = np.zeros(tuple(index.max(axis=0) + 1), dtype=np.complex128)
-    out[tuple(index.T)] = values
-    return out
 
 
 def matrix_to_json(entries: np.ndarray) -> str:

@@ -246,7 +246,7 @@ def test_weyl_recurrence_survives_underflowing_starts():
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "float log-scale path loses ~1e-4 below the digit-loss switch at degree 64 "
-    "(ROADMAP item 2; pinned in bench/test_oracles.py::"
+    "(ROADMAP item 1; pinned in bench/test_oracles.py::"
     "test_weyl_float_path_misses_stay_visible until a benchmark change retires it)"))
 def test_weyl_float_path_meets_contract_below_switch():
     a, N = 1.8 + 0.666j, 64  # digit loss 9.9: the float path is chosen

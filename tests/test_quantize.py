@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from numpy.linalg import matrix_power
 
 from fockdict.hermite import gauss_hermite_plane
-from fockdict.operators import a1_matrix, md_matrices
+from fockdict.operators import a1_matrix, a2_matrix, md_matrices
 from fockdict.quantize import (
     PhasePolynomial,
     PolySymbol,
@@ -77,11 +78,10 @@ def test_anti_wick_constant():
 
 
 def test_anti_wick_number_symbol():
-    # sigma = z conj(z): D M has diagonal j+1
-    A = anti_wick_matrix(PolySymbol({(1, 1): 1.0}), 12)
-    T = toeplitz_monomial_matrix(1, 1, 12)
-    b = 11
-    assert np.max(np.abs(A.entries[:b, :b] - T.entries[:b, :b])) < 1e-12
+    # sigma = z conj(z) gives diag(j + 1) in every entry; the truncated product
+    # D M would lose the (N, N) corner
+    A = anti_wick_matrix(PolySymbol({(1, 1): 1.0}), 32)
+    assert np.array_equal(A.entries, np.diag(np.arange(1.0, 34.0)).astype(complex))
 
 
 def test_anti_wick_ordering_pinned_by_holomorphic_square():
@@ -98,8 +98,11 @@ def test_anti_wick_toeplitz_equality_low_monomials(m, n):
 
 
 def test_anti_wick_degree_guard():
+    # only the product-form check needs degree <= N/2; the quantization itself does not
     with pytest.raises(ValueError):
-        anti_wick_matrix(PolySymbol({(3, 3): 1.0}), 8)
+        anti_wick_toeplitz_residual(PolySymbol({(3, 3): 1.0}), 8)
+    A = anti_wick_matrix(PolySymbol({(3, 3): 1.0}), 8)
+    assert np.array_equal(A.entries, toeplitz_monomial_matrix(3, 3, 8).entries)
 
 
 # ----------------------------------------------------------------------
@@ -164,17 +167,33 @@ def test_position_and_frequency_matrices_against_quadrature():
 
 
 def test_weyl_quantize_oscillator_diagonal():
-    Q = weyl_quantize_poly(
-        PhasePolynomial({(2, 0): 1.0, (0, 2): 1.0, (0, 0): 0.5}), 10
-    )
-    diag = np.real(np.diag(Q.entries))
-    assert np.allclose(diag[:10], np.arange(1, 11))
-    assert np.max(np.abs(Q.entries - np.diag(np.diag(Q.entries)))) < 1e-14
+    # x^2 + zeta^2 quantizes to the oscillator diag(n + 1/2) in every entry
+    Q = weyl_quantize_poly(PhasePolynomial({(2, 0): 1.0, (0, 2): 1.0}), 10)
+    assert np.array_equal(Q.entries, np.diag(np.arange(11) + 0.5).astype(complex))
+    Q = weyl_quantize_poly(PhasePolynomial({(2, 0): 1.0, (0, 2): 1.0, (0, 0): 0.5}), 10)
+    assert np.array_equal(Q.entries, np.diag(np.arange(1.0, 12.0)).astype(complex))
 
 
-def test_weyl_quantize_degree_guard():
-    with pytest.raises(ValueError):
-        weyl_quantize_poly(PhasePolynomial({(3, 0): 1.0}), 8)
+@pytest.mark.parametrize("i,k", [(i, d - i) for d in range(7) for i in range(d + 1)])
+def test_weyl_quantize_matches_mccoy_ordering(i, k):
+    # Weyl(x^i zeta^k) = 2^-i sum_j C(i, j) X^j Z^k X^(i-j) (McCoy 1932); the
+    # truncated band products are exact on the block N + 1 - (i + k)
+    N = 40
+    X = a1_matrix(N).entries
+    Z = a2_matrix(N).entries / 2j
+    mccoy = sum(
+        math.comb(i, j) * (matrix_power(X, j) @ matrix_power(Z, k) @ matrix_power(X, i - j))
+        for j in range(i + 1)
+    ) / 2**i
+    W = weyl_quantize_poly(PhasePolynomial({(i, k): 1.0}), N).entries
+    b = N + 1 - (i + k)
+    assert np.max(np.abs(W - mccoy)[:b, :b]) <= 1e-14 * np.max(np.abs(mccoy[:b, :b]))
+
+
+def test_weyl_quantize_real_symbol_is_hermitian():
+    sigma = PhasePolynomial({(4, 0): 1.0, (2, 1): 0.5, (1, 3): -2.0, (0, 4): 1.5, (1, 1): 0.3, (0, 0): -1.0})
+    Q = weyl_quantize_poly(sigma, 24).entries
+    assert np.max(np.abs(Q - Q.conj().T)) <= 1e-14 * np.max(np.abs(Q))
 
 
 @pytest.mark.parametrize(
@@ -187,12 +206,23 @@ def test_weyl_quantize_degree_guard():
         PolySymbol({(2, 0): 0.5 - 0.5j}),
         PolySymbol({(1, 0): 1j}),
         PolySymbol({(1, 1): 2.0, (0, 0): -1.0}),
+        PolySymbol({(2, 1): 1.0}),
+        PolySymbol({(1, 2): 0.5j, (2, 2): 1.0, (0, 3): -1.0}),
     ],
 )
 def test_weyl_heat_chain_closes(sym):
     assert weyl_toeplitz_residual(sym, 16) < 1e-8
 
 
-def test_weyl_chain_degree_guard():
-    with pytest.raises(ValueError):
-        weyl_toeplitz_residual(PolySymbol({(2, 1): 1.0}), 16)
+def test_weyl_of_heat_symbol_is_toeplitz_in_every_entry():
+    # the inverse heat map undoes heat_symbol exactly on polynomials, so the
+    # round trip through phase space returns T_phi, truncation corner included
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        terms = {(int(m), int(n)): complex(*rng.standard_normal(2))
+                 for m, n in rng.integers(0, 4, size=(4, 2))}
+        phi = PolySymbol(terms)
+        T = toeplitz_poly_matrix(phi, 20).entries
+        W = weyl_quantize_poly(PhasePolynomial.from_poly_symbol(heat_symbol(phi)), 20).entries
+        assert np.max(np.abs(W - T)) <= 1e-12 * np.max(np.abs(T))
+
