@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -24,7 +23,7 @@ from . import operators as op
 from . import quantize as qz
 from . import singular as sg
 from . import uncertainty as uc
-from .fock import FockVector
+from .fock import FockVector, resolved_radius
 from .report import SUITE_NAMES, SuiteConfig, default_degree, run_suite, truncation_degree
 from .serialize import (
     matrix_to_csv,
@@ -189,7 +188,7 @@ def _cmd_gabor(args) -> int:
         }, args)
     elif args.action == "frame-bounds":
         N = args.degree or default_degree()
-        Z = gb.PointSet.rectangular(a, b).clip_to_disk(math.sqrt(N / 2.0))
+        Z = gb.PointSet.rectangular(a, b).clip_to_disk(resolved_radius(N))
         core = max(2, N // 8) if args.core is None else args.core
         A, B = gb.frame_bounds_finite(Z, N, core)
         _emit_obj({"lattice": [a, b], "degree": N, "core": core,
@@ -235,11 +234,15 @@ def _cmd_quantize(args) -> int:
         raise ValueError(f'{args.symbol}: needs "terms": [[m, n, re, im], ...]') from None
     sym = qz.PolySymbol(terms)
     if args.action == "verify-anti-wick":
-        residual = qz.anti_wick_toeplitz_residual(sym, N)
+        residual, T, tol = qz.anti_wick_toeplitz_residual(sym, N), qz.anti_wick_matrix(sym, N), 1e-12
     else:
-        residual = qz.weyl_toeplitz_residual(sym, N)
-    _emit_obj({"residual": residual}, args)
-    return 0
+        residual, T, tol = qz.weyl_toeplitz_residual(sym, N), qz.toeplitz_poly_matrix(sym, N), 1e-8
+    # relative to the largest Toeplitz entry on the residual's interior block
+    b = N + 1 - sym.degree
+    scale = float(np.max(np.abs(T.entries[:b, :b])))
+    residual = residual / scale if scale > 0 else residual
+    _emit_obj({"residual": residual, "tolerance": tol, "pass": residual <= tol}, args)
+    return 0 if residual <= tol else 1
 
 
 def _cmd_verify(args) -> int:

@@ -15,6 +15,8 @@ import numpy as np
 # exp(|z|^2 / 2) must stay inside double range during evaluation
 _EVAL_HALF_MOD_SQ_LIMIT = 700.0
 
+RESOLVED_DEFECT = 1e-8  # W_a is resolved at degree N while k_a loses at most this past N
+
 
 def _as_coeff_array(coeffs) -> np.ndarray:
     arr = np.asarray(coeffs, dtype=np.complex128)
@@ -130,3 +132,12 @@ def kernel_vector(a: complex, degree: int, normalized: bool = True) -> FockVecto
 def kernel_truncation_defect(a: complex, degree: int) -> float:
     """1 - ||k_a truncated at degree||^2, i.e. the mass lost to truncation."""
     return max(0.0, 1.0 - kernel_vector(a, degree, normalized=True).norm() ** 2)
+
+
+def resolved_radius(degree: int) -> float:
+    """Largest |a| whose kernel loses at most RESOLVED_DEFECT past the degree."""
+    lo, hi = 0.0, float(np.sqrt(degree + 1))  # the defect grows with |a|, to ~1/2 at the top
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if kernel_truncation_defect(mid, degree) <= RESOLVED_DEFECT else (lo, mid)
+    return lo

@@ -5,7 +5,9 @@ z = a - pi b i in the plane, so a rectangular time-frequency lattice with
 steps (a, b) becomes the plane lattice a Z x (-pi b i) Z with cell area
 pi a b.  Frames of displaced kernels, Beurling densities, the ab < 1
 lattice criterion, the box-window orthonormal system, and finite linear
-independence checks all live here.
+independence checks all live here.  A point z whose kernel loses more than
+``fock.RESOLVED_DEFECT`` past the degree is refused (ResolutionError)
+everywhere but in ``kernel_gram``, the closed-form check.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResolutionError
-from .fock import FockVector, kernel_truncation_defect, kernel_vector
+from .fock import RESOLVED_DEFECT, FockVector, kernel_truncation_defect, kernel_vector
 from .hermite import GAUSS_CONST, composite_legendre, project_line_interval
 from .bargmann import bargmann_coeff
 from .operators import weyl_matrix
@@ -184,6 +186,14 @@ def separation_check(Z: PointSet) -> tuple[bool, float]:
     return gap > 1e-9, gap
 
 
+def _require_resolved(points, degree: int):
+    """The points, or ResolutionError if some k_z (so W_z) is not resolved at the degree."""
+    for z in points:
+        if kernel_truncation_defect(z, degree) > RESOLVED_DEFECT:
+            raise ResolutionError(f"kernel at {z} loses more than {RESOLVED_DEFECT:.0e} past degree {degree}")
+    return points
+
+
 def frame_bounds_finite(
     Z: PointSet, degree: int, core_degree: int
 ) -> tuple[float, float]:
@@ -197,12 +207,7 @@ def frame_bounds_finite(
         raise ValueError("frame_bounds_finite needs a finite point set (clip first)")
     if not 1 <= core_degree <= degree // 2:
         raise ValueError(f"core_degree must be in 1..degree/2, got {core_degree}")
-    pts = Z.points
-    if np.any(np.abs(pts) ** 2 > degree / 2.0):
-        raise ResolutionError("some |z|^2 exceeds degree/2: kernels unresolvable")
-    for z in pts:
-        if kernel_truncation_defect(z, degree) > 1e-8:
-            raise ResolutionError(f"kernel at {z} has truncation defect > 1e-8")
+    pts = _require_resolved(Z.points, degree)
     KV = np.column_stack([kernel_vector(z, degree, True).coeffs for z in pts])
     S = KV @ KV.conj().T
     core = S[: core_degree + 1, : core_degree + 1]
@@ -273,22 +278,21 @@ def box_window_coeffs(degree: int) -> FockVector:
     return bargmann_coeff(line)
 
 
+def _displaced_gram(f: FockVector, points, degree: int) -> np.ndarray:
+    """Gram matrix of the displaced copies W_z f, z in points (resolved only)."""
+    U = np.column_stack([weyl_matrix(z, degree).apply(f).coeffs
+                         for z in _require_resolved(points, degree)])
+    return U.conj().T @ U
+
+
 def box_frame_gram(m_range, n_range, degree: int) -> np.ndarray:
     """Gram matrix of displaced box transforms W_{n - m pi i}(box window).
 
     The line-side system is orthonormal, so the Gram approaches the identity
     as the degree grows (at the slow rate the box tail allows).
     """
-    coeffs = box_window_coeffs(degree)
-    vecs = []
-    for m in m_range:
-        for n in n_range:
-            z = complex(n, -np.pi * m)
-            if abs(z) ** 2 > degree / 2.0:
-                raise ResolutionError(f"|z_mn|^2 > degree/2 for (m,n)=({m},{n})")
-            vecs.append(weyl_matrix(z, degree, warn=False).apply(coeffs).coeffs)
-    U = np.column_stack(vecs)
-    return U.conj().T @ U
+    pts = [complex(n, -np.pi * m) for m in m_range for n in n_range]
+    return _displaced_gram(box_window_coeffs(degree), pts, degree)
 
 
 def linear_independence_check(
@@ -303,10 +307,7 @@ def linear_independence_check(
     pts = PointSet.from_points(points).points  # enforces distinctness
     if len(pts) > 12:
         raise ValueError("independence check limited to 12 points")
-    cols = [weyl_matrix(z, degree, warn=False).apply(f).coeffs for z in pts]
-    U = np.column_stack(cols)
-    gram = U.conj().T @ U
-    vals = np.linalg.eigvalsh(gram)
+    vals = np.linalg.eigvalsh(_displaced_gram(f, pts, degree))
     smin, smax = float(max(vals[0], 0.0)), float(vals[-1])
     if smax == 0.0:
         return False, 0.0

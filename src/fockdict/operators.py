@@ -18,6 +18,7 @@ import numpy as np
 from .bargmann import BargmannPipeline, inverse_bargmann_quadrature
 from .errors import AccuracyWarning
 from .fock import (
+    RESOLVED_DEFECT,
     FockVector,
     exp_quadratic_coeffs,
     kernel_truncation_defect,
@@ -30,8 +31,8 @@ from .hermite import QuadratureRule, hermite_functions
 class OperatorMatrix:
     """Dense matrix of an operator in a truncated orthonormal basis.
 
-    Contracts of unitary operators hold on interior index blocks only, away
-    from the truncation boundary.
+    Contracts of unitary operators hold on interior index blocks only: the
+    leading columns that keep their mass (``weyl_interior_block``).
     """
 
     entries: np.ndarray
@@ -62,14 +63,14 @@ def unitarity_residual(op: OperatorMatrix, block: int) -> float:
     return float(np.max(np.abs(g[:b, :b] - np.eye(b))))
 
 
-def weyl_interior_block(a: complex, degree: int) -> int:
-    """Size of the leading block on which the truncated W_a keeps its contracts.
+def weyl_interior_block(*ops: OperatorMatrix) -> int:
+    """Largest b such that every column n < b of each truncated unitary loses
+    at most 1e-12 of its unit mass past the degree; 0 if column 0 already does.
 
-    Clears the kernel's spread |a|^2 + 5 |a| sqrt(N) plus a margin of 4,
-    and never goes below 4.
+    On it A*A = I and, for (W_a, W_{-a}), W_a W_{-a} = I up to the lost mass.
     """
-    r = abs(a) ** 2
-    return max(4, int(degree - np.ceil(r + 5 * abs(a) * np.sqrt(degree)) - 4))
+    lost = np.max([1.0 - np.sum(np.abs(A.entries) ** 2, axis=0) for A in ops], axis=0)
+    return int(np.argmax(np.append(lost > 1e-12, True)))  # first losing column, else N + 1
 
 
 # ----------------------------------------------------------------------
@@ -117,7 +118,7 @@ def fourier_line_quadrature(f: Callable, x, rule: QuadratureRule):
 # Displacement (Weyl) operators
 # ----------------------------------------------------------------------
 
-def weyl_matrix(a: complex, degree: int, warn: bool = True) -> OperatorMatrix:
+def weyl_matrix(a: complex, degree: int) -> OperatorMatrix:
     """Matrix of W_a f(z) = f(z - a) exp(z conj(a) - |a|^2/2) on e_0..e_N.
 
     With r = |a|^2, <W_a e_n, e_p> = e^{-r/2} sqrt(n!/p!) conj(a)^{p-n}
@@ -127,13 +128,14 @@ def weyl_matrix(a: complex, degree: int, warn: bool = True) -> OperatorMatrix:
     whose terms can exceed the entries by many orders of magnitude at high
     indices: while the predicted digit loss is at most 10 that series is
     summed in float log scale, otherwise the normalized Laguerre recurrence
-    builds every diagonal.  Column 0 is the truncated normalized kernel k_a.
+    builds every diagonal.  Column 0 is the truncated normalized kernel k_a;
+    AccuracyWarning when it loses more than RESOLVED_DEFECT past the degree.
     """
     a = complex(a)
     N = degree
     if a == 0:
         return OperatorMatrix(np.eye(N + 1, dtype=np.complex128))
-    if warn and kernel_truncation_defect(a, N) > 1e-8:
+    if kernel_truncation_defect(a, N) > RESOLVED_DEFECT:
         warnings.warn(
             f"weyl displacement |a|={abs(a):.3g} poorly resolved at degree {N}",
             AccuracyWarning,

@@ -186,13 +186,14 @@ def _case_weyl(cfg: SuiteConfig) -> list[CaseResult]:
     out.append(CaseResult("w2-kernel-column", "first column is the normalized kernel",
                           float(np.max(np.abs(W.entries[:, 0] - kernel_vector(a, N).coeffs))), 1e-12))
 
-    blk = min(op.weyl_interior_block(a, N), N + 1)
+    Wm = op.weyl_matrix(-a, N)
+    blk = op.weyl_interior_block(W, Wm)
     out.append(CaseResult("w3-unitarity-interior", "unitary away from the truncation boundary",
-                          op.unitarity_residual(W, blk), 1e-10))
+                          op.unitarity_residual(W, blk) if blk else 1.0, 1e-10))
 
-    P = W.entries @ op.weyl_matrix(-a, N).entries
+    P = W.entries @ Wm.entries
     out.append(CaseResult("w4-composition", "opposite displacements cancel on the interior",
-                          float(np.max(np.abs(P[:blk, :blk] - np.eye(blk)))), 1e-10))
+                          float(np.max(np.abs(P[:blk, :blk] - np.eye(blk)))) if blk else 1.0, 1e-10))
 
     ab = (0.5, 0.3)
     pipe = bg.BargmannPipeline.default(N)
@@ -373,7 +374,7 @@ def _case_quantize(cfg: SuiteConfig) -> list[CaseResult]:
         for m in range(5)
         for n in range(5 - m)
     )
-    out.append(CaseResult("q2-anti-wick", "normal-ordered calculus equals compression", worst, 1e-12))
+    out.append(CaseResult("q2-anti-wick", "anti-normal-ordered calculus equals compression", worst, 1e-12))
 
     half = max(2, cfg.degree // 2)  # the degree-2 symbols below need matrices of degree >= 2
     out.append(CaseResult("q3-oscillator-chain", "heat transform closes the oscillator identity",

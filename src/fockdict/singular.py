@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AccuracyWarning
-from .fock import FockVector, kernel_vector, log_factorials
+from .fock import RESOLVED_DEFECT, FockVector, kernel_truncation_defect, kernel_vector, log_factorials
 from .operators import OperatorMatrix
 
 _CFrac = tuple[Fraction, Fraction]
@@ -282,10 +282,10 @@ def berezin_check(symbol: EntireSymbol, z: complex, degree: int) -> tuple[comple
     """Berezin transform identity: <S_phi k_z, k_z> = phi(z - conj(z)).
 
     Returns (quadratic form on the truncated kernel, Taylor evaluation at
-    2i Im z); they agree up to truncation.
+    2i Im z), equal up to truncation; AccuracyWarning if k_z is unresolved.
     """
     z = complex(z)
-    if abs(z) > math.sqrt(degree) / 2.0 + 1e-12:
+    if kernel_truncation_defect(z, degree) > RESOLVED_DEFECT:
         warnings.warn(
             "kernel point too far out for this degree", AccuracyWarning, stacklevel=2
         )

@@ -167,7 +167,7 @@ def test_criterion_07_singular_family_examples():
 
     a = 0.5
     S = sg.s_phi_matrix(sg.exp_linear_symbol(a, 80), 40)
-    W = op.weyl_matrix(np.conj(a), 40, warn=False)
+    W = op.weyl_matrix(np.conj(a), 40)
     blk = 28
     s_disp = float(np.max(np.abs(
         (S.entries - math.exp(a * a / 2.0) * W.entries)[:blk, :blk])))

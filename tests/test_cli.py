@@ -126,12 +126,20 @@ def test_hilbert_suite_passes_at_degree_256():
     assert run_suite("hilbert", SuiteConfig(degree=256)).passed
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "w3/w4 read 1.17e-10 / 1.15e-10 against 1e-10: the Weyl float path at a = 0.5 "
-    "differs from the Laguerre recurrence by 4.5e-10 at degree 180 (ROADMAP item 1; "
-    "pinned in bench/test_oracles.py::test_weyl_float_path_misses_stay_visible)"))
-def test_weyl_suite_passes_at_degree_180():
-    assert run_suite("weyl", SuiteConfig(degree=180)).passed
+@pytest.mark.parametrize("degree", [178, 180, 200, 256])
+def test_weyl_suite_passes_at_high_degree(degree):
+    assert run_suite("weyl", SuiteConfig(degree=degree)).passed
+
+
+def test_weyl_suite_fails_honestly_without_an_interior_block():
+    # at degree 8 column 0 of W_{0.5} already loses 1e-11 > 1e-12 of its
+    # mass, so no block keeps the contracts: w3/w4 fail with residual 1
+    proc = run_cli("verify", "weyl", "--degree", "8", check=False)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    cases = {c["id"]: c for c in json.loads(proc.stdout)["cases"]}
+    for cid in ("w3-unitarity-interior", "w4-composition"):
+        assert not cases[cid]["pass"] and cases[cid]["residual"] == 1.0
 
 
 def test_unknown_suite_rejected():
@@ -189,6 +197,36 @@ def test_cli_quantize(tmp_path):
     sym.write_text(json.dumps({"terms": [[1, 1, 1.0, 0.0], [2, 1, 0.5, -0.5]]}))
     out = run_cli("quantize", "verify-weyl", "--symbol", str(sym), "--degree", "32")
     assert json.loads(out.stdout)["residual"] < 1e-8
+
+
+def test_cli_quantize_verify_exits_1_on_a_miss(tmp_path, monkeypatch, capsys):
+    sym = tmp_path / "sym.json"
+    sym.write_text(json.dumps({"terms": [[1, 1, 1.0, 0.0]]}))
+    monkeypatch.setattr(cli.qz, "anti_wick_toeplitz_residual", lambda sigma, degree: 1.0)
+    assert cli.main(["quantize", "verify-anti-wick", "--symbol", str(sym), "--degree", "16"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is False and doc["tolerance"] == 1e-12
+
+
+def test_cli_quantize_verify_residual_is_relative(tmp_path):
+    # 1 + 3|z|^4 at degree 128: entries reach 4.7e4, so the absolute residual
+    # (1.1e-11) would miss 1e-12 while the relative one is at rounding level
+    sym = tmp_path / "sym.json"
+    sym.write_text(json.dumps({"terms": [[0, 0, 1.0, 0.0], [2, 2, 3.0, 0.0]]}))
+    doc = json.loads(run_cli("quantize", "verify-anti-wick", "--symbol", str(sym),
+                             "--degree", "128").stdout)
+    assert doc["pass"] is True and doc["residual"] <= 1e-15
+    doc = json.loads(run_cli("quantize", "verify-weyl", "--symbol", str(sym),
+                             "--degree", "128").stdout)
+    assert doc["pass"] is True and doc["tolerance"] == 1e-8
+
+
+@pytest.mark.parametrize("lattice", ["0.8,0.8", "0.5,0.5", "0.9,0.9", "1.1,1.1", "0.7,0.3", "2,0.4"])
+def test_cli_frame_bounds_clip_is_resolved(lattice, capsys):
+    # the clip keeps exactly the points whose kernels are resolved at N
+    for degree in (16, 32, 64):
+        assert cli.main(["gabor", "frame-bounds", "--lattice", lattice, "--degree", str(degree)]) == 0
+        assert json.loads(capsys.readouterr().out)["points"] >= 1
 
 
 def test_cli_singular_hilbert():

@@ -12,6 +12,7 @@ from fockdict.fock import (
     inner,
     kernel_truncation_defect,
     kernel_vector,
+    resolved_radius,
 )
 
 
@@ -21,6 +22,12 @@ def test_basis_orthonormality():
     e3 = FockVector.basis(3, 6)
     assert inner(e2, e2) == 1.0
     assert inner(e1, e3) == 0.0
+
+
+@pytest.mark.parametrize("N", [1, 16, 32, 64, 200])
+def test_resolved_radius_is_the_defect_boundary(N, resolution_boundary):
+    # agrees with a bisection on the term-by-term tail of e^{-r} sum r^n/n!
+    assert abs(resolved_radius(N) - resolution_boundary(N)) <= 1e-6 * resolution_boundary(N)
 
 
 def test_kernel_unit_norm():

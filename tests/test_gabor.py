@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fockdict.errors import ResolutionError
-from fockdict.fock import FockVector, kernel_vector
+from fockdict.fock import FockVector, kernel_truncation_defect, kernel_vector
 from fockdict.gabor import (
     CRITICAL_DENSITY,
     PointSet,
@@ -111,6 +111,14 @@ def test_frame_bounds_resolution_guards():
         frame_bounds_finite(far, 40, 4)
     with pytest.raises(ValueError):
         frame_bounds_finite(PointSet.from_points([0.0]), 40, 30)
+
+
+def test_frame_bounds_accept_resolved_points_past_half_the_degree():
+    # |z|^2 = 110 > 200/2, yet k_z loses only 5e-15 of its mass past 200
+    z = math.sqrt(110.0)
+    assert kernel_truncation_defect(z, 200) < 1e-14
+    A, B = frame_bounds_finite(PointSet.from_points([z]), 200, 10)
+    assert A == 0.0 and 0.0 <= B <= 1.0
 
 
 def test_kernel_gram_closed_form():
@@ -220,3 +228,10 @@ def test_independence_point_cap():
     pts = [complex(k, 0) * 0.3 for k in range(13)]
     with pytest.raises(ValueError):
         linear_independence_check(FockVector.basis(0, 20), pts, 20)
+
+
+def test_independence_refuses_unresolved_displacements():
+    # k_7 at degree 16 keeps almost none of its mass: the truncated Gram would
+    # report a ratio of 4e-8 for a pair whose true ratio is 1 - 5e-11
+    with pytest.raises(ResolutionError):
+        linear_independence_check(FockVector.basis(0, 16), [0.0, 7.0], 16)

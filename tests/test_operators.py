@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 from fractions import Fraction
@@ -215,20 +216,21 @@ def test_weyl_recurrence_scan_from_switch_boundary(N):
             a = t * unit
             deep = _weyl_float_digit_loss(abs(a) ** 2, N) > 10.0
             assert deep == (r0 is not None)
-            W = weyl_matrix(a, N, warn=False).entries if deep else _weyl_entries_laguerre(a, N)
+            with warnings.catch_warnings():  # the scan reaches r = N/2, past resolution
+                warnings.simplefilter("ignore", AccuracyWarning)
+                W = weyl_matrix(a, N).entries if deep else _weyl_entries_laguerre(a, N)
             assert np.max(np.abs(W - _exact_series_reference(a, N))) <= 1e-12, a
             assert np.max(np.abs(W[:, 0] - kernel_vector(a, N).coeffs)) <= 1e-13, a
 
 
 def test_weyl_recurrence_contracts_at_degree_200():
     a, N = 1 - np.pi * 1j, 200
-    W = weyl_matrix(a, N, warn=False)
-    P = W.entries @ weyl_matrix(-a, N, warn=False).entries
-    # weyl_interior_block sits at its floor of 4 here; both contracts hold
-    # far beyond it, so a block of 80 is checked as well
-    for blk in (weyl_interior_block(a, N), 80):
-        assert unitarity_residual(W, blk) <= 1e-10
-        assert np.max(np.abs(P[:blk, :blk] - np.eye(blk))) <= 1e-10
+    W, Wm = weyl_matrix(a, N), weyl_matrix(-a, N)
+    P = W.entries @ Wm.entries
+    blk = weyl_interior_block(W, Wm)
+    assert blk == 99
+    assert unitarity_residual(W, blk) <= 1e-10
+    assert np.max(np.abs(P[:blk, :blk] - np.eye(blk))) <= 1e-10
 
 
 def test_weyl_recurrence_survives_underflowing_starts():
@@ -253,17 +255,10 @@ def test_weyl_float_path_meets_contract_below_switch():
     assert np.max(np.abs(weyl_matrix(a, N).entries - _exact_series_reference(a, N))) <= 1e-10
 
 
-def _kernel_tail(r: float, N: int) -> float:
-    """e^{-r} sum_{n > N} r^n / n!, summed term by term: the mass k_a loses past N."""
-    return math.fsum(math.exp(n * math.log(r) - r - math.lgamma(n + 1)) for n in range(N + 1, N + 400))
-
-
-def test_weyl_truncation_warning_boundary():
-    # bisect |a| for a tail mass of exactly 1e-8 at N = 32 (|a| = 3.18...)
-    N, lo, hi = 32, 0.0, math.sqrt(32)
-    for _ in range(60):
-        mid = (lo + hi) / 2.0
-        lo, hi = (lo, mid) if _kernel_tail(mid * mid, N) > 1e-8 else (mid, hi)
+def test_weyl_truncation_warning_boundary(resolution_boundary):
+    # a tail mass of exactly 1e-8 at N = 32 (|a| = 3.18...)
+    N = 32
+    lo = resolution_boundary(N)
     for scale, warns in ((1.0 - 1e-6, False), (1.0 + 1e-6, True)):
         a = lo * scale * np.exp(0.7j)
         with warnings.catch_warnings(record=True) as caught:
@@ -275,7 +270,7 @@ def test_weyl_truncation_warning_boundary():
 def test_weyl_unitary_on_interior():
     # interior shrinks with the displaced spread ~ |a| sqrt(N)
     for a, N, blk in [(0.5, 64, 40), (1.0, 64, 30), (-np.pi * 1j, 120, 40)]:
-        W = weyl_matrix(a, N, warn=False)
+        W = weyl_matrix(a, N)
         assert unitarity_residual(W, blk) < 1e-10
 
 
@@ -290,6 +285,25 @@ def test_weyl_composition_cancels():
 def test_weyl_resolution_warning():
     with pytest.warns(Warning):
         weyl_matrix(4.0, 16)
+
+
+@pytest.mark.parametrize("a, N, want", [
+    (0.5, 64, 47), (0.5, 128, 107), (0.5, 180, 135), (3.0, 128, 53),
+    (cmath.rect(math.sqrt(24.3), 0.7), 64, 0), (4.0, 32, 0),
+])
+def test_weyl_interior_block_is_measured(a, N, want):
+    # the leading columns of W_a and W_{-a} that keep all but 1e-12 of their
+    # mass ((1 - pi i, 200) is in the degree-200 test above); (4, 32) is
+    # unresolved, and at (sqrt(24.3) e^{0.7i}, 64) column 0 already loses
+    # 6e-12.  On the block both contracts hold to 1e-10.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        W, Wm = weyl_matrix(a, N), weyl_matrix(-a, N)
+    blk = weyl_interior_block(W, Wm)
+    assert blk == want
+    if blk:
+        assert unitarity_residual(W, blk) <= 1e-10
+        assert np.max(np.abs((W.entries @ Wm.entries)[:blk, :blk] - np.eye(blk))) <= 1e-10
 
 
 def test_translation_modulation_reductions():

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+from fockdict.errors import AccuracyWarning
 from fockdict.fock import FockVector, evaluate
 from fockdict.hermite import gauss_hermite, gauss_hermite_plane, hermite_function, hermite_functions
 from fockdict.operators import md_matrices, weyl_matrix
@@ -107,7 +109,7 @@ def test_displacement_symbol_identity():
     # phi(u) = e^{u conj(a)} gives a weighted displacement; real a = 0.5
     a = 0.5
     S = s_phi_matrix(exp_linear_symbol(a, 80), 40)
-    W = weyl_matrix(np.conj(a), 40, warn=False)
+    W = weyl_matrix(np.conj(a), 40)
     R = S.entries - np.exp(abs(a) ** 2 / 2.0) * W.entries
     b = 28
     assert np.max(np.abs(R[:b, :b])) < 1e-8
@@ -296,6 +298,19 @@ def test_berezin_linear_symbol():
     lhs, rhs = berezin_check(symbol_from_taylor([0.0, 1.0]), 1j, 40)
     assert rhs == 2j
     assert abs(lhs - 2j) < 1e-12
+
+
+def test_berezin_truncation_warning_boundary(resolution_boundary):
+    # the same rule as weyl_matrix: warns once k_z loses more than 1e-8 past
+    # N = 32 (|z| = 3.18...)
+    N = 32
+    lo = resolution_boundary(N)
+    for scale, warns in ((1.0 - 1e-6, False), (1.0 + 1e-6, True)):
+        z = lo * scale * np.exp(0.7j)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            berezin_check(symbol_from_taylor([1.0]), z, N)
+        assert any(issubclass(w.category, AccuracyWarning) for w in caught) == warns
 
 
 def test_berezin_ten_points():
