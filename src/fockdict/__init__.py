@@ -23,6 +23,7 @@ from .operators import (
     a1_matrix,
     a2_matrix,
     dilation_fock,
+    dilation_matrix,
     fourier_fock,
     md_matrices,
     rotation,

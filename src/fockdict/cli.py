@@ -112,6 +112,8 @@ def _cmd_op_apply(args) -> int:
     N = args.degree or default_degree()
     f = _read_vector(args.infile, "fock").pad(N)
     params = [float(p) for p in args.params.split(",")] if args.params else []
+    if not np.all(np.isfinite(params)):
+        raise ValueError(f"--params must be finite numbers, got {args.params!r}")
     if args.op == "fourier":
         out = op.fourier_fock(f)
     elif args.op == "rotate":
@@ -127,9 +129,7 @@ def _cmd_op_apply(args) -> int:
             raise ValueError("dilate needs --params R")
         # the input at its own degree: trailing zeros would only raise it
         top = max(1, len(np.trim_zeros(f.coeffs, "b")))
-        res = op.dilation_fock(params[0], FockVector(f.coeffs[:top]), bg.BargmannPipeline.default(N))
-        sys.stderr.write(f"dual-path discrepancy: {res.discrepancy:.3e}\n")
-        out = res.primary
+        out = op.dilation_fock(params[0], FockVector(f.coeffs[:top]), bg.BargmannPipeline.default(N)).primary
     elif args.op == "a1":
         out = op.a1_matrix(N).apply(f)
     elif args.op == "a2":

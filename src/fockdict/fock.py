@@ -74,7 +74,8 @@ def evaluate(f: FockVector, z):
     """Evaluate sum c_n z^n/sqrt(n!) at one point or an array of points.
 
     Horner's rule in the normalized basis, acc <- acc * z / sqrt(n+1) + c_n
-    for n = N-1 down to 0: no factorial is formed, and each point's value
+    for n = N-1 down to 0, in two buffers reused across degrees: no factorial
+    is formed, no temporary is allocated per degree, and each point's value
     depends on that point alone.  Raises OverflowError when exp(|z|^2/2)
     would leave double range, since values of that size are meaningless in
     the weighted space.
@@ -84,9 +85,15 @@ def evaluate(f: FockVector, z):
     if np.any(np.abs(zs) ** 2 / 2.0 > _EVAL_HALF_MOD_SQ_LIMIT):
         raise OverflowError("|z|^2/2 exceeds the floating exponent range")
     inv_root = 1.0 / np.sqrt(np.arange(1, len(f.coeffs)))
-    acc = np.full(zs.shape, f.coeffs[-1])
-    for n in range(len(f.coeffs) - 2, -1, -1):
-        acc = acc * zs * inv_root[n] + f.coeffs[n]
+    c = f.coeffs
+    acc = np.full(zs.shape, c[-1])
+    prod = np.empty_like(acc)
+    for n in range(len(c) - 2, -1, -1):  # acc * z * inv_root + c, in two fixed buffers
+        # the product goes to its own buffer: numpy rounds an in-place
+        # complex product on one element differently (no fused multiply-add)
+        np.multiply(acc, zs, out=prod)
+        np.multiply(prod, inv_root[n], out=acc)
+        acc += c[n]
     return complex(acc[0]) if scalar else acc
 
 

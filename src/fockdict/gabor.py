@@ -25,6 +25,10 @@ from .operators import weyl_matrix
 
 CRITICAL_DENSITY = 1.0 / np.pi
 
+# integer points a lattice disk query may search (16 MiB of complex points);
+# the `verify gabor` lattice (1, 1) at radius 50 needs about 3,700
+MAX_LATTICE_BOX = 1_000_000
+
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
@@ -117,8 +121,12 @@ def _lattice_points_in_disk(gens, center: complex, radius: float) -> np.ndarray:
     inv = np.linalg.inv(mat)
     corners = center + radius * np.exp(1j * np.linspace(0, 2 * np.pi, 17))
     uv = inv @ np.vstack([corners.real, corners.imag])
-    n_lo, n_hi = int(np.floor(uv[0].min())) - 1, int(np.ceil(uv[0].max())) + 1
-    m_lo, m_hi = int(np.floor(uv[1].min())) - 1, int(np.ceil(uv[1].max())) + 1
+    lo, hi = np.floor(uv.min(axis=1)) - 1, np.ceil(uv.max(axis=1)) + 1
+    box = float(np.prod(hi - lo + 1))
+    if not box <= MAX_LATTICE_BOX:  # also refuses a NaN box
+        raise ValueError(f"lattice disk of radius {radius:g} needs a search box of {box:.3g} "
+                         f"lattice points, more than {MAX_LATTICE_BOX:,}")
+    (n_lo, m_lo), (n_hi, m_hi) = lo.astype(int), hi.astype(int)
     ns = np.arange(n_lo, n_hi + 1)
     ms = np.arange(m_lo, m_hi + 1)
     grid = ns[:, None] * o1 + ms[None, :] * o2
@@ -145,8 +153,8 @@ def density_estimate(Z: PointSet, radii: Sequence[float]) -> DensityReport:
     the extrapolated values are the estimates at the largest radius.
     """
     radii = np.asarray(sorted(radii), dtype=np.float64)
-    if not np.all(radii > 0):
-        raise ValueError("radii must be positive")
+    if not np.all((radii > 0) & np.isfinite(radii)):
+        raise ValueError("radii must be positive and finite")
     if Z.is_lattice:
         o1, o2 = Z.generators
         frac = (np.arange(6) + 0.5) / 6.0

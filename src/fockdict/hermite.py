@@ -10,7 +10,7 @@ with the weight they integrate against so callers cannot mix conventions.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -64,7 +64,8 @@ class QuadratureRule:
     re-weighting w_k exp(x_k^2) can be formed without overflow.  ``line`` is
     the hermite rule a plane rule is the tensor square of.  The arrays are
     read-only copies, since the rule builders hand one cached rule to every
-    caller.
+    caller.  The flat weights and the Hermite table are derived once per rule
+    and kept with it, read-only as well.
     """
 
     nodes: np.ndarray
@@ -72,6 +73,7 @@ class QuadratureRule:
     weight: str = "hermite"
     log_weights: np.ndarray | None = None
     line: QuadratureRule | None = None
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("nodes", "weights", "log_weights"):
@@ -87,11 +89,36 @@ class QuadratureRule:
 
     def flat_weights(self) -> np.ndarray:
         """Weights against plain dx: w_k exp(+x_k^2) for the hermite rule."""
-        if self.weight == "hermite":
-            return np.exp(self.log_weights + self.nodes**2)
         if self.weight == "legendre":
             return self.weights
-        raise ValueError("flat weights are only defined for real-line rules")
+        if self.weight != "hermite":
+            raise ValueError("flat weights are only defined for real-line rules")
+        if "flat" not in self._derived:
+            self._derived["flat"] = _read_only(np.exp(self.log_weights + self.nodes**2))
+        return self._derived["flat"]
+
+    def hermite_table(self, degree: int) -> np.ndarray:
+        """h_0..h_degree at the nodes, shape (degree+1, n_nodes), read-only.
+
+        The rule keeps one table.  A higher degree replaces it, and the
+        smaller table is released before the larger one is built; a lower
+        degree is served as a leading-row slice.  The recurrence makes the
+        rows prefix-stable, so the slice equals
+        ``hermite_functions(degree, nodes)`` bit for bit.
+        """
+        if self.weight == "plane":
+            raise ValueError("Hermite tables are only defined for real-line rules")
+        if degree < 0:
+            raise ValueError("degree must be >= 0")
+        if len(self._derived.get("hermite", ())) <= degree:
+            self._derived.pop("hermite", None)
+            self._derived["hermite"] = _read_only(hermite_functions(degree, self.nodes))
+        return self._derived["hermite"][: degree + 1]
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @lru_cache(maxsize=None)
@@ -197,11 +224,10 @@ class LineVector:
         return cls(c)
 
 
-def _project(f: Callable, degree: int, x: np.ndarray, flat_weights: np.ndarray,
-             warn: bool) -> LineVector:
+def _project(f: Callable, degree: int, rule: QuadratureRule, warn: bool) -> LineVector:
     """b_n = sum_k flat_weights_k f(x_k) h_n(x_k), with the tail-ratio check."""
-    fw = flat_weights * np.asarray(f(x), dtype=np.complex128)
-    coeffs = hermite_functions(degree, x) @ fw
+    fw = rule.flat_weights() * np.asarray(f(rule.nodes), dtype=np.complex128)
+    coeffs = rule.hermite_table(degree) @ fw
     total = np.linalg.norm(coeffs)
     n_tail = max(2, len(coeffs) // 8)
     ratio = 0.0 if total == 0.0 else float(np.linalg.norm(coeffs[-n_tail:]) / total)
@@ -220,11 +246,13 @@ def project_line(
     """Expand a smooth function against h_0..h_N with a Gauss-Hermite rule.
 
     b_n = sum_k w_k exp(x_k^2) f(x_k) h_n(x_k); the re-weighting is done in
-    log space so x_k^2 is never exponentiated on its own.
+    log space so x_k^2 is never exponentiated on its own.  The flat weights
+    and h_n(x_k) come from the rule's own read-only cache, so repeated
+    projections on one cached rule build them once.
     """
     if rule.weight != "hermite":
         raise ValueError("project_line needs a Gauss-Hermite rule")
-    return _project(f, degree, rule.nodes, rule.flat_weights(), warn)
+    return _project(f, degree, rule, warn)
 
 
 def project_line_interval(
@@ -237,5 +265,4 @@ def project_line_interval(
     """
     lo, hi = support
     n_panels = max(4, int(np.ceil((degree + 1) * (hi - lo) / 20.0)))
-    rule = composite_legendre(lo, hi, n_panels, 32)
-    return _project(f, degree, rule.nodes, rule.weights, warn)
+    return _project(f, degree, composite_legendre(lo, hi, n_panels, 32), warn)

@@ -1,8 +1,8 @@
 """Operator dictionary on the truncated Fock basis.
 
 Fourier transform as rotation, spectral projections, displacement (Weyl)
-operators, the translation/modulation correspondence, dilation through two
-redundant pipelines, and the multiplication/differentiation pair with its
+operators, the translation/modulation correspondence, dilation as an exact
+line-side matrix, and the multiplication/differentiation pair with its
 commutation relation.  All matrices act on coefficient vectors against
 e_n(z) = z^n/sqrt(n!).
 """
@@ -15,16 +15,10 @@ from typing import Callable
 
 import numpy as np
 
-from .bargmann import BargmannPipeline, inverse_bargmann_quadrature
+from .bargmann import BargmannPipeline
 from .errors import AccuracyWarning
-from .fock import (
-    RESOLVED_DEFECT,
-    FockVector,
-    exp_quadratic_coeffs,
-    kernel_truncation_defect,
-    log_factorials,
-)
-from .hermite import QuadratureRule, hermite_functions
+from .fock import RESOLVED_DEFECT, FockVector, kernel_truncation_defect, log_factorials
+from .hermite import QuadratureRule, default_nodes, gauss_hermite, hermite_functions
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,9 +124,12 @@ def weyl_matrix(a: complex, degree: int) -> OperatorMatrix:
     summed in float log scale, otherwise the normalized Laguerre recurrence
     builds every diagonal.  Column 0 is the truncated normalized kernel k_a;
     AccuracyWarning when it loses more than RESOLVED_DEFECT past the degree.
+    ValueError for a non-finite a.
     """
     a = complex(a)
     N = degree
+    if not np.isfinite(a):
+        raise ValueError(f"displacement must be finite, got {a!r}")
     if a == 0:
         return OperatorMatrix(np.eye(N + 1, dtype=np.complex128))
     if kernel_truncation_defect(a, N) > RESOLVED_DEFECT:
@@ -230,67 +227,53 @@ def translation_modulation_fock(a: float, b: float, degree: int) -> OperatorMatr
 
 
 # ----------------------------------------------------------------------
-# Dilation through two redundant pipelines
+# Dilation as one exact line-side matrix
 # ----------------------------------------------------------------------
+
+def dilation_matrix(r: float, degree: int, input_degree: int | None = None,
+                    rule: QuadratureRule | None = None) -> np.ndarray:
+    """D[p, n] = <D_r h_n, h_p> = int h_p(x) sqrt(r) h_n(rx) dx, p <= degree, n <= input_degree.
+
+    Since B h_n = e_n, D is also the Fock-side matrix of D_r g(x) = sqrt(r) g(rx)
+    on e_0..e_N, and no plane quadrature is needed.  Its integrand is a
+    polynomial of degree p + n times e^{-(1+r^2)x^2}, so the line rule (by
+    default the pipeline's, ``gauss_hermite(default_nodes(degree))``) is
+    rescaled to that weight: nodes x_k/s, flat weights /s, s = sqrt(1+r^2).
+    It is then exact while degree + input_degree < 2 * nodes; ValueError
+    beyond that, or for r that is not a finite positive number.  The matrix
+    is real, of shape (degree+1, input_degree+1).
+    """
+    K = degree if input_degree is None else input_degree
+    line = gauss_hermite(default_nodes(degree)) if rule is None else rule
+    if not (np.isfinite(r) and r > 0):
+        raise ValueError(f"r must be a finite positive number, got {r!r}")
+    if line.weight != "hermite":
+        raise ValueError("dilation_matrix needs a Gauss-Hermite rule")
+    if degree + K >= 2 * line.n_nodes:
+        raise ValueError(f"dilation needs input + output degree < {2 * line.n_nodes} "
+                         f"(line rule), got {K} + {degree}")
+    s = np.sqrt(1.0 + r * r)
+    x = line.nodes / s
+    scaled = hermite_functions(K, r * x) * (line.flat_weights() * (np.sqrt(r) / s))
+    return hermite_functions(degree, x) @ scaled.T
+
 
 @dataclass(frozen=True)
 class DilationResult:
+    """The dilated vector; ``primary`` is kept as the name callers read."""
+
     primary: FockVector
-    cross: FockVector
-    discrepancy: float
 
 
-def dilation_fock(r: float, f: FockVector, pipeline: BargmannPipeline,
-                  warn: bool = True) -> DilationResult:
-    """Fock-side dilation: conjugate of D_r g(x) = sqrt(r) g(rx) on the line.
+def dilation_fock(r: float, f: FockVector, pipeline: BargmannPipeline) -> DilationResult:
+    """Fock-side dilation, conjugate of D_r g(x) = sqrt(r) g(rx) on the line.
 
-    primary path: down to the line by the inverse integral, rescale the
-    sample points, project back.  Its integrand is a polynomial of degree
-    n + N (input plus output degree) times e^{-(1+r^2)x^2}, so the line rule
-    is rescaled to that weight (nodes x_k/s, flat weights /s, s = sqrt(1+r^2))
-    and is exact while n + N < 2 * (line nodes).  cross path: plane
-    quadrature of the direct kernel
-
-        sqrt(2r/(1+r^2)) e^{g z^2} int f(-iw) e^{g conj(w)^2}
-            e^{2 i r z conj(w)/(1+r^2)} dlambda(w),
-
-    with g = (1-r^2)/(2(1+r^2)); the z^2 prefactor is required for the two
-    routes to coincide (check against D_r of the Gaussian in closed form).
-    Coefficients of the cross path come from the e_n recurrence of
-    e^{g z^2 + beta z}.  ValueError past either rule: input degree above the
-    plane rule's line nodes (the inverse integral's limit), or n + N at
-    2 * (line nodes) or more.
+    ``dilation_matrix`` on the pipeline's line rule applied to f: the output
+    has the pipeline's degree, and ValueError is raised once input plus output
+    degree reaches twice the line rule's nodes.
     """
-    if not 0.25 <= r <= 4.0:
-        raise ValueError("r must lie in [1/4, 4]")
-    N, line, plane = pipeline.degree, pipeline.line_rule, pipeline.plane_rule
-    if f.degree > plane.line.n_nodes or f.degree + N >= 2 * line.n_nodes:
-        raise ValueError(f"dilation needs input degree <= {plane.line.n_nodes} (plane rule) and input "
-                         f"+ output degree < {2 * line.n_nodes} (line rule), got {f.degree} + {N}")
-
-    # primary: B . D_r . B^{-1}
-    s = np.sqrt(1.0 + r * r)
-    x = line.nodes / s
-    g_scaled = inverse_bargmann_quadrature(f, r * x, plane, warn=False)
-    fw = line.flat_weights() / s * np.sqrt(r) * g_scaled
-    primary = FockVector(hermite_functions(N, x) @ fw)
-
-    # cross: direct plane quadrature of the kernel
-    gamma = (1.0 - r * r) / (2.0 * (1.0 + r * r))
-    pref = np.sqrt(2.0 * r / (1.0 + r * r))
-    wbar = np.conj(plane.nodes)
-    base = plane.weights * f(-1j * plane.nodes) * np.exp(gamma * wbar**2)
-    beta = 2j * r * wbar / (1.0 + r * r)
-    cross = FockVector(pref * (exp_quadratic_coeffs(gamma, beta, N) @ base))
-
-    disc = float(np.linalg.norm(primary.coeffs - cross.coeffs))
-    if warn and disc > 1e-5:
-        warnings.warn(
-            f"dilation paths disagree by {disc:.2e}: resolution failure",
-            AccuracyWarning,
-            stacklevel=2,
-        )
-    return DilationResult(primary, cross, disc)
+    D = dilation_matrix(r, pipeline.degree, f.degree, pipeline.line_rule)
+    return DilationResult(FockVector(D @ f.coeffs))
 
 
 # ----------------------------------------------------------------------

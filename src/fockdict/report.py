@@ -20,7 +20,7 @@ from . import operators as op
 from . import quantize as qz
 from . import singular as sg
 from . import uncertainty as uc
-from .fock import FockVector, kernel_vector
+from .fock import FockVector, exp_quadratic_coeffs, kernel_vector
 
 
 def truncation_degree(value, source: str = "degree") -> int:
@@ -203,7 +203,7 @@ def _case_weyl(cfg: SuiteConfig) -> list[CaseResult]:
         x = pipe.line_rule.nodes
         g = bg.inverse_bargmann_quadrature(FockVector.basis(n, N), x - ab[0], pipe.plane_rule, warn=False)
         vals = np.exp(2j * np.pi * ab[1] * x) * g
-        col = hm.hermite_functions(N, x) @ (pipe.line_rule.flat_weights() * vals)
+        col = pipe.line_rule.hermite_table(N) @ (pipe.line_rule.flat_weights() * vals)
         worst = max(worst, float(np.max(np.abs(col - Wm.entries[:, n]))))
     out.append(CaseResult("w5-shift-modulation-dictionary",
                           "line shifts and modulations map to displacements", worst, 1e-6))
@@ -230,9 +230,32 @@ def _case_dilation(cfg: SuiteConfig) -> list[CaseResult]:
     worst = 0.0
     for rr in (0.5, 2.0):
         for n in (0, 1):
-            worst = max(worst, op.dilation_fock(rr, FockVector.basis(n, 8), pipe).discrepancy)
+            f = FockVector.basis(n, 8)
+            line = op.dilation_fock(rr, f, pipe).primary.coeffs
+            worst = max(worst, float(np.linalg.norm(line - _dilation_plane_kernel(rr, f, pipe))))
     out.append(CaseResult("d3-dual-path", "line route agrees with the direct kernel", worst, 1e-5))
     return out
+
+
+def _dilation_plane_kernel(r: float, f: FockVector, pipeline: bg.BargmannPipeline) -> np.ndarray:
+    """Fock coefficients of the dilated f by plane quadrature of the direct kernel.
+
+        sqrt(2r/(1+r^2)) e^{g z^2} int f(-iw) e^{g conj(w)^2}
+            e^{2 i r z conj(w)/(1+r^2)} dlambda(w),
+
+    with g = (1-r^2)/(2(1+r^2)), on the pipeline's plane rule, up to its
+    degree; coefficients come from the e_n recurrence of e^{g z^2 + beta z}.
+    It shares no step with ``operators.dilation_matrix``, which makes it
+    d3's independent reference; it is accurate for f of modest degree
+    relative to the plane rule.
+    """
+    plane = pipeline.plane_rule
+    gamma = (1.0 - r * r) / (2.0 * (1.0 + r * r))
+    pref = np.sqrt(2.0 * r / (1.0 + r * r))
+    wbar = np.conj(plane.nodes)
+    base = plane.weights * f(-1j * plane.nodes) * np.exp(gamma * wbar**2)
+    beta = 2j * r * wbar / (1.0 + r * r)
+    return pref * (exp_quadratic_coeffs(gamma, beta, pipeline.degree) @ base)
 
 
 def _case_gabor(cfg: SuiteConfig) -> list[CaseResult]:
@@ -308,7 +331,7 @@ def _case_hilbert(cfg: SuiteConfig) -> list[CaseResult]:
     worst = 0.0
     for n in range(min(3, N + 1)):
         hv = sg.hilbert_line_pv(lambda t: hm.hermite_function(n, t), rule.nodes)
-        col = hm.hermite_functions(N, rule.nodes) @ (rule.flat_weights() * hv)
+        col = rule.hermite_table(N) @ (rule.flat_weights() * hv)
         worst = max(worst, float(np.max(np.abs(col - T.entries[:, n]))))
     out.append(CaseResult("h5-principal-value-oracle",
                           "columns match the line-side singular integral", worst, 1e-10))

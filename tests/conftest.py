@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fockdict.bargmann import inverse_bargmann_quadrature
 from fockdict.hermite import gauss_hermite, hermite_functions
 
 
@@ -25,6 +26,27 @@ def _exact_dilation(r: float, n: int, degree: int, nodes: int = 250) -> np.ndarr
 def exact_dilation():
     """Columns of the line dilation D_r g(x) = sqrt(r) g(rx) against h_n, by exact quadrature."""
     return _exact_dilation
+
+
+def _inverse_integral_dilation(r: float, f, pipeline) -> np.ndarray:
+    """B D_r B^{-1} f with B^{-1} f sampled by the inverse integral over the plane.
+
+    Down to the line through ``inverse_bargmann_quadrature`` on the pipeline's
+    plane rule, at the nodes of its line rule rescaled to the weight
+    e^{-(1+r^2)x^2}, and projected back; reliable for input degree up to the
+    plane rule's line nodes.
+    """
+    line = pipeline.line_rule
+    s = np.sqrt(1.0 + r * r)
+    x = line.nodes / s
+    g = inverse_bargmann_quadrature(f, r * x, pipeline.plane_rule, warn=False)
+    return hermite_functions(pipeline.degree, x) @ (line.flat_weights() / s * np.sqrt(r) * g)
+
+
+@pytest.fixture
+def inverse_integral_dilation():
+    """The Fock-side dilation by way of the plane quadrature of the inverse integral."""
+    return _inverse_integral_dilation
 
 
 def _kernel_tail(r: float, N: int) -> float:

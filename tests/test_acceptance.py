@@ -23,6 +23,7 @@ import fockdict.quantize as qz
 import fockdict.singular as sg
 import fockdict.uncertainty as uc
 from fockdict.fock import FockVector, evaluate
+from fockdict.report import _dilation_plane_kernel
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -92,12 +93,16 @@ def test_criterion_03_shift_modulation_dictionary():
     assert worst < 1e-6
 
 
-def test_criterion_04_dilation_dual_path():
+def test_criterion_04_dilation_dual_path(inverse_integral_dilation):
+    # the line-side matrix against the direct plane kernel and the inverse integral
     pipe = bg.BargmannPipeline.default(24)
     worst = 0.0
     for r in (0.5, 2.0):
         for n in (0, 1):
-            worst = max(worst, op.dilation_fock(r, FockVector.basis(n, 8), pipe).discrepancy)
+            f = FockVector.basis(n, 8)
+            got = op.dilation_fock(r, f, pipe).primary.coeffs
+            for ref in (_dilation_plane_kernel(r, f, pipe), inverse_integral_dilation(r, f, pipe)):
+                worst = max(worst, float(np.linalg.norm(got - ref)))
     ok = worst <= 1e-5
     _report("AC-04 dilation-dual-path", ok, f"max discrepancy={worst:.2e}")
     assert worst <= 1e-5

@@ -279,10 +279,15 @@ def test_cli_env_degree(tmp_path):
     ("op", "apply", "--op", "fourier", "--in", "{tmp}/shape.json"),
     ("quantize", "verify-weyl", "--symbol", "{tmp}/noterms.json"),
     ("op", "apply", "--op", "fourier", "--in", "{tmp}/nan.json"),
-    ("op", "apply", "--op", "dilate", "--params", "2.0", "--in", "{tmp}/wide.json",
-     "--degree", "128"),
     ("op", "apply", "--op", "dilate", "--params", "2.0", "--in", "{tmp}/e1.json",
      "--degree", "512"),
+    ("op", "apply", "--op", "weyl", "--params", "nan,0", "--in", "{tmp}/e1.json",
+     "--degree", "4"),
+    ("op", "apply", "--op", "rotate", "--params", "inf", "--in", "{tmp}/e1.json",
+     "--degree", "4"),
+    ("op", "apply", "--op", "dilate", "--params", "nan", "--in", "{tmp}/e1.json",
+     "--degree", "4"),
+    ("gabor", "predicate", "--lattice", "0.001,0.001"),
     ("op", "verify", "--op", "commutator"),
     ("singular", "hilbert", "--format", "csv"),
     ("uncertainty", "--f", "{tmp}/e1.json", "--format", "csv"),
@@ -292,13 +297,13 @@ def test_cli_env_degree(tmp_path):
     ("gabor", "frame-bounds", "--lattice", "0.8,0.8", "--degree", "80", "--core", "0"),
 ], ids=["malformed-json", "missing-symbol", "bad-params", "negative-degree",
         "zero-degree", "tail-certificate", "zero-radius", "wrong-shape-vector",
-        "symbol-without-terms", "non-finite-vector", "dilate-input-beyond-plane-rule",
-        "dilate-output-beyond-line-rule", "removed-op-verify", "hilbert-object-as-csv",
+        "symbol-without-terms", "non-finite-vector",
+        "dilate-output-beyond-line-rule", "non-finite-weyl-params", "non-finite-rotate-params",
+        "non-finite-dilate-params", "huge-lattice-disk", "removed-op-verify", "hilbert-object-as-csv",
         "uncertainty-object-as-csv", "removed-nodes", "option-the-command-does-not-read",
         "negative-core", "zero-core"])
 def test_cli_errors_are_one_line(tmp_path, args):
     (tmp_path / "bad.json").write_text("[[1.0, 0.0], ")
-    (tmp_path / "wide.json").write_text(vector_to_json(np.ones(66)))
     (tmp_path / "shape.json").write_text("[1, 2]")
     (tmp_path / "noterms.json").write_text('{"x": 1}')
     (tmp_path / "nan.json").write_text("[[NaN, 0], [1, 0]]")
@@ -309,6 +314,7 @@ def test_cli_errors_are_one_line(tmp_path, args):
     assert "Traceback" not in proc.stderr
     assert ": error: " in proc.stderr.strip().splitlines()[-1]
     assert sum("error:" in line for line in proc.stderr.splitlines()) == 1
+    assert "Warning" not in proc.stderr
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "abc"])
@@ -356,11 +362,24 @@ def test_cli_dilate_keeps_the_input_and_the_output_degree(tmp_path, capsys, exac
                          "--degree", "64", "--in", str(path)])
     out, err = capsys.readouterr()
     assert code == 0
+    assert err == ""
     got = np.array([complex(re, im) for re, im in json.loads(out)])
     assert got.shape == (65,)
-    disc = float(re.search(r"dual-path discrepancy: (\S+)", err).group(1))
-    assert disc <= 1e-12
     want = sum(c[n] * exact_dilation(2.0, n, 64) for n in range(21))
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_cli_dilate_takes_inputs_past_the_plane_rule(tmp_path, capsys, exact_dilation):
+    # 66 coefficients at --degree 128: past the 64 x 64 plane rule, well inside
+    # the 256-node line rule (65 + 128 < 512)
+    path = tmp_path / "wide.json"
+    path.write_text(vector_to_json(np.ones(66)))
+    code = cli.main(["op", "apply", "--op", "dilate", "--params", "2.0",
+                     "--degree", "128", "--in", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    got = np.array([complex(re, im) for re, im in json.loads(out)])
+    want = sum(exact_dilation(2.0, n, 128) for n in range(66))
     assert np.max(np.abs(got - want)) <= 1e-12
 
 

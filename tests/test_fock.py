@@ -155,6 +155,24 @@ def test_horner_evaluation_matches_the_loop(degree, count):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _allocating_horner(coeffs, zs):
+    """Horner's rule as acc = acc * z * inv_root[n] + c_n, one new array per step."""
+    inv_root = 1.0 / np.sqrt(np.arange(1, len(coeffs)))
+    acc = np.full(zs.shape, coeffs[-1])
+    for n in range(len(coeffs) - 2, -1, -1):
+        acc = acc * zs * inv_root[n] + coeffs[n]
+    return acc
+
+
+@pytest.mark.parametrize("degree", [0, 8, 64, 200])
+@pytest.mark.parametrize("count", [1, 300, 4096])
+def test_buffered_horner_is_bit_identical(degree, count):
+    rng = np.random.default_rng(degree * 7 + count)
+    f = FockVector(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
+    zs = 3.0 * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
+    assert np.array_equal(evaluate(f, zs), _allocating_horner(f.coeffs, zs))
+
+
 def test_evaluation_keeps_the_shape_of_z():
     f = FockVector([1.0, 2.0, 3.0])
     zs = np.arange(6.0).reshape(2, 3) + 0.5j

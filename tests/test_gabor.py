@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import fockdict.gabor as gabor
 from fockdict.errors import ResolutionError
 from fockdict.fock import FockVector, kernel_truncation_defect, kernel_vector
 from fockdict.gabor import (
@@ -67,6 +69,28 @@ def test_clipped_set_refuses_oversized_disks():
     Z = PointSet.rectangular(1.0, 1.0).clip_to_disk(5.0)
     with pytest.raises(ValueError):
         Z.points_in_disk(0.0, 10.0)
+
+
+def test_lattice_disk_search_box_is_refused_before_it_is_built():
+    # the (0.001, 0.001) lattice at radius 30 would search 1.15e9 points (17 GiB)
+    Z = PointSet.rectangular(0.001, 0.001)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="search box of 1.15e[+]09 lattice points"):
+            Z.points_in_disk(0.0, 30.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(ValueError, match="finite"):
+        density_estimate(PointSet.rectangular(1.0, 1.0), [10.0, math.inf])
+
+
+def test_verify_lattice_stays_far_below_the_search_cap(monkeypatch):
+    # g1 counts the unit lattice at radii 20 and 50; a cap 100 times smaller still admits it
+    monkeypatch.setattr(gabor, "MAX_LATTICE_BOX", gabor.MAX_LATTICE_BOX // 100)
+    rep = density_estimate(PointSet.rectangular(1.0, 1.0), [20.0, 50.0])
+    assert abs(rep.upper_extrapolated - CRITICAL_DENSITY) / CRITICAL_DENSITY < 0.05
 
 
 def test_separation_of_lattices_and_finite_sets():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -150,6 +151,53 @@ def test_project_line_gauss():
     v = project_line(lambda x: GAUSS_CONST * np.exp(-(x**2)), 12, rule)
     assert abs(v.coeffs[0] - 1.0) < 1e-12
     assert np.max(np.abs(v.coeffs[1:])) < 1e-12
+
+
+def _packet(x):
+    return np.exp(2j * np.pi * 0.3 * x) * GAUSS_CONST * np.exp(-((x - 0.7) ** 2))
+
+
+def test_project_line_is_bit_identical_to_a_fresh_table():
+    # one rule, degrees asked for out of order: the table grows, shrinks to
+    # slices and grows again, and every projection equals the uncached sum
+    rule = gauss_hermite.__wrapped__(256)
+    fw = np.exp(rule.log_weights + rule.nodes**2) * _packet(rule.nodes)
+    for N in (200, 64, 255, 0, 128):
+        got = project_line(_packet, N, rule, warn=False).coeffs
+        assert np.array_equal(got, hermite_functions(N, rule.nodes) @ fw), N
+        assert np.array_equal(rule.hermite_table(N), hermite_functions(N, rule.nodes)), N
+
+
+def test_rule_tables_are_read_only_and_shared():
+    rule = gauss_hermite(8)
+    table = rule.hermite_table(5)
+    assert table.shape == (6, 8)
+    with pytest.raises(ValueError):
+        table[0, 0] = 99.0
+    with pytest.raises(ValueError):
+        rule.flat_weights()[0] = 99.0
+    assert rule.flat_weights() is rule.flat_weights()
+    assert np.array_equal(rule.flat_weights(), np.exp(rule.log_weights + rule.nodes**2))
+    assert np.shares_memory(rule.hermite_table(2), rule.hermite_table(5))
+    with pytest.raises(ValueError):
+        rule.hermite_table(-1)
+    with pytest.raises(ValueError):
+        gauss_hermite_plane(4).hermite_table(2)
+
+
+def test_projection_keeps_one_small_table_per_rule():
+    # 256 x 256 doubles are 0.5 MiB; a table per degree would hold 1.7 MiB
+    rule = gauss_hermite.__wrapped__(256)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for N in (64, 128, 200, 255):
+            project_line(_packet, N, rule, warn=False)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert rule.hermite_table(255).base.shape == (256, 256)
+    assert kept <= 0.6 * 2**20
 
 
 def test_project_box_first_coefficient():

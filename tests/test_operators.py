@@ -5,6 +5,7 @@ from fractions import Fraction
 from dataclasses import replace
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,6 +21,7 @@ from fockdict.operators import (
     a2_matrix,
     commutator,
     dilation_fock,
+    dilation_matrix,
     fourier_fock,
     fourier_line_quadrature,
     md_matrices,
@@ -30,6 +32,7 @@ from fockdict.operators import (
     weyl_interior_block,
     weyl_matrix,
 )
+from fockdict.report import _dilation_plane_kernel
 
 
 # ----------------------------------------------------------------------
@@ -113,6 +116,13 @@ def test_line_fourier_eigenrelation():
 def test_weyl_zero_is_identity():
     W = weyl_matrix(0.0, 12)
     assert np.array_equal(W.entries, np.eye(13, dtype=complex))
+
+
+@pytest.mark.parametrize("a", [complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0)])
+def test_weyl_matrix_refuses_a_non_finite_displacement(a):
+    # a NaN displacement used to give an all-zero matrix
+    with pytest.raises(ValueError, match="finite"):
+        weyl_matrix(a, 4)
 
 
 def test_weyl_first_column_is_kernel():
@@ -342,18 +352,78 @@ def test_dictionary_consistency_through_quadrature():
 # Dilation
 # ----------------------------------------------------------------------
 
+def _dilation_closed_form(r: float, p: int, n: int) -> float:
+    """D[p, n] = sqrt(beta p! n!) sum_k gamma^i beta^k (-gamma)^j / (i! k! j!), 2i + k = p,
+    2j + k = n, with beta = 2r/(1+r^2) and gamma = (1-r^2)/(2(1+r^2)): the
+    coefficients of the kernel sqrt(beta) exp(gamma z^2 + beta z conj(w) - gamma conj(w)^2).
+    The alternating sum cancels up to about (p + n)/2 * log10(2) digits,
+    which 80 digits cover up to p = n = 255."""
+    if (p - n) % 2:
+        return 0.0
+    with mpmath.workdps(80):
+        r = mpmath.mpf(r)
+        beta, gamma = 2 * r / (1 + r * r), (1 - r * r) / (2 * (1 + r * r))
+        f = mpmath.factorial
+        total = mpmath.fsum(
+            gamma ** ((p - k) // 2) * beta**k * (-gamma) ** ((n - k) // 2)
+            / (f((p - k) // 2) * f(k) * f((n - k) // 2))
+            for k in range(p % 2, min(p, n) + 1, 2)
+        )
+        return float(mpmath.sqrt(beta * f(p) * f(n)) * total)
+
+
+@pytest.mark.parametrize("r", [0.25, 0.5, 2.0, 4.0])
+@pytest.mark.parametrize("N", [32, 128, 255])
+def test_dilation_matrix_against_closed_form(r, N):
+    D = dilation_matrix(r, N)
+    assert D.shape == (N + 1, N + 1)
+    rng = np.random.default_rng(N)
+    picks = [(0, 0), (0, N), (N, 0), (N, N), (N, N - 2), (1, 1)] + [
+        tuple(int(v) for v in rng.integers(0, N + 1, 2)) for _ in range(10)]
+    for p, n in picks:
+        assert abs(D[p, n] - _dilation_closed_form(r, p, n)) <= 1e-13, (p, n)
+
+
+@pytest.mark.parametrize("r", [0.1, 10.0])
+def test_dilation_matrix_outside_the_old_ratio_range(r):
+    # no ratio limit: the rescaled rule is exact for every r > 0
+    D = dilation_matrix(r, 64)
+    for p, n in ((0, 0), (64, 64), (64, 0), (0, 64), (31, 17), (50, 6)):
+        assert abs(D[p, n] - _dilation_closed_form(r, p, n)) <= 1e-13, (p, n)
+
+
+@pytest.mark.parametrize("r", [0.5, 2.0])
+def test_dilation_matrix_exactness_boundary(r):
+    # 12 nodes integrate polynomials to degree 23: N + K = 23 is exact, 24 refused
+    rule = gauss_hermite(12)
+    for N, K in ((23, 0), (12, 11), (0, 23)):
+        D = dilation_matrix(r, N, K, rule)
+        assert D.shape == (N + 1, K + 1)
+        want = np.array([[_dilation_closed_form(r, p, n) for n in range(K + 1)] for p in range(N + 1)])
+        assert np.max(np.abs(D - want)) <= 1e-13, (N, K)
+    for N, K in ((24, 0), (12, 12), (0, 24)):
+        with pytest.raises(ValueError, match=rf"< 24 \(line rule\), got {K} \+ {N}"):
+            dilation_matrix(r, N, K, rule)
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.inf, math.nan])
+def test_dilation_matrix_refuses_a_bad_ratio(r):
+    with pytest.raises(ValueError, match="finite positive"):
+        dilation_matrix(r, 8)
+
+
 def test_dilation_identity():
     pipe = BargmannPipeline.default(24)
     res = dilation_fock(1.0, FockVector.basis(1, 8), pipe)
     assert np.max(np.abs(res.primary.coeffs - FockVector.basis(1, 24).coeffs)) < 1e-9
-    assert res.discrepancy < 1e-9
 
 
 @pytest.mark.parametrize("r", [0.5, 2.0])
 def test_dilation_gauss_closed_form(r):
     # dilating the Gaussian scales it: image has coefficients of e^{g z^2}
     pipe = BargmannPipeline.default(24)
-    res = dilation_fock(r, FockVector.basis(0, 8), pipe)
+    f = FockVector.basis(0, 8)
+    res = dilation_fock(r, f, pipe)
     gamma = (1 - r * r) / (2 * (1 + r * r))
     want = np.zeros(25, dtype=complex)
     for k in range(13):
@@ -364,25 +434,26 @@ def test_dilation_gauss_closed_form(r):
             / math.factorial(k)
         )
     assert np.max(np.abs(res.primary.coeffs - want)) < 1e-7
-    assert np.max(np.abs(res.cross.coeffs - want)) < 1e-9
+    assert np.max(np.abs(_dilation_plane_kernel(r, f, pipe) - want)) < 1e-9
 
 
 @pytest.mark.parametrize("r", [0.5, 2.0])
 @pytest.mark.parametrize("n", [0, 1])
-def test_dilation_dual_path_agreement(r, n):
+def test_dilation_dual_path_agreement(r, n, inverse_integral_dilation):
+    # the matrix against both plane-quadrature routes it replaced
     pipe = BargmannPipeline.default(24)
-    res = dilation_fock(r, FockVector.basis(n, 8), pipe)
-    assert res.discrepancy < 1e-5
+    f = FockVector.basis(n, 8)
+    got = dilation_fock(r, f, pipe).primary.coeffs
+    assert np.linalg.norm(got - _dilation_plane_kernel(r, f, pipe)) < 1e-5
+    assert np.linalg.norm(got - inverse_integral_dilation(r, f, pipe)) < 1e-5
 
 
 def test_dilation_preconditions():
-    # both guards come from the pipeline's rules: 64 plane line nodes, 96 line nodes
+    # one guard, from the pipeline's 96-node line rule; no plane-rule input cap
     pipe = BargmannPipeline.default(24)
     with pytest.raises(ValueError):
-        dilation_fock(10.0, FockVector.basis(0, 4), pipe)
-    dilation_fock(2.0, FockVector.basis(0, 64), pipe)
-    with pytest.raises(ValueError, match=r"<= 64 \(plane rule\).*got 65 \+ 24"):
-        dilation_fock(2.0, FockVector.basis(0, 65), pipe)
+        dilation_fock(0.0, FockVector.basis(0, 4), pipe)
+    dilation_fock(2.0, FockVector.basis(0, 65), pipe)
     wide = replace(pipe, degree=2 * 96 - 64)
     dilation_fock(2.0, FockVector.basis(0, 63), wide)
     with pytest.raises(ValueError, match=r"< 192 \(line rule\), got 64 \+ 128"):
@@ -391,32 +462,17 @@ def test_dilation_preconditions():
 
 @pytest.mark.parametrize("r", [0.25, 0.5, 2.0, 4.0])
 @pytest.mark.parametrize("n", [0, 8, 24, 48, 64])
-def test_dilation_boundary_scan(r, n, exact_dilation):
-    # input degree up to the plane rule's 64 line nodes, output degree up to
-    # the 256-node line rule; n = 64 is where the plane rule runs out
+def test_dilation_boundary_scan(r, n, exact_dilation, inverse_integral_dilation):
+    # output degree up to the 256-node line rule; the plane-rule oracles are
+    # checked up to their limit, input degree 64 (the 64 x 64 plane rule)
     tol = 1e-9 if n == 64 else 1e-12
+    f = FockVector.basis(n, n)
     for N in (0, 1, 32, 64, 128, 256):
-        res = dilation_fock(r, FockVector.basis(n, n), BargmannPipeline.default(N))
+        pipe = BargmannPipeline.default(N)
         want = exact_dilation(r, n, N)
-        assert np.max(np.abs(res.primary.coeffs - want)) <= tol, N
-        assert np.max(np.abs(res.cross.coeffs - want)) <= tol, N
-
-
-def test_dilation_discrepancy_warning_boundary():
-    # on a 12-node line rule and a 4 x 4 plane rule the two paths for e_2 part
-    # as r grows (4e-16 at r = 1/4, 1.2e-4 at r = 3) and cross 1e-5 once, at
-    # r = 1.3426; bisect r to that crossing
-    pipe = BargmannPipeline(2, gauss_hermite(12), gauss_hermite_plane(4))
-    f = FockVector.basis(2, 2)
-    lo, hi = 1.0, 2.0
-    for _ in range(60):
-        mid = (lo + hi) / 2.0
-        lo, hi = (lo, mid) if dilation_fock(mid, f, pipe, warn=False).discrepancy > 1e-5 else (mid, hi)
-    for scale, warns in ((1.0 - 1e-6, False), (1.0 + 1e-6, True)):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            dilation_fock(lo * scale, f, pipe)
-        assert any(issubclass(w.category, AccuracyWarning) for w in caught) == warns
+        assert np.max(np.abs(dilation_fock(r, f, pipe).primary.coeffs - want)) <= 1e-12, N
+        assert np.max(np.abs(inverse_integral_dilation(r, f, pipe) - want)) <= tol, N
+        assert np.max(np.abs(_dilation_plane_kernel(r, f, pipe) - want)) <= tol, N
 
 
 # ----------------------------------------------------------------------
