@@ -31,6 +31,9 @@ from .hermite import (
 # points per kernel block of the forward quadrature: a call holds at most
 # _BLOCK x n_nodes kernel entries at once, however many points it is given
 _BLOCK = 128
+# grid columns per column table of verify_pbound: with _BLOCK rows a block
+# holds _BLOCK x n_nodes row entries and _COLUMNS x (n_nodes + _BLOCK) more
+_COLUMNS = 256
 
 
 def bargmann_coeff(f: LineVector) -> FockVector:
@@ -154,19 +157,62 @@ def fock_sup_norm(F: FockVector, grid_radius: float, grid_step: float) -> float:
     return float(np.max(vals))
 
 
+def _pbound_grid(grid_radius: float, step: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
+    """Axis u = step * (-m..m) of the tensor grid, and its in-disk mask.
+
+    m = floor(grid_radius / step); the mask keeps u_a^2 + u_b^2 <= grid_radius^2,
+    tested on the integer indices so the axis ends +-m stay on the grid.
+    """
+    if not grid_radius >= 0:
+        raise ValueError(f"grid radius must be >= 0, got {grid_radius}")
+    lim = grid_radius / step
+    m = int(np.floor(lim + 1e-9))  # 0.7 / 0.1 rounds to 6.999...
+    j = np.arange(-m, m + 1)
+    inside = (j[:, None] ** 2 + j[None, :] ** 2) <= lim * lim + 1e-9
+    return step * j, inside
+
+
+def _stft_blocks(f: Callable, rule: QuadratureRule, u: np.ndarray):
+    """Blocks of the Gaussian-window STFT sum_k F_k exp(-(x_k - s)^2) exp(2i t x_k).
+
+    F_k = flat weight k times f(x_k); s runs over u for the rows and t for
+    the columns.  Yields (rows, cols, values) with values[i, j] the sum at
+    s = u[rows][i], t = u[cols][j].  c times its modulus is the weighted
+    modulus |Bf(s + it)| exp(-|z|^2/2), since the exponent of the
+    quadrature kernel less |z|^2/2 is -(x - s)^2 + 2itx - ist.  Each block
+    is the real row table exp(-(x_k - s)^2) F_k times the column table
+    exp(2i t x_k); every row entry is at most |F_k|, so nothing overflows.
+    """
+    x = rule.nodes
+    fx = rule.flat_weights() * np.asarray(f(x), dtype=np.complex128)
+    for c0 in range(0, u.size, _COLUMNS):
+        cols = slice(c0, c0 + _COLUMNS)
+        col_table = np.exp(2j * np.outer(x, u[cols]))
+        for r0 in range(0, u.size, _BLOCK):
+            rows = slice(r0, r0 + _BLOCK)
+            row_table = np.exp(-((u[rows, None] - x[None, :]) ** 2)) * fx
+            yield rows, cols, row_table @ col_table
+
+
 def verify_pbound(
     f: Callable, rule: QuadratureRule, grid_radius: float = 8.0
 ) -> tuple[float, float]:
     """Check ||Bf||_{F-infinity} <= c sqrt(pi) ||f||_infinity for bounded f.
 
-    Returns (lhs, rhs): lhs is the weighted sup of Bf on a polar grid of step
-    0.1 with Bf evaluated by quadrature; rhs the bound, with ||f||_inf
-    scanned on 20001 points of [-50, 50].
+    Returns (lhs, rhs): lhs is the weighted sup |Bf(z)| exp(-|z|^2/2) over
+    the points z = u_a + i u_b of the tensor grid u = 0.1 * (-m..m),
+    m = floor(grid_radius / 0.1), with |z| <= grid_radius; rhs the bound,
+    with ||f||_inf scanned on 20001 points of [-50, 50].  The weighted
+    modulus is a short-time Fourier transform of f with a Gaussian window
+    (``_stft_blocks``), so the grid costs (rows + columns) x nodes
+    exponentials and one matrix product per block, not points x nodes
+    exponentials.
     """
     xs = np.linspace(-50.0, 50.0, 20001)
     f_sup = float(np.max(np.abs(np.asarray(f(xs), dtype=np.complex128))))
-    grid = _polar_grid(grid_radius, 0.1)
-    vals = bargmann_quadrature(f, grid, rule, warn=False)
-    lhs = float(np.max(np.abs(vals) * np.exp(-np.abs(grid) ** 2 / 2.0)))
+    u, inside = _pbound_grid(grid_radius)
+    peak = np.max([np.max(np.abs(vals)[inside[rows, cols]], initial=-np.inf)
+                   for rows, cols, vals in _stft_blocks(f, rule, u)])
+    lhs = float(GAUSS_CONST * peak)
     rhs = float(GAUSS_CONST * np.sqrt(np.pi) * f_sup)
     return lhs, rhs

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -82,11 +83,41 @@ def _add_options(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument(f"--{name}", **_OPTIONS[name])
 
 
-def _parse_pair(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected two comma-separated numbers, got {text!r}")
-    return float(parts[0]), float(parts[1])
+def _number(text: str) -> float:
+    """A finite float; nan, inf and literals that overflow to inf (1e400) are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _numbers(text: str) -> list[float]:
+    return [_number(part) for part in text.split(",")]
+
+
+def _lattice_arg(text: str) -> tuple[float, float]:
+    """Steps a,b that ``PointSet.rectangular`` accepts."""
+    steps = _numbers(text)
+    if len(steps) != 2:
+        raise argparse.ArgumentTypeError(f"expected two comma-separated numbers, got {text!r}")
+    try:
+        gb.PointSet.rectangular(*steps)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return steps[0], steps[1]
+
+
+def _radii_arg(text: str) -> list[float]:
+    """Disk radii that ``density_estimate`` accepts."""
+    radii = _numbers(text)
+    try:
+        gb.disk_radii(radii)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return radii
 
 
 # ----------------------------------------------------------------------
@@ -173,10 +204,9 @@ def _cmd_singular(args) -> int:
 
 
 def _cmd_gabor(args) -> int:
-    a, b = _parse_pair(args.lattice)
+    a, b = args.lattice
     if args.action == "density":
-        radii = [float(r) for r in args.radii.split(",")]
-        rep = gb.density_estimate(gb.PointSet.rectangular(a, b), radii)
+        rep = gb.density_estimate(gb.PointSet.rectangular(a, b), args.radii)
         _emit_obj({
             "lattice": [a, b],
             "radii": list(rep.radii),
@@ -291,9 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = p.add_subparsers(dest="action", required=True)
     for action in ("density", "frame-bounds", "predicate"):
         pg = gsub.add_parser(action)
-        pg.add_argument("--lattice", required=True, help="lattice steps a,b")
+        pg.add_argument("--lattice", required=True, type=_lattice_arg, help="lattice steps a,b")
         if action == "density":
-            pg.add_argument("--R", dest="radii", default="10,20,50",
+            pg.add_argument("--R", dest="radii", type=_radii_arg, default="10,20,50",
                             help="comma-separated disk radii")
         if action == "frame-bounds":
             pg.add_argument("--core", type=int, default=None,
@@ -306,9 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("uncertainty", help="uncertainty product and extremal family")
     p.add_argument("mode", nargs="?", choices=["extremal"], default=None)
     p.add_argument("--f", help="FockVector JSON file")
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=0.0)
-    p.add_argument("--c", type=float, default=1.0, help="extremal family parameter (positive)")
+    p.add_argument("--a", type=_number, default=0.0)
+    p.add_argument("--b", type=_number, default=0.0)
+    p.add_argument("--c", type=_number, default=1.0, help="extremal family parameter (positive)")
     _add_options(p, "degree", "format")
     p.set_defaults(fn=_cmd_uncertainty)
 

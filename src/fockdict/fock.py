@@ -127,13 +127,25 @@ def kernel_vector(a: complex, degree: int, normalized: bool = True) -> FockVecto
     exp(-|a|^2/2) when normalized; the normalized vector has unit norm up
     to the tail of the exponential series beyond the truncation degree.
     """
+    return FockVector(kernel_rows(complex(a), degree, normalized)[0])
+
+
+def kernel_rows(points, degree: int, normalized: bool = True) -> np.ndarray:
+    """The kernels of ``kernel_vector``, one row per point, shape (points, degree+1).
+
+    Each row is built by the same operations as a single kernel, so it
+    equals ``kernel_vector(a, degree, normalized).coeffs`` bit for bit.
+    """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    c = np.ones(degree + 1, dtype=np.complex128)
-    c[1:] = np.cumprod(np.conj(complex(a)) / np.sqrt(np.arange(1, degree + 1)))
+    a = np.asarray(points, dtype=np.complex128).ravel()
+    rows = np.ones((a.size, degree + 1), dtype=np.complex128)
+    rows[:, 1:] = np.cumprod(np.conj(a)[:, None] / np.sqrt(np.arange(1, degree + 1)), axis=1)
     if normalized:
-        c *= np.exp(-abs(complex(a)) ** 2 / 2.0)
-    return FockVector(c)
+        # |a|^2 as abs(complex(a)) ** 2 rounds it: C hypot, then C pow (np.abs
+        # and np.square round about one modulus in a thousand differently)
+        rows *= np.exp(-np.float_power(np.hypot(a.real, a.imag), 2.0) / 2.0)[:, None]
+    return rows
 
 
 def kernel_truncation_defect(a: complex, degree: int) -> float:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResolutionError
-from .fock import RESOLVED_DEFECT, FockVector, kernel_truncation_defect, kernel_vector
+from .fock import RESOLVED_DEFECT, FockVector, kernel_rows, kernel_truncation_defect
 from .hermite import GAUSS_CONST, composite_legendre, project_line_interval
 from .bargmann import bargmann_coeff
 from .operators import weyl_matrix
@@ -28,6 +28,10 @@ CRITICAL_DENSITY = 1.0 / np.pi
 # integer points a lattice disk query may search (16 MiB of complex points);
 # the `verify gabor` lattice (1, 1) at radius 50 needs about 3,700
 MAX_LATTICE_BOX = 1_000_000
+
+# points per kernel block of the frame operator and its resolution gate: a
+# block holds _POINT_BLOCK x (degree + 1) kernel coefficients
+_POINT_BLOCK = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,9 +65,14 @@ class PointSet:
 
     @classmethod
     def rectangular(cls, a: float, b: float) -> "PointSet":
-        """Time-frequency lattice with steps (a, b): points n a - i m pi b."""
-        if a <= 0 or b <= 0:
-            raise ValueError("lattice steps must be positive")
+        """Time-frequency lattice with steps (a, b): points n a - i m pi b.
+
+        The steps must be positive and finite, and so must the cell area
+        pi a b that every density is measured against.
+        """
+        if not (a > 0 and b > 0 and 0.0 < np.pi * a * b < np.inf):
+            raise ValueError(f"lattice steps must be positive and finite with a positive "
+                             f"finite cell area pi*a*b, got {a:g},{b:g}")
         return cls(np.empty(0, dtype=np.complex128), generators=(complex(a), complex(0, -np.pi * b)))
 
     @property
@@ -84,20 +93,30 @@ class PointSet:
 
 
 def _near_duplicate_gap(pts: np.ndarray, tol: float = 1e-9) -> float:
-    """Smallest gap among pairs closer than tol in real part (duplicate gate).
+    """Smallest gap among pairs within tol along both axes (duplicate gate).
 
-    Sort-scan: any pair violating distinctness at scale tol must sit within
-    tol of each other along the real axis, so only those pairs are examined.
-    Returns inf when no near-duplicates exist.
+    A pair at distance <= tol is within tol along the real axis, so it sits
+    in one chain of the real-sorted points whose consecutive real gaps are
+    all <= tol; sorted by imaginary part inside its chain, it is also within
+    tol there.  Lag d compares each point with the d-th next one of its
+    chain, and a pair that is not within tol in imaginary part at lag d is
+    not at lag d + 1 either, so only the pairs left over are carried on and
+    the scan stops at the first empty lag (lag 1 on a lattice).  Non-finite
+    points are never within tol of anything and are left out.  Returns inf
+    when no pair is within tol along both axes.
     """
-    order = np.lexsort((pts.imag, pts.real))
-    p = pts[order]
-    best = np.inf
-    for i in range(len(p) - 1):
-        j = i + 1
-        while j < len(p) and p[j].real - p[i].real <= tol:
-            best = min(best, abs(p[j] - p[i]))
-            j += 1
+    p = pts[np.isfinite(pts)]
+    p = p[np.argsort(p.real, kind="stable")]
+    chain = np.cumsum(np.diff(p.real, prepend=p.real[:1]) > tol)
+    order = np.lexsort((p.imag, chain))
+    p, chain = p[order], chain[order]
+    best, i = np.inf, np.arange(p.size)
+    for d in range(1, p.size):
+        i = i[i + d < p.size]
+        i = i[(chain[i + d] == chain[i]) & (p.imag[i + d] - p.imag[i] <= tol)]
+        if i.size == 0:
+            break
+        best = min(best, float(np.min(np.abs(p[i + d] - p[i]))))
     return float(best)
 
 
@@ -122,7 +141,8 @@ def _lattice_points_in_disk(gens, center: complex, radius: float) -> np.ndarray:
     corners = center + radius * np.exp(1j * np.linspace(0, 2 * np.pi, 17))
     uv = inv @ np.vstack([corners.real, corners.imag])
     lo, hi = np.floor(uv.min(axis=1)) - 1, np.ceil(uv.max(axis=1)) + 1
-    box = float(np.prod(hi - lo + 1))
+    with np.errstate(over="ignore"):  # an overflowing box is inf, refused below
+        box = float(np.prod(hi - lo + 1))
     if not box <= MAX_LATTICE_BOX:  # also refuses a NaN box
         raise ValueError(f"lattice disk of radius {radius:g} needs a search box of {box:.3g} "
                          f"lattice points, more than {MAX_LATTICE_BOX:,}")
@@ -145,6 +165,15 @@ class DensityReport:
     upper_extrapolated: float
 
 
+def disk_radii(radii: Sequence[float]) -> np.ndarray:
+    """The radii sorted, or ValueError unless each is positive with a finite disk area pi R^2."""
+    radii = np.asarray(sorted(radii), dtype=np.float64)
+    with np.errstate(over="ignore"):
+        if not np.all((radii > 0) & np.isfinite(np.pi * radii**2)):
+            raise ValueError("radii must be positive and finite, with a finite disk area pi*R^2")
+    return radii
+
+
 def density_estimate(Z: PointSet, radii: Sequence[float]) -> DensityReport:
     """Beurling density estimates: inf/sup over centers of count / (pi R^2).
 
@@ -152,9 +181,7 @@ def density_estimate(Z: PointSet, radii: Sequence[float]) -> DensityReport:
     (counts are periodic in the center), for finite sets the origin alone;
     the extrapolated values are the estimates at the largest radius.
     """
-    radii = np.asarray(sorted(radii), dtype=np.float64)
-    if not np.all((radii > 0) & np.isfinite(radii)):
-        raise ValueError("radii must be positive and finite")
+    radii = disk_radii(radii)
     if Z.is_lattice:
         o1, o2 = Z.generators
         frac = (np.arange(6) + 0.5) / 6.0
@@ -194,11 +221,42 @@ def separation_check(Z: PointSet) -> tuple[bool, float]:
     return gap > 1e-9, gap
 
 
+def _unresolved(z: np.ndarray, rows: np.ndarray, degree: int) -> np.ndarray:
+    """Mask of kernel_truncation_defect(z, degree) > RESOLVED_DEFECT, from z's kernel rows.
+
+    The rows' defects 1 - ||k_z||^2 are summed in another order than the
+    scalar norm, so a point whose defect here lies within that rounding,
+    4 (degree + 2) eps, of the tolerance is decided by the scalar call.
+    """
+    defect = 1.0 - (np.sum(rows.real**2, axis=1) + np.sum(rows.imag**2, axis=1))
+    lost = defect > RESOLVED_DEFECT
+    slack = 4 * (degree + 2) * np.finfo(np.float64).eps
+    for k in np.flatnonzero(np.abs(defect - RESOLVED_DEFECT) <= slack):
+        lost[k] = kernel_truncation_defect(z[k], degree) > RESOLVED_DEFECT
+    return lost
+
+
+def _resolved_kernels(points, degree: int):
+    """Kernel rows of the points, _POINT_BLOCK at a time, or ResolutionError.
+
+    The error names the first point whose k_z (so W_z) is not resolved at
+    the degree (``_unresolved``).
+    """
+    pts = np.asarray(points, dtype=np.complex128).ravel()
+    for start in range(0, pts.size, _POINT_BLOCK):
+        z = pts[start : start + _POINT_BLOCK]
+        rows = kernel_rows(z, degree)
+        lost = _unresolved(z, rows, degree)
+        if lost.any():
+            raise ResolutionError(f"kernel at {z[np.argmax(lost)]} loses more than "
+                                  f"{RESOLVED_DEFECT:.0e} past degree {degree}")
+        yield rows
+
+
 def _require_resolved(points, degree: int):
     """The points, or ResolutionError if some k_z (so W_z) is not resolved at the degree."""
-    for z in points:
-        if kernel_truncation_defect(z, degree) > RESOLVED_DEFECT:
-            raise ResolutionError(f"kernel at {z} loses more than {RESOLVED_DEFECT:.0e} past degree {degree}")
+    for _ in _resolved_kernels(points, degree):
+        pass
     return points
 
 
@@ -207,18 +265,20 @@ def frame_bounds_finite(
 ) -> tuple[float, float]:
     """Extreme Rayleigh quotients of the kernel frame operator on a core block.
 
-    S = sum_n k_{z_n} (x) k_{z_n}^* is assembled at the truncation degree and
-    restricted to span{e_0..e_core}; the restriction keeps the estimates away
-    from the spurious zero modes a finite window of an infinite frame creates.
+    S = sum_n k_{z_n} (x) k_{z_n}^* restricted to span{e_0..e_core}; the
+    restriction keeps the estimates away from the spurious zero modes a
+    finite window of an infinite frame creates.  Only that block is formed,
+    as the sum over point blocks of K_core^T conj(K_core), where K_core holds
+    the leading core + 1 coefficients of each truncated kernel.
     """
     if Z.is_lattice:
         raise ValueError("frame_bounds_finite needs a finite point set (clip first)")
     if not 1 <= core_degree <= degree // 2:
         raise ValueError(f"core_degree must be in 1..degree/2, got {core_degree}")
-    pts = _require_resolved(Z.points, degree)
-    KV = np.column_stack([kernel_vector(z, degree, True).coeffs for z in pts])
-    S = KV @ KV.conj().T
-    core = S[: core_degree + 1, : core_degree + 1]
+    core = np.zeros((core_degree + 1, core_degree + 1), dtype=np.complex128)
+    for rows in _resolved_kernels(Z.points, degree):
+        head = rows[:, : core_degree + 1]
+        core += head.T @ head.conj()
     vals = np.linalg.eigvalsh(core)
     return float(max(vals[0], 0.0)), float(vals[-1])
 
@@ -324,6 +384,5 @@ def linear_independence_check(
 
 def kernel_gram(points, degree: int) -> np.ndarray:
     """Gram of truncated normalized kernels; closed form e^{conj(zm) zn - (|zm|^2+|zn|^2)/2}."""
-    pts = np.asarray(list(points), dtype=np.complex128)
-    KV = np.column_stack([kernel_vector(z, degree, True).coeffs for z in pts])
-    return KV.conj().T @ KV
+    rows = kernel_rows(np.asarray(list(points), dtype=np.complex128), degree)
+    return rows.conj() @ rows.T

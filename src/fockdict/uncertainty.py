@@ -86,8 +86,10 @@ class ExtremalParams:
     b: float = 0.0
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("c must be positive")
+        if not (self.c > 0 and np.isfinite(self.c)):
+            raise ValueError(f"c must be positive and finite, got {self.c}")
+        if not (np.isfinite(self.a) and np.isfinite(self.b)):
+            raise ValueError(f"a and b must be finite, got {self.a}, {self.b}")
 
     @property
     def alpha(self) -> float:

@@ -301,7 +301,7 @@ def test_criterion_11_quantization_correspondences():
 
 def test_criterion_12_sup_norm_bound_endpoints():
     rule = hm.gauss_hermite(128)
-    grid_pts = len(bg._polar_grid(8.0, 0.1))
+    grid_pts = int(bg._pbound_grid(8.0)[1].sum())
     assert grid_pts >= 10_000
     results = {}
     for name, f in [

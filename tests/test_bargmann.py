@@ -8,6 +8,8 @@ import pytest
 from fockdict.bargmann import (
     _BLOCK,
     BargmannPipeline,
+    _pbound_grid,
+    _stft_blocks,
     bargmann_coeff,
     bargmann_quadrature,
     fock_sup_norm,
@@ -23,6 +25,7 @@ from fockdict.hermite import (
     gauss_hermite,
     gauss_hermite_plane,
     hermite_function,
+    hermite_functions,
 )
 
 RULE = gauss_hermite(128)
@@ -149,16 +152,56 @@ def test_nan_at_one_node_propagates_as_in_the_dense_sum():
 
 
 def test_pbound_memory_stays_in_point_blocks():
-    # a dense kernel over the polar grid would take 11,541 x 256 complex numbers
+    # a dense kernel over the radius-6 grid would take 11,289 x 256 complex numbers
     rule = gauss_hermite(256)
-    verify_pbound(lambda x: np.ones_like(x), rule, grid_radius=6.0)
-    tracemalloc.start()
-    try:
-        verify_pbound(lambda x: np.ones_like(x), rule, grid_radius=6.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    for radius in (6.0, 30.0):
+        verify_pbound(lambda x: np.ones_like(x), rule, grid_radius=radius)
+        tracemalloc.start()
+        try:
+            verify_pbound(lambda x: np.ones_like(x), rule, grid_radius=radius)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, radius
+
+
+_PBOUND_FUNCTIONS = {
+    "one": lambda x: np.ones_like(x),
+    "sign": np.sign,
+    "packet": lambda x: np.exp(-((x - 1.5) ** 2) / 2.0 + 2.5j * x),
+    **{f"h{k}": (lambda k: lambda x: hermite_functions(k, x)[k])(k) for k in range(7)},
+}
+
+
+@pytest.mark.parametrize("n_nodes", [64, 128, 256])
+@pytest.mark.parametrize("name", list(_PBOUND_FUNCTIONS))
+def test_pbound_stft_matches_quadrature_pointwise(name, n_nodes):
+    f, rule = _PBOUND_FUNCTIONS[name], gauss_hermite(n_nodes)
+    u, inside = _pbound_grid(8.0)
+    vals = np.empty((u.size, u.size), dtype=np.complex128)
+    for rows, cols, block in _stft_blocks(f, rule, u):
+        vals[rows, cols] = block
+    s, t = np.meshgrid(u, u, indexing="ij")
+    z = (s + 1j * t)[inside]
+    want = np.abs(bargmann_quadrature(f, z, rule, warn=False)) * np.exp(-np.abs(z) ** 2 / 2.0)
+    got = GAUSS_CONST * np.abs(vals[inside])
+    # sum_k |terms| at z = s + it depends on s alone
+    terms = np.exp(-((u[:, None] - rule.nodes[None, :]) ** 2)) @ np.abs(
+        rule.flat_weights() * f(rule.nodes))
+    scale = GAUSS_CONST * np.broadcast_to(terms[:, None], vals.shape)[inside]
+    assert np.max(np.abs(got - want) / scale) <= 5e-14
+
+
+@pytest.mark.parametrize("radius, m", [(0.0, 0), (0.7, 7), (6.0, 60), (8.0, 80), (8.05, 80)])
+def test_pbound_grid_is_symmetric_and_holds_the_real_axis(radius, m):
+    u, inside = _pbound_grid(radius)
+    assert u.size == 2 * m + 1 and u[m] == 0.0
+    assert np.array_equal(u, -u[::-1])
+    assert np.array_equal(inside, inside.T)
+    assert np.array_equal(inside, inside[::-1]) and np.array_equal(inside, inside[:, ::-1])
+    assert inside[:, m].all()  # the real axis, ends included
+    s, t = np.meshgrid(u, u, indexing="ij")
+    assert np.all(np.abs(s + 1j * t)[inside] <= radius * (1 + 1e-12))
 
 
 def test_plane_rule_too_coarse_boundary():
@@ -262,9 +305,11 @@ def test_sup_norm_of_truncated_squared_exponential():
 
 
 def test_pbound_constant_attains_equality():
-    lhs, rhs = verify_pbound(lambda x: np.ones_like(x), RULE, grid_radius=8.0)
-    assert lhs <= rhs * (1 + 1e-3)
-    assert abs(lhs / rhs - 1.0) < 0.02
+    # |B1(s + it)| exp(-|z|^2/2) = c sqrt(pi) exp(-t^2), attained on the real axis
+    for n_nodes in (64, 128, 256):
+        for radius in (6.0, 8.0):
+            lhs, rhs = verify_pbound(lambda x: np.ones_like(x), gauss_hermite(n_nodes), grid_radius=radius)
+            assert abs(lhs / rhs - 1.0) <= 1e-14, (n_nodes, radius)
 
 
 def test_pbound_sign_respects_bound():

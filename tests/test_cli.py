@@ -295,14 +295,21 @@ def test_cli_env_degree(tmp_path):
     ("gabor", "predicate", "--lattice", "1,1", "--seed", "7"),
     ("gabor", "frame-bounds", "--lattice", "0.8,0.8", "--degree", "80", "--core", "-3"),
     ("gabor", "frame-bounds", "--lattice", "0.8,0.8", "--degree", "80", "--core", "0"),
+    ("uncertainty", "extremal", "--c", "nan"),
+    ("uncertainty", "extremal", "--a", "nan"),
+    ("uncertainty", "--f", "{tmp}/e1.json", "--a", "inf"),
+    ("gabor", "predicate", "--lattice", "inf,1"),
+    ("gabor", "predicate", "--lattice", "1e200,1e200"),
+    ("gabor", "density", "--lattice", "1,1", "--R", "1e300"),
 ], ids=["malformed-json", "missing-symbol", "bad-params", "negative-degree",
         "zero-degree", "tail-certificate", "zero-radius", "wrong-shape-vector",
         "symbol-without-terms", "non-finite-vector",
         "dilate-output-beyond-line-rule", "non-finite-weyl-params", "non-finite-rotate-params",
         "non-finite-dilate-params", "huge-lattice-disk", "removed-op-verify", "hilbert-object-as-csv",
         "uncertainty-object-as-csv", "removed-nodes", "option-the-command-does-not-read",
-        "negative-core", "zero-core"])
-def test_cli_errors_are_one_line(tmp_path, args):
+        "negative-core", "zero-core", "nan-extremal-c", "nan-extremal-a", "infinite-product-a",
+        "infinite-lattice-step", "overflowing-cell-area", "overflowing-disk-area"])
+def test_cli_errors_are_one_line(tmp_path, args, request):
     (tmp_path / "bad.json").write_text("[[1.0, 0.0], ")
     (tmp_path / "shape.json").write_text("[1, 2]")
     (tmp_path / "noterms.json").write_text('{"x": 1}')
@@ -315,6 +322,15 @@ def test_cli_errors_are_one_line(tmp_path, args):
     assert ": error: " in proc.stderr.strip().splitlines()[-1]
     assert sum("error:" in line for line in proc.stderr.splitlines()) == 1
     assert "Warning" not in proc.stderr
+    option = _REFUSED_OPTION.get(request.node.callspec.id)
+    if option:
+        assert f"argument {option}: " in proc.stderr.splitlines()[-1]
+
+
+# the cases above refused up front, by the option whose value is out of range
+_REFUSED_OPTION = {"nan-extremal-c": "--c", "nan-extremal-a": "--a", "infinite-product-a": "--a",
+                   "infinite-lattice-step": "--lattice", "overflowing-cell-area": "--lattice",
+                   "overflowing-disk-area": "--R"}
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "abc"])

@@ -10,6 +10,7 @@ from fockdict.fock import (
     evaluate,
     exp_quadratic_coeffs,
     inner,
+    kernel_rows,
     kernel_truncation_defect,
     kernel_vector,
     resolved_radius,
@@ -53,6 +54,22 @@ def test_kernel_vector_matches_log_space_closed_form(N):
                                  for k in n])
             got = kernel_vector(a, N).coeffs
             assert np.all(np.abs(got - want) <= (n + 1 + r2) * 2.0**-52 * np.abs(want)), (r2, theta)
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+def test_kernel_rows_round_as_one_kernel_at_a_time(normalized):
+    # each row repeats the scalar recipe: a running product of conj(a)/sqrt(n),
+    # scaled by np.exp(-abs(a) ** 2 / 2) with Python's abs and power
+    rng = np.random.default_rng(7)
+    pts = (rng.standard_normal(3000) + 1j * rng.standard_normal(3000)) * rng.uniform(0.0, 12.0, 3000)
+    rows = kernel_rows(pts, 40, normalized)
+    for a, row in zip(pts, rows):
+        want = np.ones(41, dtype=np.complex128)
+        want[1:] = np.cumprod(np.conj(complex(a)) / np.sqrt(np.arange(1, 41)))
+        if normalized:
+            want *= np.exp(-abs(complex(a)) ** 2 / 2.0)
+        assert np.array_equal(row, want)
+    assert np.array_equal(kernel_vector(pts[5], 40, normalized).coeffs, rows[5])
 
 
 def test_kernel_at_zero_is_vacuum():

@@ -1,12 +1,21 @@
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import fockdict.gabor as gabor
 from fockdict.errors import ResolutionError
-from fockdict.fock import FockVector, kernel_truncation_defect, kernel_vector
+from fockdict.fock import (
+    RESOLVED_DEFECT,
+    FockVector,
+    kernel_rows,
+    kernel_truncation_defect,
+    kernel_vector,
+    resolved_radius,
+)
 from fockdict.gabor import (
     CRITICAL_DENSITY,
     PointSet,
@@ -31,6 +40,55 @@ from fockdict.hermite import GAUSS_CONST
 def test_pointset_rejects_near_duplicates():
     with pytest.raises(ValueError):
         PointSet.from_points([0.0, 1e-12])
+
+
+def _brute_force_rejects(pts) -> bool:
+    with np.errstate(invalid="ignore"):  # inf - inf
+        gaps = np.abs(pts[:, None] - pts[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    return bool(np.any(gaps <= 1e-9))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_duplicate_gate_rejects_exactly_what_brute_force_rejects(seed):
+    # integer grids at spacings around the 1e-9 gate, off the origin so the
+    # differences round, with repeated points and non-finite ones mixed in
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 80))
+    unit = rng.choice([0.3e-9, 0.7e-9, 1e-9, 1.0000001e-9, 2e-9])
+    span = int(rng.choice([2, 6, 40]))
+    pts = (rng.integers(-span, span + 1, n) + 1j * rng.integers(-span, span + 1, n)) * unit
+    pts = pts + rng.choice([0.0, 3.7 - 1.1j, 1e4])
+    if seed % 3 == 0:
+        pts = np.unique(pts)
+    if seed % 4 == 1:
+        pts[: n // 5] = rng.choice([np.nan, np.inf, complex(1.0, np.inf)], n // 5)
+    rejects = _brute_force_rejects(pts)
+    if rejects:
+        with pytest.raises(ValueError, match="distinct"):
+            PointSet(pts)
+    else:
+        PointSet(pts)
+    assert (gabor._near_duplicate_gap(pts) <= 1e-9) == rejects
+
+
+def test_duplicate_gate_on_a_dense_lattice():
+    Z = PointSet.rectangular(0.05, 0.05).clip_to_disk(resolved_radius(64))
+    assert gabor._near_duplicate_gap(Z.points) == np.inf
+    with pytest.raises(ValueError, match="distinct"):
+        PointSet(np.append(Z.points, Z.points[4000] + 0.6e-9j))
+
+
+def test_lattice_steps_and_radii_must_be_finite():
+    for a, b in ((np.inf, 1.0), (1.0, np.nan), (0.0, 1.0), (1e200, 1e200), (1e-200, 1e-200)):
+        with pytest.raises(ValueError, match="lattice steps"):
+            PointSet.rectangular(a, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite disk area"):
+            density_estimate(PointSet.rectangular(1.0, 1.0), [10.0, 1e300])
+        with pytest.raises(ValueError, match="search box of inf"):
+            PointSet.rectangular(1e-150, 1e-150).points_in_disk(0.0, 1e150)
 
 
 def test_lattice_density_matches_cell_area():
@@ -143,6 +201,51 @@ def test_frame_bounds_accept_resolved_points_past_half_the_degree():
     assert kernel_truncation_defect(z, 200) < 1e-14
     A, B = frame_bounds_finite(PointSet.from_points([z]), 200, 10)
     assert A == 0.0 and 0.0 <= B <= 1.0
+
+
+@pytest.mark.parametrize("degree", [16, 64, 200])
+def test_resolution_gate_decides_as_the_scalar_defect(degree):
+    # the circle |z| = resolved_radius is where the defect meets the tolerance,
+    # so rounding decides there: the gate must round as kernel_truncation_defect
+    r = resolved_radius(degree)
+    theta = np.linspace(0.0, 2.0 * np.pi, 1500, endpoint=False)
+    ring = np.concatenate([s * np.exp(1j * theta) for s in (np.nextafter(r, 0.0), r, r * (1 + 1e-9))])
+    lattice = PointSet.rectangular(0.3, 0.2).clip_to_disk(1.05 * r).points
+    for z in (ring, lattice):
+        want = np.array([kernel_truncation_defect(a, degree) > RESOLVED_DEFECT for a in z])
+        assert 0 < want.sum() < z.size
+        assert np.array_equal(gabor._unresolved(z, kernel_rows(z, degree), degree), want)
+
+
+def test_frame_bounds_refuse_the_first_unresolved_point():
+    r = resolved_radius(64)
+    Z = PointSet.rectangular(0.1, 0.1).clip_to_disk(1.02 * r)
+    first = next(z for z in Z.points if kernel_truncation_defect(z, 64) > RESOLVED_DEFECT)
+    with pytest.raises(ResolutionError, match=re.escape(f"kernel at {first} ")):
+        frame_bounds_finite(Z, 64, 8)
+
+
+@pytest.mark.parametrize("steps, degree, core", [((0.1, 0.1), 64, 8), ((0.3, 0.2), 128, 16)])
+def test_frame_bounds_core_block_matches_the_full_operator(steps, degree, core):
+    Z = PointSet.rectangular(*steps).clip_to_disk(resolved_radius(degree))
+    assert Z.points.size > gabor._POINT_BLOCK
+    KV = np.column_stack([kernel_vector(z, degree).coeffs for z in Z.points])
+    vals = np.linalg.eigvalsh((KV @ KV.conj().T)[: core + 1, : core + 1])
+    A, B = frame_bounds_finite(Z, degree, core)
+    assert abs(A - vals[0]) <= 1e-12 * vals[-1] and abs(B - vals[-1]) <= 1e-12 * vals[-1]
+
+
+def test_frame_bounds_memory_stays_in_point_blocks():
+    # the (0.05, 0.05) lattice clips 11,757 points: all kernels at once take 12 MiB
+    Z = PointSet.rectangular(0.05, 0.05).clip_to_disk(resolved_radius(64))
+    frame_bounds_finite(Z, 64, 8)
+    tracemalloc.start()
+    try:
+        frame_bounds_finite(Z, 64, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_kernel_gram_closed_form():

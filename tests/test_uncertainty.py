@@ -63,8 +63,9 @@ def test_gap_homogeneity():
 
 
 def test_extremal_parameters_validate():
-    with pytest.raises(ValueError):
-        ExtremalParams(c=-1.0)
+    for bad in (dict(c=-1.0), dict(c=math.nan), dict(c=math.inf), dict(a=math.nan), dict(b=-math.inf)):
+        with pytest.raises(ValueError):
+            ExtremalParams(**bad)
     p = ExtremalParams(C=1.0, c=3.0, a=0.5, b=0.2)
     assert abs(p.alpha) < 0.5
 
