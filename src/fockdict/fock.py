@@ -149,7 +149,12 @@ def kernel_rows(points, degree: int, normalized: bool = True) -> np.ndarray:
 
 
 def kernel_truncation_defect(a: complex, degree: int) -> float:
-    """1 - ||k_a truncated at degree||^2, i.e. the mass lost to truncation."""
+    """1 - ||k_a truncated at degree||^2, i.e. the mass lost to truncation.
+
+    1.0 for a NaN or infinite a: no truncation keeps any of its mass.
+    """
+    if not np.isfinite(complex(a)):
+        return 1.0
     return max(0.0, 1.0 - kernel_vector(a, degree, normalized=True).norm() ** 2)
 
 

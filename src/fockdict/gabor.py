@@ -52,6 +52,8 @@ class PointSet:
         pts = np.asarray(self.points, dtype=np.complex128).copy()
         if pts.ndim != 1:
             raise ValueError("points must be a 1-d sequence")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError(f"points must be finite, got {pts[~np.isfinite(pts)][0]}")
         if len(pts) > 1:
             gap = _near_duplicate_gap(pts)
             if gap <= 1e-9:
@@ -101,12 +103,10 @@ def _near_duplicate_gap(pts: np.ndarray, tol: float = 1e-9) -> float:
     tol there.  Lag d compares each point with the d-th next one of its
     chain, and a pair that is not within tol in imaginary part at lag d is
     not at lag d + 1 either, so only the pairs left over are carried on and
-    the scan stops at the first empty lag (lag 1 on a lattice).  Non-finite
-    points are never within tol of anything and are left out.  Returns inf
+    the scan stops at the first empty lag (lag 1 on a lattice).  Returns inf
     when no pair is within tol along both axes.
     """
-    p = pts[np.isfinite(pts)]
-    p = p[np.argsort(p.real, kind="stable")]
+    p = pts[np.argsort(pts.real, kind="stable")]
     chain = np.cumsum(np.diff(p.real, prepend=p.real[:1]) > tol)
     order = np.lexsort((p.imag, chain))
     p, chain = p[order], chain[order]
@@ -229,7 +229,7 @@ def _unresolved(z: np.ndarray, rows: np.ndarray, degree: int) -> np.ndarray:
     4 (degree + 2) eps, of the tolerance is decided by the scalar call.
     """
     defect = 1.0 - (np.sum(rows.real**2, axis=1) + np.sum(rows.imag**2, axis=1))
-    lost = defect > RESOLVED_DEFECT
+    lost = ~(defect <= RESOLVED_DEFECT)  # a NaN defect (non-finite z) is lost too
     slack = 4 * (degree + 2) * np.finfo(np.float64).eps
     for k in np.flatnonzero(np.abs(defect - RESOLVED_DEFECT) <= slack):
         lost[k] = kernel_truncation_defect(z[k], degree) > RESOLVED_DEFECT
@@ -347,8 +347,14 @@ def box_window_coeffs(degree: int) -> FockVector:
 
 
 def _displaced_gram(f: FockVector, points, degree: int) -> np.ndarray:
-    """Gram matrix of the displaced copies W_z f, z in points (resolved only)."""
-    U = np.column_stack([weyl_matrix(z, degree).apply(f).coeffs
+    """Gram matrix of the displaced copies W_z f, z in points (resolved only).
+
+    Each W_z is built on the columns f reaches, up to its last nonzero
+    coefficient: one column (the kernel k_z) for the vacuum.
+    """
+    top = np.flatnonzero(f.coeffs[: degree + 1])
+    K = int(top[-1]) if top.size else 0
+    U = np.column_stack([weyl_matrix(z, degree, K).apply(f).coeffs
                          for z in _require_resolved(points, degree)])
     return U.conj().T @ U
 

@@ -112,7 +112,7 @@ def fourier_line_quadrature(f: Callable, x, rule: QuadratureRule):
 # Displacement (Weyl) operators
 # ----------------------------------------------------------------------
 
-def weyl_matrix(a: complex, degree: int) -> OperatorMatrix:
+def weyl_matrix(a: complex, degree: int, input_degree: int | None = None) -> OperatorMatrix:
     """Matrix of W_a f(z) = f(z - a) exp(z conj(a) - |a|^2/2) on e_0..e_N.
 
     With r = |a|^2, <W_a e_n, e_p> = e^{-r/2} sqrt(n!/p!) conj(a)^{p-n}
@@ -125,13 +125,23 @@ def weyl_matrix(a: complex, degree: int) -> OperatorMatrix:
     builds every diagonal.  Column 0 is the truncated normalized kernel k_a;
     AccuracyWarning when it loses more than RESOLVED_DEFECT past the degree.
     ValueError for a non-finite a.
+
+    ``input_degree`` K gives the matrix of W_a P_K, P_K the projection onto
+    e_0..e_K: columns 0..K equal those of the full matrix bit for bit, the
+    columns past K are zero, and only the kept columns are computed.  The
+    series then costs O(N K^2) and the recurrence O(N K) (rather than N^3
+    and N^2); the engine is chosen from (a, N) alone, as for the full
+    matrix.  ValueError unless 0 <= K <= N.
     """
     a = complex(a)
     N = degree
+    K = N if input_degree is None else input_degree
+    if not 0 <= K <= N:
+        raise ValueError(f"input_degree must be in 0..{N}, got {K}")
     if not np.isfinite(a):
         raise ValueError(f"displacement must be finite, got {a!r}")
     if a == 0:
-        return OperatorMatrix(np.eye(N + 1, dtype=np.complex128))
+        return OperatorMatrix(np.diag(np.arange(N + 1) <= K).astype(np.complex128))
     if kernel_truncation_defect(a, N) > RESOLVED_DEFECT:
         warnings.warn(
             f"weyl displacement |a|={abs(a):.3g} poorly resolved at degree {N}",
@@ -139,9 +149,9 @@ def weyl_matrix(a: complex, degree: int) -> OperatorMatrix:
             stacklevel=2,
         )
     if _weyl_float_digit_loss(abs(a) ** 2, N) > 10.0:
-        entries = _weyl_entries_laguerre(a, N)
+        entries = _weyl_entries_laguerre(a, N, K)
     else:
-        entries = _weyl_entries_float(a, N)
+        entries = _weyl_entries_float(a, N, K)
     return OperatorMatrix(entries)
 
 
@@ -154,14 +164,16 @@ def _weyl_float_digit_loss(r: float, N: int) -> float:
 
 
 @lru_cache(maxsize=16)
-def _weyl_entries_float(a: complex, N: int) -> np.ndarray:
+def _weyl_entries_float(a: complex, N: int, K: int | None = None) -> np.ndarray:
+    """Columns 0..K (default N) of the series, each summed in log scale; the rest are zero."""
+    K = N if K is None else K
     r = abs(a) ** 2
     log_mod_a = np.log(abs(a))
     theta = np.angle(a)
     gl = log_factorials(N)
     p = np.arange(N + 1)
     out = np.zeros((N + 1, N + 1), dtype=np.complex128)
-    for n in range(N + 1):
+    for n in range(K + 1):
         j = np.arange(n + 1)
         log_binom = gl[n] - gl[j] - gl[n - j]
         # L[p, j] = log |term_j(p)| with the sqrt(p!/n!) prefactor folded in
@@ -181,7 +193,7 @@ def _weyl_entries_float(a: complex, N: int) -> np.ndarray:
     return out
 
 
-def _weyl_entries_laguerre(a: complex, N: int) -> np.ndarray:
+def _weyl_entries_laguerre(a: complex, N: int, K: int | None = None) -> np.ndarray:
     """Displacement entries from the normalized Laguerre functions.
 
     On diagonal alpha = |p - n| the entry at m = min(p, n) has modulus
@@ -190,28 +202,42 @@ def _weyl_entries_laguerre(a: complex, N: int) -> np.ndarray:
     runs for all diagonals at once.  Each diagonal passes from its classically
     forbidden region into the oscillating one as m grows, so the recurrence
     runs in its stable, growing direction.  Starts below e^{-600} (r above
-    about 1400) carry a per-diagonal log scale so that they cannot underflow.
-    The phase is e^{-i alpha theta} below the diagonal, (-1)^alpha e^{i alpha theta} above.
+    about 1400) carry a per-diagonal log scale so that they cannot underflow;
+    the rows are kept scaled and unscaled by one exp at the end.  The phase
+    is e^{-i alpha theta} below the diagonal, (-1)^alpha e^{i alpha theta}
+    above.  Columns n <= K need m <= K only, so the recurrence stops there
+    and the columns past K stay zero.
     """
+    K = N if K is None else K
     r = abs(a) ** 2
     alpha = np.arange(N + 1)
     log_g0 = 0.5 * alpha * np.log(r) - r / 2.0 - 0.5 * log_factorials(N)
     log_scale = np.minimum(log_g0 + 600.0, 0.0)
+    m = np.arange(K + 1)[:, None]
+    diag = (2 * m + 1 + alpha) - r
+    back = np.sqrt(m * (m + alpha))
+    step = np.sqrt((m + 1) * (m + 1 + alpha))
     prev, cur = np.zeros(N + 1), np.exp(log_g0 - log_scale)
-    g = np.empty((N + 1, N + 1))  # g[m, alpha]
-    for m in range(N + 1):
-        g[m] = cur * np.exp(log_scale)
-        nxt = ((2 * m + 1 + alpha - r) * cur - np.sqrt(m * (m + alpha)) * prev) / np.sqrt(
-            (m + 1) * (m + 1 + alpha))
-        shrink = np.where(np.abs(nxt) > 1e100, 1e-100, 1.0)
-        log_scale -= np.log(shrink)
-        prev, cur = cur * shrink, nxt * shrink
-    out = np.empty((N + 1, N + 1), dtype=np.complex128)
+    rows = np.empty((K + 1, N + 1))  # rows[m] * exp(scales[m]) = g_m on every diagonal
+    scales = np.empty((K + 1, N + 1))
+    for i in range(K + 1):
+        rows[i], scales[i] = cur, log_scale
+        nxt = (diag[i] * cur - back[i] * prev) / step[i]
+        big = np.abs(nxt) > 1e100
+        if big.any():
+            shrink = np.where(big, 1e-100, 1.0)
+            log_scale = log_scale - np.log(shrink)
+            prev, cur = cur * shrink, nxt * shrink
+        else:
+            prev, cur = cur, nxt
+    g = rows * np.exp(scales)
+    # entry (m + d, m) below the diagonal for m <= K, (m, m + d) above it for m + d <= K
+    below_m, below_d = np.nonzero(m + alpha <= N)
+    above_m, above_d = np.nonzero(m + alpha <= K)
     phase = np.exp(-1j * np.angle(a) * alpha)
-    for d in alpha:
-        m = np.arange(N + 1 - d)
-        out[m + d, m] = g[m, d] * phase[d]
-        out[m, m + d] = g[m, d] * ((-1) ** d * phase[d].conjugate())
+    out = np.zeros((N + 1, N + 1), dtype=np.complex128)
+    out[below_m + below_d, below_m] = g[below_m, below_d] * phase[below_d]
+    out[above_m, above_m + above_d] = g[above_m, above_d] * ((-1) ** above_d * phase[above_d].conj())
     return out
 
 

@@ -53,16 +53,20 @@ def uncertainty_product(f: FockVector, a: float, b: float) -> tuple[float, float
     """Returns (lhs, rhs) of the product inequality; lhs >= rhs always.
 
     lhs = ||f' + zf - af|| * ||f' - zf - ibf||, rhs = ||f||^2, both computed
-    exactly on degree-raised arrays.
+    exactly on degree-raised arrays.  ValueError when either side leaves
+    double range (a huge a or b), raised without a floating-point warning.
     """
     c = f.coeffs
     d = _apply_diff(c)
     m = _apply_mult(c)
     ce = np.concatenate([c, [0.0]])
-    u = d + m - a * ce
-    w = d - m - 1j * b * ce
-    lhs = float(np.linalg.norm(u) * np.linalg.norm(w))
-    rhs = float(np.linalg.norm(c) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = d + m - a * ce
+        w = d - m - 1j * b * ce
+        lhs = float(np.linalg.norm(u) * np.linalg.norm(w))
+        rhs = float(np.linalg.norm(c) ** 2)
+    if not (np.isfinite(lhs) and np.isfinite(rhs)):
+        raise ValueError(f"uncertainty product is not finite in double precision (a={a:g}, b={b:g})")
     return lhs, rhs
 
 
@@ -104,11 +108,16 @@ def extremal_coeffs(params: ExtremalParams, degree: int) -> FockVector:
     """Coefficients of C exp(alpha z^2 + beta z) against e_n.
 
     Built by the normalized recurrence of ``exp_quadratic_coeffs``.  Fails
-    when the top coefficient is not yet below the 1e-10 tail certificate
-    (pick a larger degree).
+    when a coefficient or the norm leaves double range (a huge beta), without
+    a floating-point warning, and when the top coefficient is not yet below
+    the 1e-10 tail certificate (pick a larger degree).
     """
-    vec = FockVector(exp_quadratic_coeffs(params.alpha, params.beta, degree, params.C))
-    norm = vec.norm()
+    with np.errstate(over="ignore", invalid="ignore"):
+        vec = FockVector(exp_quadratic_coeffs(params.alpha, params.beta, degree, params.C))
+        norm = vec.norm()
+    if not (np.all(np.isfinite(vec.coeffs)) and np.isfinite(norm)):
+        raise ValueError(f"extremal coefficients are not finite in double precision "
+                         f"(beta={params.beta:.3g})")
     if norm > 0 and abs(vec.coeffs[-1]) > 1e-10 * norm:
         raise ValueError(
             f"tail certificate failed: |c_N| = {abs(vec.coeffs[-1]):.2e} "

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fockdict.bargmann import inverse_bargmann_quadrature
+from fockdict.fock import log_factorials
 from fockdict.hermite import gauss_hermite, hermite_functions
 
 
@@ -64,3 +65,35 @@ def resolution_boundary():
             lo, hi = (lo, mid) if _kernel_tail(mid * mid, N) > 1e-8 else (mid, hi)
         return lo
     return boundary
+
+
+def _looped_weyl_laguerre(a: complex, N: int) -> np.ndarray:
+    """The normalized Laguerre recurrence of ``operators._weyl_entries_laguerre``
+    as a plain loop: coefficients formed inside the m-loop, each row unscaled
+    as it is produced, and one scatter per diagonal."""
+    r = abs(a) ** 2
+    alpha = np.arange(N + 1)
+    log_g0 = 0.5 * alpha * np.log(r) - r / 2.0 - 0.5 * log_factorials(N)
+    log_scale = np.minimum(log_g0 + 600.0, 0.0)
+    prev, cur = np.zeros(N + 1), np.exp(log_g0 - log_scale)
+    g = np.empty((N + 1, N + 1))
+    for m in range(N + 1):
+        g[m] = cur * np.exp(log_scale)
+        nxt = ((2 * m + 1 + alpha - r) * cur - np.sqrt(m * (m + alpha)) * prev) / np.sqrt(
+            (m + 1) * (m + 1 + alpha))
+        shrink = np.where(np.abs(nxt) > 1e100, 1e-100, 1.0)
+        log_scale -= np.log(shrink)
+        prev, cur = cur * shrink, nxt * shrink
+    out = np.empty((N + 1, N + 1), dtype=np.complex128)
+    phase = np.exp(-1j * np.angle(a) * alpha)
+    for d in alpha:
+        m = np.arange(N + 1 - d)
+        out[m + d, m] = g[m, d] * phase[d]
+        out[m, m + d] = g[m, d] * ((-1) ** d * phase[d].conjugate())
+    return out
+
+
+@pytest.fixture
+def looped_weyl_laguerre():
+    """Displacement entries by the per-row, per-diagonal loop of the recurrence."""
+    return _looped_weyl_laguerre

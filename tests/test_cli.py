@@ -301,6 +301,8 @@ def test_cli_env_degree(tmp_path):
     ("gabor", "predicate", "--lattice", "inf,1"),
     ("gabor", "predicate", "--lattice", "1e200,1e200"),
     ("gabor", "density", "--lattice", "1,1", "--R", "1e300"),
+    ("uncertainty", "--f", "{tmp}/e1.json", "--a", "1e308"),
+    ("uncertainty", "extremal", "--b", "1e308"),
 ], ids=["malformed-json", "missing-symbol", "bad-params", "negative-degree",
         "zero-degree", "tail-certificate", "zero-radius", "wrong-shape-vector",
         "symbol-without-terms", "non-finite-vector",
@@ -308,7 +310,8 @@ def test_cli_env_degree(tmp_path):
         "non-finite-dilate-params", "huge-lattice-disk", "removed-op-verify", "hilbert-object-as-csv",
         "uncertainty-object-as-csv", "removed-nodes", "option-the-command-does-not-read",
         "negative-core", "zero-core", "nan-extremal-c", "nan-extremal-a", "infinite-product-a",
-        "infinite-lattice-step", "overflowing-cell-area", "overflowing-disk-area"])
+        "infinite-lattice-step", "overflowing-cell-area", "overflowing-disk-area",
+        "overflowing-product", "overflowing-extremal"])
 def test_cli_errors_are_one_line(tmp_path, args, request):
     (tmp_path / "bad.json").write_text("[[1.0, 0.0], ")
     (tmp_path / "shape.json").write_text("[1, 2]")
@@ -410,6 +413,20 @@ def test_cli_dilate_ignores_trailing_zeros(tmp_path, capsys, exact_dilation):
     assert code == 0
     got = np.array([complex(re, im) for re, im in json.loads(out)])
     assert np.max(np.abs(got - exact_dilation(2.0, 0, 100))) <= 1e-12
+
+
+def test_cli_weyl_takes_the_input_at_its_own_degree(tmp_path, capsys):
+    # e_20 written at degree 60 and applied at --degree 200: trailing zeros are
+    # dropped, and the output is the full matrix's, bit for bit
+    path = tmp_path / "e20.json"
+    path.write_text(vector_to_json(FockVector.basis(20, 60)))
+    code = cli.main(["op", "apply", "--op", "weyl", "--params", "0.7,-0.4",
+                     "--degree", "200", "--in", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    got = np.array([complex(re, im) for re, im in json.loads(out)])
+    want = cli.op.weyl_matrix(0.7 - 0.4j, 200).entries[:, 20]
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("degree", range(1, 17))

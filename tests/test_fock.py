@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -36,6 +37,13 @@ def test_kernel_unit_norm():
     k = kernel_vector(1.0, 40, normalized=True)
     assert abs(k.norm() ** 2 - 1.0) < 1e-12
     assert kernel_truncation_defect(1.0, 40) < 1e-12
+
+
+@pytest.mark.parametrize("a", [complex("nan"), complex("inf"), complex(0.5, -math.inf), complex(math.nan, 1.0)])
+def test_kernel_truncation_defect_of_a_non_finite_point_is_total(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert kernel_truncation_defect(a, 40) == 1.0
 
 
 @pytest.mark.parametrize("N", [8, 64, 300])

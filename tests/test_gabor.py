@@ -31,6 +31,7 @@ from fockdict.gabor import (
     separation_check,
 )
 from fockdict.hermite import GAUSS_CONST
+from fockdict.operators import weyl_matrix
 
 
 # ----------------------------------------------------------------------
@@ -52,7 +53,8 @@ def _brute_force_rejects(pts) -> bool:
 @pytest.mark.parametrize("seed", range(60))
 def test_duplicate_gate_rejects_exactly_what_brute_force_rejects(seed):
     # integer grids at spacings around the 1e-9 gate, off the origin so the
-    # differences round, with repeated points and non-finite ones mixed in
+    # differences round, with repeated points; non-finite ones mixed in are
+    # refused first, and the gate then runs on the finite rest
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 80))
     unit = rng.choice([0.3e-9, 0.7e-9, 1e-9, 1.0000001e-9, 2e-9])
@@ -63,6 +65,10 @@ def test_duplicate_gate_rejects_exactly_what_brute_force_rejects(seed):
         pts = np.unique(pts)
     if seed % 4 == 1:
         pts[: n // 5] = rng.choice([np.nan, np.inf, complex(1.0, np.inf)], n // 5)
+    if not np.all(np.isfinite(pts)):
+        with pytest.raises(ValueError, match="finite"):
+            PointSet(pts)
+        pts = pts[np.isfinite(pts)]
     rejects = _brute_force_rejects(pts)
     if rejects:
         with pytest.raises(ValueError, match="distinct"):
@@ -355,6 +361,46 @@ def test_independence_point_cap():
     pts = [complex(k, 0) * 0.3 for k in range(13)]
     with pytest.raises(ValueError):
         linear_independence_check(FockVector.basis(0, 20), pts, 20)
+
+
+def _full_matrix_gram(f, points, degree):
+    U = np.column_stack([weyl_matrix(z, degree).apply(f).coeffs for z in points])
+    return U.conj().T @ U
+
+
+def test_box_gram_equals_the_full_matrix_gram():
+    pts = [complex(n, -np.pi * m) for m in range(-1, 2) for n in range(-1, 2)]
+    want = _full_matrix_gram(box_window_coeffs(48), pts, 48)
+    assert np.array_equal(box_frame_gram(range(-1, 2), range(-1, 2), 48), want)
+
+
+@pytest.mark.parametrize("coeffs, degree", [
+    ([1.0], 64), ([0.0, 0.0, 1.0, 0.0, 0.0], 64), ([0.3, -1.0j, 0.2, 0.5 + 0.5j], 32),
+    ([0.0], 16), (np.linspace(1.0, 0.1, 40), 24),
+])
+def test_independence_equals_the_full_matrix_gram(coeffs, degree):
+    # the window's own degree decides the columns built: the vacuum, e_2 with
+    # trailing zeros, a dense window, the zero window, one past the degree
+    f = FockVector(coeffs)
+    pts = [0.4 - 0.3j, -0.9 + 0.2j, 0.1 + 1.1j, 1.2 + 0.6j]
+    G = _full_matrix_gram(f, pts, degree)
+    assert np.array_equal(gabor._displaced_gram(f, pts, degree), G)
+    vals = np.linalg.eigvalsh(G)
+    smin, smax = max(vals[0], 0.0), vals[-1]
+    want = (smin > 1e-10 * smax, smin / smax) if smax else (False, 0.0)
+    assert linear_independence_check(f, pts, degree) == want
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(1.0, -math.inf)])
+def test_non_finite_points_are_refused(bad):
+    with pytest.raises(ValueError, match="finite"):
+        PointSet.from_points([bad, 1.0])
+    with pytest.raises(ValueError):  # a ResolutionError is a ValueError too
+        frame_bounds_finite(PointSet.from_points([bad, 1.0]), 40, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError):
+            linear_independence_check(FockVector.basis(0, 20), [0.0, bad], 20)
 
 
 def test_independence_refuses_unresolved_displacements():

@@ -256,6 +256,43 @@ def test_weyl_recurrence_survives_underflowing_starts():
         assert abs(W[p, n] - v) <= 1e-12
 
 
+@pytest.mark.parametrize("N", [16, 32, 64, 128, 200])
+def test_weyl_input_degree_keeps_columns_bit_for_bit(N):
+    # one displacement on each side of the engine switch (only the float
+    # side at N = 16); columns 0..K are the full matrix's, the rest zero
+    r0 = _switch_point(N)
+    radii = [0.5 * (N / 2.0 if r0 is None else r0)] + ([] if r0 is None else [min(1.5 * r0, N / 2.0)])
+    for r in radii:
+        a = cmath.rect(math.sqrt(r), 2.1)
+        with warnings.catch_warnings():  # (32, r = 16) is past resolution
+            warnings.simplefilter("ignore", AccuracyWarning)
+            full = weyl_matrix(a, N).entries
+            for K in (0, 1, N // 2, N):
+                W = weyl_matrix(a, N, K).entries
+                assert np.array_equal(W[:, : K + 1], full[:, : K + 1]), (a, K)
+                assert not W[:, K + 1 :].any(), (a, K)
+    assert np.array_equal(weyl_matrix(0.0, N, N // 2).entries, np.diag(np.arange(N + 1) <= N // 2))
+
+
+@pytest.mark.parametrize("K", [-1, 13])
+def test_weyl_input_degree_outside_the_matrix_is_refused(K):
+    with pytest.raises(ValueError, match="input_degree"):
+        weyl_matrix(0.3, 12, K)
+
+
+@pytest.mark.parametrize("a, N", [
+    (0.5, 32), (1 + 0.5j, 24), (cmath.rect(1.3, -2.0), 64), (1 - np.pi * 1j, 200),
+    (cmath.rect(7.0, 0.3), 128), (-3.0, 1), (cmath.rect(44.8, 1.0), 400),
+])
+def test_weyl_recurrence_matches_its_looped_form(a, N, looped_weyl_laguerre):
+    # r = 2007 at N = 400 starts below e^{-600} and shrinks rows from m = 313 on
+    want = looped_weyl_laguerre(complex(a), N)
+    assert np.array_equal(_weyl_entries_laguerre(complex(a), N), want)
+    K = N // 3
+    W = _weyl_entries_laguerre(complex(a), N, K)
+    assert np.array_equal(W[:, : K + 1], want[:, : K + 1]) and not W[:, K + 1 :].any()
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "float log-scale path loses ~1e-4 below the digit-loss switch at degree 64 "
     "(ROADMAP item 1; pinned in bench/test_oracles.py::"

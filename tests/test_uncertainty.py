@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,24 @@ def test_tail_certificate_failure():
     # alpha close to 1/2 needs a much larger degree than 40
     with pytest.raises(ValueError):
         extremal_coeffs(ExtremalParams(C=1.0, c=30.0, a=0.0, b=0.0), 40)
+
+
+@pytest.mark.parametrize("a, b", [(1e308, 0.0), (0.0, -1e308), (1e200, 1e200)])
+def test_product_out_of_double_range_is_refused_quietly(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            uncertainty_product(FockVector.basis(1, 4), a, b)
+
+
+@pytest.mark.parametrize("a, b, degree", [(0.0, 1e308, 64), (1e150, 0.0, 4), (2e100, 0.0, 2)])
+def test_extremal_out_of_double_range_is_refused_quietly(a, b, degree):
+    # beta = a/2 at c = 1: 5e149 overflows a coefficient by degree 3, while
+    # 1e100 keeps every coefficient finite (up to 7e199) but not the norm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            extremal_coeffs(ExtremalParams(C=1.0, c=1.0, a=a, b=b), degree)
 
 
 def test_nonextremal_gap_examples():
