@@ -41,7 +41,7 @@ def bargmann_coeff(f: LineVector) -> FockVector:
     return FockVector(f.coeffs)
 
 
-def bargmann_quadrature(f: Callable, z, rule: QuadratureRule, warn: bool = True):
+def bargmann_quadrature(f: Callable, z, rule: QuadratureRule):
     """Quadrature of the defining integral at one or many points z.
 
     The Gaussian weight of the rule absorbs exp(-x^2); the factor
@@ -54,7 +54,7 @@ def bargmann_quadrature(f: Callable, z, rule: QuadratureRule, warn: bool = True)
         raise ValueError("bargmann_quadrature needs a Gauss-Hermite rule")
     scalar = np.isscalar(z)
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128)).ravel()
-    if warn and np.max(np.abs(zs.imag)) > rule.n_nodes / 8.0:
+    if np.max(np.abs(zs.imag)) > rule.n_nodes / 8.0:
         warnings.warn(
             "oscillation budget exceeded: |Im z| > n_nodes/8", AccuracyWarning, stacklevel=2
         )
@@ -95,20 +95,18 @@ def _node_window(log_mag, x, s0: float, s1: float) -> tuple[int, int]:
     return int(keep[0]), int(keep[-1]) + 1
 
 
-def inverse_bargmann_quadrature(
-    F: FockVector, x, plane_rule: QuadratureRule, warn: bool = True
-):
+def inverse_bargmann_quadrature(F: FockVector, x, plane_rule: QuadratureRule):
     """Tensor Gauss-Hermite value of the inverse integral over the plane.
 
     B^{-1}F(x) = c * int F(z) exp(2x conj(z) - x^2 - conj(z)^2/2) dlambda(z);
-    reliable for F of modest degree relative to the plane rule.  On the
-    tensor nodes z = u_j + i v_k the kernel splits as
-    exp(2x u_j - x^2) * exp(-2i x v_k), so the sum over the plane is
-    contracted one axis at a time.
+    AccuracyWarning once F's last nonzero coefficient has an index above the
+    rule's line-node count (zero padding never warns).  On the tensor nodes
+    z = u_j + i v_k the kernel splits as exp(2x u_j - x^2) * exp(-2i x v_k),
+    so the sum over the plane is contracted one axis at a time.
     """
     if plane_rule.weight != "plane" or plane_rule.line is None:
         raise ValueError("inverse_bargmann_quadrature needs a plane rule from gauss_hermite_plane")
-    if warn and F.degree > np.sqrt(plane_rule.n_nodes):
+    if len(np.trim_zeros(F.coeffs, "b")) - 1 > np.sqrt(plane_rule.n_nodes):  # F's own degree
         warnings.warn(
             "plane rule too coarse for this degree", AccuracyWarning, stacklevel=2
         )

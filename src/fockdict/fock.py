@@ -148,14 +148,23 @@ def kernel_rows(points, degree: int, normalized: bool = True) -> np.ndarray:
     return rows
 
 
-def kernel_truncation_defect(a: complex, degree: int) -> float:
-    """1 - ||k_a truncated at degree||^2, i.e. the mass lost to truncation.
+def lost_mass(rows) -> np.ndarray:
+    """1 - (sum re^2 + sum im^2) along the last axis: the unit mass each row lacks."""
+    return 1.0 - (np.sum(rows.real**2, axis=-1) + np.sum(rows.imag**2, axis=-1))
 
-    1.0 for a NaN or infinite a: no truncation keeps any of its mass.
+
+def kernel_truncation_defect(a, degree: int):
+    """The mass k_a loses past the degree: ``lost_mass`` of its row, clipped at 0.
+
+    One point gives a float, an array of points an array of that shape equal
+    to the point-by-point values bit for bit.  A NaN or infinite point reads
+    1.0 and its row is never built; a row past double range reads NaN.
     """
-    if not np.isfinite(complex(a)):
-        return 1.0
-    return max(0.0, 1.0 - kernel_vector(a, degree, normalized=True).norm() ** 2)
+    z = np.asarray(a, dtype=np.complex128)
+    finite = np.isfinite(z)
+    out = np.ones(z.shape)
+    out[finite] = np.maximum(0.0, lost_mass(kernel_rows(z[finite], degree)))
+    return float(out) if z.ndim == 0 else out
 
 
 def resolved_radius(degree: int) -> float:

@@ -7,7 +7,8 @@ pi a b.  Frames of displaced kernels, Beurling densities, the ab < 1
 lattice criterion, the box-window orthonormal system, and finite linear
 independence checks all live here.  A point z whose kernel loses more than
 ``fock.RESOLVED_DEFECT`` past the degree is refused (ResolutionError)
-everywhere but in ``kernel_gram``, the closed-form check.
+everywhere but in ``kernel_gram``, the closed-form check, which refuses
+only NaN and infinite points (ValueError).
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResolutionError
-from .fock import RESOLVED_DEFECT, FockVector, kernel_rows, kernel_truncation_defect
+from .fock import RESOLVED_DEFECT, FockVector, kernel_rows, lost_mass
 from .hermite import GAUSS_CONST, composite_legendre, project_line_interval
 from .bargmann import bargmann_coeff
 from .operators import weyl_matrix
@@ -52,8 +53,7 @@ class PointSet:
         pts = np.asarray(self.points, dtype=np.complex128).copy()
         if pts.ndim != 1:
             raise ValueError("points must be a 1-d sequence")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError(f"points must be finite, got {pts[~np.isfinite(pts)][0]}")
+        _require_finite(pts)
         if len(pts) > 1:
             gap = _near_duplicate_gap(pts)
             if gap <= 1e-9:
@@ -92,6 +92,13 @@ class PointSet:
     def clip_to_disk(self, radius: float, center: complex = 0.0) -> "PointSet":
         pts = self.points_in_disk(center, radius)
         return PointSet(pts, clip_radius=float(radius))
+
+
+def _require_finite(pts: np.ndarray) -> np.ndarray:
+    """The points, or ValueError naming the first NaN or infinite one."""
+    if not np.all(np.isfinite(pts)):
+        raise ValueError(f"points must be finite, got {pts[~np.isfinite(pts)][0]}")
+    return pts
 
 
 def _near_duplicate_gap(pts: np.ndarray, tol: float = 1e-9) -> float:
@@ -221,32 +228,19 @@ def separation_check(Z: PointSet) -> tuple[bool, float]:
     return gap > 1e-9, gap
 
 
-def _unresolved(z: np.ndarray, rows: np.ndarray, degree: int) -> np.ndarray:
-    """Mask of kernel_truncation_defect(z, degree) > RESOLVED_DEFECT, from z's kernel rows.
-
-    The rows' defects 1 - ||k_z||^2 are summed in another order than the
-    scalar norm, so a point whose defect here lies within that rounding,
-    4 (degree + 2) eps, of the tolerance is decided by the scalar call.
-    """
-    defect = 1.0 - (np.sum(rows.real**2, axis=1) + np.sum(rows.imag**2, axis=1))
-    lost = ~(defect <= RESOLVED_DEFECT)  # a NaN defect (non-finite z) is lost too
-    slack = 4 * (degree + 2) * np.finfo(np.float64).eps
-    for k in np.flatnonzero(np.abs(defect - RESOLVED_DEFECT) <= slack):
-        lost[k] = kernel_truncation_defect(z[k], degree) > RESOLVED_DEFECT
-    return lost
-
-
 def _resolved_kernels(points, degree: int):
     """Kernel rows of the points, _POINT_BLOCK at a time, or ResolutionError.
 
-    The error names the first point whose k_z (so W_z) is not resolved at
-    the degree (``_unresolved``).
+    The error names the first point whose k_z (so W_z) loses more than
+    RESOLVED_DEFECT past the degree by ``lost_mass`` of its row, equal to
+    ``kernel_truncation_defect``; a block's rows stop before a non-finite z.
     """
     pts = np.asarray(points, dtype=np.complex128).ravel()
     for start in range(0, pts.size, _POINT_BLOCK):
         z = pts[start : start + _POINT_BLOCK]
-        rows = kernel_rows(z, degree)
-        lost = _unresolved(z, rows, degree)
+        stop = int(np.argmin(np.append(np.isfinite(z), False)))  # first non-finite, else z.size
+        rows = kernel_rows(z[:stop], degree)
+        lost = np.append(~(lost_mass(rows) <= RESOLVED_DEFECT), stop < z.size)
         if lost.any():
             raise ResolutionError(f"kernel at {z[np.argmax(lost)]} loses more than "
                                   f"{RESOLVED_DEFECT:.0e} past degree {degree}")
@@ -390,5 +384,5 @@ def linear_independence_check(
 
 def kernel_gram(points, degree: int) -> np.ndarray:
     """Gram of truncated normalized kernels; closed form e^{conj(zm) zn - (|zm|^2+|zn|^2)/2}."""
-    rows = kernel_rows(np.asarray(list(points), dtype=np.complex128), degree)
+    rows = kernel_rows(_require_finite(np.asarray(list(points), dtype=np.complex128)), degree)
     return rows.conj() @ rows.T

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .bargmann import BargmannPipeline
 from .errors import AccuracyWarning
-from .fock import RESOLVED_DEFECT, FockVector, kernel_truncation_defect, log_factorials
+from .fock import RESOLVED_DEFECT, FockVector, kernel_truncation_defect, log_factorials, lost_mass
 from .hermite import QuadratureRule, default_nodes, gauss_hermite, hermite_functions
 
 
@@ -59,11 +58,11 @@ def unitarity_residual(op: OperatorMatrix, block: int) -> float:
 
 def weyl_interior_block(*ops: OperatorMatrix) -> int:
     """Largest b such that every column n < b of each truncated unitary loses
-    at most 1e-12 of its unit mass past the degree; 0 if column 0 already does.
-
-    On it A*A = I and, for (W_a, W_{-a}), W_a W_{-a} = I up to the lost mass.
+    at most 1e-12 of its unit mass past the degree (``fock.lost_mass`` of the
+    column); 0 if column 0 already does.  On it A*A = I and, for
+    (W_a, W_{-a}), W_a W_{-a} = I up to the lost mass.
     """
-    lost = np.max([1.0 - np.sum(np.abs(A.entries) ** 2, axis=0) for A in ops], axis=0)
+    lost = np.max([lost_mass(A.entries.T) for A in ops], axis=0)
     return int(np.argmax(np.append(lost > 1e-12, True)))  # first losing column, else N + 1
 
 
@@ -163,7 +162,6 @@ def _weyl_float_digit_loss(r: float, N: int) -> float:
     return float((np.max(log_terms) - r / 2.0) / np.log(10.0))
 
 
-@lru_cache(maxsize=16)
 def _weyl_entries_float(a: complex, N: int, K: int | None = None) -> np.ndarray:
     """Columns 0..K (default N) of the series, each summed in log scale; the rest are zero."""
     K = N if K is None else K

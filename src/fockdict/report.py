@@ -201,7 +201,7 @@ def _case_weyl(cfg: SuiteConfig) -> list[CaseResult]:
     worst = 0.0
     for n in (0, 1):
         x = pipe.line_rule.nodes
-        g = bg.inverse_bargmann_quadrature(FockVector.basis(n, N), x - ab[0], pipe.plane_rule, warn=False)
+        g = bg.inverse_bargmann_quadrature(FockVector.basis(n, N), x - ab[0], pipe.plane_rule)
         vals = np.exp(2j * np.pi * ab[1] * x) * g
         col = pipe.line_rule.hermite_table(N) @ (pipe.line_rule.flat_weights() * vals)
         worst = max(worst, float(np.max(np.abs(col - Wm.entries[:, n]))))

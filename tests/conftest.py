@@ -40,7 +40,7 @@ def _inverse_integral_dilation(r: float, f, pipeline) -> np.ndarray:
     line = pipeline.line_rule
     s = np.sqrt(1.0 + r * r)
     x = line.nodes / s
-    g = inverse_bargmann_quadrature(f, r * x, pipeline.plane_rule, warn=False)
+    g = inverse_bargmann_quadrature(f, r * x, pipeline.plane_rule)
     return hermite_functions(pipeline.degree, x) @ (line.flat_weights() / s * np.sqrt(r) * g)
 
 

@@ -82,9 +82,7 @@ def test_criterion_03_shift_modulation_dictionary():
         Wm = op.translation_modulation_fock(a, b, N)
         x = pipe.line_rule.nodes
         for n in (0, 1):
-            g = bg.inverse_bargmann_quadrature(
-                FockVector.basis(n, N), x - a, pipe.plane_rule, warn=False
-            )
+            g = bg.inverse_bargmann_quadrature(FockVector.basis(n, N), x - a, pipe.plane_rule)
             vals = np.exp(2j * np.pi * b * x) * g
             col = hm.hermite_functions(N, x) @ (pipe.line_rule.flat_weights() * vals)
             worst = max(worst, float(np.max(np.abs(col - Wm.entries[:, n]))))

@@ -183,7 +183,7 @@ def test_pbound_stft_matches_quadrature_pointwise(name, n_nodes):
         vals[rows, cols] = block
     s, t = np.meshgrid(u, u, indexing="ij")
     z = (s + 1j * t)[inside]
-    want = np.abs(bargmann_quadrature(f, z, rule, warn=False)) * np.exp(-np.abs(z) ** 2 / 2.0)
+    want = np.abs(bargmann_quadrature(f, z, rule)) * np.exp(-np.abs(z) ** 2 / 2.0)
     got = GAUSS_CONST * np.abs(vals[inside])
     # sum_k |terms| at z = s + it depends on s alone
     terms = np.exp(-((u[:, None] - rule.nodes[None, :]) ** 2)) @ np.abs(
@@ -205,10 +205,12 @@ def test_pbound_grid_is_symmetric_and_holds_the_real_axis(radius, m):
 
 
 def test_plane_rule_too_coarse_boundary():
-    # the 64 x 64 plane rule takes F up to degree sqrt(4096) = 64
+    # the 64 x 64 plane rule takes F up to degree sqrt(4096) = 64, read from
+    # F's last nonzero coefficient: trailing zeros do not count
     rng = np.random.default_rng(5)
-    for degree, warns in ((64, False), (65, True)):
-        F = FockVector(rng.standard_normal(degree + 1))
+    cases = [(FockVector(rng.standard_normal(65)), False), (FockVector(rng.standard_normal(66)), True),
+             (FockVector.basis(64, 200), False), (FockVector.basis(65, 65), True)]
+    for F, warns in cases:
         got = _accuracy_warnings(lambda: inverse_bargmann_quadrature(F, 0.3, PLANE))
         assert bool(got) == warns
 

@@ -44,6 +44,8 @@ def test_kernel_truncation_defect_of_a_non_finite_point_is_total(a):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert kernel_truncation_defect(a, 40) == 1.0
+        got = kernel_truncation_defect(np.array([a, 1.0]), 40)
+        assert np.array_equal(got, [1.0, kernel_truncation_defect(1.0, 40)])
 
 
 @pytest.mark.parametrize("N", [8, 64, 300])

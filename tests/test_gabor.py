@@ -11,7 +11,6 @@ from fockdict.errors import ResolutionError
 from fockdict.fock import (
     RESOLVED_DEFECT,
     FockVector,
-    kernel_rows,
     kernel_truncation_defect,
     kernel_vector,
     resolved_radius,
@@ -209,18 +208,40 @@ def test_frame_bounds_accept_resolved_points_past_half_the_degree():
     assert A == 0.0 and 0.0 <= B <= 1.0
 
 
-@pytest.mark.parametrize("degree", [16, 64, 200])
-def test_resolution_gate_decides_as_the_scalar_defect(degree):
+def _boundary_sets(degree):
     # the circle |z| = resolved_radius is where the defect meets the tolerance,
-    # so rounding decides there: the gate must round as kernel_truncation_defect
+    # so rounding decides there; the lattice crosses it at many angles
     r = resolved_radius(degree)
     theta = np.linspace(0.0, 2.0 * np.pi, 1500, endpoint=False)
     ring = np.concatenate([s * np.exp(1j * theta) for s in (np.nextafter(r, 0.0), r, r * (1 + 1e-9))])
-    lattice = PointSet.rectangular(0.3, 0.2).clip_to_disk(1.05 * r).points
-    for z in (ring, lattice):
-        want = np.array([kernel_truncation_defect(a, degree) > RESOLVED_DEFECT for a in z])
-        assert 0 < want.sum() < z.size
-        assert np.array_equal(gabor._unresolved(z, kernel_rows(z, degree), degree), want)
+    return ring, PointSet.rectangular(0.3, 0.2).clip_to_disk(1.05 * r).points
+
+
+@pytest.mark.parametrize("degree", [16, 64, 200])
+def test_array_defect_equals_the_scalar_defect_bit_for_bit(degree):
+    for z in _boundary_sets(degree):
+        scalar = np.array([kernel_truncation_defect(a, degree) for a in z])
+        assert np.array_equal(kernel_truncation_defect(z, degree), scalar)
+        assert np.array_equal(kernel_truncation_defect(z.reshape(-1, 1), degree), scalar[:, None])
+
+
+@pytest.mark.parametrize("degree", [16, 64, 200])
+def test_resolution_gate_decides_as_the_scalar_defect(degree):
+    # the gate reads the rows it builds: it must refuse exactly where the
+    # scalar defect exceeds the tolerance, naming the first such point
+    for z in _boundary_sets(degree):
+        lost = np.array([kernel_truncation_defect(a, degree) > RESOLVED_DEFECT for a in z])
+        assert 0 < lost.sum() < z.size
+        with pytest.raises(ResolutionError, match=re.escape(f"kernel at {z[np.argmax(lost)]} ")):
+            gabor._require_resolved(z, degree)
+        gabor._require_resolved(z[~lost], degree)
+
+
+@pytest.mark.parametrize("degree", [16, 64, 200])
+def test_frame_bounds_accept_the_lattice_clipped_at_the_resolved_radius(degree):
+    Z = PointSet.rectangular(0.3, 0.2).clip_to_disk(resolved_radius(degree))
+    A, B = frame_bounds_finite(Z, degree, 4)
+    assert 0.0 <= A <= B
 
 
 def test_frame_bounds_refuse_the_first_unresolved_point():
@@ -391,6 +412,13 @@ def test_independence_equals_the_full_matrix_gram(coeffs, degree):
     assert linear_independence_check(f, pts, degree) == want
 
 
+def test_box_frame_gram_refuses_a_non_finite_point_before_building_it():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ResolutionError, match=re.escape("kernel at (inf-0j) ")):
+            box_frame_gram([0], [math.inf], 20)
+
+
 @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(1.0, -math.inf)])
 def test_non_finite_points_are_refused(bad):
     with pytest.raises(ValueError, match="finite"):
@@ -401,6 +429,8 @@ def test_non_finite_points_are_refused(bad):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError):
             linear_independence_check(FockVector.basis(0, 20), [0.0, bad], 20)
+        with pytest.raises(ValueError, match="finite"):
+            kernel_gram([bad, 1.0], 20)
 
 
 def test_independence_refuses_unresolved_displacements():

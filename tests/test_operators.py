@@ -379,7 +379,7 @@ def test_dictionary_consistency_through_quadrature():
     Wm = translation_modulation_fock(a, b, N)
     x = pipe.line_rule.nodes
     for n in (0, 1):
-        g = inverse_bargmann_quadrature(FockVector.basis(n, N), x - a, pipe.plane_rule, warn=False)
+        g = inverse_bargmann_quadrature(FockVector.basis(n, N), x - a, pipe.plane_rule)
         vals = np.exp(2j * np.pi * b * x) * g
         col = hermite_functions(N, x) @ (pipe.line_rule.flat_weights() * vals)
         assert np.max(np.abs(col - Wm.entries[:, n])) < 1e-6
