@@ -239,13 +239,16 @@ def _weyl_entries_laguerre(a: complex, N: int, K: int | None = None) -> np.ndarr
     return out
 
 
-def translation_modulation_fock(a: float, b: float, degree: int) -> OperatorMatrix:
+def translation_modulation_fock(a: float, b: float, degree: int,
+                                input_degree: int | None = None) -> OperatorMatrix:
     """Fock-side image of modulation-then-translation M_b T_a on the line.
 
     Equals e^{i pi a b} W_{a - pi b i}; b = 0 gives pure translation and
-    a = 0 pure modulation.
+    a = 0 pure modulation.  ``input_degree`` K is passed to ``weyl_matrix``:
+    columns 0..K equal the full matrix's bit for bit, the rest are zero and
+    never computed; ValueError unless 0 <= K <= degree.
     """
-    w = weyl_matrix(complex(a, -np.pi * b), degree)
+    w = weyl_matrix(complex(a, -np.pi * b), degree, input_degree)
     phase = np.exp(1j * np.pi * a * b)
     return OperatorMatrix(phase * w.entries)
 

@@ -197,7 +197,7 @@ def _case_weyl(cfg: SuiteConfig) -> list[CaseResult]:
 
     ab = (0.5, 0.3)
     pipe = bg.BargmannPipeline.default(N)
-    Wm = op.translation_modulation_fock(ab[0], ab[1], N)
+    Wm = op.translation_modulation_fock(ab[0], ab[1], N, input_degree=1)
     worst = 0.0
     for n in (0, 1):
         x = pipe.line_rule.nodes
@@ -229,10 +229,10 @@ def _case_dilation(cfg: SuiteConfig) -> list[CaseResult]:
 
     worst = 0.0
     for rr in (0.5, 2.0):
-        for n in (0, 1):
-            f = FockVector.basis(n, 8)
+        fs = [FockVector.basis(n, 8) for n in (0, 1)]
+        for f, plane in zip(fs, _dilation_plane_kernels(rr, fs, pipe)):
             line = op.dilation_fock(rr, f, pipe).primary.coeffs
-            worst = max(worst, float(np.linalg.norm(line - _dilation_plane_kernel(rr, f, pipe))))
+            worst = max(worst, float(np.linalg.norm(line - plane)))
     out.append(CaseResult("d3-dual-path", "line route agrees with the direct kernel", worst, 1e-5))
     return out
 
@@ -249,13 +249,19 @@ def _dilation_plane_kernel(r: float, f: FockVector, pipeline: bg.BargmannPipelin
     d3's independent reference; it is accurate for f of modest degree
     relative to the plane rule.
     """
+    return _dilation_plane_kernels(r, [f], pipeline)[0]
+
+
+def _dilation_plane_kernels(r: float, fs, pipeline: bg.BargmannPipeline) -> list[np.ndarray]:
+    """``_dilation_plane_kernel`` of each f in fs, sharing one coefficient table
+    of e^{g z^2 + beta z} over the plane nodes (the cost of a call)."""
     plane = pipeline.plane_rule
     gamma = (1.0 - r * r) / (2.0 * (1.0 + r * r))
     pref = np.sqrt(2.0 * r / (1.0 + r * r))
     wbar = np.conj(plane.nodes)
-    base = plane.weights * f(-1j * plane.nodes) * np.exp(gamma * wbar**2)
     beta = 2j * r * wbar / (1.0 + r * r)
-    return pref * (exp_quadratic_coeffs(gamma, beta, pipeline.degree) @ base)
+    table = exp_quadratic_coeffs(gamma, beta, pipeline.degree)
+    return [pref * (table @ (plane.weights * f(-1j * plane.nodes) * np.exp(gamma * wbar**2))) for f in fs]
 
 
 def _case_gabor(cfg: SuiteConfig) -> list[CaseResult]:
@@ -328,10 +334,10 @@ def _case_hilbert(cfg: SuiteConfig) -> list[CaseResult]:
                           float(np.max(np.abs(T.entries + T.entries.conj().T))), 1e-15))
 
     rule = bg.BargmannPipeline.default(N).line_rule
+    hv = sg.hilbert_line_pv(lambda t: hm.hermite_functions(2, t), rule.nodes)
     worst = 0.0
     for n in range(min(3, N + 1)):
-        hv = sg.hilbert_line_pv(lambda t: hm.hermite_function(n, t), rule.nodes)
-        col = rule.hermite_table(N) @ (rule.flat_weights() * hv)
+        col = rule.hermite_table(N) @ (rule.flat_weights() * hv[n])
         worst = max(worst, float(np.max(np.abs(col - T.entries[:, n]))))
     out.append(CaseResult("h5-principal-value-oracle",
                           "columns match the line-side singular integral", worst, 1e-10))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fockdict.fock import (
+    RESOLVED_DEFECT,
     FockVector,
     evaluate,
     exp_quadratic_coeffs,
@@ -16,6 +17,7 @@ from fockdict.fock import (
     kernel_vector,
     resolved_radius,
 )
+from fockdict.operators import weyl_matrix
 
 
 def test_basis_orthonormality():
@@ -80,6 +82,46 @@ def test_kernel_rows_round_as_one_kernel_at_a_time(normalized):
             want *= np.exp(-abs(complex(a)) ** 2 / 2.0)
         assert np.array_equal(row, want)
     assert np.array_equal(kernel_vector(pts[5], 40, normalized).coeffs, rows[5])
+
+
+def test_kernel_rows_past_double_range_are_rebuilt_in_log_scale():
+    # rows the running product keeps finite stay bit for bit; the others
+    # (|a|^2 past about 1400 at a high degree) match 30-digit values
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(30.0, 45.0, 40) * np.exp(1j * rng.uniform(-np.pi, np.pi, 40))
+    for N in (1000, 2000):
+        rows = kernel_rows(pts, N)
+        assert np.all(np.isfinite(rows))
+        n = np.arange(N + 1)
+        rebuilt = 0
+        for a, row in zip(pts, rows):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.ones(N + 1, dtype=np.complex128)
+                want[1:] = np.cumprod(np.conj(complex(a)) / np.sqrt(n[1:]))
+                want *= np.exp(-abs(complex(a)) ** 2 / 2.0)
+            if np.all(np.isfinite(want)):
+                assert np.array_equal(row, want)
+                continue
+            rebuilt += 1
+            ks = n[:: N // 20]
+            with mpmath.workdps(30):
+                ab = mpmath.mpc(a.real, -a.imag)
+                ref = np.array([complex(mpmath.exp(k * mpmath.log(ab) - abs(ab) ** 2 / 2
+                                                   - mpmath.loggamma(k + 1) / 2)) for k in ks])
+            big = np.abs(ref) > 1e-280
+            assert np.all(np.abs(row[ks] - ref)[big] <= 1e-10 * np.abs(ref[big])), a
+        assert 0 < rebuilt < len(pts), N
+
+
+def test_far_kernels_at_degree_2000_are_resolved_without_warnings():
+    # k_40 loses 2.8e-22 past degree 2000 (Poisson tail at 50 digits), and
+    # RESOLVED_DEFECT is met up to |a| = 41.95; the running product alone
+    # overflows there and read NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernel_truncation_defect(40, 2000) <= RESOLVED_DEFECT
+        weyl_matrix(40, 2000, input_degree=0)  # the same resolution check as the full matrix
+        assert abs(resolved_radius(2000) - 41.95) <= 0.01
 
 
 def test_kernel_at_zero_is_vacuum():

@@ -371,6 +371,20 @@ def test_translation_modulation_reductions():
     )) < 1e-14
 
 
+@pytest.mark.parametrize("N", [40, 64, 128])
+def test_translation_modulation_column_block_is_the_full_matrix(N):
+    # |a - pi b i| = 1.07 takes the float series, 3.22 the Laguerre recurrence
+    for a, b in ((0.5, 0.3), (-1.2, 0.95)):
+        full = translation_modulation_fock(a, b, N).entries
+        for K in (0, 1, N):
+            blk = translation_modulation_fock(a, b, N, input_degree=K).entries
+            assert np.array_equal(blk[:, : K + 1], full[:, : K + 1]), (a, b, K)
+            assert not np.any(blk[:, K + 1 :]), (a, b, K)
+    for K in (-1, N + 1):
+        with pytest.raises(ValueError, match="input_degree"):
+            translation_modulation_fock(0.5, 0.3, N, input_degree=K)
+
+
 def test_dictionary_consistency_through_quadrature():
     # shift-then-modulate pipeline on the line vs the displacement matrix
     N = 64

@@ -228,6 +228,46 @@ def test_hilbert_exact_structure_at_degree_256():
     assert np.array_equal(T[:, 0], symbol_to_fock(hilbert_symbol(2 * N - 1), N).coeffs)
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 64, 128, 256])
+def test_hilbert_closed_form_matches_the_recurrence(N):
+    T = hilbert_fock_matrix(N).entries
+    S = s_phi_matrix(hilbert_symbol(max(1, 2 * N - 1)), N).entries
+    assert np.max(np.abs(T - S)) <= 1e-15 * np.max(np.abs(T))
+
+
+def _hilbert_closed_form_40_digits(p, q):
+    if (p + q) % 2 == 0:
+        return mpmath.mpf(0)
+    e, o = (p, q) if p % 2 == 0 else (q, p)
+    num = o * mpmath.binomial(e, e // 2) * mpmath.binomial(o - 1, (o - 1) // 2)
+    mag = mpmath.sqrt(2 / mpmath.pi * num / (mpmath.mpf(2) ** (e + o - 1) * (o - e) ** 2))
+    return mag if q > p else -mag
+
+
+@pytest.mark.parametrize("N", [128, 256])
+def test_hilbert_closed_form_entries_match_40_digit_values(N):
+    T = hilbert_fock_matrix(N).entries
+    rng = np.random.default_rng(N)
+    picks = [(p, q) for p in (0, 1, N - 1, N) for q in range(N + 1)]
+    picks += [tuple(pq) for pq in rng.integers(0, N + 1, size=(300, 2))]
+    with mpmath.workdps(40):
+        for p, q in picks:
+            want = _hilbert_closed_form_40_digits(p, q)
+            if want == 0:
+                assert T[p, q] == 0, (p, q)
+            else:
+                assert T[p, q].imag == 0 and abs(T[p, q].real - want) <= 1e-15 * abs(want), (p, q)
+
+
+def test_hilbert_closed_form_exact_structure_at_degree_256():
+    N = 256
+    T = hilbert_fock_matrix(N).entries
+    same_parity = np.add.outer(np.arange(N + 1), np.arange(N + 1)) % 2 == 0
+    assert np.all(T[same_parity] == 0.0)
+    assert np.array_equal(T, -T.T)
+    assert np.array_equal(T, -T.conj().T)
+
+
 def test_hilbert_vacuum_column_norm():
     T = hilbert_fock_matrix(64)
     got = np.linalg.norm(T.entries[:, 0]) ** 2
@@ -258,6 +298,28 @@ def test_line_pv_evaluates_in_point_blocks():
     assert peak < 8 * 2**20
     for k in (0, 63, 64, 199):
         assert abs(hv[k] - hilbert_line_pv(f, x[k], cutoff=30.0)) < 1e-15
+
+
+@pytest.mark.parametrize("n_points", [1, 113, 200])
+def test_line_pv_of_stacked_functions_equals_single_calls(n_points):
+    # three stacked functions share one pass in blocks of 21 points, a single
+    # function runs in blocks of 64: each row is summed on its own, so the
+    # blocking changes no bit; the pair grid stays within the single call's
+    # 8 MiB peak
+    x = gauss_hermite(200).nodes[:n_points]
+    tracemalloc.start()
+    try:
+        hv = hilbert_line_pv(lambda t: hermite_functions(2, t), x, cutoff=30.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert hv.shape == (3, n_points)
+    for n in range(3):
+        assert np.array_equal(hv[n], hilbert_line_pv(lambda t: hermite_function(n, t), x, cutoff=30.0))
+    one = hilbert_line_pv(lambda t: hermite_functions(2, t), x[0], cutoff=30.0, tail_coeff=0.5)
+    assert one.shape == (3,)
+    assert one[1] == hilbert_line_pv(lambda t: hermite_function(1, t), x[0], cutoff=30.0, tail_coeff=0.5)
 
 
 def test_hilbert_squared_residual_decreases():
