@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AccuracyWarning
-from .fock import FockVector, evaluate
+from .fock import FockVector, evaluate, point_values
 from .hermite import (
     GAUSS_CONST,
     LineVector,
@@ -52,9 +52,8 @@ def bargmann_quadrature(f: Callable, z, rule: QuadratureRule):
     """
     if rule.weight != "hermite":
         raise ValueError("bargmann_quadrature needs a Gauss-Hermite rule")
-    scalar = np.isscalar(z)
-    zs = np.atleast_1d(np.asarray(z, dtype=np.complex128)).ravel()
-    if np.max(np.abs(zs.imag)) > rule.n_nodes / 8.0:
+    zs = np.asarray(z, dtype=np.complex128).ravel()
+    if np.any(np.abs(zs.imag) > rule.n_nodes / 8.0):
         warnings.warn(
             "oscillation budget exceeded: |Im z| > n_nodes/8", AccuracyWarning, stacklevel=2
         )
@@ -70,7 +69,7 @@ def bargmann_quadrature(f: Callable, z, rule: QuadratureRule):
         lo, hi = _node_window(log_mag, x, zb.real[0], zb.real[-1])
         kernel = np.exp(2.0 * np.outer(zb, x[lo:hi]) - (zb**2 / 2.0)[:, None])
         vals[idx] = GAUSS_CONST * (kernel @ fx[lo:hi])
-    return complex(vals[0]) if scalar else vals
+    return point_values(vals, np.shape(z))
 
 
 def _node_window(log_mag, x, s0: float, s1: float) -> tuple[int, int]:
@@ -99,26 +98,25 @@ def inverse_bargmann_quadrature(F: FockVector, x, plane_rule: QuadratureRule):
     """Tensor Gauss-Hermite value of the inverse integral over the plane.
 
     B^{-1}F(x) = c * int F(z) exp(2x conj(z) - x^2 - conj(z)^2/2) dlambda(z);
-    AccuracyWarning once F's last nonzero coefficient has an index above the
+    AccuracyWarning once F's ``reach`` (last nonzero index) is above the
     rule's line-node count (zero padding never warns).  On the tensor nodes
     z = u_j + i v_k the kernel splits as exp(2x u_j - x^2) * exp(-2i x v_k),
     so the sum over the plane is contracted one axis at a time.
     """
     if plane_rule.weight != "plane" or plane_rule.line is None:
         raise ValueError("inverse_bargmann_quadrature needs a plane rule from gauss_hermite_plane")
-    if len(np.trim_zeros(F.coeffs, "b")) - 1 > np.sqrt(plane_rule.n_nodes):  # F's own degree
+    if F.reach > np.sqrt(plane_rule.n_nodes):
         warnings.warn(
             "plane rule too coarse for this degree", AccuracyWarning, stacklevel=2
         )
-    scalar = np.isscalar(x)
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    xs = np.asarray(x, dtype=np.float64).ravel()
     t = plane_rule.line.nodes
     zb = np.conj(plane_rule.nodes)
     fz = plane_rule.weights * evaluate(F, plane_rule.nodes) * np.exp(-(zb**2) / 2.0)
     along_u = np.exp(2.0 * np.outer(xs, t) - (xs**2)[:, None])
     along_v = np.exp(-2j * np.outer(xs, t))
     vals = GAUSS_CONST * np.sum((along_u @ fz.reshape(t.size, t.size)) * along_v, axis=1)
-    return complex(vals[0]) if scalar else vals
+    return point_values(vals, np.shape(x))
 
 
 @dataclass(frozen=True)

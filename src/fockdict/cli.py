@@ -146,7 +146,7 @@ def _cmd_op_apply(args) -> int:
     if not np.all(np.isfinite(params)):
         raise ValueError(f"--params must be finite numbers, got {args.params!r}")
     # weyl and dilate take the input at its own degree: trailing zeros would only raise it
-    top = max(1, len(np.trim_zeros(f.coeffs, "b")))
+    K = f.reach
     if args.op == "fourier":
         out = op.fourier_fock(f)
     elif args.op == "rotate":
@@ -156,11 +156,11 @@ def _cmd_op_apply(args) -> int:
     elif args.op == "weyl":
         if len(params) != 2:
             raise ValueError("weyl needs --params RE,IM")
-        out = op.weyl_matrix(complex(params[0], params[1]), N, top - 1).apply(f)
+        out = op.weyl_matrix(complex(params[0], params[1]), N, K).apply(f)
     elif args.op == "dilate":
         if len(params) != 1:
             raise ValueError("dilate needs --params R")
-        out = op.dilation_fock(params[0], FockVector(f.coeffs[:top]), bg.BargmannPipeline.default(N)).primary
+        out = op.dilation_fock(params[0], FockVector(f.coeffs[: K + 1]), bg.BargmannPipeline.default(N)).primary
     elif args.op == "a1":
         out = op.a1_matrix(N).apply(f)
     elif args.op == "a2":

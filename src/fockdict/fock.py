@@ -40,6 +40,11 @@ class FockVector:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    @property
+    def reach(self) -> int:
+        """Index of the last nonzero coefficient; 0 for the zero vector."""
+        return int(np.max(np.flatnonzero(self.coeffs), initial=0))
+
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
@@ -70,6 +75,12 @@ def inner(f: FockVector, g: FockVector) -> complex:
     return complex(np.vdot(g.coeffs[:m], f.coeffs[:m]))
 
 
+def point_values(vals: np.ndarray, shape: tuple):
+    """Values at flattened points, in the points' shape: a complex for a single point."""
+    vals = vals.reshape(shape)
+    return complex(vals) if shape == () else vals
+
+
 def evaluate(f: FockVector, z):
     """Evaluate sum c_n z^n/sqrt(n!) at one point or an array of points.
 
@@ -80,7 +91,6 @@ def evaluate(f: FockVector, z):
     would leave double range, since values of that size are meaningless in
     the weighted space.
     """
-    scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     if np.any(np.abs(zs) ** 2 / 2.0 > _EVAL_HALF_MOD_SQ_LIMIT):
         raise OverflowError("|z|^2/2 exceeds the floating exponent range")
@@ -94,7 +104,7 @@ def evaluate(f: FockVector, z):
         np.multiply(acc, zs, out=prod)
         np.multiply(prod, inv_root[n], out=acc)
         acc += c[n]
-    return complex(acc[0]) if scalar else acc
+    return point_values(acc, np.shape(z))
 
 
 def log_factorials(n: int) -> np.ndarray:

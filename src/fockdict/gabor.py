@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResolutionError
-from .fock import RESOLVED_DEFECT, FockVector, kernel_rows, lost_mass
+from .fock import RESOLVED_DEFECT, FockVector, kernel_rows, lost_mass, point_values
 from .hermite import GAUSS_CONST, composite_legendre, project_line_interval
 from .bargmann import bargmann_coeff
 from .operators import weyl_matrix
@@ -317,13 +317,12 @@ def box_window_fock(z):
     Equals c e^{z^2/2} int_0^1 e^{-(x-z)^2} dx; the integrand is entire so a
     composite Legendre rule on [0, 1] is valid for complex z.
     """
-    scalar = np.isscalar(z)
-    zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    zs = np.asarray(z, dtype=np.complex128).ravel()
     rule = _box_rule()
     x = rule.nodes
     vals = np.exp(-((x[None, :] - zs[:, None]) ** 2)) @ rule.weights
     out = GAUSS_CONST * np.exp(zs**2 / 2.0) * vals
-    return complex(out[0]) if scalar else out
+    return point_values(out, np.shape(z))
 
 
 @lru_cache(maxsize=8)
@@ -346,9 +345,7 @@ def _displaced_gram(f: FockVector, points, degree: int) -> np.ndarray:
     Each W_z is built on the columns f reaches, up to its last nonzero
     coefficient: one column (the kernel k_z) for the vacuum.
     """
-    top = np.flatnonzero(f.coeffs[: degree + 1])
-    K = int(top[-1]) if top.size else 0
-    U = np.column_stack([weyl_matrix(z, degree, K).apply(f).coeffs
+    U = np.column_stack([weyl_matrix(z, degree, min(f.reach, degree)).apply(f).coeffs
                          for z in _require_resolved(points, degree)])
     return U.conj().T @ U
 

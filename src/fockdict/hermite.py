@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AccuracyWarning
+from .fock import point_values
 
 GAUSS_CONST = (2.0 / np.pi) ** 0.25  # normalizing constant of h_0
 
@@ -213,9 +214,7 @@ class LineVector:
         return float(np.linalg.norm(self.coeffs))
 
     def __call__(self, x):
-        basis = hermite_functions(self.degree, np.atleast_1d(x))
-        vals = self.coeffs @ basis
-        return complex(vals[0]) if np.isscalar(x) else vals
+        return point_values(self.coeffs @ hermite_functions(self.degree, np.ravel(x)), np.shape(x))
 
     @classmethod
     def basis(cls, n: int, degree: int) -> "LineVector":

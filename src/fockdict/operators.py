@@ -16,13 +16,13 @@ import numpy as np
 
 from .bargmann import BargmannPipeline
 from .errors import AccuracyWarning
-from .fock import RESOLVED_DEFECT, FockVector, kernel_truncation_defect, log_factorials, lost_mass
+from .fock import RESOLVED_DEFECT, FockVector, kernel_truncation_defect, log_factorials, lost_mass, point_values
 from .hermite import QuadratureRule, default_nodes, gauss_hermite, hermite_functions
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense matrix of an operator in a truncated orthonormal basis.
+    """Block <A e_n, e_p>, p <= ``degree`` M, n <= ``input_degree`` K, of P_M A P_K.
 
     Contracts of unitary operators hold on interior index blocks only: the
     leading columns that keep their mass (``weyl_interior_block``).
@@ -32,27 +32,29 @@ class OperatorMatrix:
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=np.complex128).copy()
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("entries must be a square matrix")
+        if arr.ndim != 2:
+            raise ValueError("entries must be a matrix")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+    def degree(self) -> int:
+        return self.entries.shape[0] - 1
 
     @property
-    def degree(self) -> int:
-        return self.dim - 1
+    def input_degree(self) -> int:
+        return self.entries.shape[1] - 1
 
     def apply(self, vec: FockVector) -> FockVector:
-        return FockVector(self.entries @ vec.pad(self.degree).coeffs)
+        """P_M A P_K vec, from the leading columns that vec reaches only."""
+        k = min(vec.reach, self.input_degree) + 1
+        return FockVector(self.entries[:, :k] @ vec.coeffs[:k])
 
 
 def unitarity_residual(op: OperatorMatrix, block: int) -> float:
     """max |(A*A - I)_{jk}| over the top-left block of the given size."""
     g = op.entries.conj().T @ op.entries
-    b = min(block, op.dim)
+    b = min(block, op.input_degree + 1)
     return float(np.max(np.abs(g[:b, :b] - np.eye(b))))
 
 
@@ -63,7 +65,7 @@ def weyl_interior_block(*ops: OperatorMatrix) -> int:
     (W_a, W_{-a}), W_a W_{-a} = I up to the lost mass.
     """
     lost = np.max([lost_mass(A.entries.T) for A in ops], axis=0)
-    return int(np.argmax(np.append(lost > 1e-12, True)))  # first losing column, else N + 1
+    return int(np.argmax(np.append(lost > 1e-12, True)))  # first losing column, else K + 1
 
 
 # ----------------------------------------------------------------------
@@ -99,12 +101,11 @@ def fourier_line_quadrature(f: Callable, x, rule: QuadratureRule):
     Used to transport eigenrelations: applied to h_n it returns i^n h_n up to
     quadrature error.
     """
-    scalar = np.isscalar(x)
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    xs = np.asarray(x, dtype=np.float64).ravel()
     t = rule.nodes
     ft = rule.flat_weights() * np.asarray(f(t), dtype=np.complex128)
     vals = np.exp(2j * np.outer(xs, t)) @ ft / np.sqrt(np.pi)
-    return complex(vals[0]) if scalar else vals
+    return point_values(vals, np.shape(x))
 
 
 # ----------------------------------------------------------------------
@@ -125,12 +126,11 @@ def weyl_matrix(a: complex, degree: int, input_degree: int | None = None) -> Ope
     AccuracyWarning when it loses more than RESOLVED_DEFECT past the degree.
     ValueError for a non-finite a.
 
-    ``input_degree`` K gives the matrix of W_a P_K, P_K the projection onto
-    e_0..e_K: columns 0..K equal those of the full matrix bit for bit, the
-    columns past K are zero, and only the kept columns are computed.  The
-    series then costs O(N K^2) and the recurrence O(N K) (rather than N^3
-    and N^2); the engine is chosen from (a, N) alone, as for the full
-    matrix.  ValueError unless 0 <= K <= N.
+    ``input_degree`` K gives the (N+1) x (K+1) block of W_a P_K, P_K the
+    projection onto e_0..e_K: its columns equal columns 0..K of the full
+    matrix bit for bit.  The series then costs O(N K^2) and the recurrence
+    O(N K) (rather than N^3 and N^2); the engine is chosen from (a, N) alone,
+    as for the full matrix.  ValueError unless 0 <= K <= N.
     """
     a = complex(a)
     N = degree
@@ -140,7 +140,7 @@ def weyl_matrix(a: complex, degree: int, input_degree: int | None = None) -> Ope
     if not np.isfinite(a):
         raise ValueError(f"displacement must be finite, got {a!r}")
     if a == 0:
-        return OperatorMatrix(np.diag(np.arange(N + 1) <= K).astype(np.complex128))
+        return OperatorMatrix(np.eye(N + 1, K + 1))
     if kernel_truncation_defect(a, N) > RESOLVED_DEFECT:
         warnings.warn(
             f"weyl displacement |a|={abs(a):.3g} poorly resolved at degree {N}",
@@ -162,15 +162,14 @@ def _weyl_float_digit_loss(r: float, N: int) -> float:
     return float((np.max(log_terms) - r / 2.0) / np.log(10.0))
 
 
-def _weyl_entries_float(a: complex, N: int, K: int | None = None) -> np.ndarray:
-    """Columns 0..K (default N) of the series, each summed in log scale; the rest are zero."""
-    K = N if K is None else K
+def _weyl_entries_float(a: complex, N: int, K: int) -> np.ndarray:
+    """Columns 0..K of the series, each summed in log scale."""
     r = abs(a) ** 2
     log_mod_a = np.log(abs(a))
     theta = np.angle(a)
     gl = log_factorials(N)
     p = np.arange(N + 1)
-    out = np.zeros((N + 1, N + 1), dtype=np.complex128)
+    out = np.zeros((N + 1, K + 1), dtype=np.complex128)
     for n in range(K + 1):
         j = np.arange(n + 1)
         log_binom = gl[n] - gl[j] - gl[n - j]
@@ -191,7 +190,7 @@ def _weyl_entries_float(a: complex, N: int, K: int | None = None) -> np.ndarray:
     return out
 
 
-def _weyl_entries_laguerre(a: complex, N: int, K: int | None = None) -> np.ndarray:
+def _weyl_entries_laguerre(a: complex, N: int, K: int) -> np.ndarray:
     """Displacement entries from the normalized Laguerre functions.
 
     On diagonal alpha = |p - n| the entry at m = min(p, n) has modulus
@@ -203,10 +202,8 @@ def _weyl_entries_laguerre(a: complex, N: int, K: int | None = None) -> np.ndarr
     about 1400) carry a per-diagonal log scale so that they cannot underflow;
     the rows are kept scaled and unscaled by one exp at the end.  The phase
     is e^{-i alpha theta} below the diagonal, (-1)^alpha e^{i alpha theta}
-    above.  Columns n <= K need m <= K only, so the recurrence stops there
-    and the columns past K stay zero.
+    above.  Columns n <= K need m <= K only, so the recurrence stops there.
     """
-    K = N if K is None else K
     r = abs(a) ** 2
     alpha = np.arange(N + 1)
     log_g0 = 0.5 * alpha * np.log(r) - r / 2.0 - 0.5 * log_factorials(N)
@@ -233,7 +230,7 @@ def _weyl_entries_laguerre(a: complex, N: int, K: int | None = None) -> np.ndarr
     below_m, below_d = np.nonzero(m + alpha <= N)
     above_m, above_d = np.nonzero(m + alpha <= K)
     phase = np.exp(-1j * np.angle(a) * alpha)
-    out = np.zeros((N + 1, N + 1), dtype=np.complex128)
+    out = np.zeros((N + 1, K + 1), dtype=np.complex128)
     out[below_m + below_d, below_m] = g[below_m, below_d] * phase[below_d]
     out[above_m, above_m + above_d] = g[above_m, above_d] * ((-1) ** above_d * phase[above_d].conj())
     return out
@@ -244,9 +241,8 @@ def translation_modulation_fock(a: float, b: float, degree: int,
     """Fock-side image of modulation-then-translation M_b T_a on the line.
 
     Equals e^{i pi a b} W_{a - pi b i}; b = 0 gives pure translation and
-    a = 0 pure modulation.  ``input_degree`` K is passed to ``weyl_matrix``:
-    columns 0..K equal the full matrix's bit for bit, the rest are zero and
-    never computed; ValueError unless 0 <= K <= degree.
+    a = 0 pure modulation.  ``input_degree`` K is passed to ``weyl_matrix``,
+    which returns the (degree+1) x (K+1) block of W P_K.
     """
     w = weyl_matrix(complex(a, -np.pi * b), degree, input_degree)
     phase = np.exp(1j * np.pi * a * b)
@@ -258,7 +254,7 @@ def translation_modulation_fock(a: float, b: float, degree: int,
 # ----------------------------------------------------------------------
 
 def dilation_matrix(r: float, degree: int, input_degree: int | None = None,
-                    rule: QuadratureRule | None = None) -> np.ndarray:
+                    rule: QuadratureRule | None = None) -> OperatorMatrix:
     """D[p, n] = <D_r h_n, h_p> = int h_p(x) sqrt(r) h_n(rx) dx, p <= degree, n <= input_degree.
 
     Since B h_n = e_n, D is also the Fock-side matrix of D_r g(x) = sqrt(r) g(rx)
@@ -267,8 +263,8 @@ def dilation_matrix(r: float, degree: int, input_degree: int | None = None,
     default the pipeline's, ``gauss_hermite(default_nodes(degree))``) is
     rescaled to that weight: nodes x_k/s, flat weights /s, s = sqrt(1+r^2).
     It is then exact while degree + input_degree < 2 * nodes; ValueError
-    beyond that, or for r that is not a finite positive number.  The matrix
-    is real, of shape (degree+1, input_degree+1).
+    beyond that, or for r that is not a finite positive number.  The block
+    has shape (degree+1, input_degree+1) and real entries.
     """
     K = degree if input_degree is None else input_degree
     line = gauss_hermite(default_nodes(degree)) if rule is None else rule
@@ -282,7 +278,7 @@ def dilation_matrix(r: float, degree: int, input_degree: int | None = None,
     s = np.sqrt(1.0 + r * r)
     x = line.nodes / s
     scaled = hermite_functions(K, r * x) * (line.flat_weights() * (np.sqrt(r) / s))
-    return hermite_functions(degree, x) @ scaled.T
+    return OperatorMatrix(hermite_functions(degree, x) @ scaled.T)
 
 
 @dataclass(frozen=True)
@@ -295,12 +291,11 @@ class DilationResult:
 def dilation_fock(r: float, f: FockVector, pipeline: BargmannPipeline) -> DilationResult:
     """Fock-side dilation, conjugate of D_r g(x) = sqrt(r) g(rx) on the line.
 
-    ``dilation_matrix`` on the pipeline's line rule applied to f: the output
-    has the pipeline's degree, and ValueError is raised once input plus output
-    degree reaches twice the line rule's nodes.
+    ``dilation_matrix`` on the pipeline's line rule, built at f's degree and
+    applied to f: the output has the pipeline's degree, and ValueError is
+    raised once input plus output degree reaches twice the line rule's nodes.
     """
-    D = dilation_matrix(r, pipeline.degree, f.degree, pipeline.line_rule)
-    return DilationResult(FockVector(D @ f.coeffs))
+    return DilationResult(dilation_matrix(r, pipeline.degree, f.degree, pipeline.line_rule).apply(f))
 
 
 # ----------------------------------------------------------------------

@@ -41,7 +41,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AccuracyWarning
-from .fock import RESOLVED_DEFECT, FockVector, kernel_truncation_defect, kernel_vector, log_factorials
+from .fock import (RESOLVED_DEFECT, FockVector, kernel_truncation_defect, kernel_vector, log_factorials,
+                   point_values)
 from .operators import OperatorMatrix
 
 _CFrac = tuple[Fraction, Fraction]
@@ -107,10 +108,7 @@ class EntireSymbol:
         return len(self.taylor) - 1
 
     def __call__(self, u):
-        scalar = np.isscalar(u)
-        us = np.atleast_1d(np.asarray(u, dtype=np.complex128))
-        vals = np.polyval(self.taylor[::-1], us)
-        return complex(vals[0]) if scalar else vals
+        return point_values(np.polyval(self.taylor[::-1], np.ravel(u).astype(np.complex128)), np.shape(u))
 
     def truncated(self, degree: int) -> "EntireSymbol":
         k = min(degree, self.degree) + 1
@@ -199,8 +197,10 @@ def exp_linear_symbol(a: complex, degree: int) -> EntireSymbol:
 def fock_norm_A(n_terms: int, with_tail: bool = False):
     """Partial sum of ||A(z/sqrt(2))||^2 = 1/2 sum (2n+1)!/((2n+1)^2 4^n (n!)^2).
 
-    Terms decay like n^{-3/2}, so the tail past n_terms is estimated by the
-    integral comparison ~ 1/(sqrt(pi) sqrt(n_terms)).
+    The terms are binom(2n, n) 4^{-n} / (2n+1), the Taylor coefficients of
+    arcsin at 1, so the series sums to arcsin(1)/2 = pi/4; ``with_tail``
+    also returns the tail past n_terms as pi/4 minus the partial sum.  Terms
+    decay like n^{-3/2}, so the tail falls off like 1/(2 sqrt(pi n_terms)).
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
@@ -212,8 +212,7 @@ def fock_norm_A(n_terms: int, with_tail: bool = False):
         total += t
     value = 0.5 * total
     if with_tail:
-        tail = 1.0 / (math.sqrt(np.pi) * math.sqrt(n_terms))
-        return value, tail
+        return value, math.pi / 4.0 - value
     return value
 
 

@@ -18,6 +18,7 @@ from fockdict.bargmann import (
 )
 from fockdict.errors import AccuracyWarning
 from fockdict.fock import FockVector, evaluate
+from fockdict.gabor import box_window_fock
 from fockdict.hermite import (
     GAUSS_CONST,
     LineVector,
@@ -27,6 +28,8 @@ from fockdict.hermite import (
     hermite_function,
     hermite_functions,
 )
+from fockdict.operators import fourier_line_quadrature
+from fockdict.singular import hilbert_symbol
 
 RULE = gauss_hermite(128)
 PLANE = gauss_hermite_plane(64)
@@ -202,6 +205,29 @@ def test_pbound_grid_is_symmetric_and_holds_the_real_axis(radius, m):
     assert inside[:, m].all()  # the real axis, ends included
     s, t = np.meshgrid(u, u, indexing="ij")
     assert np.all(np.abs(s + 1j * t)[inside] <= radius * (1 + 1e-12))
+
+
+_POINT_EVALUATORS = {
+    "evaluate": lambda z: evaluate(FockVector([1.0, 0.5j, -0.25]), z),
+    "bargmann_quadrature": lambda z: bargmann_quadrature(gauss, z, RULE),
+    "inverse_bargmann_quadrature": lambda z: inverse_bargmann_quadrature(FockVector.basis(2, 8), z.real, PLANE),
+    "fourier_line_quadrature": lambda z: fourier_line_quadrature(gauss, z.real, RULE),
+    "box_window_fock": box_window_fock,
+    "LineVector": lambda z: LineVector([1.0, 0.5j, -0.25])(z.real),
+    "EntireSymbol": lambda z: hilbert_symbol(9)(z),
+}
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (5,), (2, 3)])
+@pytest.mark.parametrize("name", list(_POINT_EVALUATORS))
+def test_point_evaluators_return_the_shape_of_their_points(name, shape):
+    # each value is the one the flattened points give, bit for bit
+    evaluator = _POINT_EVALUATORS[name]
+    z = np.asarray(0.3 * np.arange(math.prod(shape)) + 0.1j).reshape(shape)
+    got = evaluator(z)
+    assert np.shape(got) == shape
+    assert isinstance(got, complex) if shape == () else got.dtype == np.complex128
+    assert np.array_equal(np.ravel(got), evaluator(z.ravel()))
 
 
 def test_plane_rule_too_coarse_boundary():

@@ -124,6 +124,13 @@ def test_far_kernels_at_degree_2000_are_resolved_without_warnings():
         assert abs(resolved_radius(2000) - 41.95) <= 0.01
 
 
+def test_reach_is_the_index_of_the_last_nonzero_coefficient():
+    assert FockVector(np.zeros(5)).reach == 0
+    assert FockVector([0.0, 0.0, 1j, 0.0]).reach == 2
+    assert FockVector.basis(3, 9).reach == 3
+    assert FockVector([1.0, math.nan, 0.0]).reach == 1
+
+
 def test_kernel_at_zero_is_vacuum():
     k = kernel_vector(0.0, 5)
     assert np.array_equal(k.coeffs, FockVector.basis(0, 5).coeffs)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from dataclasses import replace
@@ -207,8 +208,8 @@ def _switch_point(N: int) -> float | None:
 
 def test_weyl_recurrence_and_float_paths_agree():
     for a, N in [(0.5, 32), (1 + 0.5j, 24)]:
-        lag = _weyl_entries_laguerre(complex(a), N)
-        fl = _weyl_entries_float(complex(a), N)
+        lag = _weyl_entries_laguerre(complex(a), N, N)
+        fl = _weyl_entries_float(complex(a), N, N)
         assert np.max(np.abs(lag - fl)) < 5e-12
 
 
@@ -228,7 +229,7 @@ def test_weyl_recurrence_scan_from_switch_boundary(N):
             assert deep == (r0 is not None)
             with warnings.catch_warnings():  # the scan reaches r = N/2, past resolution
                 warnings.simplefilter("ignore", AccuracyWarning)
-                W = weyl_matrix(a, N).entries if deep else _weyl_entries_laguerre(a, N)
+                W = weyl_matrix(a, N).entries if deep else _weyl_entries_laguerre(a, N, N)
             assert np.max(np.abs(W - _exact_series_reference(a, N))) <= 1e-12, a
             assert np.max(np.abs(W[:, 0] - kernel_vector(a, N).coeffs)) <= 1e-13, a
 
@@ -248,7 +249,7 @@ def test_weyl_recurrence_survives_underflowing_starts():
     # entries near n ~ r are of order 1e-2; reference values from the
     # Laguerre closed form at 60 digits (mpmath).
     a, N = 38.47 + 1.0j, 1500
-    W = _weyl_entries_laguerre(a, N)
+    W = _weyl_entries_laguerre(a, N, N)
     ref = {(1480, 1480): -0.00035924653328819255,
            (1500, 1400): -0.012966431290507318 - 0.00782100917988292j,
            (1300, 1499): 0.002595869650290537 - 0.005248553386743745j}
@@ -259,7 +260,7 @@ def test_weyl_recurrence_survives_underflowing_starts():
 @pytest.mark.parametrize("N", [16, 32, 64, 128, 200])
 def test_weyl_input_degree_keeps_columns_bit_for_bit(N):
     # one displacement on each side of the engine switch (only the float
-    # side at N = 16); columns 0..K are the full matrix's, the rest zero
+    # side at N = 16); the (N+1) x (K+1) block is the full matrix's columns 0..K
     r0 = _switch_point(N)
     radii = [0.5 * (N / 2.0 if r0 is None else r0)] + ([] if r0 is None else [min(1.5 * r0, N / 2.0)])
     for r in radii:
@@ -269,15 +270,47 @@ def test_weyl_input_degree_keeps_columns_bit_for_bit(N):
             full = weyl_matrix(a, N).entries
             for K in (0, 1, N // 2, N):
                 W = weyl_matrix(a, N, K).entries
-                assert np.array_equal(W[:, : K + 1], full[:, : K + 1]), (a, K)
-                assert not W[:, K + 1 :].any(), (a, K)
-    assert np.array_equal(weyl_matrix(0.0, N, N // 2).entries, np.diag(np.arange(N + 1) <= N // 2))
+                assert W.shape == (N + 1, K + 1), (a, K)
+                assert np.array_equal(W, full[:, : K + 1]), (a, K)
+    assert np.array_equal(weyl_matrix(0.0, N, N // 2).entries, np.eye(N + 1, N // 2 + 1))
 
 
 @pytest.mark.parametrize("K", [-1, 13])
 def test_weyl_input_degree_outside_the_matrix_is_refused(K):
     with pytest.raises(ValueError, match="input_degree"):
         weyl_matrix(0.3, 12, K)
+
+
+def test_one_weyl_column_at_degree_2000_holds_that_column_only():
+    # the (2001, 1) block is 32 KiB; the (2001, 2001) matrix would be 61 MiB
+    weyl_matrix(40, 2000, input_degree=0)
+    tracemalloc.start()
+    try:
+        W = weyl_matrix(40, 2000, input_degree=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert W.entries.shape == (2001, 1) and (W.degree, W.input_degree) == (2000, 0)
+    assert peak < 4 * 2**20
+    assert np.max(np.abs(W.entries[:, 0] - kernel_vector(40, 2000).coeffs)) <= 1e-15
+
+
+@pytest.mark.parametrize("a, N", [(0.8 - 0.3j, 32), (cmath.rect(3.0, 1.1), 64),
+                                  (cmath.rect(7.0, 0.3), 128), (1 - np.pi * 1j, 200)])
+def test_apply_of_a_column_block_is_the_full_matrix_apply(a, N):
+    # both engines; inputs that reach at most K give the full matrix's product
+    # bit for bit, and those that reach past K give W_a P_K f
+    rng = np.random.default_rng(N)
+    full = weyl_matrix(a, N)
+    for K in (0, 1, N // 3, N):
+        blk = weyl_matrix(a, N, K)
+        for reach in sorted({0, K // 2, K, min(K + 3, N)}):
+            c = np.zeros(N + 1, dtype=complex)
+            c[: reach + 1] = rng.standard_normal(reach + 1) + 1j * rng.standard_normal(reach + 1)
+            want = full.apply(FockVector(c[: K + 1]) if reach > K else FockVector(c)).coeffs
+            assert np.array_equal(blk.apply(FockVector(c)).coeffs, want), (K, reach)
+            assert np.array_equal(blk.apply(FockVector(c[: reach + 1])).coeffs, want), (K, reach)
+        assert not blk.apply(FockVector(np.zeros(N + 1))).coeffs.any()
 
 
 @pytest.mark.parametrize("a, N", [
@@ -287,10 +320,10 @@ def test_weyl_input_degree_outside_the_matrix_is_refused(K):
 def test_weyl_recurrence_matches_its_looped_form(a, N, looped_weyl_laguerre):
     # r = 2007 at N = 400 starts below e^{-600} and shrinks rows from m = 313 on
     want = looped_weyl_laguerre(complex(a), N)
-    assert np.array_equal(_weyl_entries_laguerre(complex(a), N), want)
+    assert np.array_equal(_weyl_entries_laguerre(complex(a), N, N), want)
     K = N // 3
     W = _weyl_entries_laguerre(complex(a), N, K)
-    assert np.array_equal(W[:, : K + 1], want[:, : K + 1]) and not W[:, K + 1 :].any()
+    assert W.shape == (N + 1, K + 1) and np.array_equal(W, want[:, : K + 1])
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
@@ -378,8 +411,8 @@ def test_translation_modulation_column_block_is_the_full_matrix(N):
         full = translation_modulation_fock(a, b, N).entries
         for K in (0, 1, N):
             blk = translation_modulation_fock(a, b, N, input_degree=K).entries
-            assert np.array_equal(blk[:, : K + 1], full[:, : K + 1]), (a, b, K)
-            assert not np.any(blk[:, K + 1 :]), (a, b, K)
+            assert blk.shape == (N + 1, K + 1), (a, b, K)
+            assert np.array_equal(blk, full[:, : K + 1]), (a, b, K)
     for K in (-1, N + 1):
         with pytest.raises(ValueError, match="input_degree"):
             translation_modulation_fock(0.5, 0.3, N, input_degree=K)
@@ -426,8 +459,8 @@ def _dilation_closed_form(r: float, p: int, n: int) -> float:
 @pytest.mark.parametrize("r", [0.25, 0.5, 2.0, 4.0])
 @pytest.mark.parametrize("N", [32, 128, 255])
 def test_dilation_matrix_against_closed_form(r, N):
-    D = dilation_matrix(r, N)
-    assert D.shape == (N + 1, N + 1)
+    D = dilation_matrix(r, N).entries
+    assert D.shape == (N + 1, N + 1) and not D.imag.any()
     rng = np.random.default_rng(N)
     picks = [(0, 0), (0, N), (N, 0), (N, N), (N, N - 2), (1, 1)] + [
         tuple(int(v) for v in rng.integers(0, N + 1, 2)) for _ in range(10)]
@@ -438,7 +471,7 @@ def test_dilation_matrix_against_closed_form(r, N):
 @pytest.mark.parametrize("r", [0.1, 10.0])
 def test_dilation_matrix_outside_the_old_ratio_range(r):
     # no ratio limit: the rescaled rule is exact for every r > 0
-    D = dilation_matrix(r, 64)
+    D = dilation_matrix(r, 64).entries
     for p, n in ((0, 0), (64, 64), (64, 0), (0, 64), (31, 17), (50, 6)):
         assert abs(D[p, n] - _dilation_closed_form(r, p, n)) <= 1e-13, (p, n)
 
@@ -448,7 +481,7 @@ def test_dilation_matrix_exactness_boundary(r):
     # 12 nodes integrate polynomials to degree 23: N + K = 23 is exact, 24 refused
     rule = gauss_hermite(12)
     for N, K in ((23, 0), (12, 11), (0, 23)):
-        D = dilation_matrix(r, N, K, rule)
+        D = dilation_matrix(r, N, K, rule).entries
         assert D.shape == (N + 1, K + 1)
         want = np.array([[_dilation_closed_form(r, p, n) for n in range(K + 1)] for p in range(N + 1)])
         assert np.max(np.abs(D - want)) <= 1e-13, (N, K)

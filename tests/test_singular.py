@@ -55,9 +55,18 @@ def test_norm_series_two_path():
 
 
 def test_norm_series_tail_estimate():
-    val, tail = fock_norm_A(100, with_tail=True)
-    val2 = fock_norm_A(100000)
-    assert abs(val2 - val) < 2 * tail
+    # the series sums to arcsin(1)/2 = pi/4; the tail is what the partial sum
+    # misses, against 30-digit partial sums
+    with mpmath.workdps(30):
+        term, partial = mpmath.mpf(1), mpmath.mpf(0)
+        for k in range(200):
+            if k:
+                term *= mpmath.mpf((2 * k - 1) ** 2) / (2 * k * (2 * k + 1))
+            partial += term
+            if k + 1 in (1, 100, 200):
+                val, tail = fock_norm_A(k + 1, with_tail=True)
+                assert val == fock_norm_A(k + 1)
+                assert abs(tail - float(mpmath.pi / 4 - partial / 2)) <= 1e-13, k + 1
 
 
 # ----------------------------------------------------------------------
