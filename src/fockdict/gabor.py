@@ -89,8 +89,9 @@ class PointSet:
         mask = np.abs(self.points - complex(center)) < radius
         return self.points[mask]
 
-    def clip_to_disk(self, radius: float, center: complex = 0.0) -> "PointSet":
-        pts = self.points_in_disk(center, radius)
+    def clip_to_disk(self, radius: float) -> "PointSet":
+        """The points of the disk of this radius about 0, clipped there."""
+        pts = self.points_in_disk(0.0, radius)
         return PointSet(pts, clip_radius=float(radius))
 
 

@@ -5,11 +5,18 @@ operators, the translation/modulation correspondence, dilation as an exact
 line-side matrix, and the multiplication/differentiation pair with its
 commutation relation.  All matrices act on coefficient vectors against
 e_n(z) = z^n/sqrt(n!).
+
+Displacements are covariant under rotation: W_{e^{i theta} rho} =
+R_theta^* W_rho R_theta with R_theta f(z) = f(e^{i theta} z), so
+<W_a e_n, e_p> = G_pn(|a|) e^{i theta (n - p)} with G real.  Both Weyl
+engines build G from |a| alone and keep the last four, keyed by (|a|, N, K),
+so W_a, W_{-a} and every point of the same modulus pay for their phases only.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -131,6 +138,12 @@ def weyl_matrix(a: complex, degree: int, input_degree: int | None = None) -> Ope
     matrix bit for bit.  The series then costs O(N K^2) and the recurrence
     O(N K) (rather than N^3 and N^2); the engine is chosen from (a, N) alone,
     as for the full matrix.  ValueError unless 0 <= K <= N.
+
+    The entries are G_pn(|a|) e^{i theta (n - p)}, theta = arg a, with G real
+    (rotation covariance, see the module docstring).  Each engine caches its
+    G for the last four keys (|a|, N, K), at most four real (N+1) x (K+1)
+    arrays (133 KB each at N = K = 128): a repeated modulus costs its phases
+    alone, and its matrix is bit-identical to one built afresh.
     """
     a = complex(a)
     N = degree
@@ -163,13 +176,20 @@ def _weyl_float_digit_loss(r: float, N: int) -> float:
 
 
 def _weyl_entries_float(a: complex, N: int, K: int) -> np.ndarray:
-    """Columns 0..K of the series, each summed in log scale."""
-    r = abs(a) ** 2
-    log_mod_a = np.log(abs(a))
-    theta = np.angle(a)
+    """Columns 0..K of the series: the real stage of |a| times e^{i theta (n - p)}."""
+    n = np.arange(K + 1)
+    p = np.arange(N + 1)[:, None]
+    return _weyl_real_float(abs(a), N, K) * np.exp(1j * np.angle(a) * (n - p))
+
+
+@lru_cache(maxsize=4)
+def _weyl_real_float(mod_a: float, N: int, K: int) -> np.ndarray:
+    """G[p, n] for n <= K from the series, each column summed in log scale; read-only."""
+    r = mod_a ** 2
+    log_mod_a = np.log(mod_a)
     gl = log_factorials(N)
     p = np.arange(N + 1)
-    out = np.zeros((N + 1, K + 1), dtype=np.complex128)
+    out = np.zeros((N + 1, K + 1))
     for n in range(K + 1):
         j = np.arange(n + 1)
         log_binom = gl[n] - gl[j] - gl[n - j]
@@ -185,26 +205,46 @@ def _weyl_entries_float(a: complex, N: int, K: int) -> np.ndarray:
         m = np.max(L, axis=1)
         m_safe = np.where(np.isfinite(m), m, 0.0)
         s = np.sum(signs[None, :] * np.exp(L - m_safe[:, None]), axis=1)
-        col = np.exp(m_safe - r / 2.0) * s * np.exp(1j * theta * (n - p))
-        out[:, n] = np.where(np.isfinite(m), col, 0.0)
+        out[:, n] = np.where(np.isfinite(m), np.exp(m_safe - r / 2.0) * s, 0.0)
+    out.setflags(write=False)
     return out
 
 
 def _weyl_entries_laguerre(a: complex, N: int, K: int) -> np.ndarray:
-    """Displacement entries from the normalized Laguerre functions.
+    """Displacement entries from the normalized Laguerre functions of |a|.
 
-    On diagonal alpha = |p - n| the entry at m = min(p, n) has modulus
-    g_m = sqrt(m!/(m+alpha)!) r^{alpha/2} e^{-r/2} L_m^{(alpha)}(r) <= 1, and
+    The entry on diagonal alpha = |p - n| at m = min(p, n) is g_m
+    (``_weyl_real_laguerre``) times the phase e^{-i alpha theta} below the
+    diagonal, (-1)^alpha e^{i alpha theta} above it.
+    """
+    g = _weyl_real_laguerre(abs(a), N, K)
+    alpha = np.arange(N + 1)
+    m = np.arange(K + 1)[:, None]
+    # entry (m + d, m) below the diagonal for m <= K, (m, m + d) above it for m + d <= K
+    below_m, below_d = np.nonzero(m + alpha <= N)
+    above_m, above_d = np.nonzero(m + alpha <= K)
+    phase = np.exp(-1j * np.angle(a) * alpha)
+    out = np.zeros((N + 1, K + 1), dtype=np.complex128)
+    out[below_m + below_d, below_m] = g[below_m, below_d] * phase[below_d]
+    out[above_m, above_m + above_d] = g[above_m, above_d] * ((-1) ** above_d * phase[above_d].conj())
+    return out
+
+
+@lru_cache(maxsize=4)
+def _weyl_real_laguerre(mod_a: float, N: int, K: int) -> np.ndarray:
+    """g[m, alpha] = g_m on diagonal alpha for m <= K, read-only.
+
+    g_m = sqrt(m!/(m+alpha)!) r^{alpha/2} e^{-r/2} L_m^{(alpha)}(r), |g_m| <= 1,
+    r = |a|^2, and
     g_{m+1} = ((2m+1+alpha-r) g_m - sqrt(m(m+alpha)) g_{m-1}) / sqrt((m+1)(m+1+alpha))
     runs for all diagonals at once.  Each diagonal passes from its classically
     forbidden region into the oscillating one as m grows, so the recurrence
     runs in its stable, growing direction.  Starts below e^{-600} (r above
     about 1400) carry a per-diagonal log scale so that they cannot underflow;
-    the rows are kept scaled and unscaled by one exp at the end.  The phase
-    is e^{-i alpha theta} below the diagonal, (-1)^alpha e^{i alpha theta}
-    above.  Columns n <= K need m <= K only, so the recurrence stops there.
+    the rows are kept scaled and unscaled by one exp at the end.  Columns
+    n <= K need m <= K only, so the recurrence stops there.
     """
-    r = abs(a) ** 2
+    r = mod_a ** 2
     alpha = np.arange(N + 1)
     log_g0 = 0.5 * alpha * np.log(r) - r / 2.0 - 0.5 * log_factorials(N)
     log_scale = np.minimum(log_g0 + 600.0, 0.0)
@@ -226,14 +266,8 @@ def _weyl_entries_laguerre(a: complex, N: int, K: int) -> np.ndarray:
         else:
             prev, cur = cur, nxt
     g = rows * np.exp(scales)
-    # entry (m + d, m) below the diagonal for m <= K, (m, m + d) above it for m + d <= K
-    below_m, below_d = np.nonzero(m + alpha <= N)
-    above_m, above_d = np.nonzero(m + alpha <= K)
-    phase = np.exp(-1j * np.angle(a) * alpha)
-    out = np.zeros((N + 1, K + 1), dtype=np.complex128)
-    out[below_m + below_d, below_m] = g[below_m, below_d] * phase[below_d]
-    out[above_m, above_m + above_d] = g[above_m, above_d] * ((-1) ** above_d * phase[above_d].conj())
-    return out
+    g.setflags(write=False)
+    return g
 
 
 def translation_modulation_fock(a: float, b: float, degree: int,

@@ -356,21 +356,22 @@ def hilbert_line_pv(f, x, cutoff: float = None, tail_coeff: float = 0.0):
     asymptotic coefficient a as ``tail_coeff``; the tail beyond the cutoff is
     then added in closed form.
 
-    f may return several functions stacked on leading axes (shape
-    lead + (len(t),), e.g. ``hermite_functions(2, t)``); the result then
-    carries those axes, lead + x.shape, and each function's values equal
-    those of a call with that function alone bit for bit.  The pair grid is
-    built for at most 64 (x, function) rows at a time.
+    x is one point or an array of any shape: a single f gives a complex or
+    an array of x's shape, as ``fock.point_values`` does.  f may return
+    several functions stacked on leading axes (shape lead + (len(t),), e.g.
+    ``hermite_functions(2, t)``); the result then has shape lead + x.shape,
+    and each function's values equal those of a call with that function
+    alone bit for bit.  The pair grid is built for at most 64
+    (x, function) rows at a time.
     """
     from .hermite import composite_legendre
 
-    scalar = np.isscalar(x)
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    S = (float(np.max(np.abs(xs))) + 10.0) if cutoff is None else float(cutoff)
+    xs = np.asarray(x, dtype=np.float64).ravel()
+    S = (float(np.max(np.abs(xs), initial=0.0)) + 10.0) if cutoff is None else float(cutoff)
     rule = composite_legendre(0.0, S, max(8, int(S)), 32)
     s = rule.nodes
     ws = rule.weights / s / np.pi
-    lead = np.shape(f(xs[:1] + s[:1]))[:-1]
+    lead = np.shape(f(s[:1]))[:-1]
     vals = np.empty(lead + (len(xs),), dtype=np.complex128)
     # f runs over the (x, s) pairs of 64 points x at a time (fewer for
     # stacked functions), which bounds the memory of the pair grid however
@@ -390,6 +391,6 @@ def hilbert_line_pv(f, x, cutoff: float = None, tail_coeff: float = 0.0):
         xa = xs[~small]
         corr[~small] = np.log((S + xa) / (S - xa)) / xa
         vals = vals + tail_coeff * corr / np.pi
-    if scalar:
-        return complex(vals[..., 0]) if not lead else vals[..., 0]
-    return vals
+    if lead:
+        return vals.reshape(lead + np.shape(x))
+    return point_values(vals, np.shape(x))

@@ -13,11 +13,14 @@ import pytest
 from fockdict.bargmann import BargmannPipeline, inverse_bargmann_quadrature
 from fockdict.errors import AccuracyWarning
 from fockdict.fock import FockVector, kernel_vector, log_factorials
+from fockdict.gabor import box_frame_gram
 from fockdict.hermite import gauss_hermite, gauss_hermite_plane, hermite_function, hermite_functions
 from fockdict.operators import (
     _weyl_entries_float,
     _weyl_entries_laguerre,
     _weyl_float_digit_loss,
+    _weyl_real_float,
+    _weyl_real_laguerre,
     a1_matrix,
     a2_matrix,
     commutator,
@@ -324,6 +327,82 @@ def test_weyl_recurrence_matches_its_looped_form(a, N, looped_weyl_laguerre):
     K = N // 3
     W = _weyl_entries_laguerre(complex(a), N, K)
     assert W.shape == (N + 1, K + 1) and np.array_equal(W, want[:, : K + 1])
+
+
+_WEYL_STAGES = (_weyl_real_float, _weyl_real_laguerre)
+
+
+def _clear_weyl_stages():
+    for stage in _WEYL_STAGES:
+        stage.cache_clear()
+
+
+def _weyl_stage_counts():
+    """(hits, misses) of both engines' real stages since the last clear."""
+    infos = [stage.cache_info() for stage in _WEYL_STAGES]
+    return sum(i.hits for i in infos), sum(i.misses for i in infos)
+
+
+@pytest.mark.parametrize("a, N, stage", [(0.5 + 0.2j, 64, _weyl_real_float),
+                                         (cmath.rect(7.0, 0.3), 128, _weyl_real_laguerre)])
+def test_weyl_minus_a_reuses_the_real_stage_of_a(a, N, stage):
+    assert (_weyl_float_digit_loss(abs(a) ** 2, N) > 10.0) == (stage is _weyl_real_laguerre)
+    _clear_weyl_stages()
+    weyl_matrix(a, N)
+    weyl_matrix(-a, N)
+    assert (stage.cache_info().hits, stage.cache_info().misses) == (1, 1)
+    assert _weyl_stage_counts() == (1, 1)
+
+
+def _one_modulus(z):
+    """z, -z, conj(z) and iz, whose moduli are equal bit for bit."""
+    return [z, -z, z.conjugate(), 1j * z]
+
+
+@pytest.mark.parametrize("build, points, stage", [
+    (lambda z: weyl_matrix(z, 64), _one_modulus(0.5 + 0.2j), _weyl_real_float),
+    (lambda z: weyl_matrix(z, 128), _one_modulus(cmath.rect(7.0, 0.3)), _weyl_real_laguerre),
+    (lambda z: weyl_matrix(z, 120, 7), _one_modulus(1 - np.pi * 1j), _weyl_real_laguerre),
+    (lambda ab: translation_modulation_fock(*ab, 64), [(1.0, 0.5), (-1.0, -0.5), (1.0, -0.5), (-1.0, 0.5)],
+     _weyl_real_float),
+], ids=["float-series", "laguerre", "column-block", "translation-modulation"])
+def test_cached_weyl_outputs_equal_fresh_builds(build, points, stage):
+    # four points of one modulus: one miss, then three hits whose matrices
+    # equal the ones built with the caches cleared
+    fresh = []
+    for z in points:
+        _clear_weyl_stages()
+        fresh.append(build(z).entries.view(np.int64).copy())
+    _clear_weyl_stages()
+    warm = [build(z).entries.view(np.int64) for z in points]
+    assert stage.cache_info().misses == 1 and _weyl_stage_counts() == (3, 1)
+    for k, (want, got) in enumerate(zip(fresh, warm)):
+        assert np.array_equal(got, want), points[k]
+
+
+def test_weyl_real_stages_are_read_only():
+    for stage, shape in ((_weyl_real_float, (9, 4)), (_weyl_real_laguerre, (4, 9))):
+        G = stage(0.5, 8, 3)
+        assert G.shape == shape and G.dtype == np.float64 and not G.flags.writeable
+        with pytest.raises(ValueError):
+            G[0, 0] = 1.0
+
+
+def test_weyl_modulus_at_another_degree_is_another_key():
+    a = 0.5 + 0.2j
+    _clear_weyl_stages()
+    weyl_matrix(a, 32)
+    weyl_matrix(-a, 33)
+    weyl_matrix(1j * a, 32, 5)
+    weyl_matrix(a.conjugate(), 32, 5)
+    assert _weyl_stage_counts() == (1, 3)
+
+
+def test_box_frame_gram_builds_one_real_stage_per_modulus():
+    # the 8 nonzero points of the 3 x 3 lattice have the moduli 1, pi and sqrt(1 + pi^2)
+    _clear_weyl_stages()
+    box_frame_gram(range(-1, 2), range(-1, 2), 48)
+    assert _weyl_stage_counts() == (5, 3)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

@@ -331,6 +331,23 @@ def test_line_pv_of_stacked_functions_equals_single_calls(n_points):
     assert one[1] == hilbert_line_pv(lambda t: hermite_function(1, t), x[0], cutoff=30.0, tail_coeff=0.5)
 
 
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+@pytest.mark.parametrize("x", [0.7, np.array(0.7), np.zeros(0), np.linspace(-2.0, 2.0, 5),
+                               np.linspace(-2.0, 2.0, 6).reshape(2, 3)],
+                         ids=["scalar", "0-d", "empty", "1-d", "2-d"])
+def test_line_pv_follows_the_point_shape_rule(x, stacked):
+    # lead + x.shape, a complex for one point of a single function; every
+    # value equals the one-dimensional call's on the flattened points
+    f = (lambda t: hermite_functions(2, t)) if stacked else (lambda t: hermite_function(1, t))
+    lead = (3,) if stacked else ()
+    got = hilbert_line_pv(f, x)
+    if lead or np.shape(x):
+        assert isinstance(got, np.ndarray) and got.shape == lead + np.shape(x)
+    else:
+        assert isinstance(got, complex)
+    assert np.array_equal(np.reshape(got, lead + (-1,)), hilbert_line_pv(f, np.ravel(x)))
+
+
 def test_hilbert_squared_residual_decreases():
     def residual(N):
         M = hilbert_fock_matrix(N).entries
