@@ -279,9 +279,12 @@ def frame_bounds_finite(
 
 
 def lattice_frame_predicate(a: float, b: float) -> bool:
-    """The Gaussian-window lattice criterion: frame iff a b < 1 (strict)."""
-    if a <= 0 or b <= 0:
-        raise ValueError("lattice steps must be positive")
+    """The Gaussian-window lattice criterion: frame iff a b < 1 (strict).
+
+    ValueError unless both steps are positive and finite.
+    """
+    if not (0.0 < a < np.inf and 0.0 < b < np.inf):
+        raise ValueError(f"lattice steps must be positive and finite, got {a:g},{b:g}")
     return a * b < 1.0
 
 

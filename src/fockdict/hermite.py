@@ -30,16 +30,17 @@ def hermite_function(n: int, x):
     The Gaussian is carried inside the recurrence
         h_{n+1} = 2x/sqrt(n+1) h_n - sqrt(n/(n+1)) h_{n-1},
     which is stable to n of a few hundred; far tails underflow to zero.
+    The result has the shape of x.
     """
     return hermite_functions(n, x)[n]
 
 
 def hermite_functions(n_max: int, x) -> np.ndarray:
-    """All h_0..h_{n_max} at the given points, shape (n_max+1, len(x))."""
+    """All h_0..h_{n_max} at the given points, shape (n_max + 1,) + np.shape(x)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = np.zeros((n_max + 1, xa.size))
+    xa = np.asarray(x, dtype=np.float64)
+    out = np.zeros((n_max + 1,) + xa.shape)
     out[0] = GAUSS_CONST * np.exp(-(xa**2))
     two_x = 2.0 * xa
     if n_max >= 1:
@@ -48,8 +49,6 @@ def hermite_functions(n_max: int, x) -> np.ndarray:
     root, ratio = np.sqrt(n + 1.0), np.sqrt(n / (n + 1.0))
     for k in range(1, n_max):
         out[k + 1] = two_x / root[k] * out[k] - ratio[k] * out[k - 1]
-    if np.isscalar(x):
-        return out[:, 0]
     return out
 
 

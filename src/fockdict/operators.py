@@ -8,9 +8,10 @@ e_n(z) = z^n/sqrt(n!).
 
 Displacements are covariant under rotation: W_{e^{i theta} rho} =
 R_theta^* W_rho R_theta with R_theta f(z) = f(e^{i theta} z), so
-<W_a e_n, e_p> = G_pn(|a|) e^{i theta (n - p)} with G real.  Both Weyl
-engines build G from |a| alone and keep the last four, keyed by (|a|, N, K),
-so W_a, W_{-a} and every point of the same modulus pay for their phases only.
+<W_a e_n, e_p> = G_pn(|a|) e^{i theta (n - p)} with G real.  One cache keeps
+the last four G, keyed by (|a|, N, K); the Weyl engine decides only how a
+missing G is built.  W_a, W_{-a} and every point of the same modulus then pay
+for their N + K + 1 phases alone.
 """
 from __future__ import annotations
 
@@ -140,10 +141,12 @@ def weyl_matrix(a: complex, degree: int, input_degree: int | None = None) -> Ope
     as for the full matrix.  ValueError unless 0 <= K <= N.
 
     The entries are G_pn(|a|) e^{i theta (n - p)}, theta = arg a, with G real
-    (rotation covariance, see the module docstring).  Each engine caches its
-    G for the last four keys (|a|, N, K), at most four real (N+1) x (K+1)
-    arrays (133 KB each at N = K = 128): a repeated modulus costs its phases
-    alone, and its matrix is bit-identical to one built afresh.
+    (rotation covariance, see the module docstring).  The engine builds G
+    only, and one cache keeps it for the last four keys (|a|, N, K), at most
+    four real (N+1) x (K+1) arrays (133 KB each at N = K = 128).  The phases
+    take one exp per diagonal, N + K + 1 in all, gathered onto G: a repeated
+    modulus costs its phases alone, and its matrix is bit-identical to one
+    built afresh.
     """
     a = complex(a)
     N = degree
@@ -160,11 +163,7 @@ def weyl_matrix(a: complex, degree: int, input_degree: int | None = None) -> Ope
             AccuracyWarning,
             stacklevel=2,
         )
-    if _weyl_float_digit_loss(abs(a) ** 2, N) > 10.0:
-        entries = _weyl_entries_laguerre(a, N, K)
-    else:
-        entries = _weyl_entries_float(a, N, K)
-    return OperatorMatrix(entries)
+    return OperatorMatrix(_weyl_real(abs(a), N, K) * _weyl_phases(a, N, K))
 
 
 def _weyl_float_digit_loss(r: float, N: int) -> float:
@@ -175,16 +174,26 @@ def _weyl_float_digit_loss(r: float, N: int) -> float:
     return float((np.max(log_terms) - r / 2.0) / np.log(10.0))
 
 
-def _weyl_entries_float(a: complex, N: int, K: int) -> np.ndarray:
-    """Columns 0..K of the series: the real stage of |a| times e^{i theta (n - p)}."""
-    n = np.arange(K + 1)
-    p = np.arange(N + 1)[:, None]
-    return _weyl_real_float(abs(a), N, K) * np.exp(1j * np.angle(a) * (n - p))
+def _weyl_phases(a: complex, N: int, K: int) -> np.ndarray:
+    """e^{i theta (n - p)}, theta = arg a, for p <= N, n <= K: one exp per diagonal."""
+    phase = np.exp(1j * np.angle(a) * np.arange(-N, K + 1))
+    return phase[np.arange(K + 1) - np.arange(N + 1)[:, None] + N]
 
 
 @lru_cache(maxsize=4)
+def _weyl_real(mod_a: float, N: int, K: int) -> np.ndarray:
+    """G[p, n] for p <= N, n <= K, read-only: the series while its predicted
+    digit loss is at most 10, the Laguerre recurrence beyond."""
+    if _weyl_float_digit_loss(mod_a ** 2, N) > 10.0:
+        G = _weyl_real_laguerre(mod_a, N, K)
+    else:
+        G = _weyl_real_float(mod_a, N, K)
+    G.setflags(write=False)
+    return G
+
+
 def _weyl_real_float(mod_a: float, N: int, K: int) -> np.ndarray:
-    """G[p, n] for n <= K from the series, each column summed in log scale; read-only."""
+    """G[p, n] for n <= K from the series, each column summed in log scale."""
     r = mod_a ** 2
     log_mod_a = np.log(mod_a)
     gl = log_factorials(N)
@@ -206,34 +215,14 @@ def _weyl_real_float(mod_a: float, N: int, K: int) -> np.ndarray:
         m_safe = np.where(np.isfinite(m), m, 0.0)
         s = np.sum(signs[None, :] * np.exp(L - m_safe[:, None]), axis=1)
         out[:, n] = np.where(np.isfinite(m), np.exp(m_safe - r / 2.0) * s, 0.0)
-    out.setflags(write=False)
     return out
 
 
-def _weyl_entries_laguerre(a: complex, N: int, K: int) -> np.ndarray:
-    """Displacement entries from the normalized Laguerre functions of |a|.
-
-    The entry on diagonal alpha = |p - n| at m = min(p, n) is g_m
-    (``_weyl_real_laguerre``) times the phase e^{-i alpha theta} below the
-    diagonal, (-1)^alpha e^{i alpha theta} above it.
-    """
-    g = _weyl_real_laguerre(abs(a), N, K)
-    alpha = np.arange(N + 1)
-    m = np.arange(K + 1)[:, None]
-    # entry (m + d, m) below the diagonal for m <= K, (m, m + d) above it for m + d <= K
-    below_m, below_d = np.nonzero(m + alpha <= N)
-    above_m, above_d = np.nonzero(m + alpha <= K)
-    phase = np.exp(-1j * np.angle(a) * alpha)
-    out = np.zeros((N + 1, K + 1), dtype=np.complex128)
-    out[below_m + below_d, below_m] = g[below_m, below_d] * phase[below_d]
-    out[above_m, above_m + above_d] = g[above_m, above_d] * ((-1) ** above_d * phase[above_d].conj())
-    return out
-
-
-@lru_cache(maxsize=4)
 def _weyl_real_laguerre(mod_a: float, N: int, K: int) -> np.ndarray:
-    """g[m, alpha] = g_m on diagonal alpha for m <= K, read-only.
+    """G[p, n] for n <= K from the normalized Laguerre functions g_m of |a|.
 
+    G on diagonal alpha = |p - n| at m = min(p, n) is g_m below the diagonal
+    and (-1)^alpha g_m above it, where
     g_m = sqrt(m!/(m+alpha)!) r^{alpha/2} e^{-r/2} L_m^{(alpha)}(r), |g_m| <= 1,
     r = |a|^2, and
     g_{m+1} = ((2m+1+alpha-r) g_m - sqrt(m(m+alpha)) g_{m-1}) / sqrt((m+1)(m+1+alpha))
@@ -266,8 +255,13 @@ def _weyl_real_laguerre(mod_a: float, N: int, K: int) -> np.ndarray:
         else:
             prev, cur = cur, nxt
     g = rows * np.exp(scales)
-    g.setflags(write=False)
-    return g
+    # entry (m + d, m) below the diagonal for m <= K, (m, m + d) above it for m + d <= K
+    below_m, below_d = np.nonzero(m + alpha <= N)
+    above_m, above_d = np.nonzero(m + alpha <= K)
+    G = np.zeros((N + 1, K + 1))
+    G[below_m + below_d, below_m] = g[below_m, below_d]
+    G[above_m, above_m + above_d] = g[above_m, above_d] * (-1.0) ** above_d
+    return G
 
 
 def translation_modulation_fock(a: float, b: float, degree: int,

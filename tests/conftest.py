@@ -68,9 +68,10 @@ def resolution_boundary():
 
 
 def _looped_weyl_laguerre(a: complex, N: int) -> np.ndarray:
-    """The normalized Laguerre recurrence of ``operators._weyl_entries_laguerre``
+    """W_a by the normalized Laguerre recurrence of ``operators._weyl_real_laguerre``
     as a plain loop: coefficients formed inside the m-loop, each row unscaled
-    as it is produced, and one scatter per diagonal."""
+    as it is produced, and one complex scatter per diagonal with its own
+    phase, e^{-i d theta} below the diagonal and (-1)^d e^{i d theta} above."""
     r = abs(a) ** 2
     alpha = np.arange(N + 1)
     log_g0 = 0.5 * alpha * np.log(r) - r / 2.0 - 0.5 * log_factorials(N)

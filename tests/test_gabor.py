@@ -295,6 +295,12 @@ def test_lattice_predicate_strict_inequality():
     assert lattice_frame_predicate(2.0, 0.4)
 
 
+@pytest.mark.parametrize("a, b", [(np.nan, 1.0), (np.inf, 1e-300), (1.0, np.inf), (0.0, 1.0), (1.0, -2.0)])
+def test_lattice_predicate_refuses_steps_that_are_not_positive_and_finite(a, b):
+    with pytest.raises(ValueError, match="lattice steps must be positive and finite"):
+        lattice_frame_predicate(a, b)
+
+
 def test_density_predicate_verdicts():
     for ab, want in [(0.8, "frame"), (1.0, "undecided"), (1.2, "not-frame")]:
         Z = PointSet.rectangular(ab, ab)

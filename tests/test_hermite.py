@@ -32,6 +32,17 @@ def test_hermite_function_parity():
         assert np.allclose(hermite_function(n, -x), (-1) ** n * hermite_function(n, x))
 
 
+@pytest.mark.parametrize("x", [0.7, np.array(0.7), np.zeros(0), np.linspace(-2.0, 2.0, 5),
+                               np.linspace(-2.0, 2.0, 6).reshape(2, 3)],
+                         ids=["()", "0-d", "(0,)", "(5,)", "(2, 3)"])
+def test_hermite_functions_keep_the_shape_of_the_points(x):
+    table = hermite_functions(4, x)
+    assert table.shape == (5,) + np.shape(x)
+    assert np.shape(hermite_function(3, x)) == np.shape(x)
+    flat = hermite_functions(4, np.ravel(x))
+    assert np.array_equal(table.reshape(5, -1), flat)
+
+
 def test_hermite_function_large_argument_underflows_quietly():
     vals = hermite_function(10, np.array([35.0]))
     assert np.isfinite(vals).all()

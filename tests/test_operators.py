@@ -16,9 +16,9 @@ from fockdict.fock import FockVector, kernel_vector, log_factorials
 from fockdict.gabor import box_frame_gram
 from fockdict.hermite import gauss_hermite, gauss_hermite_plane, hermite_function, hermite_functions
 from fockdict.operators import (
-    _weyl_entries_float,
-    _weyl_entries_laguerre,
     _weyl_float_digit_loss,
+    _weyl_phases,
+    _weyl_real,
     _weyl_real_float,
     _weyl_real_laguerre,
     a1_matrix,
@@ -37,6 +37,7 @@ from fockdict.operators import (
     weyl_matrix,
 )
 from fockdict.report import _dilation_plane_kernel
+from fockdict.singular import exp_linear_symbol, s_phi_matrix
 
 
 # ----------------------------------------------------------------------
@@ -209,10 +210,15 @@ def _switch_point(N: int) -> float | None:
     return hi
 
 
+def _weyl_by(build, a: complex, N: int, K: int) -> np.ndarray:
+    """W_a P_K from one real-stage builder, whichever engine weyl_matrix would pick."""
+    return build(abs(a), N, K) * _weyl_phases(a, N, K)
+
+
 def test_weyl_recurrence_and_float_paths_agree():
     for a, N in [(0.5, 32), (1 + 0.5j, 24)]:
-        lag = _weyl_entries_laguerre(complex(a), N, N)
-        fl = _weyl_entries_float(complex(a), N, N)
+        lag = _weyl_by(_weyl_real_laguerre, complex(a), N, N)
+        fl = _weyl_by(_weyl_real_float, complex(a), N, N)
         assert np.max(np.abs(lag - fl)) < 5e-12
 
 
@@ -232,7 +238,7 @@ def test_weyl_recurrence_scan_from_switch_boundary(N):
             assert deep == (r0 is not None)
             with warnings.catch_warnings():  # the scan reaches r = N/2, past resolution
                 warnings.simplefilter("ignore", AccuracyWarning)
-                W = weyl_matrix(a, N).entries if deep else _weyl_entries_laguerre(a, N, N)
+                W = weyl_matrix(a, N).entries if deep else _weyl_by(_weyl_real_laguerre, a, N, N)
             assert np.max(np.abs(W - _exact_series_reference(a, N))) <= 1e-12, a
             assert np.max(np.abs(W[:, 0] - kernel_vector(a, N).coeffs)) <= 1e-13, a
 
@@ -252,7 +258,7 @@ def test_weyl_recurrence_survives_underflowing_starts():
     # entries near n ~ r are of order 1e-2; reference values from the
     # Laguerre closed form at 60 digits (mpmath).
     a, N = 38.47 + 1.0j, 1500
-    W = _weyl_entries_laguerre(a, N, N)
+    W = _weyl_by(_weyl_real_laguerre, a, N, N)
     ref = {(1480, 1480): -0.00035924653328819255,
            (1500, 1400): -0.012966431290507318 - 0.00782100917988292j,
            (1300, 1499): 0.002595869650290537 - 0.005248553386743745j}
@@ -323,35 +329,40 @@ def test_apply_of_a_column_block_is_the_full_matrix_apply(a, N):
 def test_weyl_recurrence_matches_its_looped_form(a, N, looped_weyl_laguerre):
     # r = 2007 at N = 400 starts below e^{-600} and shrinks rows from m = 313 on
     want = looped_weyl_laguerre(complex(a), N)
-    assert np.array_equal(_weyl_entries_laguerre(complex(a), N, N), want)
+    assert np.array_equal(_weyl_by(_weyl_real_laguerre, complex(a), N, N), want)
     K = N // 3
-    W = _weyl_entries_laguerre(complex(a), N, K)
+    W = _weyl_by(_weyl_real_laguerre, complex(a), N, K)
     assert W.shape == (N + 1, K + 1) and np.array_equal(W, want[:, : K + 1])
 
 
-_WEYL_STAGES = (_weyl_real_float, _weyl_real_laguerre)
+@pytest.mark.parametrize("N", [16, 24, 32, 40, 64])
+def test_weyl_recurrence_is_the_exp_linear_s_phi(N):
+    # for real a, S_phi with phi(u) = e^{a u} is e^{a^2/2} W_a: the exact
+    # rational engine checks the recurrence on both sides of the engine
+    # switch, in the series regime too, where weyl_matrix does not use it
+    n = np.arange(N + 1)
+    for a in (0.5, -1.0, 1.7, -2.0, 2.5, 3.0, -0.3):
+        S = s_phi_matrix(exp_linear_symbol(a, 2 * N), N).entries
+        sign = (-1.0) ** ((a < 0) * (n - n[:, None]))
+        want = math.exp(a * a / 2.0) * sign * _weyl_real_laguerre(abs(a), N, N)
+        assert np.max(np.abs(S - want)) <= 1e-13 * np.max(np.abs(S)), a
 
 
-def _clear_weyl_stages():
-    for stage in _WEYL_STAGES:
-        stage.cache_clear()
+def _weyl_cache_counts():
+    """(hits, misses) of the real-stage cache since its last clear."""
+    info = _weyl_real.cache_info()
+    return info.hits, info.misses
 
 
-def _weyl_stage_counts():
-    """(hits, misses) of both engines' real stages since the last clear."""
-    infos = [stage.cache_info() for stage in _WEYL_STAGES]
-    return sum(i.hits for i in infos), sum(i.misses for i in infos)
-
-
-@pytest.mark.parametrize("a, N, stage", [(0.5 + 0.2j, 64, _weyl_real_float),
+@pytest.mark.parametrize("a, N, build", [(0.5 + 0.2j, 64, _weyl_real_float),
                                          (cmath.rect(7.0, 0.3), 128, _weyl_real_laguerre)])
-def test_weyl_minus_a_reuses_the_real_stage_of_a(a, N, stage):
-    assert (_weyl_float_digit_loss(abs(a) ** 2, N) > 10.0) == (stage is _weyl_real_laguerre)
-    _clear_weyl_stages()
+def test_weyl_minus_a_reuses_the_real_stage_of_a(a, N, build):
+    # one modulus on each side of the engine switch
+    assert (_weyl_float_digit_loss(abs(a) ** 2, N) > 10.0) == (build is _weyl_real_laguerre)
+    _weyl_real.cache_clear()
     weyl_matrix(a, N)
     weyl_matrix(-a, N)
-    assert (stage.cache_info().hits, stage.cache_info().misses) == (1, 1)
-    assert _weyl_stage_counts() == (1, 1)
+    assert _weyl_cache_counts() == (1, 1)
 
 
 def _one_modulus(z):
@@ -359,50 +370,51 @@ def _one_modulus(z):
     return [z, -z, z.conjugate(), 1j * z]
 
 
-@pytest.mark.parametrize("build, points, stage", [
-    (lambda z: weyl_matrix(z, 64), _one_modulus(0.5 + 0.2j), _weyl_real_float),
-    (lambda z: weyl_matrix(z, 128), _one_modulus(cmath.rect(7.0, 0.3)), _weyl_real_laguerre),
-    (lambda z: weyl_matrix(z, 120, 7), _one_modulus(1 - np.pi * 1j), _weyl_real_laguerre),
-    (lambda ab: translation_modulation_fock(*ab, 64), [(1.0, 0.5), (-1.0, -0.5), (1.0, -0.5), (-1.0, 0.5)],
-     _weyl_real_float),
+@pytest.mark.parametrize("build, points", [
+    (lambda z: weyl_matrix(z, 64), _one_modulus(0.5 + 0.2j)),
+    (lambda z: weyl_matrix(z, 128), _one_modulus(cmath.rect(7.0, 0.3))),
+    (lambda z: weyl_matrix(z, 120, 7), _one_modulus(1 - np.pi * 1j)),
+    (lambda ab: translation_modulation_fock(*ab, 64), [(1.0, 0.5), (-1.0, -0.5), (1.0, -0.5), (-1.0, 0.5)]),
 ], ids=["float-series", "laguerre", "column-block", "translation-modulation"])
-def test_cached_weyl_outputs_equal_fresh_builds(build, points, stage):
+def test_cached_weyl_outputs_equal_fresh_builds(build, points):
     # four points of one modulus: one miss, then three hits whose matrices
-    # equal the ones built with the caches cleared
+    # equal the ones built with the cache cleared
     fresh = []
     for z in points:
-        _clear_weyl_stages()
+        _weyl_real.cache_clear()
         fresh.append(build(z).entries.view(np.int64).copy())
-    _clear_weyl_stages()
+    _weyl_real.cache_clear()
     warm = [build(z).entries.view(np.int64) for z in points]
-    assert stage.cache_info().misses == 1 and _weyl_stage_counts() == (3, 1)
+    assert _weyl_cache_counts() == (3, 1)
     for k, (want, got) in enumerate(zip(fresh, warm)):
         assert np.array_equal(got, want), points[k]
 
 
 def test_weyl_real_stages_are_read_only():
-    for stage, shape in ((_weyl_real_float, (9, 4)), (_weyl_real_laguerre, (4, 9))):
-        G = stage(0.5, 8, 3)
-        assert G.shape == shape and G.dtype == np.float64 and not G.flags.writeable
+    # one series key and one recurrence key
+    for mod_a, N, K in ((0.5, 8, 3), (7.0, 128, 5)):
+        assert (_weyl_float_digit_loss(mod_a ** 2, N) > 10.0) == (N == 128)
+        G = _weyl_real(mod_a, N, K)
+        assert G.shape == (N + 1, K + 1) and G.dtype == np.float64 and not G.flags.writeable
         with pytest.raises(ValueError):
             G[0, 0] = 1.0
 
 
 def test_weyl_modulus_at_another_degree_is_another_key():
     a = 0.5 + 0.2j
-    _clear_weyl_stages()
+    _weyl_real.cache_clear()
     weyl_matrix(a, 32)
     weyl_matrix(-a, 33)
     weyl_matrix(1j * a, 32, 5)
     weyl_matrix(a.conjugate(), 32, 5)
-    assert _weyl_stage_counts() == (1, 3)
+    assert _weyl_cache_counts() == (1, 3)
 
 
 def test_box_frame_gram_builds_one_real_stage_per_modulus():
     # the 8 nonzero points of the 3 x 3 lattice have the moduli 1, pi and sqrt(1 + pi^2)
-    _clear_weyl_stages()
+    _weyl_real.cache_clear()
     box_frame_gram(range(-1, 2), range(-1, 2), 48)
-    assert _weyl_stage_counts() == (5, 3)
+    assert _weyl_cache_counts() == (5, 3)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

@@ -17,6 +17,7 @@ from fockdict.quantize import (
     weyl_quantize_poly,
     weyl_toeplitz_residual,
 )
+from fockdict.singular import s_phi_matrix, symbol_from_taylor
 
 
 # ----------------------------------------------------------------------
@@ -226,3 +227,34 @@ def test_weyl_of_heat_symbol_is_toeplitz_in_every_entry():
         W = weyl_quantize_poly(PhasePolynomial.from_poly_symbol(heat_symbol(phi)), 20).entries
         assert np.max(np.abs(W - T)) <= 1e-12 * np.max(np.abs(T))
 
+
+
+# ----------------------------------------------------------------------
+# One operator from two modules
+# ----------------------------------------------------------------------
+
+def _weyl_symbol_of_s_phi(phi) -> PhasePolynomial:
+    """sigma(x, zeta) = Psi(-2i zeta) with Psi(g) = E phi(g + X), X standard
+    normal: Psi(g) = sum_k phi_k sum_{j even} C(k, j) (j-1)!! g^{k-j}."""
+    coeffs: dict[tuple[int, int], complex] = {}
+    for k, c in enumerate(phi):
+        for j in range(0, k + 1, 2):
+            m = k - j
+            moment = math.comb(k, j) * math.prod(range(j - 1, 0, -2))
+            coeffs[(0, m)] = coeffs.get((0, m), 0.0) + c * moment * (-2j) ** m
+    return PhasePolynomial(coeffs)
+
+
+_RNG = np.random.default_rng(6)
+
+
+@pytest.mark.parametrize("phi", [[0, 1], [0, 0, 1], [0, 0, 0, 1],
+                                 _RNG.standard_normal(7) + 1j * _RNG.standard_normal(7)],
+                         ids=["u", "u^2", "u^3", "random-degree-6"])
+def test_s_phi_of_a_polynomial_is_the_weyl_quantization_of_its_zeta_symbol(phi):
+    # singular.s_phi_matrix (exact rational recurrence) and
+    # quantize.weyl_quantize_poly (Toeplitz of the inverse heat transform)
+    # build the same operator on e_0..e_40
+    S = s_phi_matrix(symbol_from_taylor(phi), 40).entries
+    W = weyl_quantize_poly(_weyl_symbol_of_s_phi(phi), 40).entries
+    assert np.max(np.abs(S - W)) <= 1e-14 * np.max(np.abs(S))
