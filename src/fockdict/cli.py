@@ -24,7 +24,7 @@ from . import operators as op
 from . import quantize as qz
 from . import singular as sg
 from . import uncertainty as uc
-from .fock import FockVector, resolved_radius
+from .fock import resolved_radius
 from .report import SUITE_NAMES, SuiteConfig, default_degree, run_suite, truncation_degree
 from .serialize import (
     matrix_to_csv,
@@ -142,9 +142,7 @@ def _cmd_bargmann(args) -> int:
 def _cmd_op_apply(args) -> int:
     N = args.degree or default_degree()
     f = _read_vector(args.infile, "fock").pad(N)
-    params = [float(p) for p in args.params.split(",")] if args.params else []
-    if not np.all(np.isfinite(params)):
-        raise ValueError(f"--params must be finite numbers, got {args.params!r}")
+    params = args.params
     # weyl and dilate take the input at its own degree: trailing zeros would only raise it
     K = f.reach
     if args.op == "fourier":
@@ -160,7 +158,7 @@ def _cmd_op_apply(args) -> int:
     elif args.op == "dilate":
         if len(params) != 1:
             raise ValueError("dilate needs --params R")
-        out = op.dilation_fock(params[0], FockVector(f.coeffs[: K + 1]), bg.BargmannPipeline.default(N)).primary
+        out = op.dilation_matrix(params[0], N, K).apply(f)
     elif args.op == "a1":
         out = op.a1_matrix(N).apply(f)
     elif args.op == "a2":
@@ -304,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa = opsub.add_parser("apply")
     pa.add_argument("--op", required=True,
                     choices=["fourier", "rotate", "weyl", "dilate", "a1", "a2"])
-    pa.add_argument("--params", default="", help="comma-separated operator parameters")
+    pa.add_argument("--params", type=_numbers, default=[],
+                    help="comma-separated operator parameters (--params=-0.5,0.25 for a leading minus)")
     pa.add_argument("--in", dest="infile", required=True, help="FockVector JSON file")
     _add_options(pa, "degree", "format")
     pa.set_defaults(fn=_cmd_op_apply)

@@ -27,7 +27,7 @@ from .operators import weyl_matrix
 CRITICAL_DENSITY = 1.0 / np.pi
 
 # integer points a lattice disk query may search (16 MiB of complex points);
-# the `verify gabor` lattice (1, 1) at radius 50 needs about 3,700
+# the `verify gabor` lattice (1, 1) at radius 50 needs 3,333 (3,468 off 0)
 MAX_LATTICE_BOX = 1_000_000
 
 # points per kernel block of the frame operator and its resolution gate: a
@@ -37,16 +37,16 @@ _POINT_BLOCK = 512
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """Distinct points in the plane, optionally backed by a lattice generator.
+    """Distinct points in the plane, or the lattice a Z - i pi b Z stored as its steps (a, b).
 
-    Generator-backed sets produce points on demand inside any disk, which
-    removes edge effects from density counts; ``clip_radius`` marks sets that
-    were clipped out of a larger region, so disk queries beyond the clip are
+    A lattice produces its points on demand inside any disk, which removes
+    edge effects from density counts; ``clip_radius`` marks sets that were
+    clipped out of a larger region, so disk queries beyond the clip are
     refused rather than silently undercounted.
     """
 
     points: np.ndarray
-    generators: tuple[complex, complex] | None = None
+    steps: tuple[float, float] | None = None
     clip_radius: float | None = None
 
     def __post_init__(self):
@@ -55,7 +55,7 @@ class PointSet:
             raise ValueError("points must be a 1-d sequence")
         _require_finite(pts)
         if len(pts) > 1:
-            gap = _near_duplicate_gap(pts)
+            gap = _gap_within(pts, 1e-9)
             if gap <= 1e-9:
                 raise ValueError(f"points must be distinct (min gap {gap:.2e})")
         pts.setflags(write=False)
@@ -75,15 +75,15 @@ class PointSet:
         if not (a > 0 and b > 0 and 0.0 < np.pi * a * b < np.inf):
             raise ValueError(f"lattice steps must be positive and finite with a positive "
                              f"finite cell area pi*a*b, got {a:g},{b:g}")
-        return cls(np.empty(0, dtype=np.complex128), generators=(complex(a), complex(0, -np.pi * b)))
+        return cls(np.empty(0, dtype=np.complex128), steps=(float(a), float(b)))
 
     @property
     def is_lattice(self) -> bool:
-        return self.generators is not None
+        return self.steps is not None
 
     def points_in_disk(self, center: complex, radius: float) -> np.ndarray:
         if self.is_lattice:
-            return _lattice_points_in_disk(self.generators, complex(center), radius)
+            return _lattice_points_in_disk(*self.steps, complex(center), radius)
         if self.clip_radius is not None and abs(complex(center)) + radius > self.clip_radius:
             raise ValueError("disk query exceeds the clipped region")
         mask = np.abs(self.points - complex(center)) < radius
@@ -102,8 +102,8 @@ def _require_finite(pts: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _near_duplicate_gap(pts: np.ndarray, tol: float = 1e-9) -> float:
-    """Smallest gap among pairs within tol along both axes (duplicate gate).
+def _gap_within(pts: np.ndarray, tol: float) -> float:
+    """Smallest distance among pairs within tol along both axes; inf if none.
 
     A pair at distance <= tol is within tol along the real axis, so it sits
     in one chain of the real-sorted points whose consecutive real gaps are
@@ -111,9 +111,12 @@ def _near_duplicate_gap(pts: np.ndarray, tol: float = 1e-9) -> float:
     tol there.  Lag d compares each point with the d-th next one of its
     chain, and a pair that is not within tol in imaginary part at lag d is
     not at lag d + 1 either, so only the pairs left over are carried on and
-    the scan stops at the first empty lag (lag 1 on a lattice).  Returns inf
-    when no pair is within tol along both axes.
+    the scan stops at the first empty lag (lag 1 on a lattice).  Points wider
+    than tall are turned by i first (no distance changes), so a horizontal
+    line is not one chain whose every pair is a candidate.
     """
+    if np.ptp(pts.real) > np.ptp(pts.imag):
+        pts = pts * 1j
     p = pts[np.argsort(pts.real, kind="stable")]
     chain = np.cumsum(np.diff(p.real, prepend=p.real[:1]) > tol)
     order = np.lexsort((p.imag, chain))
@@ -129,26 +132,18 @@ def _near_duplicate_gap(pts: np.ndarray, tol: float = 1e-9) -> float:
 
 
 def _min_gap(pts: np.ndarray) -> float:
-    """True minimum pairwise distance (quadratic; capped for sanity)."""
-    if len(pts) > 5000:
-        raise ValueError("min-gap computation limited to 5000 points")
-    best = np.inf
-    for i in range(0, len(pts), 256):
-        chunk = pts[i : i + 256]
-        diff = np.abs(chunk[:, None] - pts[None, :])
-        diff[np.arange(len(chunk)), i + np.arange(len(chunk))] = np.inf
-        best = min(best, float(diff.min()))
-    return best
+    """Minimum pairwise distance of two or more points: ``_gap_within`` at tol the
+    smallest distance between sorted neighbours, a real pair's, so the closest
+    pair is within tol along both axes."""
+    return _gap_within(pts, float(np.min(np.abs(np.diff(np.sort(pts))))))
 
 
-def _lattice_points_in_disk(gens, center: complex, radius: float) -> np.ndarray:
-    o1, o2 = gens
-    # invert the generator matrix to bound the integer search box
-    mat = np.array([[o1.real, o2.real], [o1.imag, o2.imag]])
-    inv = np.linalg.inv(mat)
-    corners = center + radius * np.exp(1j * np.linspace(0, 2 * np.pi, 17))
-    uv = inv @ np.vstack([corners.real, corners.imag])
-    lo, hi = np.floor(uv.min(axis=1)) - 1, np.ceil(uv.max(axis=1)) + 1
+def _lattice_points_in_disk(a: float, b: float, center: complex, radius: float) -> np.ndarray:
+    """Points n a - i m pi b with |z - center| < radius; the index box is read off the steps."""
+    c = np.pi * b
+    x0, y0 = center.real, center.imag
+    lo = np.floor([(x0 - radius) / a, -(y0 + radius) / c])
+    hi = np.ceil([(x0 + radius) / a, (radius - y0) / c])
     with np.errstate(over="ignore"):  # an overflowing box is inf, refused below
         box = float(np.prod(hi - lo + 1))
     if not box <= MAX_LATTICE_BOX:  # also refuses a NaN box
@@ -157,8 +152,7 @@ def _lattice_points_in_disk(gens, center: complex, radius: float) -> np.ndarray:
     (n_lo, m_lo), (n_hi, m_hi) = lo.astype(int), hi.astype(int)
     ns = np.arange(n_lo, n_hi + 1)
     ms = np.arange(m_lo, m_hi + 1)
-    grid = ns[:, None] * o1 + ms[None, :] * o2
-    pts = grid.ravel()
+    pts = (ns[:, None] * complex(a) + ms[None, :] * complex(0, -c)).ravel()
     return pts[np.abs(pts - center) < radius]
 
 
@@ -191,9 +185,9 @@ def density_estimate(Z: PointSet, radii: Sequence[float]) -> DensityReport:
     """
     radii = disk_radii(radii)
     if Z.is_lattice:
-        o1, o2 = Z.generators
+        a, b = Z.steps
         frac = (np.arange(6) + 0.5) / 6.0
-        center_grid = [u * o1 + v * o2 for u in frac for v in frac]
+        center_grid = [u * complex(a) + v * complex(0, -np.pi * b) for u in frac for v in frac]
     else:
         center_grid = [0.0 + 0.0j]
     lower = np.empty(len(radii))
@@ -209,24 +203,17 @@ def density_estimate(Z: PointSet, radii: Sequence[float]) -> DensityReport:
 def separation_check(Z: PointSet) -> tuple[bool, float]:
     """Minimum pairwise gap and a separation verdict (threshold 1e-9).
 
-    Finite sets are trivially unions of separated subsequences, so no
-    decomposition is attempted; lattices report their cell geometry.
+    A lattice of steps (a, b) has the gap min(a, pi b); a finite set of any
+    size gets ``_min_gap``.  Finite sets are trivially unions of separated
+    subsequences, so no decomposition is attempted.
     """
     if Z.is_lattice:
-        o1, o2 = Z.generators
-        # min over small integer combinations of the generators
-        combos = [
-            abs(n * o1 + m * o2)
-            for n in range(-2, 3)
-            for m in range(-2, 3)
-            if (n, m) != (0, 0)
-        ]
-        gap = min(combos)
-        return gap > 1e-9, float(gap)
-    if len(Z.points) < 2:
+        gap = min(Z.steps[0], np.pi * Z.steps[1])
+    elif len(Z.points) < 2:
         return True, float("inf")
-    gap = _min_gap(Z.points)
-    return gap > 1e-9, gap
+    else:
+        gap = _min_gap(Z.points)
+    return gap > 1e-9, float(gap)
 
 
 def _resolved_kernels(points, degree: int):

@@ -237,24 +237,19 @@ def _case_dilation(cfg: SuiteConfig) -> list[CaseResult]:
     return out
 
 
-def _dilation_plane_kernel(r: float, f: FockVector, pipeline: bg.BargmannPipeline) -> np.ndarray:
-    """Fock coefficients of the dilated f by plane quadrature of the direct kernel.
+def _dilation_plane_kernels(r: float, fs, pipeline: bg.BargmannPipeline) -> list[np.ndarray]:
+    """Fock coefficients of each dilated f in fs by plane quadrature of the direct kernel.
 
         sqrt(2r/(1+r^2)) e^{g z^2} int f(-iw) e^{g conj(w)^2}
             e^{2 i r z conj(w)/(1+r^2)} dlambda(w),
 
     with g = (1-r^2)/(2(1+r^2)), on the pipeline's plane rule, up to its
-    degree; coefficients come from the e_n recurrence of e^{g z^2 + beta z}.
+    degree; coefficients come from the e_n recurrence of e^{g z^2 + beta z},
+    one table over the plane nodes shared by all of fs (the cost of a call).
     It shares no step with ``operators.dilation_matrix``, which makes it
     d3's independent reference; it is accurate for f of modest degree
     relative to the plane rule.
     """
-    return _dilation_plane_kernels(r, [f], pipeline)[0]
-
-
-def _dilation_plane_kernels(r: float, fs, pipeline: bg.BargmannPipeline) -> list[np.ndarray]:
-    """``_dilation_plane_kernel`` of each f in fs, sharing one coefficient table
-    of e^{g z^2 + beta z} over the plane nodes (the cost of a call)."""
     plane = pipeline.plane_rule
     gamma = (1.0 - r * r) / (2.0 * (1.0 + r * r))
     pref = np.sqrt(2.0 * r / (1.0 + r * r))

@@ -23,7 +23,7 @@ import fockdict.quantize as qz
 import fockdict.singular as sg
 import fockdict.uncertainty as uc
 from fockdict.fock import FockVector, evaluate
-from fockdict.report import _dilation_plane_kernel
+from fockdict.report import _dilation_plane_kernels
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -99,7 +99,7 @@ def test_criterion_04_dilation_dual_path(inverse_integral_dilation):
         for n in (0, 1):
             f = FockVector.basis(n, 8)
             got = op.dilation_fock(r, f, pipe).primary.coeffs
-            for ref in (_dilation_plane_kernel(r, f, pipe), inverse_integral_dilation(r, f, pipe)):
+            for ref in (_dilation_plane_kernels(r, [f], pipe)[0], inverse_integral_dilation(r, f, pipe)):
                 worst = max(worst, float(np.linalg.norm(got - ref)))
     ok = worst <= 1e-5
     _report("AC-04 dilation-dual-path", ok, f"max discrepancy={worst:.2e}")

@@ -333,7 +333,9 @@ def test_cli_errors_are_one_line(tmp_path, args, request):
 # the cases above refused up front, by the option whose value is out of range
 _REFUSED_OPTION = {"nan-extremal-c": "--c", "nan-extremal-a": "--a", "infinite-product-a": "--a",
                    "infinite-lattice-step": "--lattice", "overflowing-cell-area": "--lattice",
-                   "overflowing-disk-area": "--R"}
+                   "overflowing-disk-area": "--R", "bad-params": "--params",
+                   "non-finite-weyl-params": "--params", "non-finite-rotate-params": "--params",
+                   "non-finite-dilate-params": "--params"}
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "abc"])
@@ -427,6 +429,23 @@ def test_cli_weyl_takes_the_input_at_its_own_degree(tmp_path, capsys):
     got = np.array([complex(re, im) for re, im in json.loads(out)])
     want = cli.op.weyl_matrix(0.7 - 0.4j, 200).entries[:, 20]
     assert np.array_equal(got, want)
+
+
+def test_cli_negative_params_take_the_equals_form(tmp_path, capsys):
+    # argparse reads "--params -0.5,0.25" as an option with no value; the
+    # "--params=-0.5,0.25" form passes the leading minus through
+    path = tmp_path / "e1.json"
+    path.write_text(vector_to_json(FockVector.basis(1, 4)))
+    code = cli.main(["op", "apply", "--op", "weyl", "--params=-0.5,0.25",
+                     "--degree", "24", "--in", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    got = np.array([complex(re, im) for re, im in json.loads(out)])
+    assert np.array_equal(got, cli.op.weyl_matrix(-0.5 + 0.25j, 24).entries[:, 1])
+    proc = run_cli("op", "apply", "--op", "weyl", "--params", "-0.5,0.25", "--in", str(path),
+                   check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1].endswith("argument --params: expected one argument")
 
 
 @pytest.mark.parametrize("degree", range(1, 17))

@@ -42,11 +42,10 @@ def test_pointset_rejects_near_duplicates():
         PointSet.from_points([0.0, 1e-12])
 
 
-def _brute_force_rejects(pts) -> bool:
-    with np.errstate(invalid="ignore"):  # inf - inf
-        gaps = np.abs(pts[:, None] - pts[None, :])
+def _brute_force_gap(pts) -> float:
+    gaps = np.abs(pts[:, None] - pts[None, :])
     np.fill_diagonal(gaps, np.inf)
-    return bool(np.any(gaps <= 1e-9))
+    return float(gaps.min())
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -68,18 +67,18 @@ def test_duplicate_gate_rejects_exactly_what_brute_force_rejects(seed):
         with pytest.raises(ValueError, match="finite"):
             PointSet(pts)
         pts = pts[np.isfinite(pts)]
-    rejects = _brute_force_rejects(pts)
+    rejects = _brute_force_gap(pts) <= 1e-9
     if rejects:
         with pytest.raises(ValueError, match="distinct"):
             PointSet(pts)
     else:
         PointSet(pts)
-    assert (gabor._near_duplicate_gap(pts) <= 1e-9) == rejects
+    assert (gabor._gap_within(pts, 1e-9) <= 1e-9) == rejects
 
 
 def test_duplicate_gate_on_a_dense_lattice():
     Z = PointSet.rectangular(0.05, 0.05).clip_to_disk(resolved_radius(64))
-    assert gabor._near_duplicate_gap(Z.points) == np.inf
+    assert gabor._gap_within(Z.points, 1e-9) == np.inf
     with pytest.raises(ValueError, match="distinct"):
         PointSet(np.append(Z.points, Z.points[4000] + 0.6e-9j))
 
@@ -161,6 +160,100 @@ def test_separation_of_lattices_and_finite_sets():
     assert sep and abs(gap - 1.0) < 1e-14
     sep, gap = separation_check(PointSet.from_points([0.0, 1.0, 1.5]))
     assert sep and gap == 0.5
+
+
+def _gap_sets(rng):
+    """Random, horizontal, vertical and diagonal sets, with shuffled grids among them."""
+    n = int(rng.integers(2, 300))
+    t = rng.uniform(-5.0, 5.0, n)
+    if rng.random() < 0.3:  # evenly spaced and shuffled: many equal gaps
+        t = rng.permutation(np.arange(n) * rng.choice([0.5, 0.1, 1e-3]) + rng.uniform(-3, 3))
+    yield rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    yield t + 1j * rng.uniform(-2, 2)
+    yield rng.uniform(-2, 2) + 1j * t
+    yield t * np.exp(1j * rng.uniform(0.0, np.pi))
+    yield t + 1j * rng.uniform(-5.0, 5.0, n) * rng.choice([1e-3, 0.1, 10.0])
+
+
+def _at_axis_boundary(rng, skew: float):
+    """Points in a box whose real spread is exactly (1 + skew) times its imaginary spread."""
+    n = int(rng.integers(3, 200))
+    x, y = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+    x[:2], y[:2] = (0.0, 1.0 + skew), (0.0, 1.0)
+    if rng.random() < 0.5:
+        x, y = np.round(x * 16) / 16, np.round(y * 16) / 16  # a grid: ties along both axes
+        x[:2], y[:2] = (0.0, 1.0 + skew), (0.0, 1.0)
+    pts = np.unique(x + 1j * y)
+    assert (np.ptp(pts.real) > np.ptp(pts.imag)) == (skew > 0)
+    return pts
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_min_gap_is_the_brute_force_minimum_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    sets = list(_gap_sets(rng))
+    sets += [_at_axis_boundary(rng, skew) for skew in (0.0, 2.0**-40, -(2.0**-40), 0.25, -0.25)]
+    for pts in sets:
+        pts = np.unique(pts)
+        if pts.size > 1:
+            assert gabor._min_gap(pts) == _brute_force_gap(pts)
+
+
+def test_min_gap_of_a_long_line_in_either_direction():
+    # a shuffled line of 20,000 points at spacing 0.5: one chain across the
+    # line, so the scan stops at lag 1 whichever axis the line runs along
+    line = np.random.default_rng(3).permutation(np.arange(20_000) * 0.5)
+    for pts in (line + 0j, 1j * line, line + 7j, 3.0 - 1j * line):
+        assert gabor._min_gap(pts) == 0.5
+
+
+def test_separation_of_a_clipped_dense_lattice_is_its_step():
+    # 14,399 points: past the size the pairwise scan used to accept
+    Z = PointSet.rectangular(0.05, 0.05).clip_to_disk(6.0)
+    assert len(Z.points) == 14_399
+    sep, gap = separation_check(Z)
+    row = np.sort(Z.points[Z.points.imag == 0].real)  # the widest row holds every column gap
+    assert sep and gap == np.min(np.diff(row))
+    assert abs(gap - 0.05) < 1e-15
+    assert separation_check(PointSet.rectangular(0.05, 0.05)) == (True, 0.05)
+    assert separation_check(PointSet.rectangular(1.0, 0.1)) == (True, np.pi * 0.1)
+
+
+def _points_in_generous_box(a, b, center, radius):
+    c = np.pi * b
+    ns = np.arange(math.floor((center.real - radius) / a) - 3, math.ceil((center.real + radius) / a) + 4)
+    ms = np.arange(math.floor((-center.imag - radius) / c) - 3, math.ceil((radius - center.imag) / c) + 4)
+    pts = (ns[:, None] * complex(a) + ms[None, :] * complex(0, -c)).ravel()
+    return pts[np.abs(pts - center) < radius]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_lattice_disk_query_is_the_filter_of_a_generous_box(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        a, b = rng.uniform(0.05, 2.0, 2)
+        center = complex(*rng.uniform(-3.0, 3.0, 2))
+        radius = float(rng.choice([rng.uniform(0.0, 40.0), rng.uniform(0.0, 1.0)]))
+        got = PointSet.rectangular(a, b).points_in_disk(center, radius)
+        want = _points_in_generous_box(a, b, center, radius)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_lattice_disk_box_just_under_the_cap_is_searched_and_just_over_is_refused(monkeypatch):
+    # steps a = 1 and pi b = R / (k - 1/2): the box about 0 at radius R = 10.5
+    # holds 23 x (2k + 1) integer points, 999,971 at k = 21,738 and 1,000,017 at 21,739
+    radius = 10.5
+    under = PointSet.rectangular(1.0, radius / (21_738 - 0.5) / np.pi)
+    over = PointSet.rectangular(1.0, radius / (21_739 - 0.5) / np.pi)
+    pts = under.points_in_disk(0.0, radius)
+    assert np.array_equal(pts.view(np.int64), _points_in_generous_box(*under.steps, 0j, radius).view(np.int64))
+    with pytest.raises(ValueError, match=re.escape("search box of 1e+06 lattice points")):
+        over.points_in_disk(0.0, radius)
+    monkeypatch.setattr(gabor, "MAX_LATTICE_BOX", 1_000_017)  # the boxes are exactly these sizes
+    assert over.points_in_disk(0.0, radius).size > pts.size
+    monkeypatch.setattr(gabor, "MAX_LATTICE_BOX", 999_970)
+    with pytest.raises(ValueError, match="more than 999,970"):
+        under.points_in_disk(0.0, radius)
 
 
 # ----------------------------------------------------------------------

@@ -36,7 +36,7 @@ from fockdict.operators import (
     weyl_interior_block,
     weyl_matrix,
 )
-from fockdict.report import _dilation_plane_kernel
+from fockdict.report import _dilation_plane_kernels
 from fockdict.singular import exp_linear_symbol, s_phi_matrix
 
 
@@ -609,7 +609,7 @@ def test_dilation_gauss_closed_form(r):
             / math.factorial(k)
         )
     assert np.max(np.abs(res.primary.coeffs - want)) < 1e-7
-    assert np.max(np.abs(_dilation_plane_kernel(r, f, pipe) - want)) < 1e-9
+    assert np.max(np.abs(_dilation_plane_kernels(r, [f], pipe)[0] - want)) < 1e-9
 
 
 @pytest.mark.parametrize("r", [0.5, 2.0])
@@ -619,7 +619,7 @@ def test_dilation_dual_path_agreement(r, n, inverse_integral_dilation):
     pipe = BargmannPipeline.default(24)
     f = FockVector.basis(n, 8)
     got = dilation_fock(r, f, pipe).primary.coeffs
-    assert np.linalg.norm(got - _dilation_plane_kernel(r, f, pipe)) < 1e-5
+    assert np.linalg.norm(got - _dilation_plane_kernels(r, [f], pipe)[0]) < 1e-5
     assert np.linalg.norm(got - inverse_integral_dilation(r, f, pipe)) < 1e-5
 
 
@@ -647,7 +647,7 @@ def test_dilation_boundary_scan(r, n, exact_dilation, inverse_integral_dilation)
         want = exact_dilation(r, n, N)
         assert np.max(np.abs(dilation_fock(r, f, pipe).primary.coeffs - want)) <= 1e-12, N
         assert np.max(np.abs(inverse_integral_dilation(r, f, pipe) - want)) <= tol, N
-        assert np.max(np.abs(_dilation_plane_kernel(r, f, pipe) - want)) <= tol, N
+        assert np.max(np.abs(_dilation_plane_kernels(r, [f], pipe)[0] - want)) <= tol, N
 
 
 # ----------------------------------------------------------------------
