@@ -153,19 +153,19 @@ def fock_sup_norm(F: FockVector, grid_radius: float, grid_step: float) -> float:
     return float(np.max(vals))
 
 
-def _pbound_grid(grid_radius: float, step: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
-    """Axis u = step * (-m..m) of the tensor grid, and its in-disk mask.
+def _pbound_grid(grid_radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Axis u = 0.1 * (-m..m) of the tensor grid, and its in-disk mask.
 
-    m = floor(grid_radius / step); the mask keeps u_a^2 + u_b^2 <= grid_radius^2,
+    m = floor(grid_radius / 0.1); the mask keeps u_a^2 + u_b^2 <= grid_radius^2,
     tested on the integer indices so the axis ends +-m stay on the grid.
     """
     if not grid_radius >= 0:
         raise ValueError(f"grid radius must be >= 0, got {grid_radius}")
-    lim = grid_radius / step
+    lim = grid_radius / 0.1
     m = int(np.floor(lim + 1e-9))  # 0.7 / 0.1 rounds to 6.999...
     j = np.arange(-m, m + 1)
     inside = (j[:, None] ** 2 + j[None, :] ** 2) <= lim * lim + 1e-9
-    return step * j, inside
+    return 0.1 * j, inside
 
 
 def _stft_blocks(f: Callable, rule: QuadratureRule, u: np.ndarray):

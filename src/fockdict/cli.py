@@ -4,9 +4,12 @@ All vector input/output uses the JSON pair format (arrays of [re, im]); CSV
 output uses index,re,im rows for vectors and row,col,re,im for matrices,
 both with round-trip-exact floats.  The default truncation degree is 64 and
 can be overridden per call with --degree or globally with FOCKDICT_DEGREE,
-either an integer >= 1.  Each command declares only the options it reads.
-Bad input or an unreadable/unwritable file ends the call with one
-``fockdict: error: ...`` line on stderr and exit code 2.
+either an integer >= 1.  A command with several modes has one subcommand
+per mode, and each leaf command declares only the options it reads, so an
+option of another mode is a usage error; only the leaves that write a
+vector or a matrix take --format.  Bad input or an unreadable/unwritable
+file ends the call with one ``fockdict: error: ...`` line on stderr and
+exit code 2.
 """
 from __future__ import annotations
 
@@ -57,8 +60,6 @@ def _emit_matrix(entries, args) -> None:
 
 
 def _emit_obj(obj, args) -> None:
-    if getattr(args, "format", "json") == "csv":
-        raise ValueError("this mode writes a JSON object; --format csv is for vectors and matrices")
     _write(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False), args.out)
 
 
@@ -134,70 +135,62 @@ def _cmd_bargmann(args) -> int:
         return 0
     # quadrature path: coefficients recovered from the defining integrals
     rule = bg.BargmannPipeline.default(N).line_rule
-    coeffs = hm.project_line(lambda x: lv(x), N, rule, warn=False)
+    coeffs = hm.project_line(lambda x: lv(x), N, rule)
     _emit_vector(bg.bargmann_coeff(coeffs), args)
     return 0
 
 
+# --op name: (how many --params values it takes, the operator applied to f
+# at degree N); weyl and dilate take f at its own degree, its reach, since
+# trailing zeros would only raise it
+_OPERATORS = {
+    "fourier": (0, lambda p, f, N: op.fourier_fock(f)),
+    "rotate": (1, lambda p, f, N: op.rotation(p[0], f)),
+    "weyl": (2, lambda p, f, N: op.weyl_matrix(complex(p[0], p[1]), N, f.reach).apply(f)),
+    "dilate": (1, lambda p, f, N: op.dilation_matrix(p[0], N, f.reach).apply(f)),
+    "a1": (0, lambda p, f, N: op.a1_matrix(N).apply(f)),
+    "a2": (0, lambda p, f, N: op.a2_matrix(N).apply(f)),
+}
+
+
 def _cmd_op_apply(args) -> int:
     N = args.degree or default_degree()
+    count, apply = _OPERATORS[args.op]
+    if len(args.params) != count:
+        raise ValueError(f"--op {args.op} takes {count} --params number(s), got {len(args.params)}")
     f = _read_vector(args.infile, "fock").pad(N)
-    params = args.params
-    # weyl and dilate take the input at its own degree: trailing zeros would only raise it
-    K = f.reach
-    if args.op == "fourier":
-        out = op.fourier_fock(f)
-    elif args.op == "rotate":
-        if len(params) != 1:
-            raise ValueError("rotate needs --params THETA")
-        out = op.rotation(params[0], f)
-    elif args.op == "weyl":
-        if len(params) != 2:
-            raise ValueError("weyl needs --params RE,IM")
-        out = op.weyl_matrix(complex(params[0], params[1]), N, K).apply(f)
-    elif args.op == "dilate":
-        if len(params) != 1:
-            raise ValueError("dilate needs --params R")
-        out = op.dilation_matrix(params[0], N, K).apply(f)
-    elif args.op == "a1":
-        out = op.a1_matrix(N).apply(f)
-    elif args.op == "a2":
-        out = op.a2_matrix(N).apply(f)
-    else:
-        raise ValueError(f"unknown operator {args.op!r}")
-    _emit_vector(out, args)
+    _emit_vector(apply(args.params, f, N), args)
     return 0
 
 
-def _cmd_singular(args) -> int:
+def _cmd_singular_hilbert(args) -> int:
     N = args.degree or default_degree()
-    if args.mode == "hilbert":
-        if args.check == "tsquare":
-            _emit_obj({"check": "tsquare", "degree": N, "span": f"0..{min(sg.TSQUARE_SPAN, N)}",
-                       "residual": sg.tsquare_residual(N)}, args)
-        elif args.check == "berezin":
-            sym = sg.hilbert_symbol(max(1, 2 * N - 1))
-            z = 0.5 + 0.5j
-            lhs, rhs = sg.berezin_check(sym, z, N)
-            _emit_obj({"check": "berezin", "degree": N, "z": [z.real, z.imag],
-                       "lhs": [lhs.real, lhs.imag], "rhs": [rhs.real, rhs.imag],
-                       "difference": abs(lhs - rhs)}, args)
-        else:  # norm
-            series, tail = sg.fock_norm_A(200, with_tail=True)
-            col_norm_sq = float(np.linalg.norm(sg.hilbert_fock_matrix(N).entries[:, 0]) ** 2)
-            _emit_obj({"check": "norm", "degree": N,
-                       "antiderivative_norm_sq_series": series,
-                       "series_tail_estimate": tail,
-                       "first_column_norm_sq": col_norm_sq,
-                       "ratio_to_series": col_norm_sq / (4.0 / np.pi * series)}, args)
-        return 0
-    if not args.phi or not args.apply:
-        raise ValueError("singular needs --phi and --apply (or the hilbert subcommand)")
-    taylor = _read_vector(args.phi, "fock").coeffs
-    sym = sg.symbol_from_taylor(taylor)
-    f = _read_vector(args.apply, "fock").pad(N)
-    S = sg.s_phi_matrix(sym, N)
-    _emit_vector(S.apply(f), args)
+    if args.check == "tsquare":
+        _emit_obj({"check": "tsquare", "degree": N, "span": f"0..{min(sg.TSQUARE_SPAN, N)}",
+                   "residual": sg.tsquare_residual(N)}, args)
+    elif args.check == "berezin":
+        sym = sg.hilbert_symbol(max(1, 2 * N - 1))
+        z = 0.5 + 0.5j
+        lhs, rhs = sg.berezin_check(sym, z, N)
+        _emit_obj({"check": "berezin", "degree": N, "z": [z.real, z.imag],
+                   "lhs": [lhs.real, lhs.imag], "rhs": [rhs.real, rhs.imag],
+                   "difference": abs(lhs - rhs)}, args)
+    else:  # norm
+        series, tail = sg.fock_norm_A(200, with_tail=True)
+        col_norm_sq = float(np.linalg.norm(sg.hilbert_fock_matrix(N).entries[:, 0]) ** 2)
+        _emit_obj({"check": "norm", "degree": N,
+                   "antiderivative_norm_sq_series": series,
+                   "series_tail_estimate": tail,
+                   "first_column_norm_sq": col_norm_sq,
+                   "ratio_to_series": col_norm_sq / (4.0 / np.pi * series)}, args)
+    return 0
+
+
+def _cmd_singular_apply(args) -> int:
+    N = args.degree or default_degree()
+    sym = sg.symbol_from_taylor(_read_vector(args.phi, "fock").coeffs)
+    f = _read_vector(args.infile, "fock").pad(N)
+    _emit_vector(sg.s_phi_matrix(sym, N).apply(f), args)
     return 0
 
 
@@ -234,15 +227,14 @@ def _cmd_gabor(args) -> int:
     return 0
 
 
-def _cmd_uncertainty(args) -> int:
-    N = args.degree or default_degree()
-    if args.mode == "extremal":
-        params = uc.ExtremalParams(C=1.0, c=args.c, a=args.a, b=args.b)
-        _emit_vector(uc.extremal_coeffs(params, N), args)
-        return 0
-    if not args.f:
-        raise ValueError("uncertainty needs --f (or the extremal subcommand)")
-    f = _read_vector(args.f, "fock").pad(N)
+def _cmd_uncertainty_extremal(args) -> int:
+    params = uc.ExtremalParams(C=1.0, c=args.c, a=args.a, b=args.b)
+    _emit_vector(uc.extremal_coeffs(params, args.degree or default_degree()), args)
+    return 0
+
+
+def _cmd_uncertainty_product(args) -> int:
+    f = _read_vector(args.f, "fock").pad(args.degree or default_degree())
     lhs, rhs = uc.uncertainty_product(f, args.a, args.b)
     _emit_obj({"lhs": lhs, "rhs": rhs, "gap": lhs - rhs}, args)
     return 0
@@ -300,21 +292,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("op", help="apply dictionary operators")
     opsub = p.add_subparsers(dest="action", required=True)
     pa = opsub.add_parser("apply")
-    pa.add_argument("--op", required=True,
-                    choices=["fourier", "rotate", "weyl", "dilate", "a1", "a2"])
+    pa.add_argument("--op", required=True, choices=list(_OPERATORS))
     pa.add_argument("--params", type=_numbers, default=[],
-                    help="comma-separated operator parameters (--params=-0.5,0.25 for a leading minus)")
+                    help="comma-separated operator parameters: THETA for rotate, RE,IM for "
+                         "weyl, R for dilate, none otherwise (--params=-0.5,0.25 for a leading minus)")
     pa.add_argument("--in", dest="infile", required=True, help="FockVector JSON file")
     _add_options(pa, "degree", "format")
     pa.set_defaults(fn=_cmd_op_apply)
 
     p = sub.add_parser("singular", help="singular integral operators")
-    p.add_argument("mode", nargs="?", choices=["hilbert"], default=None)
-    p.add_argument("--phi", help="symbol Taylor coefficients (vector JSON)")
-    p.add_argument("--apply", help="FockVector JSON file to apply the operator to")
-    p.add_argument("--check", choices=["tsquare", "berezin", "norm"], default="tsquare")
-    _add_options(p, "degree", "format")
-    p.set_defaults(fn=_cmd_singular)
+    ssub = p.add_subparsers(dest="action", required=True)
+    ps = ssub.add_parser("hilbert")
+    ps.add_argument("--check", choices=["tsquare", "berezin", "norm"], default="tsquare")
+    _add_options(ps, "degree")
+    ps.set_defaults(fn=_cmd_singular_hilbert)
+    ps = ssub.add_parser("apply")
+    ps.add_argument("--phi", required=True, help="symbol Taylor coefficients (vector JSON)")
+    ps.add_argument("--in", dest="infile", required=True, help="FockVector JSON file")
+    _add_options(ps, "degree", "format")
+    ps.set_defaults(fn=_cmd_singular_apply)
 
     p = sub.add_parser("gabor", help="lattices, densities, frame bounds")
     gsub = p.add_subparsers(dest="action", required=True)
@@ -333,13 +329,18 @@ def build_parser() -> argparse.ArgumentParser:
         pg.set_defaults(fn=_cmd_gabor)
 
     p = sub.add_parser("uncertainty", help="uncertainty product and extremal family")
-    p.add_argument("mode", nargs="?", choices=["extremal"], default=None)
-    p.add_argument("--f", help="FockVector JSON file")
-    p.add_argument("--a", type=_number, default=0.0)
-    p.add_argument("--b", type=_number, default=0.0)
-    p.add_argument("--c", type=_number, default=1.0, help="extremal family parameter (positive)")
-    _add_options(p, "degree", "format")
-    p.set_defaults(fn=_cmd_uncertainty)
+    usub = p.add_subparsers(dest="action", required=True)
+    pe = usub.add_parser("extremal")
+    pe.add_argument("--c", type=_number, default=1.0, help="extremal family parameter (positive)")
+    pe.set_defaults(fn=_cmd_uncertainty_extremal)
+    pp = usub.add_parser("product")
+    pp.add_argument("--f", required=True, help="FockVector JSON file")
+    pp.set_defaults(fn=_cmd_uncertainty_product)
+    for pu in (pe, pp):
+        pu.add_argument("--a", type=_number, default=0.0)
+        pu.add_argument("--b", type=_number, default=0.0)
+    _add_options(pe, "degree", "format")
+    _add_options(pp, "degree")
 
     p = sub.add_parser("quantize", help="Toeplitz and pseudo-differential calculi")
     qsub = p.add_subparsers(dest="action", required=True)

@@ -130,24 +130,24 @@ def exp_quadratic_coeffs(alpha, beta, degree: int, c0=1.0) -> np.ndarray:
     return u
 
 
-def kernel_vector(a: complex, degree: int, normalized: bool = True) -> FockVector:
-    """Truncated reproducing kernel K(., a), optionally normalized to k_a.
+def kernel_vector(a: complex, degree: int) -> FockVector:
+    """Truncated normalized reproducing kernel k_a = exp(-|a|^2/2) K(., a).
 
     Coefficients are conj(a)^n / sqrt(n!) as a running product, times
-    exp(-|a|^2/2) when normalized; the normalized vector has unit norm up
-    to the tail of the exponential series beyond the truncation degree.
+    exp(-|a|^2/2); the vector has unit norm up to the tail of the
+    exponential series beyond the truncation degree.
     """
-    return FockVector(kernel_rows(complex(a), degree, normalized)[0])
+    return FockVector(kernel_rows(complex(a), degree)[0])
 
 
-def kernel_rows(points, degree: int, normalized: bool = True) -> np.ndarray:
+def kernel_rows(points, degree: int) -> np.ndarray:
     """The kernels of ``kernel_vector``, one row per point, shape (points, degree+1).
 
     Each row is built by the same operations as a single kernel, so it
-    equals ``kernel_vector(a, degree, normalized).coeffs`` bit for bit.
+    equals ``kernel_vector(a, degree).coeffs`` bit for bit.
     Past |a|^2 of about 1400 the running product overflows while
-    exp(-|a|^2/2) underflows; a normalized row of a finite point that comes
-    out non-finite is rebuilt in log scale instead, as
+    exp(-|a|^2/2) underflows; a row of a finite point that comes out
+    non-finite is rebuilt in log scale instead, as
     exp(n log|a| - log(n!)/2 - |a|^2/2 + i n arg(conj a)), whose entries
     carry a relative error of about 1e-11 at degree 2000 (the running
     product's are n machine epsilons).
@@ -156,9 +156,6 @@ def kernel_rows(points, degree: int, normalized: bool = True) -> np.ndarray:
         raise ValueError("degree must be >= 0")
     a = np.asarray(points, dtype=np.complex128).ravel()
     rows = np.ones((a.size, degree + 1), dtype=np.complex128)
-    if not normalized:
-        rows[:, 1:] = np.cumprod(np.conj(a)[:, None] / np.sqrt(np.arange(1, degree + 1)), axis=1)
-        return rows
     # |a|^2 as abs(complex(a)) ** 2 rounds it: C hypot, then C pow (np.abs
     # and np.square round about one modulus in a thousand differently)
     mod = np.hypot(a.real, a.imag)

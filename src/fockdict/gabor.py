@@ -82,6 +82,9 @@ class PointSet:
         return self.steps is not None
 
     def points_in_disk(self, center: complex, radius: float) -> np.ndarray:
+        """The points z with |z - center| < radius; ValueError for a NaN or negative radius."""
+        if not radius >= 0:
+            raise ValueError(f"disk radius must be >= 0, got {radius}")
         if self.is_lattice:
             return _lattice_points_in_disk(*self.steps, complex(center), radius)
         if self.clip_radius is not None and abs(complex(center)) + radius > self.clip_radius:
@@ -133,9 +136,10 @@ def _gap_within(pts: np.ndarray, tol: float) -> float:
 
 def _min_gap(pts: np.ndarray) -> float:
     """Minimum pairwise distance of two or more points: ``_gap_within`` at tol the
-    smallest distance between sorted neighbours, a real pair's, so the closest
-    pair is within tol along both axes."""
-    return _gap_within(pts, float(np.min(np.abs(np.diff(np.sort(pts))))))
+    smallest distance between neighbours sorted by real part and by imaginary
+    part, each a real pair's, so the closest pair is within tol along both axes."""
+    tol = min(np.min(np.abs(np.diff(np.sort(q)))) for q in (pts, pts * 1j))
+    return _gap_within(pts, float(tol))
 
 
 def _lattice_points_in_disk(a: float, b: float, center: complex, radius: float) -> np.ndarray:
@@ -299,7 +303,7 @@ def density_frame_predicate(report: DensityReport, separated: bool) -> str:
 
 @lru_cache(maxsize=None)
 def _box_rule():
-    return composite_legendre(0.0, 1.0, 8, 32)
+    return composite_legendre(0.0, 1.0, 8)
 
 
 def box_window_fock(z):
@@ -324,10 +328,7 @@ def box_window_coeffs(degree: int) -> FockVector:
     discontinuous), so the truncated norm approaches 1 slowly; callers that
     need tight Gram identities must budget for that.
     """
-    line = project_line_interval(
-        lambda x: np.ones_like(x), degree, (0.0, 1.0), warn=False
-    )
-    return bargmann_coeff(line)
+    return bargmann_coeff(project_line_interval(lambda x: np.ones_like(x), degree, (0.0, 1.0)))
 
 
 def _displaced_gram(f: FockVector, points, degree: int) -> np.ndarray:

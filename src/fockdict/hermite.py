@@ -9,14 +9,12 @@ with the weight they integrate against so callers cannot mix conventions.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .errors import AccuracyWarning
 from .fock import point_values
 
 GAUSS_CONST = (2.0 / np.pi) ** 0.25  # normalizing constant of h_0
@@ -171,9 +169,9 @@ def gauss_hermite_plane(n_nodes: int) -> QuadratureRule:
     return QuadratureRule(nodes, weights, "plane", line=line)
 
 
-def composite_legendre(lo: float, hi: float, n_panels: int, points: int = 32) -> QuadratureRule:
-    """Composite Gauss-Legendre rule on [lo, hi]."""
-    xg, wg = np.polynomial.legendre.leggauss(points)
+def composite_legendre(lo: float, hi: float, n_panels: int) -> QuadratureRule:
+    """Composite Gauss-Legendre rule on [lo, hi]: n_panels equal panels of 32 points each."""
+    xg, wg = np.polynomial.legendre.leggauss(32)
     edges = np.linspace(lo, hi, n_panels + 1)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -192,7 +190,8 @@ class LineVector:
     """Coefficients b_0..b_N of a real-line function against h_n.
 
     ``tail_ratio`` is set by projections: ||top coefficients|| / ||all||,
-    a cheap under-resolution indicator.
+    their figure of resolution (a ratio above about 1e-6 means the expansion
+    is under-resolved at this degree); projections never warn.
     """
 
     coeffs: np.ndarray
@@ -222,45 +221,39 @@ class LineVector:
         return cls(c)
 
 
-def _project(f: Callable, degree: int, rule: QuadratureRule, warn: bool) -> LineVector:
-    """b_n = sum_k flat_weights_k f(x_k) h_n(x_k), with the tail-ratio check."""
+def _project(f: Callable, degree: int, rule: QuadratureRule) -> LineVector:
+    """b_n = sum_k flat_weights_k f(x_k) h_n(x_k), with its tail ratio."""
     fw = rule.flat_weights() * np.asarray(f(rule.nodes), dtype=np.complex128)
     coeffs = rule.hermite_table(degree) @ fw
     total = np.linalg.norm(coeffs)
     n_tail = max(2, len(coeffs) // 8)
     ratio = 0.0 if total == 0.0 else float(np.linalg.norm(coeffs[-n_tail:]) / total)
-    if warn and ratio > 1e-6:
-        warnings.warn(
-            f"projection tail ratio {ratio:.2e} > 1e-6: expansion under-resolved",
-            AccuracyWarning,
-            stacklevel=3,
-        )
     return LineVector(coeffs, tail_ratio=ratio)
 
 
-def project_line(
-    f: Callable, degree: int, rule: QuadratureRule, warn: bool = True
-) -> LineVector:
+def project_line(f: Callable, degree: int, rule: QuadratureRule) -> LineVector:
     """Expand a smooth function against h_0..h_N with a Gauss-Hermite rule.
 
     b_n = sum_k w_k exp(x_k^2) f(x_k) h_n(x_k); the re-weighting is done in
     log space so x_k^2 is never exponentiated on its own.  The flat weights
     and h_n(x_k) come from the rule's own read-only cache, so repeated
-    projections on one cached rule build them once.
+    projections on one cached rule build them once.  The result's
+    ``tail_ratio`` (norm of the top eighth of the coefficients over the
+    whole norm) reports how well the degree resolves f; nothing is warned.
     """
     if rule.weight != "hermite":
         raise ValueError("project_line needs a Gauss-Hermite rule")
-    return _project(f, degree, rule, warn)
+    return _project(f, degree, rule)
 
 
-def project_line_interval(
-    f: Callable, degree: int, support: tuple[float, float], warn: bool = True
-) -> LineVector:
+def project_line_interval(f: Callable, degree: int, support: tuple[float, float]) -> LineVector:
     """Expand a compactly supported function via composite Gauss-Legendre.
 
     Meant for discontinuous windows (the function must vanish outside
     ``support``); 32-point panels, enough of them to resolve h_N's oscillation.
+    ``tail_ratio`` is set as by ``project_line``; a discontinuous window's
+    coefficients decay slowly, so its ratio stays large at every degree.
     """
     lo, hi = support
     n_panels = max(4, int(np.ceil((degree + 1) * (hi - lo) / 20.0)))
-    return _project(f, degree, composite_legendre(lo, hi, n_panels, 32), warn)
+    return _project(f, degree, composite_legendre(lo, hi, n_panels))

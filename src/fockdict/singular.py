@@ -326,7 +326,7 @@ def berezin_check(symbol: EntireSymbol, z: complex, degree: int) -> tuple[comple
         warnings.warn(
             "kernel point too far out for this degree", AccuracyWarning, stacklevel=2
         )
-    kv = kernel_vector(z, degree, normalized=True).coeffs
+    kv = kernel_vector(z, degree).coeffs
     S = s_phi_matrix(symbol, degree)
     lhs = complex(np.vdot(kv, S.entries @ kv))
     rhs = symbol(z - np.conj(z))
@@ -368,7 +368,7 @@ def hilbert_line_pv(f, x, cutoff: float = None, tail_coeff: float = 0.0):
 
     xs = np.asarray(x, dtype=np.float64).ravel()
     S = (float(np.max(np.abs(xs), initial=0.0)) + 10.0) if cutoff is None else float(cutoff)
-    rule = composite_legendre(0.0, S, max(8, int(S)), 32)
+    rule = composite_legendre(0.0, S, max(8, int(S)))
     s = rule.nodes
     ws = rule.weights / s / np.pi
     lead = np.shape(f(s[:1]))[:-1]

@@ -180,7 +180,7 @@ def test_cli_uncertainty_chain(tmp_path):
     ext = tmp_path / "ext.json"
     run_cli("uncertainty", "extremal", "--c", "2.0", "--a", "0.5", "--b", "0.3",
             "--degree", "80", "--out", str(ext))
-    out = run_cli("uncertainty", "--f", str(ext), "--a", "0.5", "--b", "0.3")
+    out = run_cli("uncertainty", "product", "--f", str(ext), "--a", "0.5", "--b", "0.3")
     doc = json.loads(out.stdout)
     assert abs(doc["gap"]) < 1e-9 * doc["rhs"]
 
@@ -290,19 +290,25 @@ def test_cli_env_degree(tmp_path):
     ("gabor", "predicate", "--lattice", "0.001,0.001"),
     ("op", "verify", "--op", "commutator"),
     ("singular", "hilbert", "--format", "csv"),
-    ("uncertainty", "--f", "{tmp}/e1.json", "--format", "csv"),
+    ("uncertainty", "product", "--f", "{tmp}/e1.json", "--format", "csv"),
     ("verify", "all", "--nodes", "128"),
     ("gabor", "predicate", "--lattice", "1,1", "--seed", "7"),
     ("gabor", "frame-bounds", "--lattice", "0.8,0.8", "--degree", "80", "--core", "-3"),
     ("gabor", "frame-bounds", "--lattice", "0.8,0.8", "--degree", "80", "--core", "0"),
     ("uncertainty", "extremal", "--c", "nan"),
     ("uncertainty", "extremal", "--a", "nan"),
-    ("uncertainty", "--f", "{tmp}/e1.json", "--a", "inf"),
+    ("uncertainty", "product", "--f", "{tmp}/e1.json", "--a", "inf"),
     ("gabor", "predicate", "--lattice", "inf,1"),
     ("gabor", "predicate", "--lattice", "1e200,1e200"),
     ("gabor", "density", "--lattice", "1,1", "--R", "1e300"),
-    ("uncertainty", "--f", "{tmp}/e1.json", "--a", "1e308"),
+    ("uncertainty", "product", "--f", "{tmp}/e1.json", "--a", "1e308"),
     ("uncertainty", "extremal", "--b", "1e308"),
+    ("singular", "hilbert", "--phi", "{tmp}/e1.json"),
+    ("singular", "hilbert", "--format", "json"),
+    ("singular", "apply", "--phi", "{tmp}/e1.json", "--in", "{tmp}/e1.json", "--check", "norm"),
+    ("uncertainty", "extremal", "--c", "2", "--f", "{tmp}/e1.json"),
+    ("uncertainty", "product", "--f", "{tmp}/e1.json", "--c", "2"),
+    ("op", "apply", "--op", "fourier", "--params", "1", "--in", "{tmp}/e1.json"),
 ], ids=["malformed-json", "missing-symbol", "bad-params", "negative-degree",
         "zero-degree", "tail-certificate", "zero-radius", "wrong-shape-vector",
         "symbol-without-terms", "non-finite-vector",
@@ -311,7 +317,9 @@ def test_cli_env_degree(tmp_path):
         "uncertainty-object-as-csv", "removed-nodes", "option-the-command-does-not-read",
         "negative-core", "zero-core", "nan-extremal-c", "nan-extremal-a", "infinite-product-a",
         "infinite-lattice-step", "overflowing-cell-area", "overflowing-disk-area",
-        "overflowing-product", "overflowing-extremal"])
+        "overflowing-product", "overflowing-extremal", "hilbert-takes-no-phi",
+        "hilbert-takes-no-format", "apply-takes-no-check", "extremal-takes-no-f",
+        "product-takes-no-c", "fourier-takes-no-params"])
 def test_cli_errors_are_one_line(tmp_path, args, request):
     (tmp_path / "bad.json").write_text("[[1.0, 0.0], ")
     (tmp_path / "shape.json").write_text("[1, 2]")
@@ -350,7 +358,7 @@ def test_cli_uncertainty_product_reads_the_degree(tmp_path):
     rng = np.random.default_rng(4)
     path = tmp_path / "f.json"
     path.write_text(vector_to_json(rng.standard_normal(21) + 1j * rng.standard_normal(21)))
-    docs = {deg: json.loads(run_cli("uncertainty", "--f", str(path), "--a", "0.5",
+    docs = {deg: json.loads(run_cli("uncertainty", "product", "--f", str(path), "--a", "0.5",
                                     "--b", "0.3", "--degree", deg).stdout)
             for deg in ("1", "20", "40")}
     assert docs["1"]["rhs"] != docs["20"]["rhs"]

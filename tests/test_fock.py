@@ -36,7 +36,7 @@ def test_resolved_radius_is_the_defect_boundary(N, resolution_boundary):
 
 def test_kernel_unit_norm():
     # tail of sum 1/n! beyond 40 terms is far below 1e-12
-    k = kernel_vector(1.0, 40, normalized=True)
+    k = kernel_vector(1.0, 40)
     assert abs(k.norm() ** 2 - 1.0) < 1e-12
     assert kernel_truncation_defect(1.0, 40) < 1e-12
 
@@ -68,20 +68,18 @@ def test_kernel_vector_matches_log_space_closed_form(N):
             assert np.all(np.abs(got - want) <= (n + 1 + r2) * 2.0**-52 * np.abs(want)), (r2, theta)
 
 
-@pytest.mark.parametrize("normalized", [True, False])
-def test_kernel_rows_round_as_one_kernel_at_a_time(normalized):
+def test_kernel_rows_round_as_one_kernel_at_a_time():
     # each row repeats the scalar recipe: a running product of conj(a)/sqrt(n),
     # scaled by np.exp(-abs(a) ** 2 / 2) with Python's abs and power
     rng = np.random.default_rng(7)
     pts = (rng.standard_normal(3000) + 1j * rng.standard_normal(3000)) * rng.uniform(0.0, 12.0, 3000)
-    rows = kernel_rows(pts, 40, normalized)
+    rows = kernel_rows(pts, 40)
     for a, row in zip(pts, rows):
         want = np.ones(41, dtype=np.complex128)
         want[1:] = np.cumprod(np.conj(complex(a)) / np.sqrt(np.arange(1, 41)))
-        if normalized:
-            want *= np.exp(-abs(complex(a)) ** 2 / 2.0)
+        want *= np.exp(-abs(complex(a)) ** 2 / 2.0)
         assert np.array_equal(row, want)
-    assert np.array_equal(kernel_vector(pts[5], 40, normalized).coeffs, rows[5])
+    assert np.array_equal(kernel_vector(pts[5], 40).coeffs, rows[5])
 
 
 def test_kernel_rows_past_double_range_are_rebuilt_in_log_scale():
@@ -141,7 +139,7 @@ def test_eval_constant():
 
 
 def test_eval_kernel_reproduces_exponential():
-    k = kernel_vector(1.0, 40, normalized=True)
+    k = kernel_vector(1.0, 40)
     assert abs(evaluate(k, 1.0) - np.exp(0.5)) < 1e-10
 
 
@@ -155,20 +153,20 @@ def test_eval_range_guard():
 
 
 def test_reproducing_identity_on_basis():
-    # finite-sum identity: <e_n, K(., a)> = e_n(a), exact up to rounding
+    # finite-sum identity: <e_n, k_a> = e^{-|a|^2/2} e_n(a), exact up to rounding
     a = 0.7 - 0.4j
-    K = kernel_vector(a, 12, normalized=False)
+    k = kernel_vector(a, 12)
     for n in range(6):
         en = FockVector.basis(n, 12)
-        assert abs(inner(en, K) - evaluate(en, a)) < 4e-16
+        assert abs(inner(en, k) - np.exp(-abs(a) ** 2 / 2) * evaluate(en, a)) < 4e-16
 
 
 def test_reproducing_identity_general_vector():
     rng = np.random.default_rng(0)
     f = FockVector(rng.standard_normal(13) + 1j * rng.standard_normal(13))
     for a in (0.5, -0.3 + 0.8j, 1.2j):
-        K = kernel_vector(a, 12, normalized=False)
-        assert abs(inner(f, K) - evaluate(f, a)) < 1e-13 * f.norm()
+        k = kernel_vector(a, 12)
+        assert abs(inner(f, k) - np.exp(-abs(a) ** 2 / 2) * evaluate(f, a)) < 1e-13 * f.norm()
 
 
 def test_inner_product_axioms():

@@ -91,8 +91,9 @@ def test_lattice_steps_and_radii_must_be_finite():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="finite disk area"):
             density_estimate(PointSet.rectangular(1.0, 1.0), [10.0, 1e300])
-        with pytest.raises(ValueError, match="search box of inf"):
-            PointSet.rectangular(1e-150, 1e-150).points_in_disk(0.0, 1e150)
+        for steps, radius in (((1e-150, 1e-150), 1e150), ((1.0, 1.0), math.inf)):
+            with pytest.raises(ValueError, match="search box of inf"):
+                PointSet.rectangular(*steps).points_in_disk(0.0, radius)
 
 
 def test_lattice_density_matches_cell_area():
@@ -131,6 +132,18 @@ def test_clipped_set_refuses_oversized_disks():
     Z = PointSet.rectangular(1.0, 1.0).clip_to_disk(5.0)
     with pytest.raises(ValueError):
         Z.points_in_disk(0.0, 10.0)
+
+
+@pytest.mark.parametrize("radius", [math.nan, -3.0, -math.inf])
+def test_disk_queries_refuse_a_nan_or_negative_radius(radius):
+    # lattices, finite sets and clipped sets alike, by the radius, not by a box size
+    sets = (PointSet.rectangular(1.0, 1.0), PointSet.from_points([0.1, 1j, 2.0 - 1j]),
+            PointSet.rectangular(1.0, 1.0).clip_to_disk(5.0))
+    for Z in sets:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"disk radius must be >= 0, got {radius}")):
+                Z.points_in_disk(0.3 + 0.2j, radius)
 
 
 def test_lattice_disk_search_box_is_refused_before_it_is_built():
@@ -217,6 +230,18 @@ def test_separation_of_a_clipped_dense_lattice_is_its_step():
     assert abs(gap - 0.05) < 1e-15
     assert separation_check(PointSet.rectangular(0.05, 0.05)) == (True, 0.05)
     assert separation_check(PointSet.rectangular(1.0, 0.1)) == (True, np.pi * 0.1)
+
+
+def test_min_gap_scans_at_the_closer_of_the_two_sorted_neighbour_gaps(monkeypatch):
+    # the clipped 0.05 lattice: neighbours sorted by real part are a column
+    # step pi * 0.05 apart, sorted by imaginary part a row step 0.05 apart, so
+    # the scan runs at the row step, the gap itself, and stops after a few lags
+    Z = PointSet.rectangular(0.05, 0.05).clip_to_disk(6.0)
+    tols = []
+    gap_within = gabor._gap_within
+    monkeypatch.setattr(gabor, "_gap_within", lambda pts, tol: tols.append(tol) or gap_within(pts, tol))
+    gap = gabor._min_gap(Z.points)
+    assert tols == [gap] and abs(gap - 0.05) < 1e-15
 
 
 def _points_in_generous_box(a, b, center, radius):

@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-from fockdict.errors import AccuracyWarning
 from fockdict.hermite import (
     GAUSS_CONST,
     LineVector,
@@ -174,7 +173,7 @@ def test_project_line_is_bit_identical_to_a_fresh_table():
     rule = gauss_hermite.__wrapped__(256)
     fw = np.exp(rule.log_weights + rule.nodes**2) * _packet(rule.nodes)
     for N in (200, 64, 255, 0, 128):
-        got = project_line(_packet, N, rule, warn=False).coeffs
+        got = project_line(_packet, N, rule).coeffs
         assert np.array_equal(got, hermite_functions(N, rule.nodes) @ fw), N
         assert np.array_equal(rule.hermite_table(N), hermite_functions(N, rule.nodes)), N
 
@@ -203,7 +202,7 @@ def test_projection_keeps_one_small_table_per_rule():
     try:
         before = tracemalloc.get_traced_memory()[0]
         for N in (64, 128, 200, 255):
-            project_line(_packet, N, rule, warn=False)
+            project_line(_packet, N, rule)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -212,37 +211,33 @@ def test_projection_keeps_one_small_table_per_rule():
 
 
 def test_project_box_first_coefficient():
-    v = project_line_interval(lambda x: np.ones_like(x), 16, (0.0, 1.0), warn=False)
+    v = project_line_interval(lambda x: np.ones_like(x), 16, (0.0, 1.0))
     want = GAUSS_CONST * math.sqrt(math.pi) / 2 * math.erf(1.0)
     assert abs(v.coeffs[0] - want) < 1e-8
 
 
-def test_projection_warns_when_underresolved():
-    with pytest.warns(AccuracyWarning):
-        project_line_interval(lambda x: np.ones_like(x), 24, (0.0, 1.0))
-
-
 @pytest.mark.parametrize("N", [16, 64])
 def test_projection_tail_ratio_warning_boundary(N):
-    # f = h_0 + t h_N has tail ratio t / sqrt(1 + t^2); the warning starts above 1e-6
+    # f = h_0 + t h_N has tail ratio t / sqrt(1 + t^2): just under and just
+    # over 1e-6, the figure of resolution, and neither side warns
     rule = gauss_hermite(default_nodes(N))
-    for scale, warns in ((1.0 - 1e-6, False), (1.0 + 1e-6, True)):
+    for scale in (1.0 - 1e-6, 1.0 + 1e-6):
         t = 1e-6 * scale
         f = lambda x: hermite_function(0, x) + t * hermite_function(N, x)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             v = project_line(f, N, rule)
         assert abs(v.tail_ratio - t / math.sqrt(1.0 + t * t)) < 1e-15
-        assert any(issubclass(w.category, AccuracyWarning) for w in caught) == warns
+        assert (v.tail_ratio > 1e-6) == (scale > 1.0)
 
 
 def test_tail_ratio_recorded():
-    v = project_line_interval(lambda x: np.ones_like(x), 24, (0.0, 1.0), warn=False)
+    v = project_line_interval(lambda x: np.ones_like(x), 24, (0.0, 1.0))
     assert v.tail_ratio is not None and v.tail_ratio > 1e-6
 
 
 def test_composite_legendre_integrates_polynomial():
-    rule = composite_legendre(0.0, 1.0, 4, 16)
+    rule = composite_legendre(0.0, 1.0, 4)
     got = float(np.sum(rule.weights * rule.nodes**5))
     assert abs(got - 1.0 / 6.0) < 1e-14
 
