@@ -7,8 +7,8 @@ from .hermite import (
     gauss_hermite,
     gauss_hermite_plane,
     hermite_function,
+    interval_coeffs,
     project_line,
-    project_line_interval,
 )
 from .bargmann import (
     BargmannPipeline,

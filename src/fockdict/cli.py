@@ -7,9 +7,9 @@ can be overridden per call with --degree or globally with FOCKDICT_DEGREE,
 either an integer >= 1.  A command with several modes has one subcommand
 per mode, and each leaf command declares only the options it reads, so an
 option of another mode is a usage error; only the leaves that write a
-vector or a matrix take --format.  Bad input or an unreadable/unwritable
-file ends the call with one ``fockdict: error: ...`` line on stderr and
-exit code 2.
+vector or a matrix take --format.  Bad input, an unreadable/unwritable
+file or an AccuracyWarning raised as an error (``python -W error``) ends
+the call with one ``fockdict: error: ...`` line on stderr and exit code 2.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ from . import operators as op
 from . import quantize as qz
 from . import singular as sg
 from . import uncertainty as uc
+from .errors import AccuracyWarning
 from .fock import resolved_radius
 from .report import SUITE_NAMES, SuiteConfig, default_degree, run_suite, truncation_degree
 from .serialize import (
@@ -368,7 +369,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, AccuracyWarning) as exc:
         sys.stderr.write(f"fockdict: error: {exc}\n")
         return 2
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ResolutionError
 from .fock import RESOLVED_DEFECT, FockVector, kernel_rows, lost_mass, point_values
-from .hermite import GAUSS_CONST, composite_legendre, project_line_interval
+from .hermite import GAUSS_CONST, composite_legendre, interval_coeffs
 from .bargmann import bargmann_coeff
 from .operators import weyl_matrix
 
@@ -322,13 +322,13 @@ def box_window_fock(z):
 
 @lru_cache(maxsize=8)
 def box_window_coeffs(degree: int) -> FockVector:
-    """Coefficients of the box-window transform: projections int_0^1 h_n dx.
+    """Coefficients of the box-window transform: int_0^1 h_n dx by ``interval_coeffs``.
 
     The coefficient tail decays only like n^{-3/4} (the window is
     discontinuous), so the truncated norm approaches 1 slowly; callers that
     need tight Gram identities must budget for that.
     """
-    return bargmann_coeff(project_line_interval(lambda x: np.ones_like(x), degree, (0.0, 1.0)))
+    return bargmann_coeff(interval_coeffs(0.0, 1.0, degree))
 
 
 def _displaced_gram(f: FockVector, points, degree: int) -> np.ndarray:

@@ -9,6 +9,7 @@ with the weight they integrate against so callers cannot mix conventions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -87,8 +88,6 @@ class QuadratureRule:
 
     def flat_weights(self) -> np.ndarray:
         """Weights against plain dx: w_k exp(+x_k^2) for the hermite rule."""
-        if self.weight == "legendre":
-            return self.weights
         if self.weight != "hermite":
             raise ValueError("flat weights are only defined for real-line rules")
         if "flat" not in self._derived:
@@ -189,7 +188,7 @@ def default_nodes(degree: int) -> int:
 class LineVector:
     """Coefficients b_0..b_N of a real-line function against h_n.
 
-    ``tail_ratio`` is set by projections: ||top coefficients|| / ||all||,
+    ``tail_ratio`` is set by ``project_line``: ||top coefficients|| / ||all||,
     their figure of resolution (a ratio above about 1e-6 means the expansion
     is under-resolved at this degree); projections never warn.
     """
@@ -221,16 +220,6 @@ class LineVector:
         return cls(c)
 
 
-def _project(f: Callable, degree: int, rule: QuadratureRule) -> LineVector:
-    """b_n = sum_k flat_weights_k f(x_k) h_n(x_k), with its tail ratio."""
-    fw = rule.flat_weights() * np.asarray(f(rule.nodes), dtype=np.complex128)
-    coeffs = rule.hermite_table(degree) @ fw
-    total = np.linalg.norm(coeffs)
-    n_tail = max(2, len(coeffs) // 8)
-    ratio = 0.0 if total == 0.0 else float(np.linalg.norm(coeffs[-n_tail:]) / total)
-    return LineVector(coeffs, tail_ratio=ratio)
-
-
 def project_line(f: Callable, degree: int, rule: QuadratureRule) -> LineVector:
     """Expand a smooth function against h_0..h_N with a Gauss-Hermite rule.
 
@@ -243,17 +232,28 @@ def project_line(f: Callable, degree: int, rule: QuadratureRule) -> LineVector:
     """
     if rule.weight != "hermite":
         raise ValueError("project_line needs a Gauss-Hermite rule")
-    return _project(f, degree, rule)
+    fw = rule.flat_weights() * np.asarray(f(rule.nodes), dtype=np.complex128)
+    coeffs = rule.hermite_table(degree) @ fw
+    total = np.linalg.norm(coeffs)
+    n_tail = max(2, len(coeffs) // 8)
+    ratio = 0.0 if total == 0.0 else float(np.linalg.norm(coeffs[-n_tail:]) / total)
+    return LineVector(coeffs, tail_ratio=ratio)
 
 
-def project_line_interval(f: Callable, degree: int, support: tuple[float, float]) -> LineVector:
-    """Expand a compactly supported function via composite Gauss-Legendre.
+def interval_coeffs(a: float, b: float, degree: int) -> LineVector:
+    """Coefficients J_n = int_a^b h_n dx (n <= degree) of the indicator of [a, b].
 
-    Meant for discontinuous windows (the function must vanish outside
-    ``support``); 32-point panels, enough of them to resolve h_N's oscillation.
-    ``tail_ratio`` is set as by ``project_line``; a discontinuous window's
-    coefficients decay slowly, so its ratio stays large at every degree.
+    The ladder relation h_n' = sqrt(n) h_{n-1} - sqrt(n+1) h_{n+1} integrates to
+    J_{n+1} = (sqrt(n) J_{n-1} - [h_n]_a^b) / sqrt(n+1), from J_1 = -[h_0]_a^b
+    and J_0 = (2/pi)^(1/4) (sqrt(pi)/2) (erf b - erf a); its factor
+    sqrt(n/(n+1)) < 1 does not amplify rounding.  A lower degree gives the
+    leading entries bit for bit.  ValueError unless a <= b are both finite.
     """
-    lo, hi = support
-    n_panels = max(4, int(np.ceil((degree + 1) * (hi - lo) / 20.0)))
-    return _project(f, degree, composite_legendre(lo, hi, n_panels))
+    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+        raise ValueError(f"interval needs finite ends a <= b, got [{a}, {b}]")
+    h = hermite_functions(degree, [a, b])
+    jump = (h[:, 1] - h[:, 0]).tolist()
+    J = [GAUSS_CONST * math.sqrt(math.pi) / 2.0 * (math.erf(b) - math.erf(a)), -jump[0]]
+    for n in range(1, degree):
+        J.append((math.sqrt(n) * J[n - 1] - jump[n]) / math.sqrt(n + 1))
+    return LineVector(J[: degree + 1])

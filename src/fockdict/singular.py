@@ -311,8 +311,9 @@ def hilbert_fock_matrix(degree: int) -> OperatorMatrix:
 def tsquare_residual(degree: int) -> float:
     """max over columns j <= min(TSQUARE_SPAN, degree) of ||(T^2 + I) e_j||, T = hilbert_fock_matrix(degree)."""
     T = hilbert_fock_matrix(degree).entries
-    R = T @ T + np.eye(degree + 1)
-    return float(max(np.linalg.norm(R[:, j]) for j in range(min(TSQUARE_SPAN, degree) + 1)))
+    span = min(TSQUARE_SPAN, degree)
+    R = T @ T[:, : span + 1] + np.eye(degree + 1, span + 1)
+    return float(max(np.linalg.norm(R[:, j]) for j in range(span + 1)))
 
 
 def berezin_check(symbol: EntireSymbol, z: complex, degree: int) -> tuple[complex, complex]:

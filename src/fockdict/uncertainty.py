@@ -18,19 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockVector, exp_quadratic_coeffs
-from .operators import OperatorMatrix, md_matrices
+from .operators import OperatorMatrix, a1_matrix, a2_matrix
 
 
 def s1_matrix(degree: int) -> OperatorMatrix:
-    """S1 = D + M; self-adjoint on the truncated basis."""
-    M, D = md_matrices(degree)
-    return OperatorMatrix(D.entries + M.entries)
+    """S1 = D + M = 2 A1; self-adjoint on the truncated basis."""
+    return OperatorMatrix(2.0 * a1_matrix(degree).entries)
 
 
 def s2_matrix(degree: int) -> OperatorMatrix:
-    """S2 = i(D - M); self-adjoint, with [S1, S2] = -2i I on the interior."""
-    M, D = md_matrices(degree)
-    return OperatorMatrix(1j * (D.entries - M.entries))
+    """S2 = i(D - M) = i A2; self-adjoint, with [S1, S2] = -2i I on the interior."""
+    return OperatorMatrix(1j * a2_matrix(degree).entries)
 
 
 def _apply_mult(c: np.ndarray) -> np.ndarray:

@@ -379,6 +379,23 @@ def test_cli_env_degree_must_be_a_positive_integer(value):
         f"fockdict: error: FOCKDICT_DEGREE must be an integer >= 1, got {value!r}"]
 
 
+def test_cli_warning_raised_as_error_is_one_line():
+    # at degree 8 the Weyl builder warns; under -W error the warning is an
+    # exception, which the CLI reports as one error line instead of a traceback
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "fockdict.cli", "verify", "all", "--degree", "8",
+         "--seed", "0"],
+        capture_output=True,
+        text=True,
+        env=ENV,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "fockdict: error: weyl displacement |a|=1.07 poorly resolved at degree 8"]
+
+
 def test_cli_dilate_keeps_the_input_and_the_output_degree(tmp_path, capsys, exact_dilation):
     # a degree-20 input, output at --degree 64, against the exact line dilation
     rng = np.random.default_rng(21)

@@ -446,6 +446,17 @@ def test_box_two_paths_agree_pointwise():
     assert abs(coeff_path - box_window_fock(z)) < 1e-6
 
 
+def test_box_coefficients_take_little_memory():
+    # the closed-form recurrence reads one Hermite table at the two ends
+    tracemalloc.start()
+    try:
+        box_window_coeffs.__wrapped__(2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_box_norm_increases_towards_one():
     # the window is discontinuous: its tail decays like n^(-3/4), so the
     # truncated norm climbs to 1 only slowly

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,8 +16,8 @@ from fockdict.hermite import (
     gauss_hermite_plane,
     hermite_function,
     hermite_functions,
+    interval_coeffs,
     project_line,
-    project_line_interval,
 )
 
 
@@ -211,9 +212,10 @@ def test_projection_keeps_one_small_table_per_rule():
 
 
 def test_project_box_first_coefficient():
-    v = project_line_interval(lambda x: np.ones_like(x), 16, (0.0, 1.0))
-    want = GAUSS_CONST * math.sqrt(math.pi) / 2 * math.erf(1.0)
-    assert abs(v.coeffs[0] - want) < 1e-8
+    v = interval_coeffs(0.0, 1.0, 16)
+    rule = composite_legendre(0.0, 1.0, 4)
+    assert abs(v.coeffs[0] - rule.weights @ hermite_function(0, rule.nodes)) < 1e-15
+    assert v.coeffs[0] == GAUSS_CONST * math.sqrt(math.pi) / 2 * math.erf(1.0)
 
 
 @pytest.mark.parametrize("N", [16, 64])
@@ -232,8 +234,48 @@ def test_projection_tail_ratio_warning_boundary(N):
 
 
 def test_tail_ratio_recorded():
-    v = project_line_interval(lambda x: np.ones_like(x), 24, (0.0, 1.0))
+    # the box window is discontinuous, so its projection is under-resolved at
+    # every degree; the closed-form coefficients carry no ratio
+    v = project_line(lambda x: ((0.0 <= x) & (x < 1.0)).astype(float), 24, gauss_hermite(96))
     assert v.tail_ratio is not None and v.tail_ratio > 1e-6
+    assert interval_coeffs(0.0, 1.0, 24).tail_ratio is None
+
+
+def _mp_interval(n: int, a: float, b: float):
+    """int_a^b h_n dx to 40 digits: Gauss-Legendre on panels of a few oscillations each."""
+    with mpmath.workdps(40):
+        c = (2 / mpmath.pi) ** mpmath.mpf(0.25) / mpmath.sqrt(mpmath.mpf(2) ** n * mpmath.factorial(n))
+        h = lambda x: c * mpmath.exp(-x * x) * mpmath.hermite(n, mpmath.sqrt(2) * x)
+        panels = int((b - a) * math.sqrt(2 * n + 1) / 16) + 2
+        return mpmath.quad(h, mpmath.linspace(a, b, panels), method="gauss-legendre")
+
+
+@pytest.mark.parametrize("a, b, N", [(0.0, 1.0, 32), (0.0, 1.0, 120), (0.0, 1.0, 512), (0.0, 1.0, 2000),
+                                     (-1.5, 2.0, 128), (0.3, 0.9, 200), (3.0, 7.0, 128)])
+def test_interval_coeffs_match_mpmath(a, b, N):
+    v = interval_coeffs(a, b, N).coeffs
+    assert not np.any(v.imag)
+    for n in sorted({0, 1, 2, 3, N // 2 + 1, N}):
+        assert abs(v[n].real - float(_mp_interval(n, a, b))) <= 5e-16, n
+
+
+def test_interval_coeffs_are_prefix_stable():
+    full = interval_coeffs(-0.4, 1.3, 300).coeffs
+    for M in (0, 1, 2, 17, 299):
+        assert interval_coeffs(-0.4, 1.3, M).coeffs.tobytes() == full[: M + 1].tobytes()
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0),
+                                  (0.0, math.nan)])
+def test_interval_coeffs_need_finite_ordered_ends(a, b):
+    with pytest.raises(ValueError, match="finite ends"):
+        interval_coeffs(a, b, 8)
+
+
+def test_legendre_rule_has_no_flat_weights():
+    # a Legendre rule's weights are already against dx; only project_line reads flat weights
+    with pytest.raises(ValueError, match="real-line rules"):
+        composite_legendre(0.0, 1.0, 2).flat_weights()
 
 
 def test_composite_legendre_integrates_polynomial():

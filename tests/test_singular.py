@@ -12,6 +12,7 @@ from fockdict.fock import FockVector, evaluate
 from fockdict.hermite import gauss_hermite, gauss_hermite_plane, hermite_function, hermite_functions
 from fockdict.operators import md_matrices, weyl_matrix
 from fockdict.singular import (
+    TSQUARE_SPAN,
     EntireSymbol,
     _round_scaled,
     _sqrt_factorials,
@@ -28,6 +29,7 @@ from fockdict.singular import (
     scaled_antiderivative_symbol,
     symbol_from_taylor,
     symbol_to_fock,
+    tsquare_residual,
 )
 
 
@@ -430,3 +432,13 @@ def test_boundedness_probe_trends():
 def test_probe_is_deterministic():
     sym = gaussian_square_symbol(0.25, 64)
     assert boundedness_probe(sym, [24]) == boundedness_probe(sym, [24])
+
+
+@pytest.mark.parametrize("N", [1, 2, 8, 12, 64, 200, 512])
+def test_tsquare_residual_equals_the_full_square(N):
+    # only the columns 0..TSQUARE_SPAN of T^2 + I are formed; each equals the
+    # column of the full product bit for bit
+    T = hilbert_fock_matrix(N).entries
+    R = T @ T + np.eye(N + 1)
+    want = max(np.linalg.norm(R[:, j]) for j in range(min(TSQUARE_SPAN, N) + 1))
+    assert tsquare_residual(N) == float(want)

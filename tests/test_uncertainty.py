@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fockdict.fock import FockVector
-from fockdict.operators import commutator
+from fockdict.operators import commutator, md_matrices
 from fockdict.uncertainty import (
     ExtremalParams,
     extremal_coeffs,
@@ -24,6 +24,15 @@ def test_generator_actions_on_vacuum():
 def test_generators_self_adjoint_exactly():
     for mat in (s1_matrix(32), s2_matrix(32)):
         assert np.max(np.abs(mat.entries - mat.entries.conj().T)) == 0.0
+
+
+@pytest.mark.parametrize("N", [1, 8, 64])
+def test_generators_equal_the_md_sums_bit_for_bit(N):
+    # S1 = 2 A1 and S2 = i A2 are built from the line pair; scaling by 2 and
+    # by i is exact, so the entries equal D + M and i(D - M) to the bit
+    M, D = md_matrices(N)
+    assert s1_matrix(N).entries.tobytes() == (D.entries + M.entries).tobytes()
+    assert s2_matrix(N).entries.tobytes() == (1j * (D.entries - M.entries)).tobytes()
 
 
 def test_commutator_is_minus_two_i():
