@@ -7,9 +7,11 @@ can be overridden per call with --degree or globally with FOCKDICT_DEGREE,
 either an integer >= 1.  A command with several modes has one subcommand
 per mode, and each leaf command declares only the options it reads, so an
 option of another mode is a usage error; only the leaves that write a
-vector or a matrix take --format.  Bad input, an unreadable/unwritable
-file or an AccuracyWarning raised as an error (``python -W error``) ends
-the call with one ``fockdict: error: ...`` line on stderr and exit code 2.
+vector or a matrix take --format.  A call declares the arguments of its
+own command only; the others are listed by name and help line.  Bad
+input, an unreadable/unwritable file or an AccuracyWarning raised as an
+error (``python -W error``) ends the call with one ``fockdict: error: ...``
+line on stderr and exit code 2.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from . import singular as sg
 from . import uncertainty as uc
 from .errors import AccuracyWarning
 from .fock import resolved_radius
-from .report import SUITE_NAMES, SuiteConfig, default_degree, run_suite, truncation_degree
+from .report import SUITE_NAMES, SuiteConfig, default_degree, run_suite, seed_value, truncation_degree
 from .serialize import (
     matrix_to_csv,
     matrix_to_json,
@@ -64,16 +66,20 @@ def _emit_obj(obj, args) -> None:
     _write(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False), args.out)
 
 
-def _degree_arg(text: str) -> int:
-    try:
-        return truncation_degree(text)
-    except ValueError as exc:  # argparse prints its own text for a ValueError
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _argument_type(convert):
+    """``convert`` as an argparse type whose ValueError text is the usage error."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:  # argparse prints its own text for a ValueError
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 _OPTIONS = {
-    "degree": dict(type=_degree_arg, help="truncation degree >= 1 (default FOCKDICT_DEGREE, else 64)"),
-    "seed": dict(type=int, default=0, help="seed for randomized checks"),
+    "degree": dict(type=_argument_type(truncation_degree),
+                   help="truncation degree >= 1 (default FOCKDICT_DEGREE, else 64)"),
+    "seed": dict(type=_argument_type(seed_value), default=0, help="seed for randomized checks"),
     "format": dict(choices=["json", "csv"], default="json", help="output format"),
     "out": dict(default=None, help="output path (default stdout)"),
 }
@@ -276,21 +282,14 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fockdict",
-        description="Numerical dictionary between square-integrable functions "
-                    "on the line and the Fock space of entire functions.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bargmann", help="transform a line vector to the Fock side")
+def _declare_bargmann(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="LineVector JSON file")
     p.add_argument("--mode", choices=["coeff", "quad"], default="coeff")
     _add_options(p, "degree", "format")
     p.set_defaults(fn=_cmd_bargmann)
 
-    p = sub.add_parser("op", help="apply dictionary operators")
+
+def _declare_op(p: argparse.ArgumentParser) -> None:
     opsub = p.add_subparsers(dest="action", required=True)
     pa = opsub.add_parser("apply")
     pa.add_argument("--op", required=True, choices=list(_OPERATORS))
@@ -301,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_options(pa, "degree", "format")
     pa.set_defaults(fn=_cmd_op_apply)
 
-    p = sub.add_parser("singular", help="singular integral operators")
+
+def _declare_singular(p: argparse.ArgumentParser) -> None:
     ssub = p.add_subparsers(dest="action", required=True)
     ps = ssub.add_parser("hilbert")
     ps.add_argument("--check", choices=["tsquare", "berezin", "norm"], default="tsquare")
@@ -313,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_options(ps, "degree", "format")
     ps.set_defaults(fn=_cmd_singular_apply)
 
-    p = sub.add_parser("gabor", help="lattices, densities, frame bounds")
+
+def _declare_gabor(p: argparse.ArgumentParser) -> None:
     gsub = p.add_subparsers(dest="action", required=True)
     for action in ("density", "frame-bounds", "predicate"):
         pg = gsub.add_parser(action)
@@ -329,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
             _add_options(pg)
         pg.set_defaults(fn=_cmd_gabor)
 
-    p = sub.add_parser("uncertainty", help="uncertainty product and extremal family")
+
+def _declare_uncertainty(p: argparse.ArgumentParser) -> None:
     usub = p.add_subparsers(dest="action", required=True)
     pe = usub.add_parser("extremal")
     pe.add_argument("--c", type=_number, default=1.0, help="extremal family parameter (positive)")
@@ -343,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_options(pe, "degree", "format")
     _add_options(pp, "degree")
 
-    p = sub.add_parser("quantize", help="Toeplitz and pseudo-differential calculi")
+
+def _declare_quantize(p: argparse.ArgumentParser) -> None:
     qsub = p.add_subparsers(dest="action", required=True)
     pt = qsub.add_parser("toeplitz")
     pt.add_argument("--m", type=int, required=True, help="antiholomorphic power")
@@ -357,16 +360,49 @@ def build_parser() -> argparse.ArgumentParser:
         _add_options(pq, "degree")
         pq.set_defaults(fn=_cmd_quantize)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+
+def _declare_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("suite", choices=[*SUITE_NAMES, "all"])
     _add_options(p, "degree", "seed")
     p.set_defaults(fn=_cmd_verify)
 
+
+# command: (its help line, the function that declares its arguments and modes)
+_COMMANDS = {
+    "bargmann": ("transform a line vector to the Fock side", _declare_bargmann),
+    "op": ("apply dictionary operators", _declare_op),
+    "singular": ("singular integral operators", _declare_singular),
+    "gabor": ("lattices, densities, frame bounds", _declare_gabor),
+    "uncertainty": ("uncertainty product and extremal family", _declare_uncertainty),
+    "quantize": ("Toeplitz and pseudo-differential calculi", _declare_quantize),
+    "verify": ("run a verification suite", _declare_verify),
+}
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for the command line ``argv``.
+
+    Every command is listed with its help line, so the top-level help and
+    usage errors name them all, but only the command that ``argv[0]`` names
+    declares its arguments and modes: one call parses one command.
+    """
+    parser = argparse.ArgumentParser(
+        prog="fockdict",
+        description="Numerical dictionary between square-integrable functions "
+                    "on the line and the Fock space of entire functions.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv else None
+    for name, (help_line, declare) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == named:
+            declare(p)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError, AccuracyWarning) as exc:

@@ -168,9 +168,29 @@ def gauss_hermite_plane(n_nodes: int) -> QuadratureRule:
     return QuadratureRule(nodes, weights, "plane", line=line)
 
 
+@lru_cache(maxsize=1)
+def _gauss_legendre_32() -> tuple[np.ndarray, np.ndarray]:
+    """The 32-point Gauss-Legendre rule on [-1, 1] (Golub-Welsch), built once per process.
+
+    Nodes are the eigenvalues of the Jacobi matrix with off-diagonal
+    k / sqrt(4k^2 - 1); weights are 1 / sum_j p_j(x)^2 over the orthonormal
+    Legendre polynomials p_0 = 1/sqrt(2), b_{j+1} p_{j+1} = x p_j - b_j p_{j-1}
+    (the Christoffel sums, as in ``gauss_hermite``).  Weights sum to 2.
+    """
+    k = np.arange(1.0, 32.0)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    p_prev, p, b_prev = 0.0, np.full(32, np.sqrt(0.5)), 0.0
+    christoffel = p**2
+    for b in off:
+        p, p_prev, b_prev = (nodes * p - b_prev * p_prev) / b, p, b
+        christoffel += p**2
+    return _read_only(nodes), _read_only(1.0 / christoffel)
+
+
 def composite_legendre(lo: float, hi: float, n_panels: int) -> QuadratureRule:
     """Composite Gauss-Legendre rule on [lo, hi]: n_panels equal panels of 32 points each."""
-    xg, wg = np.polynomial.legendre.leggauss(32)
+    xg, wg = _gauss_legendre_32()
     edges = np.linspace(lo, hi, n_panels + 1)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -245,7 +265,8 @@ def interval_coeffs(a: float, b: float, degree: int) -> LineVector:
 
     The ladder relation h_n' = sqrt(n) h_{n-1} - sqrt(n+1) h_{n+1} integrates to
     J_{n+1} = (sqrt(n) J_{n-1} - [h_n]_a^b) / sqrt(n+1), from J_1 = -[h_0]_a^b
-    and J_0 = (2/pi)^(1/4) (sqrt(pi)/2) (erf b - erf a); its factor
+    and J_0 = (2/pi)^(1/4) (sqrt(pi)/2) (erf b - erf a), taken as a difference
+    of erfc on an interval that does not contain 0; its factor
     sqrt(n/(n+1)) < 1 does not amplify rounding.  A lower degree gives the
     leading entries bit for bit.  ValueError unless a <= b are both finite.
     """
@@ -253,7 +274,13 @@ def interval_coeffs(a: float, b: float, degree: int) -> LineVector:
         raise ValueError(f"interval needs finite ends a <= b, got [{a}, {b}]")
     h = hermite_functions(degree, [a, b])
     jump = (h[:, 1] - h[:, 0]).tolist()
-    J = [GAUSS_CONST * math.sqrt(math.pi) / 2.0 * (math.erf(b) - math.erf(a)), -jump[0]]
+    if a > 0.0:  # erf cancels in the tails; erfc keeps J_0's relative accuracy there
+        mass = math.erfc(a) - math.erfc(b)
+    elif b < 0.0:
+        mass = math.erfc(-b) - math.erfc(-a)
+    else:
+        mass = math.erf(b) - math.erf(a)
+    J = [GAUSS_CONST * math.sqrt(math.pi) / 2.0 * mass, -jump[0]]
     for n in range(1, degree):
         J.append((math.sqrt(n) * J[n - 1] - jump[n]) / math.sqrt(n + 1))
     return LineVector(J[: degree + 1])

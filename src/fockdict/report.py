@@ -3,13 +3,15 @@
 Each suite runs the residual checks of one module family at a configured
 degree and emits a self-describing report: the config echo makes a report
 re-runnable, cases are sorted by id, and identical config + seed produces a
-byte-identical document.
+byte-identical document.  Random inputs come from the standard library's
+``random.Random(seed)``.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,11 +26,21 @@ from . import uncertainty as uc
 from .fock import FockVector, exp_quadratic_coeffs, kernel_vector
 
 
+def _integer_at_least(value, least: int, source: str) -> int:
+    """``value`` (an int or its decimal text) as an integer >= ``least``, else ValueError."""
+    if not str(value).strip().isdecimal() or int(value) < least:
+        raise ValueError(f"{source} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def truncation_degree(value, source: str = "degree") -> int:
     """``value`` (an int or its decimal text) as a truncation degree: an integer >= 1."""
-    if not str(value).strip().isdecimal() or int(value) < 1:
-        raise ValueError(f"{source} must be an integer >= 1, got {value!r}")
-    return int(value)
+    return _integer_at_least(value, 1, source)
+
+
+def seed_value(value) -> int:
+    """``value`` (an int or its decimal text) as a suite seed: an integer >= 0."""
+    return _integer_at_least(value, 0, "seed")
 
 
 def default_degree() -> int:
@@ -43,7 +55,7 @@ class SuiteConfig:
 
     def resolved(self) -> "SuiteConfig":
         deg = default_degree() if self.degree is None else truncation_degree(self.degree)
-        return SuiteConfig(deg, self.seed)
+        return SuiteConfig(deg, seed_value(self.seed))
 
 
 @dataclass(frozen=True)
@@ -97,18 +109,23 @@ class VerificationReport:
 # case implementations (each returns (residual, tolerance))
 # ----------------------------------------------------------------------
 
+def _normals(rng: random.Random, count: int) -> np.ndarray:
+    """``count`` standard normal draws."""
+    return np.array([rng.gauss(0.0, 1.0) for _ in range(count)])
+
+
 def _case_bargmann(cfg: SuiteConfig) -> list[CaseResult]:
     pipe = bg.BargmannPipeline.default(cfg.degree)
     rule, plane = pipe.line_rule, pipe.plane_rule
-    rng = np.random.default_rng(cfg.seed)
-    zs = (rng.standard_normal(10) + 1j * rng.standard_normal(10)) * 0.9
+    rng = random.Random(cfg.seed)
+    zs = (_normals(rng, 10) + 1j * _normals(rng, 10)) * 0.9
     worst = 0.0
     for n in range(7):
         vals = bg.bargmann_quadrature(lambda x: hm.hermite_function(n, x), zs, rule)
         worst = max(worst, float(np.max(np.abs(vals - FockVector.basis(n, n)(zs)))))
     out = [CaseResult("b1-hermite-to-monomial", "transform of basis functions", worst, 1e-7)]
 
-    c = rng.standard_normal(cfg.degree + 1) + 1j * rng.standard_normal(cfg.degree + 1)
+    c = _normals(rng, cfg.degree + 1) + 1j * _normals(rng, cfg.degree + 1)
     lv = hm.LineVector(c)
     out.append(
         CaseResult(
@@ -143,8 +160,8 @@ def _case_bargmann(cfg: SuiteConfig) -> list[CaseResult]:
 
 
 def _case_fourier(cfg: SuiteConfig) -> list[CaseResult]:
-    rng = np.random.default_rng(cfg.seed)
-    f = FockVector(rng.standard_normal(cfg.degree + 1) + 1j * rng.standard_normal(cfg.degree + 1))
+    rng = random.Random(cfg.seed)
+    f = FockVector(_normals(rng, cfg.degree + 1) + 1j * _normals(rng, cfg.degree + 1))
     n = np.arange(cfg.degree + 1)
     diag = np.max(np.abs(op.fourier_fock(f).coeffs - (1j**(n % 4)) * f.coeffs))
     out = [CaseResult("f1-diagonal", "transform is diagonal with fourth-root phases", float(diag), 1e-15)]
@@ -358,12 +375,12 @@ def _case_uncertainty(cfg: SuiteConfig) -> list[CaseResult]:
                           float(max(np.max(np.abs(S1.entries - S1.entries.conj().T)),
                                     np.max(np.abs(S2.entries - S2.entries.conj().T)))), 1e-15))
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     worst_violation = 0.0
     for _ in range(20):
-        c = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        c = _normals(rng, 12) + 1j * _normals(rng, 12)
         f = FockVector(np.concatenate([c, np.zeros(4)]))
-        a, b = 2.0 * rng.standard_normal(2)
+        a, b = 2.0 * _normals(rng, 2)
         lhs, rhs = uc.uncertainty_product(f, a, b)
         worst_violation = max(worst_violation, rhs - lhs)
     out.append(CaseResult("u3-inequality", "product bound on random vectors", worst_violation, 1e-9))
@@ -372,7 +389,7 @@ def _case_uncertainty(cfg: SuiteConfig) -> list[CaseResult]:
     for _ in range(10):
         alpha = rng.uniform(-0.4, 0.4)
         cpar = (1 + 2 * alpha) / (1 - 2 * alpha)
-        a, b = rng.standard_normal(2)
+        a, b = _normals(rng, 2)
         f = uc.extremal_coeffs(uc.ExtremalParams(1.0, cpar, a, b), 300)
         lhs, rhs = uc.uncertainty_product(f, a, b)
         worst_gap = max(worst_gap, abs(lhs - rhs) / rhs)
@@ -382,10 +399,15 @@ def _case_uncertainty(cfg: SuiteConfig) -> list[CaseResult]:
 
 def _case_quantize(cfg: SuiteConfig) -> list[CaseResult]:
     plane = bg.BargmannPipeline.default(cfg.degree).plane_rule
+    powers = [np.ones_like(plane.nodes)]  # z^0..z^6 at the nodes, by repeated products
+    for _ in range(6):
+        powers.append(powers[-1] * plane.nodes)
+    conj_powers = [np.conj(zp) for zp in powers]
     worst = 0.0
     for p in range(7):
+        weighted = plane.weights * powers[p]
         for q in range(7):
-            got = np.sum(plane.weights * plane.nodes**p * np.conj(plane.nodes) ** q)
+            got = np.sum(weighted * conj_powers[q])
             want = math.factorial(p) if p == q else 0.0
             worst = max(worst, abs(got - want))
     out = [CaseResult("q1-moment-identity", "Gaussian monomial moments", float(worst), 1e-10)]

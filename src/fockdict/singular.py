@@ -43,6 +43,7 @@ import numpy as np
 from .errors import AccuracyWarning
 from .fock import (RESOLVED_DEFECT, FockVector, kernel_truncation_defect, kernel_vector, log_factorials,
                    point_values)
+from .hermite import composite_legendre
 from .operators import OperatorMatrix
 
 _CFrac = tuple[Fraction, Fraction]
@@ -365,8 +366,6 @@ def hilbert_line_pv(f, x, cutoff: float = None, tail_coeff: float = 0.0):
     alone bit for bit.  The pair grid is built for at most 64
     (x, function) rows at a time.
     """
-    from .hermite import composite_legendre
-
     xs = np.asarray(x, dtype=np.float64).ravel()
     S = (float(np.max(np.abs(xs), initial=0.0)) + 10.0) if cutoff is None else float(cutoff)
     rule = composite_legendre(0.0, S, max(8, int(S)))

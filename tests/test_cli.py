@@ -499,13 +499,25 @@ def _readme_commands() -> list[list[str]]:
             if line.startswith("fockdict ")]
 
 
-def _leaf_parsers(parser, prefix=()) -> dict[tuple[str, ...], argparse.ArgumentParser]:
-    """Every leaf subcommand of an argparse parser by its path, e.g. ("op", "apply")."""
+def _subcommands(parser) -> dict[str, argparse.ArgumentParser]:
+    """The subcommand parsers of an argparse parser by name; empty for a leaf."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if not subs:
+    return dict(subs[0].choices) if subs else {}
+
+
+def _leaves(parser, prefix) -> dict[tuple[str, ...], argparse.ArgumentParser]:
+    children = _subcommands(parser)
+    if not children:
         return {prefix: parser}
-    return {path: leaf for name, child in subs[0].choices.items()
-            for path, leaf in _leaf_parsers(child, prefix + (name,)).items()}
+    return {path: leaf for name, child in children.items()
+            for path, leaf in _leaves(child, prefix + (name,)).items()}
+
+
+def _leaf_parsers() -> dict[tuple[str, ...], argparse.ArgumentParser]:
+    """Every leaf subcommand by its path, e.g. ("op", "apply"), each from the
+    parser that a call of its own command builds."""
+    return {path: leaf for name in cli._COMMANDS
+            for path, leaf in _leaves(_subcommands(cli.build_parser([name]))[name], (name,)).items()}
 
 
 def _readme_inputs(tmp_path, monkeypatch) -> None:
@@ -520,7 +532,7 @@ def _readme_inputs(tmp_path, monkeypatch) -> None:
 
 def test_readme_shows_every_subcommand():
     commands = _readme_commands()
-    paths = _leaf_parsers(cli.build_parser())
+    paths = _leaf_parsers()
     assert ("op", "apply") in paths and ("verify",) in paths
     missing = [p for p in paths if not any(tuple(argv[:len(p)]) == p for argv in commands)]
     assert not missing
@@ -539,10 +551,10 @@ def test_every_declared_option_is_read(tmp_path, monkeypatch, capsys):
     # each README example runs its handler on a namespace that records every
     # attribute read; an option no example of its command reads does nothing
     _readme_inputs(tmp_path, monkeypatch)
-    leaves = _leaf_parsers(cli.build_parser())
+    leaves = _leaf_parsers()
     read = {path: set() for path in leaves}
     for argv in _readme_commands():
-        args = cli.build_parser().parse_args(argv)
+        args = cli.build_parser(argv).parse_args(argv)
         seen = read[next(p for p in leaves if tuple(argv[:len(p)]) == p)]
 
         class Recorder(argparse.Namespace):
@@ -555,3 +567,75 @@ def test_every_declared_option_is_read(tmp_path, monkeypatch, capsys):
     for path, leaf in leaves.items():
         declared = {a.dest for a in leaf._actions if not isinstance(a, argparse._HelpAction)}
         assert declared <= read[path], (path, sorted(declared - read[path]))
+
+
+def test_every_leaf_help_exits_zero(capsys):
+    leaves = _leaf_parsers()
+    assert len(leaves) == 13
+    for path in leaves:
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([*path, "--help"])
+        assert exit_.value.code == 0, path
+        assert capsys.readouterr().out.startswith(f"usage: fockdict {' '.join(path)} [-h]")
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    for name, (help_line, _declare) in cli._COMMANDS.items():
+        assert re.search(rf"^    {name} +{re.escape(help_line)}$", out, re.M), name
+
+
+def test_unknown_command_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["bogus"])
+    assert exit_.value.code == 2
+    assert "argument command: invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_a_call_declares_only_its_own_command():
+    commands = _subcommands(cli.build_parser(["verify", "all"]))
+    assert set(commands) == set(cli._COMMANDS)
+    for name, parser in commands.items():
+        declared = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        assert bool(declared) == (name == "verify"), name
+
+
+def test_verify_loads_neither_numpy_random_nor_numpy_polynomial():
+    # the seeded draws use the standard library and the Legendre rule is built
+    # in place, so a verify call imports neither numpy subpackage
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import numpy\n"
+        "names = ('numpy.random', 'numpy.polynomial')\n"
+        "before = [n for n in names if n in sys.modules]\n"
+        "from fockdict import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    status = cli.main(['verify', 'all', '--degree', '24'])\n"
+        "print(json.dumps([status, before, [n for n in names if n in sys.modules]]))\n"
+    )
+    env = {key: value for key, value in ENV.items() if key != "FOCKDICT_DEGREE"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    status, before, after = json.loads(proc.stdout)
+    if before:
+        pytest.skip(f"importing numpy alone loads {before}")
+    assert status == 0
+    assert after == []
+
+
+@pytest.mark.parametrize("suite", ["weyl", "fourier"])
+def test_cli_seed_must_be_a_non_negative_integer(suite, capsys):
+    # weyl draws nothing and fourier draws, and both refuse the seed up front
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["verify", suite, "--degree", "8", "--seed", "-1"])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "argument --seed: seed must be an integer >= 0, got '-1'")
+
+
+def test_suite_config_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
+        run_suite("all", SuiteConfig(seed=-1))

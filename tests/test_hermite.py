@@ -278,6 +278,27 @@ def test_legendre_rule_has_no_flat_weights():
         composite_legendre(0.0, 1.0, 2).flat_weights()
 
 
+def test_legendre_rule_matches_leggauss():
+    # numpy.polynomial is loaded here only as the reference
+    xg, wg = np.polynomial.legendre.leggauss(32)
+    rule = composite_legendre(-1.0, 1.0, 1)
+    assert np.max(np.abs(rule.nodes - xg)) <= 1e-15
+    assert np.max(np.abs(rule.weights - wg)) <= 1e-15
+
+
+def test_legendre_rule_integrates_monomials_exactly():
+    rule = composite_legendre(0.0, 1.0, 1)
+    for k in range(64):
+        assert abs(rule.weights @ rule.nodes**k * (k + 1) - 1.0) <= 2e-15, k
+
+
+@pytest.mark.parametrize("a, b", [(5.0, 6.0), (6.0, 7.0), (-7.0, -6.0), (3.0, 7.0)])
+def test_interval_coeffs_keep_relative_accuracy_in_the_tail(a, b):
+    # erf b - erf a cancels here (on [6, 7] it is 0); erfc differences do not
+    want = _mp_interval(0, a, b)
+    assert abs(interval_coeffs(a, b, 4).coeffs[0].real - float(want)) <= 1e-15 * float(want)
+
+
 def test_composite_legendre_integrates_polynomial():
     rule = composite_legendre(0.0, 1.0, 4)
     got = float(np.sum(rule.weights * rule.nodes**5))
