@@ -26,6 +26,7 @@ from .hermite import (
     default_nodes,
     gauss_hermite,
     gauss_hermite_plane,
+    require_line_rule,
 )
 
 # points per kernel block of the forward quadrature: a call holds at most
@@ -44,21 +45,21 @@ def bargmann_coeff(f: LineVector) -> FockVector:
 def bargmann_quadrature(f: Callable, z, rule: QuadratureRule):
     """Quadrature of the defining integral at one or many points z.
 
-    The Gaussian weight of the rule absorbs exp(-x^2); the factor
+    The rule's weights are against dx, so exp(-x^2) is folded into them once
+    per call as the Gaussian weights w_k exp(-x_k^2); the factor
     exp(2x i Im z) oscillates, so accuracy degrades once |Im z| outruns the
     rule's phase resolution (flagged at |Im z| > n_nodes / 8).  The kernel
     is formed for _BLOCK points at a time, sorted by Re z, over the
     node window ``_node_window`` certifies for the block.
     """
-    if rule.weight != "hermite":
-        raise ValueError("bargmann_quadrature needs a Gauss-Hermite rule")
+    require_line_rule(rule, "bargmann_quadrature")
     zs = np.asarray(z, dtype=np.complex128).ravel()
     if np.any(np.abs(zs.imag) > rule.n_nodes / 8.0):
         warnings.warn(
             "oscillation budget exceeded: |Im z| > n_nodes/8", AccuracyWarning, stacklevel=2
         )
     x = rule.nodes
-    fx = rule.weights * np.asarray(f(x), dtype=np.complex128)
+    fx = rule.weights * np.exp(-(x**2)) * np.asarray(f(x), dtype=np.complex128)
     with np.errstate(divide="ignore"):
         log_mag = np.log(np.abs(fx)) if np.all(np.isfinite(fx)) else None
     order = np.argsort(zs.real)
@@ -171,16 +172,17 @@ def _pbound_grid(grid_radius: float) -> tuple[np.ndarray, np.ndarray]:
 def _stft_blocks(f: Callable, rule: QuadratureRule, u: np.ndarray):
     """Blocks of the Gaussian-window STFT sum_k F_k exp(-(x_k - s)^2) exp(2i t x_k).
 
-    F_k = flat weight k times f(x_k); s runs over u for the rows and t for
-    the columns.  Yields (rows, cols, values) with values[i, j] the sum at
-    s = u[rows][i], t = u[cols][j].  c times its modulus is the weighted
-    modulus |Bf(s + it)| exp(-|z|^2/2), since the exponent of the
-    quadrature kernel less |z|^2/2 is -(x - s)^2 + 2itx - ist.  Each block
-    is the real row table exp(-(x_k - s)^2) F_k times the column table
-    exp(2i t x_k); every row entry is at most |F_k|, so nothing overflows.
+    F_k = w_k f(x_k) with w_k the rule's weights against dx; s runs over u
+    for the rows and t for the columns.  Yields (rows, cols, values) with
+    values[i, j] the sum at s = u[rows][i], t = u[cols][j].  c times its
+    modulus is the weighted modulus |Bf(s + it)| exp(-|z|^2/2), since the
+    exponent of the quadrature kernel less |z|^2/2 is
+    -(x - s)^2 + 2itx - ist.  Each block is the real row table
+    exp(-(x_k - s)^2) F_k times the column table exp(2i t x_k); every row
+    entry is at most |F_k|, so nothing overflows.
     """
     x = rule.nodes
-    fx = rule.flat_weights() * np.asarray(f(x), dtype=np.complex128)
+    fx = rule.weights * np.asarray(f(x), dtype=np.complex128)
     for c0 in range(0, u.size, _COLUMNS):
         cols = slice(c0, c0 + _COLUMNS)
         col_table = np.exp(2j * np.outer(x, u[cols]))
@@ -204,6 +206,7 @@ def verify_pbound(
     exponentials and one matrix product per block, not points x nodes
     exponentials.
     """
+    require_line_rule(rule, "verify_pbound")
     xs = np.linspace(-50.0, 50.0, 20001)
     f_sup = float(np.max(np.abs(np.asarray(f(xs), dtype=np.complex128))))
     u, inside = _pbound_grid(grid_radius)

@@ -4,8 +4,9 @@ The orthonormal basis of L2(R) used throughout is
 
     h_n(x) = (2/pi)^(1/4) / sqrt(2^n n!) * exp(-x^2) * H_n(sqrt(2) x),
 
-where H_n is the physicists' Hermite polynomial.  Quadrature rules are stored
-with the weight they integrate against so callers cannot mix conventions.
+where H_n is the physicists' Hermite polynomial.  Every line rule's weights
+are against plain dx, the measure of every line-side sum; a rule is tagged
+with its kind so a consumer can refuse the wrong one.
 """
 from __future__ import annotations
 
@@ -53,46 +54,33 @@ def hermite_functions(n_max: int, x) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes and weights tagged with the weight function they integrate.
+    """Nodes and weights tagged with the kind of rule they form.
 
-    weight == "hermite": sum w_k f(x_k) ~ int f(x) exp(-x^2) dx on R.
+    weight == "hermite": Gauss-Hermite nodes on R with their weights against
+        plain dx, sum w_k f(x_k) ~ int f(x) dx for f a polynomial times
+        exp(-x^2); a sum against exp(-x^2) reads w_k exp(-x_k^2).
     weight == "plane":   nodes are complex, sum w_k f(z_k) ~ int f dlambda.
     weight == "legendre": plain composite rule, int f(x) dx on [lo, hi].
 
-    ``log_weights`` stores log w_k for the hermite rule so that the
-    re-weighting w_k exp(x_k^2) can be formed without overflow.  ``line`` is
-    the hermite rule a plane rule is the tensor square of.  The arrays are
-    read-only copies, since the rule builders hand one cached rule to every
-    caller.  The flat weights and the Hermite table are derived once per rule
-    and kept with it, read-only as well.
+    ``line`` is the hermite rule a plane rule is the tensor square of.  The
+    arrays are read-only copies, since the rule builders hand one cached rule
+    to every caller.  The Hermite table is derived once per rule and kept
+    with it, read-only as well.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     weight: str = "hermite"
-    log_weights: np.ndarray | None = None
     line: QuadratureRule | None = None
     _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("nodes", "weights", "log_weights"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.array(arr)
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+        for name in ("nodes", "weights"):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name))))
 
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
-
-    def flat_weights(self) -> np.ndarray:
-        """Weights against plain dx: w_k exp(+x_k^2) for the hermite rule."""
-        if self.weight != "hermite":
-            raise ValueError("flat weights are only defined for real-line rules")
-        if "flat" not in self._derived:
-            self._derived["flat"] = _read_only(np.exp(self.log_weights + self.nodes**2))
-        return self._derived["flat"]
 
     def hermite_table(self, degree: int) -> np.ndarray:
         """h_0..h_degree at the nodes, shape (degree+1, n_nodes), read-only.
@@ -118,39 +106,45 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def require_line_rule(rule: QuadratureRule, consumer: str) -> None:
+    """ValueError unless ``rule`` is a Gauss-Hermite line rule, naming ``consumer``."""
+    if rule.weight != "hermite":
+        raise ValueError(f"{consumer} needs a Gauss-Hermite rule")
+
+
+def _golub_welsch(off: np.ndarray, p0: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule of the zero-diagonal Jacobi matrix with off-diagonal ``off`` (Golub-Welsch).
+
+    Nodes are the matrix's eigenvalues.  The weight against dx at node x is
+    the reciprocal Christoffel sum 1 / sum_j p_j(x)^2 over the orthonormal
+    functions p_0 = p0(x), off[j] p_{j+1} = x p_j - off[j-1] p_{j-1}: unlike
+    the first-eigenvector formula it keeps its relative accuracy at the
+    extreme nodes, where eigenvector components sink below machine noise.
+    """
+    nodes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    p_prev, p, b_prev = 0.0, p0(nodes), 0.0
+    christoffel = p**2
+    for b in off:
+        p, p_prev, b_prev = (nodes * p - b_prev * p_prev) / b, p, b
+        christoffel += p**2
+    return nodes, 1.0 / christoffel
+
+
 @lru_cache(maxsize=None)
 def gauss_hermite(n_nodes: int) -> QuadratureRule:
-    """Gauss-Hermite rule for the weight exp(-x^2) on R (Golub-Welsch).
+    """Gauss-Hermite rule on R, its weights against dx (Golub-Welsch).
 
-    Nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix.
-    Weights are recovered from the Christoffel function,
-    w_k = exp(-x_k^2) / sum_j psi_j(x_k)^2 with psi_j the orthonormal
-    weight-one Hermite functions: unlike the first-eigenvector formula this
-    stays accurate (in log scale) at the extreme nodes, where eigenvector
-    components sink below machine noise.  Weights sum to sqrt(pi).  Each
-    rule is built once per process.
+    The Jacobi matrix has off-diagonal sqrt(k/2), and the weight at node x_k
+    is 1 / sum_j psi_j(x_k)^2 over the orthonormal weight-one Hermite
+    functions psi_0 = pi^{-1/4} exp(-x^2/2); none of these overflows or
+    underflows up to the 256-node cap.  The weights against exp(-x^2) are
+    w_k exp(-x_k^2) and sum to sqrt(pi).  Each rule is built once per
+    process.
     """
     if not 1 <= n_nodes <= _MAX_GH_NODES:
         raise ValueError(f"n_nodes must be in 1..{_MAX_GH_NODES}")
-    if n_nodes == 1:
-        nodes = np.zeros(1)
-        weights = np.array([np.sqrt(np.pi)])
-        return QuadratureRule(nodes, weights, "hermite", np.log(weights))
     off = np.sqrt(np.arange(1, n_nodes) / 2.0)
-    jac = np.diag(off, 1) + np.diag(off, -1)
-    vals = np.linalg.eigvalsh(jac)
-    # psi_0 = pi^{-1/4} e^{-x^2/2}; psi_{j+1} = x sqrt(2/(j+1)) psi_j - sqrt(j/(j+1)) psi_{j-1}
-    psi_prev = np.pi**-0.25 * np.exp(-(vals**2) / 2.0)
-    christoffel = psi_prev**2
-    psi = vals * np.sqrt(2.0) * psi_prev
-    for j in range(1, n_nodes):
-        christoffel += psi**2
-        psi, psi_prev = (
-            vals * np.sqrt(2.0 / (j + 1)) * psi - np.sqrt(j / (j + 1)) * psi_prev,
-            psi,
-        )
-    log_weights = -(vals**2) - np.log(christoffel)
-    return QuadratureRule(vals, np.exp(log_weights), "hermite", log_weights)
+    return QuadratureRule(*_golub_welsch(off, lambda x: np.pi**-0.25 * np.exp(-(x**2) / 2.0)))
 
 
 @lru_cache(maxsize=8)  # a 256-node plane rule alone holds 65,536 nodes
@@ -162,7 +156,8 @@ def gauss_hermite_plane(n_nodes: int) -> QuadratureRule:
     """
     line = gauss_hermite(n_nodes)
     u, v = np.meshgrid(line.nodes, line.nodes, indexing="ij")
-    wu, wv = np.meshgrid(line.weights, line.weights, indexing="ij")
+    gauss = line.weights * np.exp(-(line.nodes**2))
+    wu, wv = np.meshgrid(gauss, gauss, indexing="ij")
     nodes = (u + 1j * v).ravel()
     weights = (wu * wv).ravel() / np.pi
     return QuadratureRule(nodes, weights, "plane", line=line)
@@ -170,22 +165,15 @@ def gauss_hermite_plane(n_nodes: int) -> QuadratureRule:
 
 @lru_cache(maxsize=1)
 def _gauss_legendre_32() -> tuple[np.ndarray, np.ndarray]:
-    """The 32-point Gauss-Legendre rule on [-1, 1] (Golub-Welsch), built once per process.
+    """The 32-point Gauss-Legendre rule on [-1, 1], built once per process.
 
-    Nodes are the eigenvalues of the Jacobi matrix with off-diagonal
-    k / sqrt(4k^2 - 1); weights are 1 / sum_j p_j(x)^2 over the orthonormal
-    Legendre polynomials p_0 = 1/sqrt(2), b_{j+1} p_{j+1} = x p_j - b_j p_{j-1}
-    (the Christoffel sums, as in ``gauss_hermite``).  Weights sum to 2.
+    ``_golub_welsch`` with off-diagonal k / sqrt(4k^2 - 1) and p_0 = 1/sqrt(2),
+    the orthonormal Legendre polynomials.  Weights sum to 2.
     """
     k = np.arange(1.0, 32.0)
     off = k / np.sqrt(4.0 * k * k - 1.0)
-    nodes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-    p_prev, p, b_prev = 0.0, np.full(32, np.sqrt(0.5)), 0.0
-    christoffel = p**2
-    for b in off:
-        p, p_prev, b_prev = (nodes * p - b_prev * p_prev) / b, p, b
-        christoffel += p**2
-    return _read_only(nodes), _read_only(1.0 / christoffel)
+    nodes, weights = _golub_welsch(off, lambda x: np.full(x.shape, np.sqrt(0.5)))
+    return _read_only(nodes), _read_only(weights)
 
 
 def composite_legendre(lo: float, hi: float, n_panels: int) -> QuadratureRule:
@@ -243,16 +231,14 @@ class LineVector:
 def project_line(f: Callable, degree: int, rule: QuadratureRule) -> LineVector:
     """Expand a smooth function against h_0..h_N with a Gauss-Hermite rule.
 
-    b_n = sum_k w_k exp(x_k^2) f(x_k) h_n(x_k); the re-weighting is done in
-    log space so x_k^2 is never exponentiated on its own.  The flat weights
-    and h_n(x_k) come from the rule's own read-only cache, so repeated
-    projections on one cached rule build them once.  The result's
+    b_n = sum_k w_k f(x_k) h_n(x_k) with w_k the rule's weights against dx.
+    h_n(x_k) comes from the rule's own read-only cache, so repeated
+    projections on one cached rule build it once.  The result's
     ``tail_ratio`` (norm of the top eighth of the coefficients over the
     whole norm) reports how well the degree resolves f; nothing is warned.
     """
-    if rule.weight != "hermite":
-        raise ValueError("project_line needs a Gauss-Hermite rule")
-    fw = rule.flat_weights() * np.asarray(f(rule.nodes), dtype=np.complex128)
+    require_line_rule(rule, "project_line")
+    fw = rule.weights * np.asarray(f(rule.nodes), dtype=np.complex128)
     coeffs = rule.hermite_table(degree) @ fw
     total = np.linalg.norm(coeffs)
     n_tail = max(2, len(coeffs) // 8)

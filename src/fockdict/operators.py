@@ -25,7 +25,7 @@ import numpy as np
 from .bargmann import BargmannPipeline
 from .errors import AccuracyWarning
 from .fock import RESOLVED_DEFECT, FockVector, kernel_truncation_defect, log_factorials, lost_mass, point_values
-from .hermite import QuadratureRule, default_nodes, gauss_hermite, hermite_functions
+from .hermite import QuadratureRule, default_nodes, gauss_hermite, hermite_functions, require_line_rule
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,9 +109,10 @@ def fourier_line_quadrature(f: Callable, x, rule: QuadratureRule):
     Used to transport eigenrelations: applied to h_n it returns i^n h_n up to
     quadrature error.
     """
+    require_line_rule(rule, "fourier_line_quadrature")
     xs = np.asarray(x, dtype=np.float64).ravel()
     t = rule.nodes
-    ft = rule.flat_weights() * np.asarray(f(t), dtype=np.complex128)
+    ft = rule.weights * np.asarray(f(t), dtype=np.complex128)
     vals = np.exp(2j * np.outer(xs, t)) @ ft / np.sqrt(np.pi)
     return point_values(vals, np.shape(x))
 
@@ -281,31 +282,29 @@ def translation_modulation_fock(a: float, b: float, degree: int,
 # Dilation as one exact line-side matrix
 # ----------------------------------------------------------------------
 
-def dilation_matrix(r: float, degree: int, input_degree: int | None = None,
-                    rule: QuadratureRule | None = None) -> OperatorMatrix:
+def dilation_matrix(r: float, degree: int, input_degree: int | None = None) -> OperatorMatrix:
     """D[p, n] = <D_r h_n, h_p> = int h_p(x) sqrt(r) h_n(rx) dx, p <= degree, n <= input_degree.
 
     Since B h_n = e_n, D is also the Fock-side matrix of D_r g(x) = sqrt(r) g(rx)
     on e_0..e_N, and no plane quadrature is needed.  Its integrand is a
-    polynomial of degree p + n times e^{-(1+r^2)x^2}, so the line rule (by
-    default the pipeline's, ``gauss_hermite(default_nodes(degree))``) is
-    rescaled to that weight: nodes x_k/s, flat weights /s, s = sqrt(1+r^2).
-    It is then exact while degree + input_degree < 2 * nodes; ValueError
-    beyond that, or for r that is not a finite positive number.  The block
-    has shape (degree+1, input_degree+1) and real entries.
+    polynomial of degree p + n times e^{-(1+r^2)x^2}, so the pipeline's line
+    rule ``gauss_hermite(default_nodes(degree))`` is rescaled to that weight:
+    nodes x_k/s, weights against dx divided by s, s = sqrt(1+r^2).  It is
+    then exact while degree + input_degree < 2 * nodes; ValueError beyond
+    that (reachable at the 256-node cap), or for r that is not a finite
+    positive number.  The block has shape (degree+1, input_degree+1) and
+    real entries.
     """
     K = degree if input_degree is None else input_degree
-    line = gauss_hermite(default_nodes(degree)) if rule is None else rule
+    line = gauss_hermite(default_nodes(degree))
     if not (np.isfinite(r) and r > 0):
         raise ValueError(f"r must be a finite positive number, got {r!r}")
-    if line.weight != "hermite":
-        raise ValueError("dilation_matrix needs a Gauss-Hermite rule")
     if degree + K >= 2 * line.n_nodes:
         raise ValueError(f"dilation needs input + output degree < {2 * line.n_nodes} "
                          f"(line rule), got {K} + {degree}")
     s = np.sqrt(1.0 + r * r)
     x = line.nodes / s
-    scaled = hermite_functions(K, r * x) * (line.flat_weights() * (np.sqrt(r) / s))
+    scaled = hermite_functions(K, r * x) * (line.weights * (np.sqrt(r) / s))
     return OperatorMatrix(hermite_functions(degree, x) @ scaled.T)
 
 
@@ -319,11 +318,12 @@ class DilationResult:
 def dilation_fock(r: float, f: FockVector, pipeline: BargmannPipeline) -> DilationResult:
     """Fock-side dilation, conjugate of D_r g(x) = sqrt(r) g(rx) on the line.
 
-    ``dilation_matrix`` on the pipeline's line rule, built at f's degree and
+    ``dilation_matrix`` at the pipeline's degree, on the line rule of
+    ``BargmannPipeline.default`` at that degree, built at f's degree and
     applied to f: the output has the pipeline's degree, and ValueError is
     raised once input plus output degree reaches twice the line rule's nodes.
     """
-    return DilationResult(dilation_matrix(r, pipeline.degree, f.degree, pipeline.line_rule).apply(f))
+    return DilationResult(dilation_matrix(r, pipeline.degree, f.degree).apply(f))
 
 
 # ----------------------------------------------------------------------

@@ -221,7 +221,7 @@ def _case_weyl(cfg: SuiteConfig) -> list[CaseResult]:
         x = pipe.line_rule.nodes
         g = bg.inverse_bargmann_quadrature(FockVector.basis(n, N), x - ab[0], pipe.plane_rule)
         vals = np.exp(2j * np.pi * ab[1] * x) * g
-        col = pipe.line_rule.hermite_table(N) @ (pipe.line_rule.flat_weights() * vals)
+        col = pipe.line_rule.hermite_table(N) @ (pipe.line_rule.weights * vals)
         worst = max(worst, float(np.max(np.abs(col - Wm.entries[:, n]))))
     out.append(CaseResult("w5-shift-modulation-dictionary",
                           "line shifts and modulations map to displacements", worst, 1e-6))
@@ -348,7 +348,7 @@ def _case_hilbert(cfg: SuiteConfig) -> list[CaseResult]:
     hv = sg.hilbert_line_pv(lambda t: hm.hermite_functions(2, t), rule.nodes)
     worst = 0.0
     for n in range(min(3, N + 1)):
-        col = rule.hermite_table(N) @ (rule.flat_weights() * hv[n])
+        col = rule.hermite_table(N) @ (rule.weights * hv[n])
         worst = max(worst, float(np.max(np.abs(col - T.entries[:, n]))))
     out.append(CaseResult("h5-principal-value-oracle",
                           "columns match the line-side singular integral", worst, 1e-10))

@@ -41,8 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AccuracyWarning
-from .fock import (RESOLVED_DEFECT, FockVector, kernel_truncation_defect, kernel_vector, log_factorials,
-                   point_values)
+from .fock import RESOLVED_DEFECT, FockVector, kernel_truncation_defect, kernel_vector, point_values
 from .hermite import composite_legendre
 from .operators import OperatorMatrix
 
@@ -84,8 +83,7 @@ class EntireSymbol:
 
     ``exact`` holds the coefficients as exact (re, im) fractions with
     phi_k = scale * exact[k]; generic float input is converted losslessly
-    (every double is a binary rational).  Membership of phi in the Fock
-    space requires sum |phi_n|^2 n! < infinity, estimated by ``f2_tail_ratio``.
+    (every double is a binary rational).
     """
 
     taylor: np.ndarray
@@ -114,22 +112,6 @@ class EntireSymbol:
     def truncated(self, degree: int) -> "EntireSymbol":
         k = min(degree, self.degree) + 1
         return EntireSymbol(self.taylor[:k], self.exact[:k], self.scale)
-
-    def f2_tail_ratio(self) -> float:
-        """sup of recent per-degree growth ratios of |phi_n|^2 n!.
-
-        A value below 1 indicates the membership series is still contracting
-        at the truncation degree; this is a heuristic flag, not a proof.
-        """
-        mags = np.abs(self.taylor)
-        nz = np.nonzero(mags)[0]
-        if len(nz) < 2:
-            return 0.0
-        gl = log_factorials(len(mags) - 1)
-        log_terms = 2.0 * np.log(mags[nz]) + gl[nz]
-        ratios = np.exp(np.diff(log_terms) / np.diff(nz))
-        tail = ratios[-4:]
-        return float(np.max(tail))
 
 
 def symbol_from_taylor(taylor) -> EntireSymbol:

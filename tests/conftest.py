@@ -19,7 +19,7 @@ def _exact_dilation(r: float, n: int, degree: int, nodes: int = 250) -> np.ndarr
     rule = gauss_hermite(nodes)
     s = np.sqrt(1.0 + r * r)
     x = rule.nodes / s
-    fw = rule.flat_weights() / s * np.sqrt(r) * hermite_functions(n, r * x)[n]
+    fw = rule.weights / s * np.sqrt(r) * hermite_functions(n, r * x)[n]
     return hermite_functions(degree, x) @ fw
 
 
@@ -41,7 +41,7 @@ def _inverse_integral_dilation(r: float, f, pipeline) -> np.ndarray:
     s = np.sqrt(1.0 + r * r)
     x = line.nodes / s
     g = inverse_bargmann_quadrature(f, r * x, pipeline.plane_rule)
-    return hermite_functions(pipeline.degree, x) @ (line.flat_weights() / s * np.sqrt(r) * g)
+    return hermite_functions(pipeline.degree, x) @ (line.weights / s * np.sqrt(r) * g)
 
 
 @pytest.fixture

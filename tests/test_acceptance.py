@@ -84,7 +84,7 @@ def test_criterion_03_shift_modulation_dictionary():
         for n in (0, 1):
             g = bg.inverse_bargmann_quadrature(FockVector.basis(n, N), x - a, pipe.plane_rule)
             vals = np.exp(2j * np.pi * b * x) * g
-            col = hm.hermite_functions(N, x) @ (pipe.line_rule.flat_weights() * vals)
+            col = hm.hermite_functions(N, x) @ (pipe.line_rule.weights * vals)
             worst = max(worst, float(np.max(np.abs(col - Wm.entries[:, n]))))
     ok = worst < 1e-6
     _report("AC-03 shift-modulation", ok, f"max column err={worst:.2e}")

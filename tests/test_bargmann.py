@@ -91,7 +91,7 @@ def _dense_forward(f, z, rule):
     Returns the values and, per point, the sum of the moduli of its terms.
     """
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    fx = rule.weights * np.asarray(f(rule.nodes), dtype=np.complex128)
+    fx = rule.weights * np.exp(-rule.nodes**2) * np.asarray(f(rule.nodes), dtype=np.complex128)
     kernel = np.exp(2.0 * np.outer(zs, rule.nodes) - (zs**2 / 2.0)[:, None])
     return GAUSS_CONST * (kernel @ fx), GAUSS_CONST * (np.abs(kernel) @ np.abs(fx))
 
@@ -190,7 +190,7 @@ def test_pbound_stft_matches_quadrature_pointwise(name, n_nodes):
     got = GAUSS_CONST * np.abs(vals[inside])
     # sum_k |terms| at z = s + it depends on s alone
     terms = np.exp(-((u[:, None] - rule.nodes[None, :]) ** 2)) @ np.abs(
-        rule.flat_weights() * f(rule.nodes))
+        rule.weights * f(rule.nodes))
     scale = GAUSS_CONST * np.broadcast_to(terms[:, None], vals.shape)[inside]
     assert np.max(np.abs(got - want) / scale) <= 5e-14
 

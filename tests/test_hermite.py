@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from fockdict.bargmann import bargmann_quadrature, verify_pbound
 from fockdict.hermite import (
     GAUSS_CONST,
     LineVector,
@@ -19,6 +20,7 @@ from fockdict.hermite import (
     interval_coeffs,
     project_line,
 )
+from fockdict.operators import fourier_line_quadrature
 
 
 def test_hermite_function_values():
@@ -74,13 +76,37 @@ def test_gauss_hermite_one_node():
 def test_gauss_hermite_two_nodes():
     rule = gauss_hermite(2)
     assert np.allclose(np.sort(rule.nodes), [-1 / math.sqrt(2), 1 / math.sqrt(2)])
-    assert np.allclose(rule.weights, math.sqrt(math.pi) / 2)
+    assert np.allclose(rule.weights * np.exp(-rule.nodes**2), math.sqrt(math.pi) / 2)
 
 
 @pytest.mark.parametrize("n_nodes", [1, 2, 7, 64, 128, 256])
 def test_weights_sum_to_sqrt_pi(n_nodes):
+    # the weights are against dx; against exp(-x^2) they read w_k exp(-x_k^2)
     rule = gauss_hermite(n_nodes)
-    assert abs(rule.weights.sum() - math.sqrt(math.pi)) < 1e-14
+    assert abs(np.sum(rule.weights * np.exp(-rule.nodes**2)) - math.sqrt(math.pi)) < 1e-14
+
+
+def _mp_christoffel_weight(n_nodes: int, x: float) -> float:
+    """1 / sum_j psi_j(x)^2 over j < n_nodes to 40 digits, psi_j the weight-one Hermite functions."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        prev, psi = mpmath.mpf(0), mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(-x * x / 2)
+        total = psi**2
+        for j in range(n_nodes - 1):
+            step = x * mpmath.sqrt(mpmath.mpf(2) / (j + 1)) * psi
+            prev, psi = psi, step - mpmath.sqrt(mpmath.mpf(j) / (j + 1)) * prev
+            total += psi**2
+        return float(1 / total)
+
+
+@pytest.mark.parametrize("n_nodes", [64, 256])
+def test_weights_match_the_christoffel_sum_to_40_digits(n_nodes):
+    # sampled nodes and both extremes, where the weights against exp(-x^2)
+    # fall to 5e-211 on 256 nodes while the weights against dx stay above 0.13
+    rule = gauss_hermite(n_nodes)
+    for k in sorted({0, 1, 2, n_nodes // 4, n_nodes // 2, 3 * n_nodes // 4, n_nodes - 2, n_nodes - 1}):
+        want = _mp_christoffel_weight(n_nodes, rule.nodes[k])
+        assert abs(rule.weights[k] - want) <= 1e-13 * want, k
 
 
 @pytest.mark.parametrize("n_nodes", [1, 2, 9, 64, 128, 256])
@@ -88,7 +114,7 @@ def test_gauss_hermite_is_cached_and_unchanged(n_nodes):
     rule = gauss_hermite(n_nodes)
     assert gauss_hermite(n_nodes) is rule
     fresh = gauss_hermite.__wrapped__(n_nodes)
-    for name in ("nodes", "weights", "log_weights"):
+    for name in ("nodes", "weights"):
         assert np.array_equal(getattr(rule, name), getattr(fresh, name))
 
 
@@ -103,7 +129,7 @@ def test_plane_rule_is_cached_and_keeps_its_line_factor():
     assert np.array_equal(plane.nodes, (u + 1j * v).ravel())
 
 
-@pytest.mark.parametrize("name", ["nodes", "weights", "log_weights"])
+@pytest.mark.parametrize("name", ["nodes", "weights"])
 def test_cached_rule_is_read_only(name):
     rule = gauss_hermite(8)
     with pytest.raises(ValueError):
@@ -129,7 +155,7 @@ def test_even_moment_exactness():
     # int x^{2k} e^{-x^2} = (2k-1)!! sqrt(pi) / 2^k for 2k <= 2n-1
     rule = gauss_hermite(40)
     for k in (0, 1, 5, 17, 39):
-        got = float(np.sum(rule.weights * rule.nodes ** (2 * k)))
+        got = float(np.sum(rule.weights * np.exp(-rule.nodes**2) * rule.nodes ** (2 * k)))
         dfact = float(np.prod(np.arange(2 * k - 1, 0, -2, dtype=float))) if k else 1.0
         want = dfact * math.sqrt(math.pi) / 2**k
         assert abs(got - want) / want < 1e-12
@@ -138,14 +164,14 @@ def test_even_moment_exactness():
 def test_norm_of_h2_by_quadrature():
     rule = gauss_hermite(64)
     vals = hermite_function(2, rule.nodes)
-    got = float(np.sum(rule.flat_weights() * vals**2))
+    got = float(np.sum(rule.weights * vals**2))
     assert abs(got - 1.0) < 1e-12
 
 
 def test_orthonormality_matrix():
     rule = gauss_hermite(128)
     basis = hermite_functions(20, rule.nodes)
-    gram = (basis * rule.flat_weights()) @ basis.T
+    gram = (basis * rule.weights) @ basis.T
     assert np.max(np.abs(gram - np.eye(21))) < 1e-10
 
 
@@ -172,7 +198,7 @@ def test_project_line_is_bit_identical_to_a_fresh_table():
     # one rule, degrees asked for out of order: the table grows, shrinks to
     # slices and grows again, and every projection equals the uncached sum
     rule = gauss_hermite.__wrapped__(256)
-    fw = np.exp(rule.log_weights + rule.nodes**2) * _packet(rule.nodes)
+    fw = rule.weights * _packet(rule.nodes)
     for N in (200, 64, 255, 0, 128):
         got = project_line(_packet, N, rule).coeffs
         assert np.array_equal(got, hermite_functions(N, rule.nodes) @ fw), N
@@ -185,10 +211,6 @@ def test_rule_tables_are_read_only_and_shared():
     assert table.shape == (6, 8)
     with pytest.raises(ValueError):
         table[0, 0] = 99.0
-    with pytest.raises(ValueError):
-        rule.flat_weights()[0] = 99.0
-    assert rule.flat_weights() is rule.flat_weights()
-    assert np.array_equal(rule.flat_weights(), np.exp(rule.log_weights + rule.nodes**2))
     assert np.shares_memory(rule.hermite_table(2), rule.hermite_table(5))
     with pytest.raises(ValueError):
         rule.hermite_table(-1)
@@ -272,10 +294,22 @@ def test_interval_coeffs_need_finite_ordered_ends(a, b):
         interval_coeffs(a, b, 8)
 
 
-def test_legendre_rule_has_no_flat_weights():
-    # a Legendre rule's weights are already against dx; only project_line reads flat weights
-    with pytest.raises(ValueError, match="real-line rules"):
-        composite_legendre(0.0, 1.0, 2).flat_weights()
+_LINE_CONSUMERS = {
+    "project_line": lambda rule: project_line(np.ones_like, 4, rule),
+    "bargmann_quadrature": lambda rule: bargmann_quadrature(np.ones_like, 0.5, rule),
+    "fourier_line_quadrature": lambda rule: fourier_line_quadrature(np.ones_like, 0.5, rule),
+    "verify_pbound": lambda rule: verify_pbound(np.ones_like, rule, grid_radius=1.0),
+}
+
+
+@pytest.mark.parametrize("kind", ["plane", "legendre"])
+@pytest.mark.parametrize("consumer", list(_LINE_CONSUMERS))
+def test_line_consumers_refuse_other_rules(consumer, kind):
+    # every line consumer sums against dx on Gauss-Hermite nodes; a plane or
+    # Legendre rule would be summed silently, so each refuses it by name
+    rule = gauss_hermite_plane(8) if kind == "plane" else composite_legendre(0.0, 1.0, 1)
+    with pytest.raises(ValueError, match=f"{consumer} needs a Gauss-Hermite rule"):
+        _LINE_CONSUMERS[consumer](rule)
 
 
 def test_legendre_rule_matches_leggauss():

@@ -3,7 +3,6 @@ import math
 import tracemalloc
 import warnings
 from fractions import Fraction
-from dataclasses import replace
 from functools import lru_cache
 
 import mpmath
@@ -519,7 +518,7 @@ def test_dictionary_consistency_through_quadrature():
     for n in (0, 1):
         g = inverse_bargmann_quadrature(FockVector.basis(n, N), x - a, pipe.plane_rule)
         vals = np.exp(2j * np.pi * b * x) * g
-        col = hermite_functions(N, x) @ (pipe.line_rule.flat_weights() * vals)
+        col = hermite_functions(N, x) @ (pipe.line_rule.weights * vals)
         assert np.max(np.abs(col - Wm.entries[:, n])) < 1e-6
 
 
@@ -569,16 +568,14 @@ def test_dilation_matrix_outside_the_old_ratio_range(r):
 
 @pytest.mark.parametrize("r", [0.5, 2.0])
 def test_dilation_matrix_exactness_boundary(r):
-    # 12 nodes integrate polynomials to degree 23: N + K = 23 is exact, 24 refused
-    rule = gauss_hermite(12)
-    for N, K in ((23, 0), (12, 11), (0, 23)):
-        D = dilation_matrix(r, N, K, rule).entries
-        assert D.shape == (N + 1, K + 1)
-        want = np.array([[_dilation_closed_form(r, p, n) for n in range(K + 1)] for p in range(N + 1)])
-        assert np.max(np.abs(D - want)) <= 1e-13, (N, K)
-    for N, K in ((24, 0), (12, 12), (0, 24)):
-        with pytest.raises(ValueError, match=rf"< 24 \(line rule\), got {K} \+ {N}"):
-            dilation_matrix(r, N, K, rule)
+    # at N = 300 the line rule is at its 256-node cap and integrates
+    # polynomials to degree 511: K = 211 is exact, K = 212 refused
+    D = dilation_matrix(r, 300, 211).entries
+    assert D.shape == (301, 212)
+    for p, n in ((300, 210), (299, 211), (300, 0), (0, 210), (211, 211), (150, 100), (17, 3)):
+        assert abs(D[p, n] - _dilation_closed_form(r, p, n)) <= 1e-13, (p, n)
+    with pytest.raises(ValueError, match=r"< 512 \(line rule\), got 212 \+ 300"):
+        dilation_matrix(r, 300, 212)
 
 
 @pytest.mark.parametrize("r", [0.0, -1.0, math.inf, math.nan])
@@ -624,15 +621,16 @@ def test_dilation_dual_path_agreement(r, n, inverse_integral_dilation):
 
 
 def test_dilation_preconditions():
-    # one guard, from the pipeline's 96-node line rule; no plane-rule input cap
+    # one guard, from the line rule at the pipeline's degree; no plane-rule
+    # input cap, and at degree 300 the rule is at its 256-node cap
     pipe = BargmannPipeline.default(24)
     with pytest.raises(ValueError):
         dilation_fock(0.0, FockVector.basis(0, 4), pipe)
     dilation_fock(2.0, FockVector.basis(0, 65), pipe)
-    wide = replace(pipe, degree=2 * 96 - 64)
-    dilation_fock(2.0, FockVector.basis(0, 63), wide)
-    with pytest.raises(ValueError, match=r"< 192 \(line rule\), got 64 \+ 128"):
-        dilation_fock(2.0, FockVector.basis(0, 64), wide)
+    wide = BargmannPipeline.default(300)
+    dilation_fock(2.0, FockVector.basis(0, 211), wide)
+    with pytest.raises(ValueError, match=r"< 512 \(line rule\), got 212 \+ 300"):
+        dilation_fock(2.0, FockVector.basis(0, 212), wide)
 
 
 @pytest.mark.parametrize("r", [0.25, 0.5, 2.0, 4.0])

@@ -151,7 +151,7 @@ def test_position_and_frequency_matrices_against_quadrature():
 
     rule = gauss_hermite(96)
     x = rule.nodes
-    fw = rule.flat_weights()
+    fw = rule.weights
     basis = hermite_functions(8, x)
     X = weyl_quantize_poly(PhasePolynomial({(1, 0): 1.0}), 8).entries
     Dl = weyl_quantize_poly(PhasePolynomial({(0, 1): 1.0}), 8).entries
