@@ -122,15 +122,21 @@ def inverse_bargmann_quadrature(F: FockVector, x, plane_rule: QuadratureRule):
 
 @dataclass(frozen=True)
 class BargmannPipeline:
-    """Degree and the line and plane quadrature rules bundled for transform chains."""
+    """A truncation degree and the quadrature rules that follow from it."""
 
     degree: int
-    line_rule: QuadratureRule
-    plane_rule: QuadratureRule
 
     @classmethod
     def default(cls, degree: int):
-        return cls(degree, gauss_hermite(default_nodes(degree)), gauss_hermite_plane(64))
+        return cls(degree)
+
+    @property
+    def line_rule(self) -> QuadratureRule:
+        return gauss_hermite(default_nodes(self.degree))
+
+    @property
+    def plane_rule(self) -> QuadratureRule:
+        return gauss_hermite_plane(64)
 
 
 def _polar_grid(radius: float, step: float) -> np.ndarray:

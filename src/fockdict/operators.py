@@ -1,8 +1,8 @@
 """Operator dictionary on the truncated Fock basis.
 
 Fourier transform as rotation, spectral projections, displacement (Weyl)
-operators, the translation/modulation correspondence, dilation as an exact
-line-side matrix, and the multiplication/differentiation pair with its
+operators, the translation/modulation correspondence, dilation from its
+position ladder, and the multiplication/differentiation pair with its
 commutation relation.  All matrices act on coefficient vectors against
 e_n(z) = z^n/sqrt(n!).
 
@@ -24,8 +24,9 @@ import numpy as np
 
 from .bargmann import BargmannPipeline
 from .errors import AccuracyWarning
-from .fock import RESOLVED_DEFECT, FockVector, kernel_truncation_defect, log_factorials, lost_mass, point_values
-from .hermite import QuadratureRule, default_nodes, gauss_hermite, hermite_functions, require_line_rule
+from .fock import (RESOLVED_DEFECT, FockVector, exp_quadratic_coeffs, kernel_truncation_defect,
+                   log_factorials, lost_mass, point_values)
+from .hermite import QuadratureRule, require_line_rule
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,33 +280,49 @@ def translation_modulation_fock(a: float, b: float, degree: int,
 
 
 # ----------------------------------------------------------------------
-# Dilation as one exact line-side matrix
+# Dilation from its position ladder
 # ----------------------------------------------------------------------
 
 def dilation_matrix(r: float, degree: int, input_degree: int | None = None) -> OperatorMatrix:
-    """D[p, n] = <D_r h_n, h_p> = int h_p(x) sqrt(r) h_n(rx) dx, p <= degree, n <= input_degree.
+    """D[p, n] = <D_r e_n, e_p> of D_r g(x) = sqrt(r) g(rx), p <= degree, n <= input_degree.
 
-    Since B h_n = e_n, D is also the Fock-side matrix of D_r g(x) = sqrt(r) g(rx)
-    on e_0..e_N, and no plane quadrature is needed.  Its integrand is a
-    polynomial of degree p + n times e^{-(1+r^2)x^2}, so the pipeline's line
-    rule ``gauss_hermite(default_nodes(degree))`` is rescaled to that weight:
-    nodes x_k/s, weights against dx divided by s, s = sqrt(1+r^2).  It is
-    then exact while degree + input_degree < 2 * nodes; ValueError beyond
-    that (reachable at the 256-node cap), or for r that is not a finite
-    positive number.  The block has shape (degree+1, input_degree+1) and
-    real entries.
+    Since x D_r = D_r x / r and multiplication by x is X = (M + D)/2, the
+    columns obey the Hermite recurrence in r X:
+    D e_{n+1} = (2 r X D e_n - sqrt(n) D e_{n-1}) / sqrt(n+1), from the
+    dilated Gaussian D e_0 = sqrt(2r/(1+r^2)) e^{g z^2}, g = (1-r^2)/(2(1+r^2)).
+    X reaches one row down, so column n is built to row degree + K - n.  The
+    ladder is stable for r <= 1 only, so for r > 1 it runs at 1/r and the
+    block is transposed: D_r = D_{1/r}^T, D_r being real and unitary.  Every
+    entry is exact up to rounding, and a block is the leading part of any
+    larger one bit for bit.  ValueError for r that is not a finite positive
+    number or a negative degree.  The block has shape
+    (degree+1, input_degree+1) and real entries.
     """
     K = degree if input_degree is None else input_degree
-    line = gauss_hermite(default_nodes(degree))
     if not (np.isfinite(r) and r > 0):
         raise ValueError(f"r must be a finite positive number, got {r!r}")
-    if degree + K >= 2 * line.n_nodes:
-        raise ValueError(f"dilation needs input + output degree < {2 * line.n_nodes} "
-                         f"(line rule), got {K} + {degree}")
-    s = np.sqrt(1.0 + r * r)
-    x = line.nodes / s
-    scaled = hermite_functions(K, r * x) * (line.weights * (np.sqrt(r) / s))
-    return OperatorMatrix(hermite_functions(degree, x) @ scaled.T)
+    if min(degree, K) < 0:
+        raise ValueError(f"degrees must be >= 0, got {degree} and {K}")
+    if r > 1:
+        return OperatorMatrix(_dilation_ladder(1.0 / r, K, degree).T)
+    return OperatorMatrix(_dilation_ladder(r, degree, K))
+
+
+def _dilation_ladder(s: float, N: int, K: int) -> np.ndarray:
+    """Columns 0..K, rows 0..N, of D_s for s <= 1, by the position ladder."""
+    L = N + K + 1
+    g = (1.0 - s * s) / (2.0 * (1.0 + s * s))
+    root = np.sqrt(np.arange(L))
+    cols = np.empty((K + 1, N + 1))  # cols[n] = rows 0..N of column n
+    prev, cur = np.zeros(L), np.sqrt(2.0 * s / (1.0 + s * s)) * exp_quadratic_coeffs(g, 0.0, L - 1).real
+    cols[0] = cur[:N + 1]
+    for n in range(K):
+        m = L - n - 1  # rows of column n + 1: X reaches one row down
+        x2 = root[1:m + 1] * cur[1:]  # 2 X cur: sqrt(p+1) cur[p+1] + sqrt(p) cur[p-1]
+        x2[1:] += root[1:m] * cur[:m - 1]
+        prev, cur = cur[:m], (s * x2 - root[n] * prev[:m]) / root[n + 1]
+        cols[n + 1] = cur[:N + 1]
+    return cols.T
 
 
 @dataclass(frozen=True)
@@ -318,12 +335,11 @@ class DilationResult:
 def dilation_fock(r: float, f: FockVector, pipeline: BargmannPipeline) -> DilationResult:
     """Fock-side dilation, conjugate of D_r g(x) = sqrt(r) g(rx) on the line.
 
-    ``dilation_matrix`` at the pipeline's degree, on the line rule of
-    ``BargmannPipeline.default`` at that degree, built at f's degree and
-    applied to f: the output has the pipeline's degree, and ValueError is
-    raised once input plus output degree reaches twice the line rule's nodes.
+    ``dilation_matrix`` at the pipeline's degree, built on the columns f
+    reaches only and applied to f: the output has the pipeline's degree, and
+    equals the product with any wider block bit for bit.
     """
-    return DilationResult(dilation_matrix(r, pipeline.degree, f.degree).apply(f))
+    return DilationResult(dilation_matrix(r, pipeline.degree, f.reach).apply(f))
 
 
 # ----------------------------------------------------------------------

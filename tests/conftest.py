@@ -11,9 +11,11 @@ from fockdict.hermite import gauss_hermite, hermite_functions
 def _exact_dilation(r: float, n: int, degree: int, nodes: int = 250) -> np.ndarray:
     """<D_r h_n, h_m> = int sqrt(r) h_n(rx) h_m(x) dx for m = 0..degree.
 
-    The integrand is a polynomial of degree n + m times e^{-(1+r^2)x^2}, so
-    the Gauss-Hermite rule rescaled to that weight is exact once
-    nodes > (n + degree)/2; no plane rule or inverse integral is involved.
+    The independent line-quadrature oracle for ``operators.dilation_matrix``,
+    which uses no quadrature but the position ladder: the integrand is a
+    polynomial of degree n + m times e^{-(1+r^2)x^2}, so the Gauss-Hermite
+    rule rescaled to that weight is exact once nodes > (n + degree)/2; no
+    plane rule or inverse integral is involved.
     """
     assert 2 * nodes > n + degree
     rule = gauss_hermite(nodes)
@@ -25,7 +27,7 @@ def _exact_dilation(r: float, n: int, degree: int, nodes: int = 250) -> np.ndarr
 
 @pytest.fixture
 def exact_dilation():
-    """Columns of the line dilation D_r g(x) = sqrt(r) g(rx) against h_n, by exact quadrature."""
+    """Columns of the line dilation D_r g(x) = sqrt(r) g(rx) against h_n, by exact line quadrature."""
     return _exact_dilation
 
 

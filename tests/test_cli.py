@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fockdict import cli
+from fockdict import operators as op
 from fockdict.errors import AccuracyWarning
 from fockdict.fock import FockVector
 from fockdict.report import SUITE_NAMES, SuiteConfig, run_suite
@@ -279,8 +280,6 @@ def test_cli_env_degree(tmp_path):
     ("op", "apply", "--op", "fourier", "--in", "{tmp}/shape.json"),
     ("quantize", "verify-weyl", "--symbol", "{tmp}/noterms.json"),
     ("op", "apply", "--op", "fourier", "--in", "{tmp}/nan.json"),
-    ("op", "apply", "--op", "dilate", "--params", "2.0", "--in", "{tmp}/e1.json",
-     "--degree", "512"),
     ("op", "apply", "--op", "weyl", "--params", "nan,0", "--in", "{tmp}/e1.json",
      "--degree", "4"),
     ("op", "apply", "--op", "rotate", "--params", "inf", "--in", "{tmp}/e1.json",
@@ -312,7 +311,7 @@ def test_cli_env_degree(tmp_path):
 ], ids=["malformed-json", "missing-symbol", "bad-params", "negative-degree",
         "zero-degree", "tail-certificate", "zero-radius", "wrong-shape-vector",
         "symbol-without-terms", "non-finite-vector",
-        "dilate-output-beyond-line-rule", "non-finite-weyl-params", "non-finite-rotate-params",
+        "non-finite-weyl-params", "non-finite-rotate-params",
         "non-finite-dilate-params", "huge-lattice-disk", "removed-op-verify", "hilbert-object-as-csv",
         "uncertainty-object-as-csv", "removed-nodes", "option-the-command-does-not-read",
         "negative-core", "zero-core", "nan-extremal-c", "nan-extremal-a", "infinite-product-a",
@@ -427,6 +426,21 @@ def test_cli_dilate_takes_inputs_past_the_plane_rule(tmp_path, capsys, exact_dil
     got = np.array([complex(re, im) for re, im in json.loads(out)])
     want = sum(exact_dilation(2.0, n, 128) for n in range(66))
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_cli_dilate_runs_at_degree_512(tmp_path, capsys):
+    # input plus output degree 513: refused while dilation used a 256-node line rule
+    path = tmp_path / "e1.json"
+    path.write_text(vector_to_json(FockVector.basis(1, 4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["op", "apply", "--op", "dilate", "--params", "2.0",
+                         "--degree", "512", "--in", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    got = np.array([complex(re, im) for re, im in json.loads(out)])
+    want = op.dilation_matrix(2.0, 512, 1).apply(FockVector.basis(1, 512)).coeffs
+    assert np.array_equal(got, want)
 
 
 def test_cli_dilate_ignores_trailing_zeros(tmp_path, capsys, exact_dilation):

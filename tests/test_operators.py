@@ -530,19 +530,24 @@ def _dilation_closed_form(r: float, p: int, n: int) -> float:
     """D[p, n] = sqrt(beta p! n!) sum_k gamma^i beta^k (-gamma)^j / (i! k! j!), 2i + k = p,
     2j + k = n, with beta = 2r/(1+r^2) and gamma = (1-r^2)/(2(1+r^2)): the
     coefficients of the kernel sqrt(beta) exp(gamma z^2 + beta z conj(w) - gamma conj(w)^2).
-    The alternating sum cancels up to about (p + n)/2 * log10(2) digits,
-    which 80 digits cover up to p = n = 255."""
+    The sum runs down from k = min(p, n), each term from the last by the ratio
+    -(gamma/beta)^2 k (k-1) / ((i+1)(j+1)).  It alternates and cancels more
+    digits as p + n grows (a 120-digit sum reads -3.4e26 at p = n = 1024,
+    r = 0.5), so the precision is 60 + p + n digits."""
     if (p - n) % 2:
         return 0.0
-    with mpmath.workdps(80):
+    with mpmath.workdps(60 + p + n):
         r = mpmath.mpf(r)
         beta, gamma = 2 * r / (1 + r * r), (1 - r * r) / (2 * (1 + r * r))
         f = mpmath.factorial
-        total = mpmath.fsum(
-            gamma ** ((p - k) // 2) * beta**k * (-gamma) ** ((n - k) // 2)
-            / (f((p - k) // 2) * f(k) * f((n - k) // 2))
-            for k in range(p % 2, min(p, n) + 1, 2)
-        )
+        k = min(p, n)
+        i, j = (p - k) // 2, (n - k) // 2
+        term = gamma**i * beta**k * (-gamma) ** j / (f(i) * f(k) * f(j))
+        total, ratio = term, -((gamma / beta) ** 2)
+        while k >= 2:
+            term *= ratio * k * (k - 1) / ((i + 1) * (j + 1))
+            k, i, j = k - 2, i + 1, j + 1
+            total += term
         return float(mpmath.sqrt(beta * f(p) * f(n)) * total)
 
 
@@ -560,7 +565,7 @@ def test_dilation_matrix_against_closed_form(r, N):
 
 @pytest.mark.parametrize("r", [0.1, 10.0])
 def test_dilation_matrix_outside_the_old_ratio_range(r):
-    # no ratio limit: the rescaled rule is exact for every r > 0
+    # no ratio limit: the ladder runs at min(r, 1/r) for every r > 0
     D = dilation_matrix(r, 64).entries
     for p, n in ((0, 0), (64, 64), (64, 0), (0, 64), (31, 17), (50, 6)):
         assert abs(D[p, n] - _dilation_closed_form(r, p, n)) <= 1e-13, (p, n)
@@ -568,20 +573,53 @@ def test_dilation_matrix_outside_the_old_ratio_range(r):
 
 @pytest.mark.parametrize("r", [0.5, 2.0])
 def test_dilation_matrix_exactness_boundary(r):
-    # at N = 300 the line rule is at its 256-node cap and integrates
-    # polynomials to degree 511: K = 211 is exact, K = 212 refused
-    D = dilation_matrix(r, 300, 211).entries
-    assert D.shape == (301, 212)
-    for p, n in ((300, 210), (299, 211), (300, 0), (0, 210), (211, 211), (150, 100), (17, 3)):
+    # N + K = 512 was the bound of the old 256-node line rule; the ladder
+    # has none, and K = 212 is exact like K = 211
+    D = dilation_matrix(r, 300, 212).entries
+    assert D.shape == (301, 213)
+    for p, n in ((300, 212), (299, 211), (300, 0), (0, 212), (212, 212), (150, 100), (17, 3)):
         assert abs(D[p, n] - _dilation_closed_form(r, p, n)) <= 1e-13, (p, n)
-    with pytest.raises(ValueError, match=r"< 512 \(line rule\), got 212 \+ 300"):
-        dilation_matrix(r, 300, 212)
+
+
+@pytest.mark.parametrize("r", [0.01, 0.5, 0.999, 1.001, 2.0, 100.0])
+@pytest.mark.parametrize("N", [512, 1024])
+def test_dilation_matrix_at_high_degree(r, N):
+    # the ladder is least accurate near r = 1 (1.3e-14 at 0.999, N = 1024)
+    D = dilation_matrix(r, N).entries
+    for p, n in ((0, 0), (N, 0), (0, N), (N, N), (N, N - 2), (N - 1, N - 3), (N // 2, N // 2 + 2), (N // 3, 1)):
+        assert abs(D[p, n] - _dilation_closed_form(r, p, n)) <= 1e-13, (p, n)
+
+
+@pytest.mark.parametrize("r", [0.3, 0.999, 1.37, 2.0, 10.0])
+def test_dilation_matrix_blocks_are_leading_parts(r):
+    # the ladder builds entry (p, n) from entries (p', n') with n' < n alone
+    big = dilation_matrix(r, 200, 150).entries
+    for N, K in ((0, 0), (17, 3), (3, 17), (120, 150), (200, 40)):
+        assert np.array_equal(dilation_matrix(r, N, K).entries, big[:N + 1, :K + 1]), (N, K)
+
+
+@pytest.mark.parametrize("r", [1.37, 2.0, 10.0, 1e6])
+def test_dilation_matrix_is_its_inverse_transposed(r):
+    # D_r real and unitary, so D_r = D_{1/r}^T; for r > 1 the ladder runs at 1/r
+    assert np.array_equal(dilation_matrix(r, 90, 40).entries, dilation_matrix(1 / r, 40, 90).entries.T)
+
+
+def test_dilation_matrix_at_unit_ratio_is_the_identity():
+    for N, K in ((0, 0), (64, 64), (300, 100), (100, 300)):
+        assert np.array_equal(dilation_matrix(1.0, N, K).entries, np.eye(N + 1, K + 1))
 
 
 @pytest.mark.parametrize("r", [0.0, -1.0, math.inf, math.nan])
 def test_dilation_matrix_refuses_a_bad_ratio(r):
     with pytest.raises(ValueError, match="finite positive"):
         dilation_matrix(r, 8)
+
+
+@pytest.mark.parametrize("r", [0.5, 2.0])
+@pytest.mark.parametrize("degrees", [(-1, None), (-1, 0), (4, -1), (-2, -2)])
+def test_dilation_matrix_refuses_a_negative_degree(r, degrees):
+    with pytest.raises(ValueError, match=">= 0"):
+        dilation_matrix(r, *degrees)
 
 
 def test_dilation_identity():
@@ -621,16 +659,17 @@ def test_dilation_dual_path_agreement(r, n, inverse_integral_dilation):
 
 
 def test_dilation_preconditions():
-    # one guard, from the line rule at the pipeline's degree; no plane-rule
-    # input cap, and at degree 300 the rule is at its 256-node cap
+    # the ratio is checked; no plane-rule input cap and no bound on input
+    # plus output degree
     pipe = BargmannPipeline.default(24)
     with pytest.raises(ValueError):
         dilation_fock(0.0, FockVector.basis(0, 4), pipe)
     dilation_fock(2.0, FockVector.basis(0, 65), pipe)
     wide = BargmannPipeline.default(300)
-    dilation_fock(2.0, FockVector.basis(0, 211), wide)
-    with pytest.raises(ValueError, match=r"< 512 \(line rule\), got 212 \+ 300"):
-        dilation_fock(2.0, FockVector.basis(0, 212), wide)
+    for r in (0.5, 2.0):
+        got = dilation_fock(r, FockVector.basis(212, 212), wide).primary.coeffs
+        for p in (0, 2, 150, 298, 300):
+            assert abs(got[p] - _dilation_closed_form(r, p, 212)) <= 1e-13, (r, p)
 
 
 @pytest.mark.parametrize("r", [0.25, 0.5, 2.0, 4.0])
