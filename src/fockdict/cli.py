@@ -136,14 +136,7 @@ def _cmd_bargmann(args) -> int:
     N = args.degree or default_degree()
     line = _read_vector(args.input, "line").coeffs
     line = np.concatenate([line, np.zeros(max(0, N + 1 - len(line)))])[: N + 1]
-    lv = hm.LineVector(line)
-    if args.mode == "coeff":
-        _emit_vector(bg.bargmann_coeff(lv), args)
-        return 0
-    # quadrature path: coefficients recovered from the defining integrals
-    rule = bg.BargmannPipeline.default(N).line_rule
-    coeffs = hm.project_line(lambda x: lv(x), N, rule)
-    _emit_vector(bg.bargmann_coeff(coeffs), args)
+    _emit_vector(bg.bargmann_coeff(hm.LineVector(line)), args)
     return 0
 
 
@@ -183,11 +176,11 @@ def _cmd_singular_hilbert(args) -> int:
                    "lhs": [lhs.real, lhs.imag], "rhs": [rhs.real, rhs.imag],
                    "difference": abs(lhs - rhs)}, args)
     else:  # norm
-        series, tail = sg.fock_norm_A(200, with_tail=True)
+        series = sg.fock_norm_A(200)
         col_norm_sq = float(np.linalg.norm(sg.hilbert_fock_matrix(N).entries[:, 0]) ** 2)
         _emit_obj({"check": "norm", "degree": N,
                    "antiderivative_norm_sq_series": series,
-                   "series_tail_estimate": tail,
+                   "series_tail_estimate": math.pi / 4.0 - series,
                    "first_column_norm_sq": col_norm_sq,
                    "ratio_to_series": col_norm_sq / (4.0 / np.pi * series)}, args)
     return 0
@@ -217,7 +210,7 @@ def _cmd_gabor(args) -> int:
     elif args.action == "frame-bounds":
         N = args.degree or default_degree()
         Z = gb.PointSet.rectangular(a, b).clip_to_disk(resolved_radius(N))
-        core = max(2, N // 8) if args.core is None else args.core
+        core = min(max(2, N // 8), N // 2) if args.core is None else args.core
         A, B = gb.frame_bounds_finite(Z, N, core)
         _emit_obj({"lattice": [a, b], "degree": N, "core": core,
                    "points": len(Z.points), "lower": A, "upper": B}, args)
@@ -284,7 +277,6 @@ def _cmd_verify(args) -> int:
 
 def _declare_bargmann(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="LineVector JSON file")
-    p.add_argument("--mode", choices=["coeff", "quad"], default="coeff")
     _add_options(p, "degree", "format")
     p.set_defaults(fn=_cmd_bargmann)
 
@@ -324,7 +316,7 @@ def _declare_gabor(p: argparse.ArgumentParser) -> None:
                             help="comma-separated disk radii")
         if action == "frame-bounds":
             pg.add_argument("--core", type=int, default=None,
-                            help="core subspace degree (default degree/8)")
+                            help="core subspace degree (default degree/8 clamped to 2..degree/2)")
             _add_options(pg, "degree")
         else:
             _add_options(pg)

@@ -19,12 +19,11 @@ RESOLVED_DEFECT = 1e-8  # W_a is resolved at degree N while k_a loses at most th
 
 
 def _as_coeff_array(coeffs) -> np.ndarray:
-    arr = np.asarray(coeffs, dtype=np.complex128)
+    arr = np.array(coeffs, dtype=np.complex128)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("coefficients must be a non-empty 1-d sequence")
-    out = arr.copy()
-    out.setflags(write=False)
-    return out
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)

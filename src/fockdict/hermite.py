@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import point_values
+from .fock import _as_coeff_array, point_values
 
 GAUSS_CONST = (2.0 / np.pi) ** 0.25  # normalizing constant of h_0
 
@@ -205,11 +205,7 @@ class LineVector:
     tail_ratio: float | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=np.complex128).copy()
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("coefficients must be a non-empty 1-d sequence")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", _as_coeff_array(self.coeffs))
 
     @property
     def degree(self) -> int:

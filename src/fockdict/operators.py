@@ -40,7 +40,10 @@ class OperatorMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.complex128).copy()
+        # one copy, complex and row-major whatever the input: apply would
+        # cast a real block to a complex temporary on every call, and the
+        # layout fixes the product's rounding
+        arr = np.array(self.entries, dtype=np.complex128, order="C")
         if arr.ndim != 2:
             raise ValueError("entries must be a matrix")
         arr.setflags(write=False)

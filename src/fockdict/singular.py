@@ -36,12 +36,13 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import AccuracyWarning
-from .fock import RESOLVED_DEFECT, FockVector, kernel_truncation_defect, kernel_vector, point_values
+from .fock import (RESOLVED_DEFECT, FockVector, _as_coeff_array, kernel_truncation_defect, kernel_vector,
+                   point_values)
 from .hermite import composite_legendre
 from .operators import OperatorMatrix
 
@@ -82,46 +83,39 @@ class EntireSymbol:
     """Taylor coefficients phi_0..phi_K of an entire symbol at the origin.
 
     ``exact`` holds the coefficients as exact (re, im) fractions with
-    phi_k = scale * exact[k]; generic float input is converted losslessly
-    (every double is a binary rational).
+    phi_k = scale * exact[k]; ``symbol_from_taylor`` converts float input
+    losslessly (every double is a binary rational).
     """
 
-    taylor: np.ndarray
-    exact: tuple[_CFrac, ...] | None = None
+    exact: tuple[_CFrac, ...]
     scale: float = 1.0
 
     def __post_init__(self):
-        arr = np.asarray(self.taylor, dtype=np.complex128).copy()
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("taylor coefficients must be a non-empty 1-d sequence")
+        object.__setattr__(self, "exact", tuple(self.exact))
+        if not self.exact:
+            raise ValueError("a symbol needs at least one coefficient")
+
+    @cached_property
+    def taylor(self) -> np.ndarray:
+        """phi_k as floats, each rounded once from scale * exact[k]; read-only."""
+        arr = np.array([self.scale * complex(float(re), float(im)) for re, im in self.exact],
+                       dtype=np.complex128)
         arr.setflags(write=False)
-        object.__setattr__(self, "taylor", arr)
-        if self.exact is None:
-            object.__setattr__(self, "exact", tuple(_cfrac(c) for c in arr))
-            object.__setattr__(self, "scale", 1.0)
-        else:
-            object.__setattr__(self, "exact", tuple(self.exact))
+        return arr
 
     @property
     def degree(self) -> int:
-        return len(self.taylor) - 1
+        return len(self.exact) - 1
 
     def __call__(self, u):
         return point_values(np.polyval(self.taylor[::-1], np.ravel(u).astype(np.complex128)), np.shape(u))
 
     def truncated(self, degree: int) -> "EntireSymbol":
-        k = min(degree, self.degree) + 1
-        return EntireSymbol(self.taylor[:k], self.exact[:k], self.scale)
+        return EntireSymbol(self.exact[: min(degree, self.degree) + 1], self.scale)
 
 
 def symbol_from_taylor(taylor) -> EntireSymbol:
-    return EntireSymbol(np.asarray(taylor, dtype=np.complex128))
-
-
-def _symbol_from_exact(exact: list[_CFrac], scale: float = 1.0) -> EntireSymbol:
-    """Symbol with phi_k = scale * exact[k]; each float is rounded once."""
-    taylor = [scale * complex(float(re), float(im)) for re, im in exact]
-    return EntireSymbol(taylor, tuple(exact), scale)
+    return EntireSymbol(tuple(_cfrac(c) for c in _as_coeff_array(taylor)))
 
 
 def _odd_antiderivative(degree: int, squeeze: int) -> EntireSymbol:
@@ -133,7 +127,7 @@ def _odd_antiderivative(degree: int, squeeze: int) -> EntireSymbol:
     for n in range(0, (degree - 1) // 2 + 1):
         fr = Fraction(1, (2 * n + 1) * math.factorial(n) * squeeze**n)
         exact[2 * n + 1] = (fr, Fraction(0))
-    return _symbol_from_exact(exact, 1.0 / math.sqrt(squeeze))
+    return EntireSymbol(exact, 1.0 / math.sqrt(squeeze))
 
 
 def antiderivative_coeffs(degree: int) -> EntireSymbol:
@@ -151,8 +145,7 @@ def scaled_antiderivative_symbol(degree: int) -> EntireSymbol:
 def hilbert_symbol(degree: int) -> EntireSymbol:
     """Symbol of the Fock-side Hilbert transform: -(2/sqrt(pi)) A(u/sqrt(2))."""
     base = scaled_antiderivative_symbol(degree)
-    scale = -2.0 / math.sqrt(np.pi) * base.scale
-    return EntireSymbol(base.taylor * (-2.0 / math.sqrt(np.pi)), base.exact, scale)
+    return EntireSymbol(base.exact, -2.0 / math.sqrt(np.pi) * base.scale)
 
 
 def _exp_power_symbol(c: complex, power: int, degree: int) -> EntireSymbol:
@@ -164,7 +157,7 @@ def _exp_power_symbol(c: complex, power: int, degree: int) -> EntireSymbol:
         exact[power * n] = term
         re, im = _cfrac_mul(term, cx)
         term = (re / (n + 1), im / (n + 1))
-    return _symbol_from_exact(exact)
+    return EntireSymbol(exact)
 
 
 def gaussian_square_symbol(a: complex, degree: int) -> EntireSymbol:
@@ -177,13 +170,13 @@ def exp_linear_symbol(a: complex, degree: int) -> EntireSymbol:
     return _exp_power_symbol(np.conj(complex(a)), 1, degree)
 
 
-def fock_norm_A(n_terms: int, with_tail: bool = False):
+def fock_norm_A(n_terms: int) -> float:
     """Partial sum of ||A(z/sqrt(2))||^2 = 1/2 sum (2n+1)!/((2n+1)^2 4^n (n!)^2).
 
     The terms are binom(2n, n) 4^{-n} / (2n+1), the Taylor coefficients of
-    arcsin at 1, so the series sums to arcsin(1)/2 = pi/4; ``with_tail``
-    also returns the tail past n_terms as pi/4 minus the partial sum.  Terms
-    decay like n^{-3/2}, so the tail falls off like 1/(2 sqrt(pi n_terms)).
+    arcsin at 1, so the series sums to arcsin(1)/2 = pi/4 and the tail past
+    n_terms is pi/4 minus the partial sum.  Terms decay like n^{-3/2}, so
+    the tail falls off like 1/(2 sqrt(pi n_terms)).
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
@@ -193,10 +186,7 @@ def fock_norm_A(n_terms: int, with_tail: bool = False):
         if n >= 1:
             t *= (2 * n - 1) ** 2 / (2 * n * (2 * n + 1))
         total += t
-    value = 0.5 * total
-    if with_tail:
-        return value, math.pi / 4.0 - value
-    return value
+    return 0.5 * total
 
 
 def symbol_to_fock(symbol: EntireSymbol, degree: int) -> FockVector:

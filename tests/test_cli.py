@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import re
 import shlex
@@ -13,8 +14,10 @@ import pytest
 
 from fockdict import cli
 from fockdict import operators as op
+from fockdict.bargmann import bargmann_coeff
 from fockdict.errors import AccuracyWarning
 from fockdict.fock import FockVector
+from fockdict.hermite import LineVector
 from fockdict.report import SUITE_NAMES, SuiteConfig, run_suite
 from fockdict.serialize import (
     matrix_to_csv,
@@ -23,6 +26,7 @@ from fockdict.serialize import (
     vector_to_csv,
     vector_to_json,
 )
+from fockdict.singular import fock_norm_A
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # the CLI subprocesses import the package from this checkout, as the tests do
@@ -153,14 +157,16 @@ def test_unknown_suite_rejected():
 # ----------------------------------------------------------------------
 
 def test_cli_bargmann_modes(tmp_path):
+    # one path, the exact map h_n -> e_n of the padded or cut input; --mode is
+    # a usage error (test_cli_errors_are_one_line)
     path = tmp_path / "e1.json"
     path.write_text(vector_to_json(FockVector.basis(1, 4)))
-    out = run_cli("bargmann", "--input", str(path), "--mode", "coeff", "--degree", "6")
+    out = run_cli("bargmann", "--input", str(path), "--degree", "6")
     coeffs = json.loads(out.stdout)
     assert coeffs[1] == [1.0, 0.0]
-    out = run_cli("bargmann", "--input", str(path), "--mode", "quad", "--degree", "6")
-    coeffs = json.loads(out.stdout)
-    assert abs(complex(*coeffs[1]) - 1.0) < 1e-10
+    assert out.stdout == vector_to_json(bargmann_coeff(LineVector.basis(1, 6))) + "\n"
+    out = run_cli("bargmann", "--input", str(path), "--degree", "2", "--format", "csv")
+    assert out.stdout == vector_to_csv(bargmann_coeff(LineVector.basis(1, 2)))
 
 
 def test_cli_op_apply(tmp_path):
@@ -236,6 +242,28 @@ def test_cli_singular_hilbert():
     assert doc["difference"] < 1e-8
 
 
+def test_cli_hilbert_norm_tail_is_what_the_series_misses():
+    doc = json.loads(run_cli("singular", "hilbert", "--degree", "24", "--check", "norm").stdout)
+    assert doc["antiderivative_norm_sq_series"] == fock_norm_A(200)
+    assert doc["series_tail_estimate"] == math.pi / 4.0 - fock_norm_A(200)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_cli_frame_bounds_default_core_at_low_degree(degree, capsys):
+    # the default core, degree/8 but at least 2, is clamped to the largest
+    # valid core, degree/2; degree 1 has no valid core and stays a usage error
+    argv = ["gabor", "frame-bounds", "--lattice", "1,1", "--degree", str(degree)]
+    if degree == 1:
+        assert cli.main(argv) == 2
+        assert "core_degree must be in 1..degree/2, got 0" in capsys.readouterr().err
+        return
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["core"] == min(2, degree // 2)
+    assert cli.main([*argv, "--core", str(doc["core"])]) == 0
+    assert json.loads(capsys.readouterr().out) == doc
+
+
 def test_cli_verify_exit_codes():
     ok = run_cli("verify", "fourier", "--degree", "16", check=False)
     assert ok.returncode == 0
@@ -248,7 +276,7 @@ def test_cli_write_failure_carries_path(tmp_path):
     path = tmp_path / "e1.json"
     path.write_text(vector_to_json(FockVector.basis(1, 4)))
     proc = run_cli(
-        "bargmann", "--input", str(path), "--mode", "coeff",
+        "bargmann", "--input", str(path),
         "--out", "/nonexistent-dir/out.json", check=False,
     )
     assert proc.returncode != 0
@@ -259,8 +287,7 @@ def test_cli_env_degree(tmp_path):
     path = tmp_path / "e1.json"
     path.write_text(vector_to_json(FockVector.basis(1, 2)))
     proc = subprocess.run(
-        [sys.executable, "-m", "fockdict.cli", "bargmann", "--input", str(path),
-         "--mode", "coeff"],
+        [sys.executable, "-m", "fockdict.cli", "bargmann", "--input", str(path)],
         capture_output=True,
         text=True,
         env={**ENV, "FOCKDICT_DEGREE": "9"},
@@ -308,6 +335,8 @@ def test_cli_env_degree(tmp_path):
     ("uncertainty", "extremal", "--c", "2", "--f", "{tmp}/e1.json"),
     ("uncertainty", "product", "--f", "{tmp}/e1.json", "--c", "2"),
     ("op", "apply", "--op", "fourier", "--params", "1", "--in", "{tmp}/e1.json"),
+    ("bargmann", "--input", "{tmp}/e1.json", "--mode", "quad"),
+    ("bargmann", "--input", "{tmp}/e1.json", "--mode", "coeff"),
 ], ids=["malformed-json", "missing-symbol", "bad-params", "negative-degree",
         "zero-degree", "tail-certificate", "zero-radius", "wrong-shape-vector",
         "symbol-without-terms", "non-finite-vector",
@@ -318,7 +347,8 @@ def test_cli_env_degree(tmp_path):
         "infinite-lattice-step", "overflowing-cell-area", "overflowing-disk-area",
         "overflowing-product", "overflowing-extremal", "hilbert-takes-no-phi",
         "hilbert-takes-no-format", "apply-takes-no-check", "extremal-takes-no-f",
-        "product-takes-no-c", "fourier-takes-no-params"])
+        "product-takes-no-c", "fourier-takes-no-params", "bargmann-takes-no-mode-quad",
+        "bargmann-takes-no-mode-coeff"])
 def test_cli_errors_are_one_line(tmp_path, args, request):
     (tmp_path / "bad.json").write_text("[[1.0, 0.0], ")
     (tmp_path / "shape.json").write_text("[1, 2]")

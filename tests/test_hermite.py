@@ -346,6 +346,17 @@ def test_plane_rule_normalization():
     assert abs(np.sum(plane.weights * np.abs(plane.nodes) ** 2) - 1.0) < 1e-12
 
 
+def test_line_vector_checks_its_coefficients_as_a_fock_vector_does():
+    for bad in ([], np.zeros((2, 3)), 1.0):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            LineVector(bad)
+    real = np.array([1.0, -2.0])
+    v = LineVector(real)
+    assert v.coeffs.dtype == np.complex128 and not v.coeffs.flags.writeable
+    real[0] = 5.0  # the vector holds its own copy
+    assert v.coeffs[0] == 1.0
+
+
 def test_line_vector_eval():
     v = LineVector(np.array([0.0, 1.0], dtype=complex))
     xs = np.array([0.3, -0.7])

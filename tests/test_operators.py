@@ -15,6 +15,7 @@ from fockdict.fock import FockVector, kernel_vector, log_factorials
 from fockdict.gabor import box_frame_gram
 from fockdict.hermite import gauss_hermite, gauss_hermite_plane, hermite_function, hermite_functions
 from fockdict.operators import (
+    OperatorMatrix,
     _weyl_float_digit_loss,
     _weyl_phases,
     _weyl_real,
@@ -287,6 +288,22 @@ def test_weyl_input_degree_keeps_columns_bit_for_bit(N):
 def test_weyl_input_degree_outside_the_matrix_is_refused(K):
     with pytest.raises(ValueError, match="input_degree"):
         weyl_matrix(0.3, 12, K)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_operator_matrix_copies_a_real_block_once(layout):
+    # the complex row-major block is the only copy: 2001 x 1001 complex
+    # doubles, 30.6 MiB, also from a column-major input (a transposed ladder)
+    real = np.asarray(np.random.default_rng(0).standard_normal((2001, 1001)), order=layout)
+    tracemalloc.start()
+    try:
+        A = OperatorMatrix(real)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert A.entries.dtype == np.complex128 and A.entries.flags.c_contiguous
+    assert not A.entries.flags.writeable and np.array_equal(A.entries, real)
+    assert peak <= 1.05 * A.entries.nbytes, peak / 2**20
 
 
 def test_one_weyl_column_at_degree_2000_holds_that_column_only():

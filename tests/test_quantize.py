@@ -62,6 +62,16 @@ def test_heat_moment_identity():
             assert abs(got - want) < 1e-12
 
 
+def test_poly_symbol_is_the_direct_sum():
+    terms = {(1, 1): 2.0, (0, 3): 1 - 1j, (2, 0): 0.5j, (0, 0): -0.25}
+    zs = np.array([0.0, 1.0, -0.7 + 0.2j, 1.3j, 2.0 - 1.5j])
+    got = PolySymbol(terms)(zs)
+    for z, val in zip(zs, got):
+        want = sum(c * z**n * z.conjugate() ** m for (m, n), c in terms.items())
+        assert abs(val - want) <= 1e-15 * max(1.0, abs(want)), z
+    assert PolySymbol(terms)(zs[2]) == got[2]
+
+
 def test_real_symbol_gives_hermitian_matrix():
     sym = PolySymbol({(1, 1): 2.0, (0, 1): 1 - 1j, (1, 0): 1 + 1j, (0, 2): 0.5j, (2, 0): -0.5j})
     assert sym.is_real_valued

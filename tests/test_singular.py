@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -44,6 +45,32 @@ def test_antiderivative_taylor():
     assert np.all(sym.taylor[::2] == 0.0)  # odd function
 
 
+def test_a_symbol_stores_its_exact_coefficients_only():
+    assert [f.name for f in dataclasses.fields(EntireSymbol)] == ["exact", "scale"]
+    # the floats are read from scale * exact, each rounded once, and cached read-only
+    sym = hilbert_symbol(255)
+    want = [sym.scale * complex(float(re), float(im)) for re, im in sym.exact]
+    assert np.array_equal(sym.taylor, want) and np.count_nonzero(sym.taylor) == 128
+    assert sym.taylor is sym.taylor and not sym.taylor.flags.writeable
+    with pytest.raises(ValueError):
+        sym.taylor[1] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sym.taylor = np.zeros(256)
+    assert sym.degree == 255 and sym.truncated(8).degree == 8
+    assert np.array_equal(sym.truncated(8).taylor, sym.taylor[:9])
+
+
+def test_symbol_from_taylor_checks_its_input_once():
+    coeffs = np.random.default_rng(3).standard_normal(9) + 1j
+    assert np.array_equal(symbol_from_taylor(coeffs).taylor, coeffs)
+    assert symbol_from_taylor(coeffs.real).exact == tuple((Fraction(c), Fraction(0)) for c in coeffs.real)
+    for bad in ([], np.zeros((2, 3))):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            symbol_from_taylor(bad)
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        EntireSymbol(())
+
+
 def test_norm_series_first_term_and_monotone():
     assert fock_norm_A(1) == 0.5
     partials = [fock_norm_A(n) for n in (1, 2, 5, 20, 100)]
@@ -66,8 +93,7 @@ def test_norm_series_tail_estimate():
                 term *= mpmath.mpf((2 * k - 1) ** 2) / (2 * k * (2 * k + 1))
             partial += term
             if k + 1 in (1, 100, 200):
-                val, tail = fock_norm_A(k + 1, with_tail=True)
-                assert val == fock_norm_A(k + 1)
+                tail = math.pi / 4.0 - fock_norm_A(k + 1)
                 assert abs(tail - float(mpmath.pi / 4 - partial / 2)) <= 1e-13, k + 1
 
 
@@ -157,7 +183,7 @@ def _series_reference(symbol, N):
 
 
 def _negated(symbol):
-    return EntireSymbol(-2.5 * symbol.taylor, symbol.exact, -2.5 * symbol.scale)
+    return EntireSymbol(symbol.exact, -2.5 * symbol.scale)
 
 
 _RNG_TAYLOR = np.random.default_rng(11).standard_normal((33, 2)) @ np.array([1.0, 1j])
