@@ -209,6 +209,9 @@ def _cmd_gabor(args) -> int:
         }, args)
     elif args.action == "frame-bounds":
         N = args.degree or default_degree()
+        if N < 2:
+            raise ValueError("frame bounds need --degree >= 2, "
+                             "because degree 1 has no core in 1..degree/2")
         Z = gb.PointSet.rectangular(a, b).clip_to_disk(resolved_radius(N))
         core = min(max(2, N // 8), N // 2) if args.core is None else args.core
         A, B = gb.frame_bounds_finite(Z, N, core)

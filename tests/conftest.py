@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fockdict.bargmann import inverse_bargmann_quadrature
-from fockdict.fock import log_factorials
+from fockdict.fock import exp_quadratic_coeffs, log_factorials
 from fockdict.hermite import gauss_hermite, hermite_functions
 
 
@@ -50,6 +50,33 @@ def _inverse_integral_dilation(r: float, f, pipeline) -> np.ndarray:
 def inverse_integral_dilation():
     """The Fock-side dilation by way of the plane quadrature of the inverse integral."""
     return _inverse_integral_dilation
+
+
+def _dilation_plane_kernels(r: float, fs, pipeline) -> list[np.ndarray]:
+    """Fock coefficients of each dilated f in fs by plane quadrature of the direct kernel.
+
+        sqrt(2r/(1+r^2)) e^{g z^2} int f(-iw) e^{g conj(w)^2}
+            e^{2 i r z conj(w)/(1+r^2)} dlambda(w),
+
+    with g = (1-r^2)/(2(1+r^2)), on the pipeline's plane rule, up to its
+    degree; coefficients come from the e_n recurrence of e^{g z^2 + beta z},
+    one table over the plane nodes shared by all of fs.  It shares no step
+    with ``operators.dilation_matrix``; it is accurate for f of modest
+    degree relative to the plane rule.
+    """
+    plane = pipeline.plane_rule
+    gamma = (1.0 - r * r) / (2.0 * (1.0 + r * r))
+    pref = np.sqrt(2.0 * r / (1.0 + r * r))
+    wbar = np.conj(plane.nodes)
+    beta = 2j * r * wbar / (1.0 + r * r)
+    table = exp_quadratic_coeffs(gamma, beta, pipeline.degree)
+    return [pref * (table @ (plane.weights * f(-1j * plane.nodes) * np.exp(gamma * wbar**2))) for f in fs]
+
+
+@pytest.fixture
+def dilation_plane_kernels():
+    """The Fock-side dilation by way of the plane quadrature of the direct kernel."""
+    return _dilation_plane_kernels
 
 
 def _kernel_tail(r: float, N: int) -> float:

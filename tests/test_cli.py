@@ -98,7 +98,7 @@ def test_report_schema():
     rep = run_suite("fourier", SuiteConfig(degree=16))
     doc = json.loads(rep.to_json())
     assert set(doc) == {"suite", "config", "cases", "pass"}
-    assert set(doc["config"]) == {"degree", "nodes", "seed"}
+    assert set(doc["config"]) == {"degree", "seed"}
     for case in doc["cases"]:
         assert set(case) == {"id", "ref", "residual", "tolerance", "pass"}
         assert isinstance(case["residual"], float)
@@ -116,13 +116,28 @@ def test_report_determinism():
 def test_report_env_degree(monkeypatch):
     monkeypatch.setenv("FOCKDICT_DEGREE", "9")
     config = json.loads(run_suite("fourier", SuiteConfig()).to_json())["config"]
-    assert (config["degree"], config["nodes"]) == (9, 64)
+    assert config["degree"] == 9
 
 
-@pytest.mark.parametrize("degree", [1, 4, 8, 16, 24, 32])
+@pytest.mark.parametrize("degree", [1, 4, 8, 16, 24, 32, 64, 512, 2000])
 def test_dilation_suite_passes_at_low_degree(degree):
-    # the suite keeps output degree min(N, 32) on that degree's default pipeline
     assert run_suite("dilation", SuiteConfig(degree=degree)).passed
+
+
+def test_dilation_suite_checks_the_requested_degree(monkeypatch):
+    # a block wrong only in rows or columns above 32 fails every case at degree 64
+    exact = op.dilation_matrix
+
+    def corrupted(r, degree, input_degree=None):
+        entries = exact(r, degree, input_degree).entries.copy()
+        entries[33:, :] += 1e-6
+        entries[:, 33:] += 1e-6
+        return op.OperatorMatrix(entries)
+
+    monkeypatch.setattr(op, "dilation_matrix", corrupted)
+    rep = run_suite("dilation", SuiteConfig(64))
+    assert not rep.passed
+    assert not any(c.passed for c in rep.cases)
 
 
 def test_hilbert_suite_passes_at_degree_256():
@@ -255,7 +270,8 @@ def test_cli_frame_bounds_default_core_at_low_degree(degree, capsys):
     argv = ["gabor", "frame-bounds", "--lattice", "1,1", "--degree", str(degree)]
     if degree == 1:
         assert cli.main(argv) == 2
-        assert "core_degree must be in 1..degree/2, got 0" in capsys.readouterr().err
+        assert ("frame bounds need --degree >= 2, because degree 1 has no core in 1..degree/2"
+                in capsys.readouterr().err)
         return
     assert cli.main(argv) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -36,7 +36,6 @@ from fockdict.operators import (
     weyl_interior_block,
     weyl_matrix,
 )
-from fockdict.report import _dilation_plane_kernels
 from fockdict.singular import exp_linear_symbol, s_phi_matrix
 
 
@@ -435,7 +434,7 @@ def test_box_frame_gram_builds_one_real_stage_per_modulus():
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "float log-scale path loses ~1e-4 below the digit-loss switch at degree 64 "
-    "(ROADMAP item 1; pinned in bench/test_oracles.py::"
+    "(ROADMAP item 3; pinned in bench/test_oracles.py::"
     "test_weyl_float_path_misses_stay_visible until a benchmark change retires it)"))
 def test_weyl_float_path_meets_contract_below_switch():
     a, N = 1.8 + 0.666j, 64  # digit loss 9.9: the float path is chosen
@@ -646,7 +645,7 @@ def test_dilation_identity():
 
 
 @pytest.mark.parametrize("r", [0.5, 2.0])
-def test_dilation_gauss_closed_form(r):
+def test_dilation_gauss_closed_form(r, dilation_plane_kernels):
     # dilating the Gaussian scales it: image has coefficients of e^{g z^2}
     pipe = BargmannPipeline.default(24)
     f = FockVector.basis(0, 8)
@@ -661,17 +660,17 @@ def test_dilation_gauss_closed_form(r):
             / math.factorial(k)
         )
     assert np.max(np.abs(res.primary.coeffs - want)) < 1e-7
-    assert np.max(np.abs(_dilation_plane_kernels(r, [f], pipe)[0] - want)) < 1e-9
+    assert np.max(np.abs(dilation_plane_kernels(r, [f], pipe)[0] - want)) < 1e-9
 
 
 @pytest.mark.parametrize("r", [0.5, 2.0])
 @pytest.mark.parametrize("n", [0, 1])
-def test_dilation_dual_path_agreement(r, n, inverse_integral_dilation):
+def test_dilation_dual_path_agreement(r, n, dilation_plane_kernels, inverse_integral_dilation):
     # the matrix against both plane-quadrature routes it replaced
     pipe = BargmannPipeline.default(24)
     f = FockVector.basis(n, 8)
     got = dilation_fock(r, f, pipe).primary.coeffs
-    assert np.linalg.norm(got - _dilation_plane_kernels(r, [f], pipe)[0]) < 1e-5
+    assert np.linalg.norm(got - dilation_plane_kernels(r, [f], pipe)[0]) < 1e-5
     assert np.linalg.norm(got - inverse_integral_dilation(r, f, pipe)) < 1e-5
 
 
@@ -691,7 +690,7 @@ def test_dilation_preconditions():
 
 @pytest.mark.parametrize("r", [0.25, 0.5, 2.0, 4.0])
 @pytest.mark.parametrize("n", [0, 8, 24, 48, 64])
-def test_dilation_boundary_scan(r, n, exact_dilation, inverse_integral_dilation):
+def test_dilation_boundary_scan(r, n, exact_dilation, inverse_integral_dilation, dilation_plane_kernels):
     # output degree up to the 256-node line rule; the plane-rule oracles are
     # checked up to their limit, input degree 64 (the 64 x 64 plane rule)
     tol = 1e-9 if n == 64 else 1e-12
@@ -701,7 +700,7 @@ def test_dilation_boundary_scan(r, n, exact_dilation, inverse_integral_dilation)
         want = exact_dilation(r, n, N)
         assert np.max(np.abs(dilation_fock(r, f, pipe).primary.coeffs - want)) <= 1e-12, N
         assert np.max(np.abs(inverse_integral_dilation(r, f, pipe) - want)) <= tol, N
-        assert np.max(np.abs(_dilation_plane_kernels(r, [f], pipe)[0] - want)) <= tol, N
+        assert np.max(np.abs(dilation_plane_kernels(r, [f], pipe)[0] - want)) <= tol, N
 
 
 # ----------------------------------------------------------------------
