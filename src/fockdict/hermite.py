@@ -21,7 +21,10 @@ from .fock import _as_coeff_array, point_values
 
 GAUSS_CONST = (2.0 / np.pi) ** 0.25  # normalizing constant of h_0
 
-_MAX_GH_NODES = 256
+# the largest n_nodes whose outermost node x keeps psi_0(x) = pi^{-1/4} exp(-x^2/2)
+# a normal double (x^2/2 = 707.6 at 728 nodes); past it psi_0 is subnormal and
+# the Christoffel recurrence of ``gauss_hermite`` starts without full precision
+MAX_GH_NODES = 728
 
 
 def hermite_function(n: int, x):
@@ -57,8 +60,13 @@ class QuadratureRule:
     """Nodes and weights tagged with the kind of rule they form.
 
     weight == "hermite": Gauss-Hermite nodes on R with their weights against
-        plain dx, sum w_k f(x_k) ~ int f(x) dx for f a polynomial times
-        exp(-x^2); a sum against exp(-x^2) reads w_k exp(-x_k^2).
+        plain dx, sum w_k f(x_k) ~ int f(x) dx, exact for f a polynomial of
+        degree <= 2 n_nodes - 1 times exp(-x^2); a sum against exp(-x^2)
+        reads w_k exp(-x_k^2).
+    weight == "product": the Gauss rule on R for exp(-2x^2), weights against
+        plain dx, exact for f a polynomial of degree <= 2 n_nodes - 1 times
+        exp(-2x^2): the Gaussian part of a product h_p h_q, so the rule
+        integrates h_p h_q exactly for p + q <= 2 n_nodes - 1.
     weight == "plane":   nodes are complex, sum w_k f(z_k) ~ int f dlambda.
     weight == "legendre": plain composite rule, int f(x) dx on [lo, hi].
 
@@ -107,8 +115,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def require_line_rule(rule: QuadratureRule, consumer: str) -> None:
-    """ValueError unless ``rule`` is a Gauss-Hermite line rule, naming ``consumer``."""
-    if rule.weight != "hermite":
+    """ValueError unless ``rule`` is a Gauss rule on R ("hermite" or "product"), naming ``consumer``."""
+    if rule.weight not in ("hermite", "product"):
         raise ValueError(f"{consumer} needs a Gauss-Hermite rule")
 
 
@@ -136,15 +144,29 @@ def gauss_hermite(n_nodes: int) -> QuadratureRule:
 
     The Jacobi matrix has off-diagonal sqrt(k/2), and the weight at node x_k
     is 1 / sum_j psi_j(x_k)^2 over the orthonormal weight-one Hermite
-    functions psi_0 = pi^{-1/4} exp(-x^2/2); none of these overflows or
-    underflows up to the 256-node cap.  The weights against exp(-x^2) are
-    w_k exp(-x_k^2) and sum to sqrt(pi).  Each rule is built once per
-    process.
+    functions psi_0 = pi^{-1/4} exp(-x^2/2); up to the 728-node cap psi_0
+    at the outermost node is a normal double and no weight overflows or
+    underflows.  The weights against exp(-x^2) are w_k exp(-x_k^2) and sum
+    to sqrt(pi).  Each rule is built once per process.
     """
-    if not 1 <= n_nodes <= _MAX_GH_NODES:
-        raise ValueError(f"n_nodes must be in 1..{_MAX_GH_NODES}")
+    if not 1 <= n_nodes <= MAX_GH_NODES:
+        raise ValueError(f"n_nodes must be in 1..{MAX_GH_NODES}")
     off = np.sqrt(np.arange(1, n_nodes) / 2.0)
     return QuadratureRule(*_golub_welsch(off, lambda x: np.pi**-0.25 * np.exp(-(x**2) / 2.0)))
+
+
+@lru_cache(maxsize=None)
+def product_rule(n_nodes: int) -> QuadratureRule:
+    """Gauss rule on R for the weight exp(-2x^2), its weights against dx.
+
+    ``gauss_hermite(n_nodes)`` with nodes and weights divided by sqrt(2), the
+    substitution x -> x / sqrt(2); exact for h_p h_q times a polynomial of
+    degree <= 2 n_nodes - 1 - p - q.  Tagged "product", which every
+    line-rule consumer accepts.  Each rule is built once per process.
+    """
+    line = gauss_hermite(n_nodes)
+    root2 = math.sqrt(2.0)
+    return QuadratureRule(line.nodes / root2, line.weights / root2, "product")
 
 
 @lru_cache(maxsize=8)  # a 256-node plane rule alone holds 65,536 nodes
@@ -188,8 +210,11 @@ def composite_legendre(lo: float, hi: float, n_panels: int) -> QuadratureRule:
 
 
 def default_nodes(degree: int) -> int:
-    """4 nodes per degree for smooth integrands, at least 64, capped at the rule limit."""
-    return min(_MAX_GH_NODES, max(64, 4 * degree))
+    """4 nodes per degree for smooth integrands, at least 64, at most 256.
+
+    The line rule of ``BargmannPipeline``; the verify cases size their own.
+    """
+    return min(256, max(64, 4 * degree))
 
 
 @dataclass(frozen=True, eq=False)

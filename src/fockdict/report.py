@@ -111,7 +111,8 @@ def _normals(rng: random.Random, count: int) -> np.ndarray:
 
 
 def _case_bargmann(cfg: SuiteConfig) -> list[CaseResult]:
-    rule, plane = hm.gauss_hermite(hm.default_nodes(cfg.degree)), hm.gauss_hermite_plane(64)
+    # b1 and b4 do not depend on the degree: the 64-node line under the plane rule
+    rule, plane = hm.gauss_hermite(64), hm.gauss_hermite_plane(64)
     rng = random.Random(cfg.seed)
     zs = (_normals(rng, 10) + 1j * _normals(rng, 10)) * 0.9
     worst = 0.0
@@ -176,7 +177,7 @@ def _case_fourier(cfg: SuiteConfig) -> list[CaseResult]:
     out.append(CaseResult("f3-spectral-recombination", "projection recombination equals the transform",
                           float(np.max(np.abs(rec - op.fourier_fock(f).coeffs))), 1e-15))
 
-    rule = hm.gauss_hermite(hm.default_nodes(cfg.degree))
+    rule = hm.gauss_hermite(64)
     xs = np.linspace(-4.0, 4.0, 33)
     vals = op.fourier_line_quadrature(lambda t: hm.hermite_function(2, t), xs, rule)
     out.append(CaseResult("f4-line-transport", "line-side eigenrelation for index 2",
@@ -208,8 +209,12 @@ def _case_weyl(cfg: SuiteConfig) -> list[CaseResult]:
     out.append(CaseResult("w4-composition", "opposite displacements cancel on the interior",
                           float(np.max(np.abs(P[:blk, :blk] - np.eye(blk)))) if blk else 1.0, 1e-10))
 
+    # h_m(x) h_n(x - a) e^{2 pi i b x} is exp(-2x^2) times a polynomial of
+    # degree m + n <= N + 1 times exp((2a + 2 pi i b) x - a^2); N + 1 nodes for
+    # that weight leave N more degrees to the exponential's Taylor series,
+    # too few at low degree (3.5e-7 on 17 nodes at degree 16), so at least 64
     a, b = 0.5, 0.3
-    rule = hm.gauss_hermite(hm.default_nodes(N))
+    rule = hm.product_rule(min(max(N + 1, 64), hm.MAX_GH_NODES))
     Wm = op.translation_modulation_fock(a, b, N, input_degree=1)
     worst = 0.0
     for n in (0, 1):  # the line image of h_n is h_n(x - a) e^{2 pi i b x}
@@ -325,7 +330,9 @@ def _case_hilbert(cfg: SuiteConfig) -> list[CaseResult]:
     out.append(CaseResult("h4-skew-adjoint", "matrix is skew-adjoint",
                           float(np.max(np.abs(T.entries + T.entries.conj().T))), 1e-15))
 
-    rule = hm.gauss_hermite(hm.default_nodes(N))
+    # h_m times the Hilbert image of h_n, which decays only like 1/x: 2N nodes
+    # for exp(-2x^2), and N + 48 below degree 48 (2N alone read 1.4e-10 at 31)
+    rule = hm.product_rule(min(max(2 * N, N + 48), hm.MAX_GH_NODES))
     hv = sg.hilbert_line_pv(lambda t: hm.hermite_functions(2, t), rule.nodes)
     worst = 0.0
     for n in range(min(3, N + 1)):

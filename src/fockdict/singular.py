@@ -33,10 +33,12 @@ closed form's test oracle.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -68,8 +70,12 @@ def _split(u: int, den: int) -> tuple[float, int]:
 
 
 def _sqrt_factorials(n: int):
-    """sqrt(k!) = r[k] 2^s[k] for k = 0..n, split from isqrt(k! 4^64) / 2^64."""
-    return zip(*(_split(math.isqrt(math.factorial(k) << 128), 1 << 64) for k in range(n + 1)))
+    """sqrt(k!) = r[k] 2^s[k] for k = 0..n, split from isqrt(k! 4^64) / 2^64.
+
+    k! is the running product 0!, 1!, ..., n!, one multiplication per k.
+    """
+    factorials = accumulate(range(1, n + 1), operator.mul, initial=1)
+    return zip(*(_split(math.isqrt(f << 128), 1 << 64) for f in factorials))
 
 
 def _round_scaled(u: int, den: int, w: float, sh: int) -> float:

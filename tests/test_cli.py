@@ -141,9 +141,19 @@ def test_dilation_suite_checks_the_requested_degree(monkeypatch):
 
 
 def test_hilbert_suite_passes_at_degree_256():
-    # h5 integrates on the suite's own 256-node rule; a 192-node rule
-    # missed the 1e-10 contract from about degree 210
+    # h5 integrates on the suite's own 512-node rule for exp(-2x^2); a
+    # 192-node rule for exp(-x^2) missed the 1e-10 contract from about degree 210
     assert run_suite("hilbert", SuiteConfig(degree=256)).passed
+
+
+@pytest.mark.parametrize("degree", [31, 32, 33, 64, 128, 256, 320, 512])
+def test_line_rule_cases_hold_across_degrees(degree):
+    # h5 sums on product_rule(max(2N, N + 48)), w5 on product_rule(max(N + 1, 64)),
+    # both at most 728 nodes; on 2N nodes alone h5 read 1.4e-10 at degree 31,
+    # and on the 256-node cap of the exp(-x^2) rule both failed at degree 512
+    cases = {c.id: c for suite in ("hilbert", "weyl") for c in run_suite(suite, SuiteConfig(degree)).cases}
+    for cid in ("h5-principal-value-oracle", "w5-shift-modulation-dictionary"):
+        assert cases[cid].passed and cases[cid].residual <= 1e-13, (cid, cases[cid].residual)
 
 
 @pytest.mark.parametrize("degree", [178, 180, 200, 256])

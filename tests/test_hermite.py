@@ -18,6 +18,7 @@ from fockdict.hermite import (
     hermite_function,
     hermite_functions,
     interval_coeffs,
+    product_rule,
     project_line,
 )
 from fockdict.operators import fourier_line_quadrature
@@ -148,7 +149,45 @@ def test_gauss_hermite_bounds():
     with pytest.raises(ValueError):
         gauss_hermite(0)
     with pytest.raises(ValueError):
-        gauss_hermite(257)
+        gauss_hermite(729)
+
+
+def test_gauss_hermite_at_the_node_cap():
+    # 728 nodes is the largest rule whose outermost node x keeps
+    # psi_0(x) = pi^{-1/4} exp(-x^2/2) a normal double
+    rule = gauss_hermite(728)
+    x, w = rule.nodes, rule.weights
+    assert np.all(np.isfinite(w)) and np.all(w > 0.0)
+    assert abs(np.sum(w * np.exp(-(x**2))) / math.sqrt(math.pi) - 1.0) <= 1e-14
+    assert np.max(np.abs(x + x[::-1])) <= 1e-13 * x[-1]
+    for k in (0, 1, 726, 727):
+        want = _mp_christoffel_weight(728, x[k])
+        assert abs(w[k] - want) <= 1e-13 * want, k
+    tiny = np.finfo(np.float64).tiny
+    assert np.pi**-0.25 * np.exp(-x[-1] ** 2 / 2.0) >= tiny
+    # one node more and psi_0 at the outermost node is subnormal
+    off = np.sqrt(np.arange(1, 729) / 2.0)
+    x_next = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))[-1]
+    assert np.pi**-0.25 * np.exp(-x_next**2 / 2.0) < tiny
+
+
+def test_product_rule_is_the_hermite_rule_rescaled():
+    rule, line = product_rule(40), gauss_hermite(40)
+    assert product_rule(40) is rule and rule.weight == "product"
+    assert np.array_equal(rule.nodes, line.nodes / math.sqrt(2.0))
+    assert np.array_equal(rule.weights, line.weights / math.sqrt(2.0))
+    with pytest.raises(ValueError):
+        product_rule(729)
+
+
+def test_product_rule_integrates_hermite_products_exactly():
+    # h_p h_q is a polynomial of degree p + q times exp(-2x^2): 40 nodes
+    # are exact for p + q <= 79, so the Gram matrix of h_0..h_39 is I
+    rule = product_rule(40)
+    H = rule.hermite_table(39)
+    assert np.max(np.abs((H * rule.weights) @ H.T - np.eye(40))) <= 1e-13
+    v = project_line(lambda x: hermite_functions(5, x)[5], 20, product_rule(21))
+    assert np.max(np.abs(v.coeffs - np.eye(21)[5])) <= 1e-14
 
 
 def test_even_moment_exactness():
@@ -310,6 +349,11 @@ def test_line_consumers_refuse_other_rules(consumer, kind):
     rule = gauss_hermite_plane(8) if kind == "plane" else composite_legendre(0.0, 1.0, 1)
     with pytest.raises(ValueError, match=f"{consumer} needs a Gauss-Hermite rule"):
         _LINE_CONSUMERS[consumer](rule)
+
+
+@pytest.mark.parametrize("consumer", list(_LINE_CONSUMERS))
+def test_line_consumers_accept_the_product_rule(consumer):
+    _LINE_CONSUMERS[consumer](product_rule(8))
 
 
 def test_legendre_rule_matches_leggauss():

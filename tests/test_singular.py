@@ -16,6 +16,7 @@ from fockdict.singular import (
     TSQUARE_SPAN,
     EntireSymbol,
     _round_scaled,
+    _split,
     _sqrt_factorials,
     antiderivative_coeffs,
     berezin_check,
@@ -232,6 +233,13 @@ def test_symbol_degree_guard():
 # ----------------------------------------------------------------------
 # Hilbert transform
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [0, 1, 64, 399])
+def test_sqrt_factorials_equal_the_per_index_form(n):
+    # the running product of k! gives the same integers as math.factorial(k)
+    per_index = zip(*(_split(math.isqrt(math.factorial(k) << 128), 1 << 64) for k in range(n + 1)))
+    assert tuple(_sqrt_factorials(n)) == tuple(per_index)
+
 
 def test_hilbert_first_column_is_symbol():
     N = 64
