@@ -23,9 +23,6 @@ from .hermite import (
     GAUSS_CONST,
     LineVector,
     QuadratureRule,
-    default_nodes,
-    gauss_hermite,
-    gauss_hermite_plane,
     require_line_rule,
 )
 
@@ -50,7 +47,7 @@ def bargmann_quadrature(f: Callable, z, rule: QuadratureRule):
     exp(2x i Im z) oscillates, so accuracy degrades once |Im z| outruns the
     rule's phase resolution (flagged at |Im z| > n_nodes / 8).  The kernel
     is formed for _BLOCK points at a time, sorted by Re z, over the
-    node window ``_node_window`` certifies for the block.
+    node window ``_node_windows`` certifies for the block.
     """
     require_line_rule(rule, "bargmann_quadrature")
     zs = np.asarray(z, dtype=np.complex128).ravel()
@@ -60,39 +57,43 @@ def bargmann_quadrature(f: Callable, z, rule: QuadratureRule):
         )
     x = rule.nodes
     fx = rule.weights * np.exp(-(x**2)) * np.asarray(f(x), dtype=np.complex128)
-    with np.errstate(divide="ignore"):
-        log_mag = np.log(np.abs(fx)) if np.all(np.isfinite(fx)) else None
     order = np.argsort(zs.real)
+    starts = np.arange(0, zs.size, _BLOCK)
     vals = np.empty(zs.shape, dtype=np.complex128)
-    for start in range(0, zs.size, _BLOCK):
+    for start, lo, hi in zip(starts, *_node_windows(fx, x, zs.real[order], starts)):
         idx = order[start : start + _BLOCK]
         zb = zs[idx]
-        lo, hi = _node_window(log_mag, x, zb.real[0], zb.real[-1])
-        kernel = np.exp(2.0 * np.outer(zb, x[lo:hi]) - (zb**2 / 2.0)[:, None])
-        vals[idx] = GAUSS_CONST * (kernel @ fx[lo:hi])
+        kernel = np.multiply.outer(2.0 * zb, x[lo:hi])
+        kernel -= (zb**2 / 2.0)[:, None]
+        vals[idx] = GAUSS_CONST * (np.exp(kernel, out=kernel) @ fx[lo:hi])
     return point_values(vals, np.shape(z))
 
 
-def _node_window(log_mag, x, s0: float, s1: float) -> tuple[int, int]:
-    """Nodes [lo, hi) whose terms can matter anywhere on the block s0 <= Re z <= s1.
+def _node_windows(fx, x, s, starts) -> tuple[np.ndarray, np.ndarray]:
+    """Node windows [lo, hi) per block of the sorted Re z values s; block i starts at starts[i].
 
-    The term k at z has modulus exp(g_k(Re z) - Re(z^2)/2) with
-    g_k(s) = log|w_k f(x_k)| + 2 s x_k, and the second part is common to
-    all k.  Each g_k is linear in s, so U_k = max(g_k(s0), g_k(s1)) bounds
-    it on the block and L = max_k min(g_k(s0), g_k(s1)) bounds every point's
-    largest term from below.  A node is dropped only if
-    U_k < L + log(eps / n_nodes): the dropped terms then add up to less than
-    eps times the largest term at every point, under the rounding of the sum
-    itself.  Without finite data (log_mag None, or a non-finite Re z) every
-    node is kept, so NaN and inf propagate as in the full sum.
+    On a block s0 <= Re z <= s1 the term k at z has modulus
+    exp(g_k(Re z) - Re(z^2)/2) with g_k(s) = log|fx_k| + 2 s x_k, and the
+    second part is common to all k.  Each g_k is linear in s, so
+    U_k = max(g_k(s0), g_k(s1)) bounds it on the block and
+    L = max_k min(g_k(s0), g_k(s1)) bounds every point's largest term from
+    below.  A node is dropped only if U_k < L + log(eps / n_nodes):
+    the dropped terms then add up to less than eps times the largest term at
+    every point, under the rounding of the sum itself.  Without finite data
+    every block keeps every node, as does a block with a non-finite end, so
+    NaN and inf propagate as in the full sum.  One pass certifies all blocks.
     """
     n = x.size
-    if log_mag is None or not (np.isfinite(s0) and np.isfinite(s1)):
-        return 0, n
-    ends = log_mag + 2.0 * np.outer((s0, s1), x)
-    floor = ends.min(axis=0).max() + np.log(np.finfo(np.float64).eps / n)
-    keep = np.flatnonzero(ends.max(axis=0) >= floor)
-    return int(keep[0]), int(keep[-1]) + 1
+    if not np.all(np.isfinite(fx)):
+        return np.zeros(starts.size, dtype=np.intp), np.full(starts.size, n)
+    s0, s1 = s[starts], s[np.minimum(starts + _BLOCK, s.size) - 1]
+    finite = np.isfinite(s0) & np.isfinite(s1)
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(np.abs(fx))
+    ends = log_mag + 2.0 * np.multiply.outer(np.where(finite, (s0, s1), 0.0), x)
+    floor = ends.min(axis=0).max(axis=1) + np.log(np.finfo(np.float64).eps / n)
+    keep = (ends.max(axis=0) >= floor[:, None]) | ~finite[:, None]
+    return np.argmax(keep, axis=1), n - np.argmax(keep[:, ::-1], axis=1)
 
 
 def inverse_bargmann_quadrature(F: FockVector, x, plane_rule: QuadratureRule):
@@ -122,7 +123,11 @@ def inverse_bargmann_quadrature(F: FockVector, x, plane_rule: QuadratureRule):
 
 @dataclass(frozen=True)
 class BargmannPipeline:
-    """A truncation degree and the quadrature rules that follow from it."""
+    """The degree ``dilation_fock`` reads; it names no rule (each consumer names its own).
+
+    A stub kept while ``bench/workloads.py`` and ``bench/test_oracles.py``
+    pass it; it goes once the benchmark passes the degree itself.
+    """
 
     degree: int
 
@@ -130,23 +135,21 @@ class BargmannPipeline:
     def default(cls, degree: int):
         return cls(degree)
 
-    @property
-    def line_rule(self) -> QuadratureRule:
-        return gauss_hermite(default_nodes(self.degree))
-
-    @property
-    def plane_rule(self) -> QuadratureRule:
-        return gauss_hermite_plane(64)
-
 
 def _polar_grid(radius: float, step: float) -> np.ndarray:
-    radii = np.arange(0.0, radius + step / 2.0, step)
-    pts = [np.array([0.0 + 0.0j])]
-    for r in radii[1:]:
-        n_theta = max(16, int(np.ceil(2.0 * np.pi * r / step)))
-        theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-        pts.append(r * np.exp(1j * theta))
-    return np.concatenate(pts)
+    """The origin, then rings r = k * step <= radius + step / 2.
+
+    A ring holds max(16, ceil(2 pi r / step)) points at angles j * (2 pi / count).
+    """
+    radii = np.arange(0.0, radius + step / 2.0, step)[1:]
+    counts = np.maximum(16, np.ceil(2.0 * np.pi * radii / step).astype(np.intp))
+    theta = np.arange(counts.sum(), dtype=np.float64)  # j on ring k, then j * (2 pi / count)
+    theta -= np.repeat(np.cumsum(counts) - counts, counts)
+    theta *= np.repeat(2.0 * np.pi / counts, counts)
+    grid = np.zeros(theta.size + 1, dtype=np.complex128)
+    rings = np.exp(np.multiply(1j, theta, out=grid[1:]), out=grid[1:])
+    rings *= np.repeat(radii, counts)
+    return grid
 
 
 def fock_sup_norm(F: FockVector, grid_radius: float, grid_step: float) -> float:

@@ -209,14 +209,6 @@ def composite_legendre(lo: float, hi: float, n_panels: int) -> QuadratureRule:
     return QuadratureRule(np.concatenate(nodes), np.concatenate(weights), "legendre")
 
 
-def default_nodes(degree: int) -> int:
-    """4 nodes per degree for smooth integrands, at least 64, at most 256.
-
-    The line rule of ``BargmannPipeline``; the verify cases size their own.
-    """
-    return min(256, max(64, 4 * degree))
-
-
 @dataclass(frozen=True, eq=False)
 class LineVector:
     """Coefficients b_0..b_N of a real-line function against h_n.

@@ -22,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-from .bargmann import BargmannPipeline
 from .errors import AccuracyWarning
 from .fock import (RESOLVED_DEFECT, FockVector, exp_quadratic_coeffs, kernel_truncation_defect,
                    log_factorials, lost_mass, point_values)
@@ -335,12 +334,13 @@ class DilationResult:
     primary: FockVector
 
 
-def dilation_fock(r: float, f: FockVector, pipeline: BargmannPipeline) -> DilationResult:
+def dilation_fock(r: float, f: FockVector, pipeline) -> DilationResult:
     """Fock-side dilation, conjugate of D_r g(x) = sqrt(r) g(rx) on the line.
 
-    ``dilation_matrix`` at the pipeline's degree, built on the columns f
-    reaches only and applied to f: the output has the pipeline's degree, and
-    equals the product with any wider block bit for bit.
+    ``dilation_matrix`` at the degree of ``pipeline`` (a ``BargmannPipeline``,
+    of which only ``degree`` is read), built on the columns f reaches only
+    and applied to f: the output has that degree, and equals the product
+    with any wider block bit for bit.
     """
     return DilationResult(dilation_matrix(r, pipeline.degree, f.reach).apply(f))
 

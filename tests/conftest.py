@@ -31,19 +31,18 @@ def exact_dilation():
     return _exact_dilation
 
 
-def _inverse_integral_dilation(r: float, f, pipeline) -> np.ndarray:
+def _inverse_integral_dilation(r: float, f, degree: int, line, plane) -> np.ndarray:
     """B D_r B^{-1} f with B^{-1} f sampled by the inverse integral over the plane.
 
-    Down to the line through ``inverse_bargmann_quadrature`` on the pipeline's
-    plane rule, at the nodes of its line rule rescaled to the weight
-    e^{-(1+r^2)x^2}, and projected back; reliable for input degree up to the
-    plane rule's line nodes.
+    Down to the line through ``inverse_bargmann_quadrature`` on the plane
+    rule, at the nodes of the line rule rescaled to the weight
+    e^{-(1+r^2)x^2}, and projected back on h_0..h_degree; reliable for input
+    degree up to the plane rule's line nodes.
     """
-    line = pipeline.line_rule
     s = np.sqrt(1.0 + r * r)
     x = line.nodes / s
-    g = inverse_bargmann_quadrature(f, r * x, pipeline.plane_rule)
-    return hermite_functions(pipeline.degree, x) @ (line.weights / s * np.sqrt(r) * g)
+    g = inverse_bargmann_quadrature(f, r * x, plane)
+    return hermite_functions(degree, x) @ (line.weights / s * np.sqrt(r) * g)
 
 
 @pytest.fixture
@@ -52,24 +51,23 @@ def inverse_integral_dilation():
     return _inverse_integral_dilation
 
 
-def _dilation_plane_kernels(r: float, fs, pipeline) -> list[np.ndarray]:
+def _dilation_plane_kernels(r: float, fs, degree: int, plane) -> list[np.ndarray]:
     """Fock coefficients of each dilated f in fs by plane quadrature of the direct kernel.
 
         sqrt(2r/(1+r^2)) e^{g z^2} int f(-iw) e^{g conj(w)^2}
             e^{2 i r z conj(w)/(1+r^2)} dlambda(w),
 
-    with g = (1-r^2)/(2(1+r^2)), on the pipeline's plane rule, up to its
-    degree; coefficients come from the e_n recurrence of e^{g z^2 + beta z},
-    one table over the plane nodes shared by all of fs.  It shares no step
-    with ``operators.dilation_matrix``; it is accurate for f of modest
-    degree relative to the plane rule.
+    with g = (1-r^2)/(2(1+r^2)), on the plane rule, up to ``degree``;
+    coefficients come from the e_n recurrence of e^{g z^2 + beta z}, one
+    table over the plane nodes shared by all of fs.  It shares no step with
+    ``operators.dilation_matrix``; it is accurate for f of modest degree
+    relative to the plane rule.
     """
-    plane = pipeline.plane_rule
     gamma = (1.0 - r * r) / (2.0 * (1.0 + r * r))
     pref = np.sqrt(2.0 * r / (1.0 + r * r))
     wbar = np.conj(plane.nodes)
     beta = 2j * r * wbar / (1.0 + r * r)
-    table = exp_quadratic_coeffs(gamma, beta, pipeline.degree)
+    table = exp_quadratic_coeffs(gamma, beta, degree)
     return [pref * (table @ (plane.weights * f(-1j * plane.nodes) * np.exp(gamma * wbar**2))) for f in fs]
 
 

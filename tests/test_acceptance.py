@@ -75,15 +75,15 @@ def test_criterion_02_fourier_eigenrelation_and_spectral_decomposition():
 
 def test_criterion_03_shift_modulation_dictionary():
     N = 80
-    pipe = bg.BargmannPipeline.default(N)
+    line, plane = hm.gauss_hermite(256), hm.gauss_hermite_plane(64)
     worst = 0.0
     for a, b in [(0.5, 0.3), (1.0, 0.0), (0.0, 0.5)]:
         Wm = op.translation_modulation_fock(a, b, N)
-        x = pipe.line_rule.nodes
+        x = line.nodes
         for n in (0, 1):
-            g = bg.inverse_bargmann_quadrature(FockVector.basis(n, N), x - a, pipe.plane_rule)
+            g = bg.inverse_bargmann_quadrature(FockVector.basis(n, N), x - a, plane)
             vals = np.exp(2j * np.pi * b * x) * g
-            col = hm.hermite_functions(N, x) @ (pipe.line_rule.weights * vals)
+            col = hm.hermite_functions(N, x) @ (line.weights * vals)
             worst = max(worst, float(np.max(np.abs(col - Wm.entries[:, n]))))
     ok = worst < 1e-6
     _report("AC-03 shift-modulation", ok, f"max column err={worst:.2e}")
@@ -93,12 +93,14 @@ def test_criterion_03_shift_modulation_dictionary():
 def test_criterion_04_dilation_dual_path(dilation_plane_kernels, inverse_integral_dilation):
     # the line-side matrix against the direct plane kernel and the inverse integral
     pipe = bg.BargmannPipeline.default(24)
+    line, plane = hm.gauss_hermite(256), hm.gauss_hermite_plane(64)
     worst = 0.0
     for r in (0.5, 2.0):
         for n in (0, 1):
             f = FockVector.basis(n, 8)
             got = op.dilation_fock(r, f, pipe).primary.coeffs
-            for ref in (dilation_plane_kernels(r, [f], pipe)[0], inverse_integral_dilation(r, f, pipe)):
+            for ref in (dilation_plane_kernels(r, [f], 24, plane)[0],
+                        inverse_integral_dilation(r, f, 24, line, plane)):
                 worst = max(worst, float(np.linalg.norm(got - ref)))
     ok = worst <= 1e-5
     _report("AC-04 dilation-dual-path", ok, f"max discrepancy={worst:.2e}")

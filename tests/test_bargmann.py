@@ -7,8 +7,8 @@ import pytest
 
 from fockdict.bargmann import (
     _BLOCK,
-    BargmannPipeline,
     _pbound_grid,
+    _polar_grid,
     _stft_blocks,
     bargmann_coeff,
     bargmann_quadrature,
@@ -27,6 +27,7 @@ from fockdict.hermite import (
     gauss_hermite_plane,
     hermite_function,
     hermite_functions,
+    product_rule,
     project_line,
 )
 from fockdict.operators import fourier_line_quadrature
@@ -52,18 +53,13 @@ def test_coefficient_path_is_isometric():
     assert bargmann_coeff(v).norm() == v.norm()
 
 
-_LINE_RULE_MISS = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the pipeline's line rule has Gauss-Hermite nodes for e^{-x^2}, capped at 256, while "
-    "h_n h_m carries e^{-2x^2}: the projection of h_n misses e_n by 0.13 at 128 and 0.50 "
-    "at 512 (ROADMAP item 1)"))
-
-
-@pytest.mark.parametrize("N", [64, pytest.param(128, marks=_LINE_RULE_MISS),
-                               pytest.param(512, marks=_LINE_RULE_MISS)])
+@pytest.mark.parametrize("N", [64, 128, 512])
 def test_pipeline_line_rule_reads_h_n_back_as_e_n(N):
-    # bargmann_coeff sends h_n to e_n exactly; a projection on the pipeline's
-    # line rule adds only that rule's error
-    rule = BargmannPipeline.default(N).line_rule
+    # bargmann_coeff sends h_n to e_n exactly; a projection on a line rule
+    # adds only that rule's error. h_n h_m carries exp(-2x^2), so
+    # product_rule(N + 1) is exact for every n, m <= N; gauss_hermite(256),
+    # a rule for exp(-x^2), misses by 0.131 at N = 128 and 0.504 at N = 512
+    rule = product_rule(N + 1)
     err = 0.0
     for n in range(N + 1):
         F = bargmann_coeff(project_line(lambda x, n=n: hermite_functions(n, x)[n], N, rule))
@@ -172,6 +168,89 @@ def test_nan_at_one_node_propagates_as_in_the_dense_sum():
     got = bargmann_quadrature(f, zs, RULE)
     assert np.isnan(want).any()
     assert np.array_equal(np.isnan(got), np.isnan(want))
+
+
+def _looped_quadrature(f, z, rule):
+    """``bargmann_quadrature`` with each block's node window certified on its own.
+
+    The reference for the one-pass certification: per block, the end values
+    g_k(s0), g_k(s1) of g_k(s) = log|w_k e^{-x_k^2} f(x_k)| + 2 s x_k, the
+    floor max_k min(...) + log(eps / n_nodes), every node kept without finite
+    data or finite ends, and the kernel exp(2 z x - z^2/2) formed out of place.
+    """
+    zs = np.asarray(z, dtype=np.complex128).ravel()
+    x = rule.nodes
+    fx = rule.weights * np.exp(-(x**2)) * np.asarray(f(x), dtype=np.complex128)
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(np.abs(fx)) if np.all(np.isfinite(fx)) else None
+    order = np.argsort(zs.real)
+    vals = np.empty(zs.shape, dtype=np.complex128)
+    for start in range(0, zs.size, _BLOCK):
+        idx = order[start : start + _BLOCK]
+        zb = zs[idx]
+        s0, s1 = zb.real[0], zb.real[-1]
+        lo, hi = 0, x.size
+        if log_mag is not None and np.isfinite(s0) and np.isfinite(s1):
+            ends = log_mag + 2.0 * np.outer((s0, s1), x)
+            floor = ends.min(axis=0).max() + np.log(np.finfo(np.float64).eps / x.size)
+            keep = np.flatnonzero(ends.max(axis=0) >= floor)
+            lo, hi = keep[0], keep[-1] + 1
+        kernel = np.exp(2.0 * np.outer(zb, x[lo:hi]) - (zb**2 / 2.0)[:, None])
+        vals[idx] = GAUSS_CONST * (kernel @ fx[lo:hi])
+    return vals
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_nodes", [64, 256])
+@pytest.mark.parametrize("count", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 300])
+def test_block_windows_equal_the_per_block_loop(count, n_nodes):
+    rule = gauss_hermite(n_nodes)
+    rng = np.random.default_rng(count + n_nodes)
+    zs = rng.uniform(-5.0, 5.0, count) + 1j * rng.uniform(-1.0, 1.0, count) * n_nodes / 8.0
+    for f in _WINDOW_INPUTS + [np.zeros_like]:
+        assert _same_bits(bargmann_quadrature(f, zs, rule), _looped_quadrature(f, zs, rule))
+
+
+def test_block_windows_with_nonfinite_points_or_data_equal_the_per_block_loop():
+    # sorted by Re z, the first block starts at -inf and the last ends at +inf
+    # and NaN, so both keep every node; the middle block has finite ends (one
+    # of its points has a NaN imaginary part) and keeps a narrow window
+    zs = np.linspace(-4.0, 4.0, 2 * _BLOCK + 44) + 0.5j
+    zs[[3, 200, 290, 291]] = [-np.inf + 0j, 1.0 + np.nan * 1j, np.nan + 0j, np.inf + 1j]
+    with np.errstate(all="ignore"):
+        for f in (gauss, _packet(1.3, -0.4), lambda x: np.where(np.abs(x) < 1.0, np.inf, gauss(x))):
+            got, want = bargmann_quadrature(f, zs, RULE), _looped_quadrature(f, zs, RULE)
+            assert np.isnan(want).any() and _same_bits(got, want)
+
+
+def test_block_windows_past_the_oscillation_budget_equal_the_per_block_loop():
+    rule = gauss_hermite(64)
+    zs = np.linspace(-3.0, 3.0, _BLOCK + 9) + 1j * np.linspace(-12.0, 12.0, _BLOCK + 9)
+    with pytest.warns(AccuracyWarning, match="oscillation budget"):
+        got = bargmann_quadrature(gauss, zs, rule)
+    assert _same_bits(got, _looped_quadrature(gauss, zs, rule))
+
+
+def _looped_polar_grid(radius, step):
+    """``_polar_grid`` ring by ring, each ring's angles from ``np.linspace``."""
+    radii = np.arange(0.0, radius + step / 2.0, step)
+    pts = [np.array([0.0 + 0.0j])]
+    for r in radii[1:]:
+        n_theta = max(16, int(np.ceil(2.0 * np.pi * r / step)))
+        theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+        pts.append(r * np.exp(1j * theta))
+    return np.concatenate(pts)
+
+
+@pytest.mark.parametrize("radius, step", [(0.0, 0.2), (0.09, 0.2), (0.11, 0.2), (math.sqrt(128), 0.15),
+                                          (math.sqrt(128), 0.2137), (math.sqrt(128), 0.3)])
+def test_polar_grid_equals_the_per_ring_loop(radius, step):
+    got = _polar_grid(radius, step)
+    assert _same_bits(got, _looped_polar_grid(radius, step))
+    assert got[0] == 0.0 and (got.size == 1) == (radius < step / 2.0)
 
 
 def test_pbound_memory_stays_in_point_blocks():
@@ -317,14 +396,13 @@ def test_inverse_of_coefficients_reproduces_hermite_functions():
 
 def test_pipeline_cross_validation():
     # quadrature path vs exact coefficient path on a smooth span
-    pipe = BargmannPipeline.default(32)
     rng = np.random.default_rng(3)
     coeffs = np.zeros(33, dtype=complex)
     coeffs[:9] = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     f = LineVector(coeffs)
     zs = (rng.standard_normal(20) + 1j * rng.standard_normal(20)) * (2.0 / math.sqrt(2))
     zs = zs[np.abs(zs) <= 2.0]
-    quad_vals = bargmann_quadrature(f, zs, pipe.line_rule)
+    quad_vals = bargmann_quadrature(f, zs, gauss_hermite(256))
     assert np.max(np.abs(quad_vals - evaluate(bargmann_coeff(f), zs))) < 1e-7
 
 

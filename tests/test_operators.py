@@ -528,13 +528,13 @@ def test_dictionary_consistency_through_quadrature():
     # shift-then-modulate pipeline on the line vs the displacement matrix
     N = 64
     a, b = 0.5, 0.3
-    pipe = BargmannPipeline.default(N)
+    line, plane = gauss_hermite(256), gauss_hermite_plane(64)
     Wm = translation_modulation_fock(a, b, N)
-    x = pipe.line_rule.nodes
+    x = line.nodes
     for n in (0, 1):
-        g = inverse_bargmann_quadrature(FockVector.basis(n, N), x - a, pipe.plane_rule)
+        g = inverse_bargmann_quadrature(FockVector.basis(n, N), x - a, plane)
         vals = np.exp(2j * np.pi * b * x) * g
-        col = hermite_functions(N, x) @ (pipe.line_rule.weights * vals)
+        col = hermite_functions(N, x) @ (line.weights * vals)
         assert np.max(np.abs(col - Wm.entries[:, n])) < 1e-6
 
 
@@ -660,18 +660,18 @@ def test_dilation_gauss_closed_form(r, dilation_plane_kernels):
             / math.factorial(k)
         )
     assert np.max(np.abs(res.primary.coeffs - want)) < 1e-7
-    assert np.max(np.abs(dilation_plane_kernels(r, [f], pipe)[0] - want)) < 1e-9
+    assert np.max(np.abs(dilation_plane_kernels(r, [f], 24, gauss_hermite_plane(64))[0] - want)) < 1e-9
 
 
 @pytest.mark.parametrize("r", [0.5, 2.0])
 @pytest.mark.parametrize("n", [0, 1])
 def test_dilation_dual_path_agreement(r, n, dilation_plane_kernels, inverse_integral_dilation):
     # the matrix against both plane-quadrature routes it replaced
-    pipe = BargmannPipeline.default(24)
+    line, plane = gauss_hermite(256), gauss_hermite_plane(64)
     f = FockVector.basis(n, 8)
-    got = dilation_fock(r, f, pipe).primary.coeffs
-    assert np.linalg.norm(got - dilation_plane_kernels(r, [f], pipe)[0]) < 1e-5
-    assert np.linalg.norm(got - inverse_integral_dilation(r, f, pipe)) < 1e-5
+    got = dilation_fock(r, f, BargmannPipeline.default(24)).primary.coeffs
+    assert np.linalg.norm(got - dilation_plane_kernels(r, [f], 24, plane)[0]) < 1e-5
+    assert np.linalg.norm(got - inverse_integral_dilation(r, f, 24, line, plane)) < 1e-5
 
 
 def test_dilation_preconditions():
@@ -695,12 +695,12 @@ def test_dilation_boundary_scan(r, n, exact_dilation, inverse_integral_dilation,
     # checked up to their limit, input degree 64 (the 64 x 64 plane rule)
     tol = 1e-9 if n == 64 else 1e-12
     f = FockVector.basis(n, n)
+    line, plane = gauss_hermite(256), gauss_hermite_plane(64)
     for N in (0, 1, 32, 64, 128, 256):
-        pipe = BargmannPipeline.default(N)
         want = exact_dilation(r, n, N)
-        assert np.max(np.abs(dilation_fock(r, f, pipe).primary.coeffs - want)) <= 1e-12, N
-        assert np.max(np.abs(inverse_integral_dilation(r, f, pipe) - want)) <= tol, N
-        assert np.max(np.abs(dilation_plane_kernels(r, [f], pipe)[0] - want)) <= tol, N
+        assert np.max(np.abs(dilation_fock(r, f, BargmannPipeline.default(N)).primary.coeffs - want)) <= 1e-12, N
+        assert np.max(np.abs(inverse_integral_dilation(r, f, N, line, plane) - want)) <= tol, N
+        assert np.max(np.abs(dilation_plane_kernels(r, [f], N, plane)[0] - want)) <= tol, N
 
 
 # ----------------------------------------------------------------------
