@@ -136,7 +136,8 @@ def weyl_matrix(a: complex, degree: int, input_degree: int | None = None) -> Ope
     summed in float log scale, otherwise the normalized Laguerre recurrence
     builds every diagonal.  Column 0 is the truncated normalized kernel k_a;
     AccuracyWarning when it loses more than RESOLVED_DEFECT past the degree.
-    ValueError for a non-finite a.
+    ValueError for a non-finite a and for an |a|^2 past double range
+    (|a| above about 1.34e154).
 
     ``input_degree`` K gives the (N+1) x (K+1) block of W_a P_K, P_K the
     projection onto e_0..e_K: its columns equal columns 0..K of the full
@@ -159,6 +160,10 @@ def weyl_matrix(a: complex, degree: int, input_degree: int | None = None) -> Ope
         raise ValueError(f"input_degree must be in 0..{N}, got {K}")
     if not np.isfinite(a):
         raise ValueError(f"displacement must be finite, got {a!r}")
+    try:
+        abs(a) ** 2
+    except OverflowError:
+        raise ValueError(f"|a|^2 of displacement {a!r} is past double range") from None
     if a == 0:
         return OperatorMatrix(np.eye(N + 1, K + 1))
     if kernel_truncation_defect(a, N) > RESOLVED_DEFECT:
@@ -197,28 +202,48 @@ def _weyl_real(mod_a: float, N: int, K: int) -> np.ndarray:
 
 
 def _weyl_real_float(mod_a: float, N: int, K: int) -> np.ndarray:
-    """G[p, n] for n <= K from the series, each column summed in log scale."""
+    """G[p, n] for n <= K from the series, each column summed in log scale.
+
+    Column n sums over j <= n the terms of log modulus
+    L[p, j] = log C(n, j) + (n + p - 2j) log|a| + (log p! - log n!)/2 - log (p - j)!
+    with signs (-1)^{n-j}, each row scaled by its largest term before the
+    exp.  Two read-only Toeplitz views, formed once, give the second and
+    last summands of every column without gathers: k log|a| by
+    k = n + p - 2j, and log d! by d = p - j, padded with +inf for d < 0 so
+    that the terms p < j come out -inf and vanish under the exp.  Column n
+    is formed in the leading (N+1)(n+1) entries of one reused buffer,
+    C-ordered with j contiguous as a column formed on its own, and the signs
+    are one exact multiply by a +-1 row, so every row's pairwise sum runs
+    over the same n + 1 terms in the same order: the entries are bit for bit
+    those of the per-column form (kept as a reference in
+    ``tests/test_operators.py``).  The series and this kernel go with
+    ROADMAP item 3.
+    """
     r = mod_a ** 2
-    log_mod_a = np.log(mod_a)
     gl = log_factorials(N)
-    p = np.arange(N + 1)
-    out = np.zeros((N + 1, K + 1))
+    toeplitz = np.lib.stride_tricks.as_strided
+    item = gl.itemsize
+    # k log|a| for k = -2K..N+K; powers[q, j] = (q - 2j) log|a|, row q = n + p
+    k_log = np.arange(-2 * K, N + K + 1) * np.log(mod_a)
+    powers = toeplitz(k_log[2 * K:], shape=(N + K + 1, K + 1), strides=(item, -2 * item), writeable=False)
+    # log d! for d = -K..N, +inf below 0; log_fact[p, j] = log (p - j)!
+    padded = np.concatenate((np.full(K, np.inf), gl))
+    log_fact = toeplitz(padded[K:], shape=(N + 1, K + 1), strides=(item, -item), writeable=False)
+    alternating = np.where(np.arange(K + 1) % 2 == 0, 1.0, -1.0)
+    signs = (alternating, -alternating)  # (-1)^{n-j} for even and odd n
+    buf = np.empty((N + 1) * (K + 1))
+    out = np.empty((N + 1, K + 1))
     for n in range(K + 1):
-        j = np.arange(n + 1)
-        log_binom = gl[n] - gl[j] - gl[n - j]
-        # L[p, j] = log |term_j(p)| with the sqrt(p!/n!) prefactor folded in
-        L = (
-            log_binom[None, :]
-            + (n + p[:, None] - 2 * j[None, :]) * log_mod_a
-            + 0.5 * (gl[p][:, None] - gl[n])
-            - gl[np.maximum(p[:, None] - j[None, :], 0)]
-        )
-        L = np.where(p[:, None] >= j[None, :], L, -np.inf)
-        signs = np.where((n - j) % 2 == 0, 1.0, -1.0)
-        m = np.max(L, axis=1)
-        m_safe = np.where(np.isfinite(m), m, 0.0)
-        s = np.sum(signs[None, :] * np.exp(L - m_safe[:, None]), axis=1)
-        out[:, n] = np.where(np.isfinite(m), np.exp(m_safe - r / 2.0) * s, 0.0)
+        L = buf[: (N + 1) * (n + 1)].reshape(N + 1, n + 1)
+        log_binom = gl[n] - gl[: n + 1] - gl[n::-1]
+        np.add(log_binom, powers[n : n + N + 1, : n + 1], out=L)
+        L += 0.5 * (gl[:, None] - gl[n])
+        L -= log_fact[:, : n + 1]
+        m = np.max(L, axis=1)  # finite: the term j = 0 is
+        L -= m[:, None]
+        np.exp(L, out=L)
+        L *= signs[n % 2][: n + 1]
+        out[:, n] = np.exp(m - r / 2.0) * np.sum(L, axis=1)
     return out
 
 
@@ -234,8 +259,10 @@ def _weyl_real_laguerre(mod_a: float, N: int, K: int) -> np.ndarray:
     forbidden region into the oscillating one as m grows, so the recurrence
     runs in its stable, growing direction.  Starts below e^{-600} (r above
     about 1400) carry a per-diagonal log scale so that they cannot underflow;
-    the rows are kept scaled and unscaled by one exp at the end.  Columns
-    n <= K need m <= K only, so the recurrence stops there.
+    the rows are kept scaled and unscaled by one exp at the end.  With no
+    start scaled every row is g_m itself, |g_m| <= 1, so the loop skips the
+    growth check and the scales.  Columns n <= K need m <= K only, so the
+    recurrence stops there.
     """
     r = mod_a ** 2
     alpha = np.arange(N + 1)
@@ -247,18 +274,20 @@ def _weyl_real_laguerre(mod_a: float, N: int, K: int) -> np.ndarray:
     step = np.sqrt((m + 1) * (m + 1 + alpha))
     prev, cur = np.zeros(N + 1), np.exp(log_g0 - log_scale)
     rows = np.empty((K + 1, N + 1))  # rows[m] * exp(scales[m]) = g_m on every diagonal
-    scales = np.empty((K + 1, N + 1))
+    scaled = log_scale.any()  # else every row is g_m, nothing grows and nothing is undone
+    scales = np.empty((K + 1, N + 1)) if scaled else None
     for i in range(K + 1):
-        rows[i], scales[i] = cur, log_scale
+        rows[i] = cur
         nxt = (diag[i] * cur - back[i] * prev) / step[i]
-        big = np.abs(nxt) > 1e100
-        if big.any():
-            shrink = np.where(big, 1e-100, 1.0)
-            log_scale = log_scale - np.log(shrink)
-            prev, cur = cur * shrink, nxt * shrink
-        else:
-            prev, cur = cur, nxt
-    g = rows * np.exp(scales)
+        if scaled:
+            scales[i] = log_scale
+            big = np.abs(nxt) > 1e100
+            if big.any():
+                shrink = np.where(big, 1e-100, 1.0)
+                log_scale = log_scale - np.log(shrink)
+                cur, nxt = cur * shrink, nxt * shrink
+        prev, cur = cur, nxt
+    g = rows * np.exp(scales) if scaled else rows
     # entry (m + d, m) below the diagonal for m <= K, (m, m + d) above it for m + d <= K
     below_m, below_d = np.nonzero(m + alpha <= N)
     above_m, above_d = np.nonzero(m + alpha <= K)

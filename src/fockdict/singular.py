@@ -79,9 +79,15 @@ def _sqrt_factorials(n: int):
 
 
 def _round_scaled(u: int, den: int, w: float, sh: int) -> float:
-    """w 2^sh u/den from the split of u/den; w carries every float factor."""
+    """w 2^sh u/den from the split of u/den; w carries every float factor.
+
+    ValueError when the value is past double range.
+    """
     m, e = _split(u, den) if u else (0.0, 0)
-    return math.ldexp(m * w, e + sh)
+    try:
+        return math.ldexp(m * w, e + sh)
+    except OverflowError:
+        raise ValueError(f"entry of about 2^{e + sh} is past double range") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -363,6 +363,9 @@ def test_cli_env_degree(tmp_path):
     ("op", "apply", "--op", "fourier", "--params", "1", "--in", "{tmp}/e1.json"),
     ("bargmann", "--input", "{tmp}/e1.json", "--mode", "quad"),
     ("bargmann", "--input", "{tmp}/e1.json", "--mode", "coeff"),
+    ("op", "apply", "--op", "weyl", "--params", "1e300,0", "--in", "{tmp}/e1.json",
+     "--degree", "8"),
+    ("singular", "apply", "--phi", "{tmp}/huge.json", "--in", "{tmp}/e1.json", "--degree", "4"),
 ], ids=["malformed-json", "missing-symbol", "bad-params", "negative-degree",
         "zero-degree", "tail-certificate", "zero-radius", "wrong-shape-vector",
         "symbol-without-terms", "non-finite-vector",
@@ -374,13 +377,14 @@ def test_cli_env_degree(tmp_path):
         "overflowing-product", "overflowing-extremal", "hilbert-takes-no-phi",
         "hilbert-takes-no-format", "apply-takes-no-check", "extremal-takes-no-f",
         "product-takes-no-c", "fourier-takes-no-params", "bargmann-takes-no-mode-quad",
-        "bargmann-takes-no-mode-coeff"])
+        "bargmann-takes-no-mode-coeff", "weyl-beyond-double-range", "symbol-beyond-double-range"])
 def test_cli_errors_are_one_line(tmp_path, args, request):
     (tmp_path / "bad.json").write_text("[[1.0, 0.0], ")
     (tmp_path / "shape.json").write_text("[1, 2]")
     (tmp_path / "noterms.json").write_text('{"x": 1}')
     (tmp_path / "nan.json").write_text("[[NaN, 0], [1, 0]]")
     (tmp_path / "e1.json").write_text(vector_to_json(FockVector.basis(1, 4)))
+    (tmp_path / "huge.json").write_text(json.dumps([[1e307, 0.0]] * 9))
     proc = run_cli(*(a.format(tmp=tmp_path) for a in args), check=False)
     assert proc.returncode == 2
     assert proc.stdout == ""

@@ -363,6 +363,122 @@ def test_weyl_recurrence_is_the_exp_linear_s_phi(N):
         assert np.max(np.abs(S - want)) <= 1e-13 * np.max(np.abs(S)), a
 
 
+def test_weyl_matrix_at_the_edge_of_double_range():
+    # |a|^2 = 1e308 is a double: the kernel has left the block, which is zero
+    # and warns; from about 1.34e154 on |a|^2 overflows and a is refused
+    with pytest.warns(AccuracyWarning, match="poorly resolved"):
+        W = weyl_matrix(1e154, 8)
+    assert W.entries.shape == (9, 9) and not W.entries.any()
+    for a in (1e155, -1e155j, complex(1e300, -1e300), complex(1.7e308, 1.7e308)):
+        with pytest.raises(ValueError, match="past double range"):
+            weyl_matrix(a, 8)
+
+
+# ----------------------------------------------------------------------
+# The real stages against their per-column and per-row forms, bit for bit
+# ----------------------------------------------------------------------
+
+def _per_column_weyl_real_float(mod_a: float, N: int, K: int) -> np.ndarray:
+    """The series of ``operators._weyl_real_float`` with every column formed on
+    its own: index arithmetic per column, log (p - j)! gathered, the terms
+    p < j masked by np.where and fresh temporaries for every column."""
+    r = mod_a ** 2
+    log_mod_a = np.log(mod_a)
+    gl = log_factorials(N)
+    p = np.arange(N + 1)
+    out = np.zeros((N + 1, K + 1))
+    for n in range(K + 1):
+        j = np.arange(n + 1)
+        log_binom = gl[n] - gl[j] - gl[n - j]
+        L = (
+            log_binom[None, :]
+            + (n + p[:, None] - 2 * j[None, :]) * log_mod_a
+            + 0.5 * (gl[p][:, None] - gl[n])
+            - gl[np.maximum(p[:, None] - j[None, :], 0)]
+        )
+        L = np.where(p[:, None] >= j[None, :], L, -np.inf)
+        signs = np.where((n - j) % 2 == 0, 1.0, -1.0)
+        m = np.max(L, axis=1)
+        m_safe = np.where(np.isfinite(m), m, 0.0)
+        s = np.sum(signs[None, :] * np.exp(L - m_safe[:, None]), axis=1)
+        out[:, n] = np.where(np.isfinite(m), np.exp(m_safe - r / 2.0) * s, 0.0)
+    return out
+
+
+def _always_scaled_weyl_real_laguerre(mod_a: float, N: int, K: int) -> np.ndarray:
+    """The recurrence of ``operators._weyl_real_laguerre`` with the growth check
+    and the log scales on every row, also where no start is scaled."""
+    r = mod_a ** 2
+    alpha = np.arange(N + 1)
+    log_g0 = 0.5 * alpha * np.log(r) - r / 2.0 - 0.5 * log_factorials(N)
+    log_scale = np.minimum(log_g0 + 600.0, 0.0)
+    m = np.arange(K + 1)[:, None]
+    diag = (2 * m + 1 + alpha) - r
+    back = np.sqrt(m * (m + alpha))
+    step = np.sqrt((m + 1) * (m + 1 + alpha))
+    prev, cur = np.zeros(N + 1), np.exp(log_g0 - log_scale)
+    rows = np.empty((K + 1, N + 1))
+    scales = np.empty((K + 1, N + 1))
+    for i in range(K + 1):
+        rows[i], scales[i] = cur, log_scale
+        nxt = (diag[i] * cur - back[i] * prev) / step[i]
+        big = np.abs(nxt) > 1e100
+        if big.any():
+            shrink = np.where(big, 1e-100, 1.0)
+            log_scale = log_scale - np.log(shrink)
+            prev, cur = cur * shrink, nxt * shrink
+        else:
+            prev, cur = cur, nxt
+    g = rows * np.exp(scales)
+    below_m, below_d = np.nonzero(m + alpha <= N)
+    above_m, above_d = np.nonzero(m + alpha <= K)
+    G = np.zeros((N + 1, K + 1))
+    G[below_m + below_d, below_m] = g[below_m, below_d]
+    G[above_m, above_m + above_d] = g[above_m, above_d] * (-1.0) ** above_d
+    return G
+
+
+def _assert_real_stages_match_their_references(mod_a: float, N: int, K: int):
+    for build, ref in ((_weyl_real_float, _per_column_weyl_real_float),
+                       (_weyl_real_laguerre, _always_scaled_weyl_real_laguerre)):
+        got, want = build(mod_a, N, K), ref(mod_a, N, K)
+        assert got.shape == want.shape == (N + 1, K + 1)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (build.__name__, mod_a, N, K)
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 7, 8, 9, 16, 31, 32, 33, 64, 128, 200])
+def test_weyl_real_stages_equal_their_reference_forms_bit_for_bit(N):
+    # both engines at every point, on either side of the switch: r spread
+    # over (0, N/2] (over (0, 1/2] at N = 0) and |a| = 1e-150, K = 0, 1, N/2, N
+    radii = [math.sqrt(t * max(N, 1) / 2.0) for t in (0.02, 0.3, 0.65, 1.0)] + [1e-150]
+    for K in sorted({0, min(1, N), N // 2, N}):
+        for mod_a in radii:
+            _assert_real_stages_match_their_references(mod_a, N, K)
+
+
+@pytest.mark.parametrize("a, N, K", [(-1.7, 32, 32), (0.9 + 0.3j, 120, 120), (1.8 + 0.666j, 64, 64),
+                                     (38.47 + 1.0j, 1500, 20)],
+                         ids=["pinned-1", "pinned-2", "pinned-3", "scaled-starts"])
+def test_weyl_real_stages_equal_their_reference_forms_at_marked_points(a, N, K):
+    # the three float-path misses pinned by the benchmark's oracle tests, and
+    # r ~ 1481, whose starts fall below e^{-600} and carry log scales
+    _assert_real_stages_match_their_references(abs(a), N, K)
+
+
+def test_weyl_series_peaks_below_its_per_column_form():
+    # tracemalloc peak of _weyl_real_float(0.5, 200, 200): 1,628,955 bytes in
+    # the per-column form above (5.04 times the 323 KB result), 799,621 bytes
+    # (2.47 times) with one reused (N+1) x (K+1) buffer next to the result
+    _weyl_real_float(0.5, 200, 200)
+    tracemalloc.start()
+    try:
+        _weyl_real_float(0.5, 200, 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_628_955, peak
+
+
 def _weyl_cache_counts():
     """(hits, misses) of the real-stage cache since its last clear."""
     info = _weyl_real.cache_info()

@@ -230,6 +230,19 @@ def test_symbol_degree_guard():
         s_phi_matrix(symbol_from_taylor(np.ones(30)), 10)
 
 
+def test_an_entry_past_double_range_is_a_value_error():
+    # the largest double rounds from its exact ratio, and 2^1024 is refused
+    assert _round_scaled(2**53 - 1, 1, 1.0, 971) == np.finfo(float).max
+    with pytest.raises(ValueError, match="past double range"):
+        _round_scaled(2**53, 1, 1.0, 971)
+    # phi_k = 1e307: S_phi at degree 4, and phi_8 sqrt(8!) of the symbol itself
+    sym = symbol_from_taylor(np.full(9, 1e307))
+    with pytest.raises(ValueError, match="past double range"):
+        s_phi_matrix(sym, 4)
+    with pytest.raises(ValueError, match="past double range"):
+        symbol_to_fock(sym, 8)
+
+
 # ----------------------------------------------------------------------
 # Hilbert transform
 # ----------------------------------------------------------------------
