@@ -134,7 +134,8 @@ def kernel_vector(a: complex, degree: int) -> FockVector:
 
     Coefficients are conj(a)^n / sqrt(n!) as a running product, times
     exp(-|a|^2/2); the vector has unit norm up to the tail of the
-    exponential series beyond the truncation degree.
+    exponential series beyond the truncation degree.  Past |a| of about
+    1.34e154 every coefficient underflows and the vector is zero.
     """
     return FockVector(kernel_rows(complex(a), degree)[0])
 
@@ -149,7 +150,9 @@ def kernel_rows(points, degree: int) -> np.ndarray:
     non-finite is rebuilt in log scale instead, as
     exp(n log|a| - log(n!)/2 - |a|^2/2 + i n arg(conj a)), whose entries
     carry a relative error of about 1e-11 at degree 2000 (the running
-    product's are n machine epsilons).
+    product's are n machine epsilons).  Past |a| of about 1.34e154, where
+    |a|^2 is past double range, the row is all zeros, its true value in
+    doubles.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -159,12 +162,13 @@ def kernel_rows(points, degree: int) -> np.ndarray:
     # and np.square round about one modulus in a thousand differently)
     mod = np.hypot(a.real, a.imag)
     with np.errstate(over="ignore", invalid="ignore"):  # such rows are rebuilt below
+        sq = np.float_power(mod, 2.0)  # inf past |a| of about 1.34e154, where the row underflows to 0
         rows[:, 1:] = np.cumprod(np.conj(a)[:, None] / np.sqrt(np.arange(1, degree + 1)), axis=1)
-        rows *= np.exp(-np.float_power(mod, 2.0) / 2.0)[:, None]
+        rows *= np.exp(-sq / 2.0)[:, None]
     far = np.isfinite(a) & ~np.all(np.isfinite(rows), axis=1)
     if far.any():
         n = np.arange(degree + 1)
-        log_mod = n * np.log(mod[far, None]) - log_factorials(degree) / 2.0 - mod[far, None] ** 2 / 2.0
+        log_mod = n * np.log(mod[far, None]) - log_factorials(degree) / 2.0 - sq[far, None] / 2.0
         rows[far] = np.exp(log_mod + 1j * n * np.angle(np.conj(a[far]))[:, None])
     return rows
 
@@ -179,7 +183,8 @@ def kernel_truncation_defect(a, degree: int):
 
     One point gives a float, an array of points an array of that shape equal
     to the point-by-point values bit for bit.  A NaN or infinite point reads
-    1.0 and its row is never built; a row past double range reads NaN.
+    1.0 and its row is never built; a finite point whose row underflows to
+    zeros (|a| past about 1.34e154) reads 1.0 too.
     """
     z = np.asarray(a, dtype=np.complex128)
     finite = np.isfinite(z)

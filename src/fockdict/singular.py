@@ -14,15 +14,15 @@ S_phi z^{q+1} = (M - D) S_phi z^q + q S_phi z^{q-1} gives the recurrence
     a[p,q+1] = a[p-1,q] - (p+1) a[p+1,q] + q a[p,q-1],   S[p,q] = a[p,q] sqrt(p!/q!).
 
 The a[p,q] exceed the entries by dozens of orders of magnitude before
-cancelling, so the recurrence runs in exact integers: symbols carry exact
-fractional coefficients (times one real scale factor) over one common
-denominator L, as the integers u = L a[p,q] / scale.  Each entry
+cancelling, so the recurrence runs in exact integers: a symbol holds
+phi_k = scale (re[k] + i im[k]) / L, integers in lowest terms that are the
+column u = L a[p,0] / scale the recurrence starts from.  Each entry
 S[p,q] = scale sqrt(p! q!) u/(L q!) is rounded in one canonical step:
 u/(L q!) = m 2^e with 1/2 <= |m| < 1 from one correctly rounded division,
 sqrt(k!) = r_k 2^(s_k) likewise, and S[p,q] is
 ldexp(m * (r_p * r_q * scale), e + s_p + s_q).  Equal ratios give equal
 (m, e) and r_p r_q is symmetric, so skew-adjointness, parity zeros and
-column 0 (``symbol_to_fock``) come out exact.
+column 0 (``symbol_to_fock`` runs the same ``_round_column``) come out exact.
 
 The Hilbert transform, the paper's one singular dictionary entry, has its
 matrix in closed form (``hilbert_fock_matrix``): O(N) integer square roots
@@ -36,7 +36,6 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
@@ -48,16 +47,7 @@ from .fock import (RESOLVED_DEFECT, FockVector, _as_coeff_array, kernel_truncati
 from .hermite import composite_legendre
 from .operators import OperatorMatrix
 
-_CFrac = tuple[Fraction, Fraction]
 TSQUARE_SPAN = 8  # last column checked by tsquare_residual
-
-
-def _cfrac(value: complex) -> _CFrac:
-    return (Fraction(float(np.real(value))), Fraction(float(np.imag(value))))
-
-
-def _cfrac_mul(x: _CFrac, y: _CFrac) -> _CFrac:
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
 def _split(u: int, den: int) -> tuple[float, int]:
@@ -90,56 +80,80 @@ def _round_scaled(u: int, den: int, w: float, sh: int) -> float:
         raise ValueError(f"entry of about 2^{e + sh} is past double range") from None
 
 
+def _round_column(col: np.ndarray, re, im, den: int, scale: float, r, s, q: int) -> None:
+    """col[p] = scale sqrt(p! q!) (re[p] + i im[p]) / den, den = L q!, by ``_round_scaled``; zeros stay +0."""
+    for p in range(len(col)):
+        if re[p] or im[p]:
+            w, sh = r[p] * r[q] * scale, s[p] + s[q]
+            col[p] = complex(_round_scaled(re[p], den, w, sh), _round_scaled(im[p], den, w, sh))
+
+
 @dataclass(frozen=True, eq=False)
 class EntireSymbol:
     """Taylor coefficients phi_0..phi_K of an entire symbol at the origin.
 
-    ``exact`` holds the coefficients as exact (re, im) fractions with
-    phi_k = scale * exact[k]; ``symbol_from_taylor`` converts float input
-    losslessly (every double is a binary rational).
+    phi_k = scale * (re[k] + i im[k]) / denominator in lowest terms, the column
+    the ``s_phi_matrix`` recurrence starts from; ``symbol_from_taylor`` converts
+    float input losslessly (every double is a binary rational).
     """
 
-    exact: tuple[_CFrac, ...]
+    re: tuple[int, ...]
+    im: tuple[int, ...]
+    denominator: int
     scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "exact", tuple(self.exact))
-        if not self.exact:
-            raise ValueError("a symbol needs at least one coefficient")
+        if not self.re or len(self.re) != len(self.im) or self.denominator <= 0:
+            raise ValueError("a symbol needs at least one coefficient, as many re as im, a denominator > 0")
+        g = math.gcd(self.denominator, *self.re, *self.im)
+        for name in ("re", "im"):
+            object.__setattr__(self, name, tuple(x // g for x in getattr(self, name)))
+        object.__setattr__(self, "denominator", self.denominator // g)
 
     @cached_property
     def taylor(self) -> np.ndarray:
-        """phi_k as floats, each rounded once from scale * exact[k]; read-only."""
-        arr = np.array([self.scale * complex(float(re), float(im)) for re, im in self.exact],
-                       dtype=np.complex128)
+        """phi_k as floats, each rounded once from its ratio, read-only; ValueError past double range."""
+        try:
+            arr = np.array([self.scale * complex(x / self.denominator, y / self.denominator)
+                            for x, y in zip(self.re, self.im)], dtype=np.complex128)
+        except OverflowError:
+            raise ValueError("a symbol coefficient is past double range") from None
         arr.setflags(write=False)
         return arr
 
     @property
     def degree(self) -> int:
-        return len(self.exact) - 1
+        return len(self.re) - 1
 
     def __call__(self, u):
         return point_values(np.polyval(self.taylor[::-1], np.ravel(u).astype(np.complex128)), np.shape(u))
 
     def truncated(self, degree: int) -> "EntireSymbol":
-        return EntireSymbol(self.exact[: min(degree, self.degree) + 1], self.scale)
+        return EntireSymbol(self.re[: degree + 1], self.im[: degree + 1], self.denominator, self.scale)
 
 
 def symbol_from_taylor(taylor) -> EntireSymbol:
-    return EntireSymbol(tuple(_cfrac(c) for c in _as_coeff_array(taylor)))
+    c = _as_coeff_array(taylor)
+    if not np.isfinite(c).all():
+        raise ValueError(f"symbol input must be finite, got {c[~np.isfinite(c)][0]}")
+    ratios = [x.as_integer_ratio() for x in c.real.tolist() + c.imag.tolist()]
+    den = max(d for _, d in ratios)  # every d is a power of two
+    nums = [n * (den // d) for n, d in ratios]
+    return EntireSymbol(nums[: c.size], nums[c.size :], den)
 
 
-def _odd_antiderivative(degree: int, squeeze: int) -> EntireSymbol:
-    """A(z / sqrt(squeeze)) with exact z^{2n+1} coefficient 1/((2n+1) n! squeeze^n).
+def _odd_antiderivative(degree: int, squeeze: int, factor: float = 1.0) -> EntireSymbol:
+    """factor A(z / sqrt(squeeze)) with exact z^{2n+1} coefficient 1/((2n+1) n! squeeze^n).
 
-    The leftover factor 1/sqrt(squeeze) is carried by the scale.
+    Over lcm(1, 3, ..., 2M+1) M! squeeze^M; the scale carries factor/sqrt(squeeze).
     """
-    exact: list[_CFrac] = [(Fraction(0), Fraction(0))] * (degree + 1)
-    for n in range(0, (degree - 1) // 2 + 1):
-        fr = Fraction(1, (2 * n + 1) * math.factorial(n) * squeeze**n)
-        exact[2 * n + 1] = (fr, Fraction(0))
-    return EntireSymbol(exact, 1.0 / math.sqrt(squeeze))
+    top = max(0, (degree - 1) // 2)  # M, the last n with 2n + 1 <= degree
+    lcm, tail = math.lcm(*range(1, degree + 1, 2)), 1  # tail = M! squeeze^M / (n! squeeze^n)
+    re = [0] * (degree + 1)
+    for n in range((degree - 1) // 2, -1, -1):
+        re[2 * n + 1], tail = lcm // (2 * n + 1) * tail, tail * n * squeeze
+    den = lcm * math.factorial(top) * squeeze**top
+    return EntireSymbol(re, [0] * (degree + 1), den, factor * (1.0 / math.sqrt(squeeze)))
 
 
 def antiderivative_coeffs(degree: int) -> EntireSymbol:
@@ -156,30 +170,30 @@ def scaled_antiderivative_symbol(degree: int) -> EntireSymbol:
 
 def hilbert_symbol(degree: int) -> EntireSymbol:
     """Symbol of the Fock-side Hilbert transform: -(2/sqrt(pi)) A(u/sqrt(2))."""
-    base = scaled_antiderivative_symbol(degree)
-    return EntireSymbol(base.exact, -2.0 / math.sqrt(np.pi) * base.scale)
+    return _odd_antiderivative(degree, 2, -2.0 / math.sqrt(np.pi))
 
 
 def _exp_power_symbol(c: complex, power: int, degree: int) -> EntireSymbol:
-    """phi(u) = exp(c u^power): exact coefficient c^n / n! at u^(power n)."""
-    exact: list[_CFrac] = [(Fraction(0), Fraction(0))] * (degree + 1)
-    cx = _cfrac(c)
-    term: _CFrac = (Fraction(1), Fraction(0))
-    for n in range(degree // power + 1):
-        exact[power * n] = term
-        re, im = _cfrac_mul(term, cx)
-        term = (re / (n + 1), im / (n + 1))
-    return EntireSymbol(exact)
+    """phi(u) = exp(c u^power): c^n / n! at u^(power n), over E^K K! (c = (x + iy)/E, K = degree // power)."""
+    one = symbol_from_taylor([c])  # c = (x + iy)/E exactly; ValueError unless c is finite
+    (x,), (y,), E, K = one.re, one.im, one.denominator, degree // power
+    den = tr = E**K * math.factorial(K)
+    re, im, ti = [den] + [0] * degree, [0] * (degree + 1), 0
+    for n in range(1, K + 1):  # t_n = (x + iy)^n E^(K-n) K!/n!, by an exact division
+        tr, ti = (tr * x - ti * y) // (E * n), (tr * y + ti * x) // (E * n)
+        re[power * n], im[power * n] = tr, ti
+    return EntireSymbol(re, im, den)
 
 
 def gaussian_square_symbol(a: complex, degree: int) -> EntireSymbol:
-    """phi(u) = exp(a u^2), truncated; bounded S_phi requires real a < 1/2."""
+    """phi(u) = exp(a u^2), truncated.  For real a, S_phi is the Fourier multiplier
+    (1-2a)^(-1/2) exp(-4a xi^2/(1-2a)): bounded exactly when 0 <= a < 1/2, of norm (1-2a)^(-1/2)."""
     return _exp_power_symbol(complex(a), 2, degree)
 
 
 def exp_linear_symbol(a: complex, degree: int) -> EntireSymbol:
     """phi(u) = exp(u conj(a)); S_phi is a weighted displacement, bounded iff a is real."""
-    return _exp_power_symbol(np.conj(complex(a)), 1, degree)
+    return _exp_power_symbol(complex(a).conjugate(), 1, degree)
 
 
 def fock_norm_A(n_terms: int) -> float:
@@ -204,45 +218,30 @@ def fock_norm_A(n_terms: int) -> float:
 def symbol_to_fock(symbol: EntireSymbol, degree: int) -> FockVector:
     """Coefficients of the symbol itself as a Fock vector: c_k = phi_k sqrt(k!).
 
-    Rounded by the q = 0 case of the rule of ``s_phi_matrix``, so the two
-    agree bit for bit; sqrt(k!) alone overflows well before the products do.
+    Rounded by ``_round_column`` at q = 0, as column 0 of ``s_phi_matrix`` is, so the
+    two agree bit for bit; sqrt(k!) alone overflows well before the products do.
     """
     K = min(degree, symbol.degree)
-    r, s = _sqrt_factorials(K)
     c = np.zeros(degree + 1, dtype=np.complex128)
-    for k in range(K + 1):
-        w, sh = r[k] * r[0] * symbol.scale, s[k] + s[0]
-        re, im = symbol.exact[k]
-        c[k] = complex(_round_scaled(re.numerator, re.denominator, w, sh),
-                       _round_scaled(im.numerator, im.denominator, w, sh))
+    _round_column(c[: K + 1], symbol.re, symbol.im, symbol.denominator, symbol.scale, *_sqrt_factorials(K), 0)
     return FockVector(c)
 
 
 def s_phi_matrix(symbol: EntireSymbol, degree: int) -> OperatorMatrix:
     """Matrix of S_phi on e_0..e_N by the column recurrence of the module docstring.
 
-    Columns 0..N need rows up to 2N - q, hence phi_0..phi_2N.  The integers
-    u = L a / scale, with L the common denominator of ``symbol.exact``,
-    advance as real and imaginary columns; each entry is rounded once from
-    u/(L q!) by the canonical split.
+    Columns 0..N need rows up to 2N - q, hence phi_0..phi_2N.  The integer
+    columns u start from the symbol's own (re, im); ``_round_column`` rounds each.
     """
     N, K = degree, symbol.degree
     if K > 2 * N:
         raise ValueError(f"symbol degree {K} exceeds 2 * matrix degree {2 * N}")
-    L = math.lcm(*(c.denominator for pair in symbol.exact for c in pair))
-    cols = [[(pair[i] * L).numerator for pair in symbol.exact] + [0] * (2 * N - K)
-            for i in (0, 1)]
+    cols = [list(symbol.re) + [0] * (2 * N - K), list(symbol.im) + [0] * (2 * N - K)]
     prev = [[0] * (2 * N + 1)] * 2
     r, s = _sqrt_factorials(N)
     out = np.zeros((N + 1, N + 1), dtype=np.complex128)
     for q in range(N + 1):
-        re, im = cols
-        den = L * math.factorial(q)
-        for p in range(N + 1):
-            if re[p] or im[p]:
-                w, sh = r[p] * r[q] * symbol.scale, s[p] + s[q]
-                out[p, q] = complex(_round_scaled(re[p], den, w, sh),
-                                    _round_scaled(im[p], den, w, sh))
+        _round_column(out[:, q], *cols, symbol.denominator * math.factorial(q), symbol.scale, r, s, q)
         cols, prev = [
             [(u[p - 1] if p else 0) - (p + 1) * u[p + 1] + q * v[p] for p in range(2 * N - q)]
             for u, v in zip(cols, prev)

@@ -50,6 +50,18 @@ def test_kernel_truncation_defect_of_a_non_finite_point_is_total(a):
         assert np.array_equal(got, [1.0, kernel_truncation_defect(1.0, 40)])
 
 
+def test_kernels_past_double_range_squares_are_quietly_zero():
+    # |a|^2 overflows past |a| of about 1.34e154, and every coefficient of
+    # k_a underflows there: the row is zero and the defect 1.0, with no
+    # RuntimeWarning (the suite raises them as errors)
+    pts = np.array([1e300, 0.5, 1e155j])
+    got = kernel_truncation_defect(pts, 8)
+    assert np.array_equal(got, [kernel_truncation_defect(a, 8) for a in pts])
+    assert got[0] == got[2] == 1.0 and got[1] < 1e-10
+    assert not np.any(kernel_vector(1e155, 8).coeffs)
+    assert not np.any(kernel_rows(pts, 8)[[0, 2]])
+
+
 @pytest.mark.parametrize("N", [8, 64, 300])
 def test_kernel_vector_matches_log_space_closed_form(N):
     # conj(a)^n e^{-|a|^2/2} / sqrt(n!) at 30 digits; the running product and

@@ -47,10 +47,12 @@ def test_antiderivative_taylor():
 
 
 def test_a_symbol_stores_its_exact_coefficients_only():
-    assert [f.name for f in dataclasses.fields(EntireSymbol)] == ["exact", "scale"]
-    # the floats are read from scale * exact, each rounded once, and cached read-only
+    assert [f.name for f in dataclasses.fields(EntireSymbol)] == ["re", "im", "denominator", "scale"]
+    # the floats are read from scale * (re + i im) / denominator, each rounded
+    # once, and cached read-only
     sym = hilbert_symbol(255)
-    want = [sym.scale * complex(float(re), float(im)) for re, im in sym.exact]
+    want = [sym.scale * complex(float(Fraction(x, sym.denominator)), float(Fraction(y, sym.denominator)))
+            for x, y in zip(sym.re, sym.im)]
     assert np.array_equal(sym.taylor, want) and np.count_nonzero(sym.taylor) == 128
     assert sym.taylor is sym.taylor and not sym.taylor.flags.writeable
     with pytest.raises(ValueError):
@@ -64,12 +66,14 @@ def test_a_symbol_stores_its_exact_coefficients_only():
 def test_symbol_from_taylor_checks_its_input_once():
     coeffs = np.random.default_rng(3).standard_normal(9) + 1j
     assert np.array_equal(symbol_from_taylor(coeffs).taylor, coeffs)
-    assert symbol_from_taylor(coeffs.real).exact == tuple((Fraction(c), Fraction(0)) for c in coeffs.real)
+    sym = symbol_from_taylor(coeffs.real)
+    assert [Fraction(x, sym.denominator) for x in sym.re] == [Fraction(c) for c in coeffs.real]
+    assert not any(sym.im)
     for bad in ([], np.zeros((2, 3))):
         with pytest.raises(ValueError, match="non-empty 1-d"):
             symbol_from_taylor(bad)
     with pytest.raises(ValueError, match="at least one coefficient"):
-        EntireSymbol(())
+        EntireSymbol((), (), 1)
 
 
 def test_norm_series_first_term_and_monotone():
@@ -157,7 +161,7 @@ def _series_entry(symbol, p, q):
     """S[p,q] / (scale sqrt(p! q!)) as exact (re, im) fractions by the j-series.
 
     <S e_q, e_p> = scale sqrt(p! q!) sum_j (-1)^j C(d+2j, j) phi_{d+2j} / (q-j)!
-    with d = p - q and phi_k = scale * exact[k].
+    with d = p - q and phi_k = scale * (re[k] + i im[k]) / denominator.
     """
     d = p - q
     s_re = s_im = Fraction(0)
@@ -166,8 +170,8 @@ def _series_entry(symbol, p, q):
         if k > symbol.degree:
             break
         mult = Fraction((-1) ** j * math.comb(k, j), math.factorial(q - j))
-        s_re += mult * symbol.exact[k][0]
-        s_im += mult * symbol.exact[k][1]
+        s_re += mult * Fraction(symbol.re[k], symbol.denominator)
+        s_im += mult * Fraction(symbol.im[k], symbol.denominator)
     return s_re, s_im
 
 
@@ -184,7 +188,7 @@ def _series_reference(symbol, N):
 
 
 def _negated(symbol):
-    return EntireSymbol(symbol.exact, -2.5 * symbol.scale)
+    return EntireSymbol(symbol.re, symbol.im, symbol.denominator, -2.5 * symbol.scale)
 
 
 _RNG_TAYLOR = np.random.default_rng(11).standard_normal((33, 2)) @ np.array([1.0, 1j])
@@ -223,6 +227,115 @@ def test_entries_match_40_digit_values(make, N):
                 assert S[p, q] == 0, (p, q)
             else:
                 assert abs(S[p, q] - want) <= 1e-15 * abs(want), (p, q)
+
+
+# the constructors as they were built from Fraction coefficients, kept as
+# references: phi_k = scale * (re + i im) with exact fractions re, im
+
+def _ref_exp_power(c: complex, power: int, degree: int):
+    exact = [(Fraction(0), Fraction(0))] * (degree + 1)
+    x, y = Fraction(c.real), Fraction(c.imag)
+    tr, ti = Fraction(1), Fraction(0)
+    for n in range(degree // power + 1):
+        exact[power * n] = (tr, ti)
+        tr, ti = (tr * x - ti * y) / (n + 1), (tr * y + ti * x) / (n + 1)
+    return exact, 1.0
+
+
+def _ref_odd_antiderivative(degree: int, squeeze: int):
+    exact = [(Fraction(0), Fraction(0))] * (degree + 1)
+    for n in range((degree - 1) // 2 + 1):
+        exact[2 * n + 1] = (Fraction(1, (2 * n + 1) * math.factorial(n) * squeeze**n), Fraction(0))
+    return exact, 1.0 / math.sqrt(squeeze)
+
+
+def _ref_from_taylor(taylor):
+    return [(Fraction(float(c.real)), Fraction(float(c.imag))) for c in np.asarray(taylor, dtype=complex)], 1.0
+
+
+def _lcm_column(exact):
+    """(re, im, L): the integers L x over the lcm L of the reduced denominators."""
+    L = math.lcm(*(x.denominator for pair in exact for x in pair))
+    return tuple((x * L).numerator for x, _ in exact), tuple((y * L).numerator for _, y in exact), L
+
+
+_A_GRID = [0.5, 0.25, -0.75, 1.5, 1e-300, 0.0, 1.37 - 0.2j, 0.3 - 0.8j, -2.0 + 0.125j]
+_TAYLOR_GRID = [
+    _RNG_TAYLOR[:9],
+    [5e-324, 1e-310j, 2.5e-320 - 7e-315j],  # subnormal
+    [1.7e308, -1e300j, 3.0],  # huge
+    [0.0, -0.0, 0j, complex(0.0, -0.0)],  # zero
+    [1e308, 5e-324, 1.0],
+]
+_CONSTRUCTORS = (
+    [(f"exp-linear-{a}-{d}", lambda a=a, d=d: (exp_linear_symbol(a, d), _ref_exp_power(np.conj(a), 1, d)))
+     for a in _A_GRID for d in (0, 1, 7, 48)]
+    + [(f"gaussian-square-{a}-{d}", lambda a=a, d=d: (gaussian_square_symbol(a, d), _ref_exp_power(complex(a), 2, d)))
+       for a in _A_GRID for d in (0, 1, 7, 48)]
+    + [(f"antiderivative-{d}", lambda d=d: (antiderivative_coeffs(d), _ref_odd_antiderivative(d, 1)))
+       for d in (1, 2, 9, 64)]
+    + [(f"scaled-antiderivative-{d}", lambda d=d: (scaled_antiderivative_symbol(d), _ref_odd_antiderivative(d, 2)))
+       for d in (0, 1, 9, 399)]
+    + [(f"hilbert-{d}", lambda d=d: (hilbert_symbol(d), (_ref_odd_antiderivative(d, 2)[0],
+                                                        -2.0 / math.sqrt(np.pi) * (1.0 / math.sqrt(2)))))
+       for d in (0, 1, 2, 9, 255)]
+    + [(f"taylor-{i}", lambda t=t: (symbol_from_taylor(t), _ref_from_taylor(t))) for i, t in enumerate(_TAYLOR_GRID)]
+)
+
+
+@pytest.mark.parametrize("make", [m for _, m in _CONSTRUCTORS], ids=[name for name, _ in _CONSTRUCTORS])
+def test_constructors_hold_the_lowest_terms_column_of_the_fraction_reference(make):
+    sym, (exact, scale) = make()
+    assert (sym.re, sym.im, sym.denominator) == _lcm_column(exact) and sym.scale == scale
+    assert np.array_equal(sym.taylor, [scale * complex(float(x), float(y)) for x, y in exact])
+    for k in {0, sym.degree // 2, sym.degree}:
+        cut = sym.truncated(k)
+        assert (cut.re, cut.im, cut.denominator) == _lcm_column(exact[: k + 1]) and cut.scale == scale
+
+
+def test_the_common_factor_is_divided_out():
+    # exp(1.5 u) = exp(3u/2): its numerators 3^n 2^(K-n) K!/n! over 2^K K!
+    # share the factor 3^(v_3(K!)), 3^22 at K = 48, which the symbol divides out
+    sym = exp_linear_symbol(1.5, 48)
+    assert sym.denominator == 2**48 * math.factorial(48) // 3**22
+    assert math.gcd(sym.denominator, *sym.re, *sym.im) == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hilbert_symbol(9),
+    lambda: hilbert_symbol(255),
+    lambda: _negated(gaussian_square_symbol(0.25 + 0.1j, 64)),
+    lambda: exp_linear_symbol(-1.37 + 0.2j, 64),
+    lambda: symbol_from_taylor(_RNG_TAYLOR * (np.arange(33) % 3 > 0)),
+], ids=["hilbert-9", "hilbert-255", "negative-scale", "exp-linear", "random-with-zeros"])
+def test_symbol_to_fock_is_column_0_bit_for_bit(make):
+    # both round through one column step, so also their signed zeros agree
+    sym = make()
+    N = (sym.degree + 1) // 2
+    got, col = symbol_to_fock(sym, N).coeffs, s_phi_matrix(sym.truncated(2 * N), N).entries[:, 0]
+    for part in ("real", "imag"):
+        assert np.array_equal(getattr(got, part).view(np.int64), getattr(col, part).view(np.int64))
+
+
+@pytest.mark.parametrize("make, what", [
+    (lambda: symbol_from_taylor([1.0, math.inf]), "inf"),
+    (lambda: symbol_from_taylor([math.nan]), "nan"),
+    (lambda: symbol_from_taylor([0.0, complex(1.0, -math.inf)]), "inf"),
+    (lambda: exp_linear_symbol(math.inf, 8), "inf"),
+    (lambda: exp_linear_symbol(complex(0.0, math.nan), 8), "nan"),
+    (lambda: gaussian_square_symbol(-math.inf, 8), "inf"),
+], ids=["taylor-inf", "taylor-nan", "taylor-complex-inf", "exp-linear-inf", "exp-linear-nan", "gaussian-square-inf"])
+def test_non_finite_symbol_input_is_a_value_error(make, what):
+    with pytest.raises(ValueError, match=f"finite.*{what}"):
+        make()
+
+
+def test_taylor_past_double_range_is_a_value_error():
+    # (1e300)^8 / 8! is past double range; the integers are exact all the same
+    sym = exp_linear_symbol(1e300, 8)
+    with pytest.raises(ValueError, match="past double range"):
+        sym.taylor
+    assert sym.truncated(1).taylor[1] == 1e300
 
 
 def test_symbol_degree_guard():
@@ -441,6 +554,17 @@ def test_berezin_truncation_warning_boundary(resolution_boundary):
         assert any(issubclass(w.category, AccuracyWarning) for w in caught) == warns
 
 
+@pytest.mark.parametrize("z", [1e300, 1e155j])
+def test_berezin_past_double_range_only_warns_accuracy(z):
+    # |z|^2 overflows there, and k_z underflows to zero: the quadratic form
+    # reads 0 with one AccuracyWarning and no RuntimeWarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        lhs, rhs = berezin_check(symbol_from_taylor([1.0]), z, 8)
+    assert [w.category for w in caught] == [AccuracyWarning]
+    assert lhs == 0 and rhs == 1.0
+
+
 def test_berezin_ten_points():
     rng = np.random.default_rng(5)
     sym = gaussian_square_symbol(0.25, 60)
@@ -460,6 +584,10 @@ def test_boundedness_probe_trends():
     assert unbounded[2] > 10 * unbounded[1]
     imag_shift = boundedness_probe(exp_linear_symbol(1j, 128), degrees)
     assert imag_shift[2] > 10 * imag_shift[1] > 100 * imag_shift[0] / 10
+    # for real a < 0 the multiplier exp(-4a xi^2/(1-2a)) of exp(a u^2) grows
+    # without bound too: 7.05e4, 1.52e10 and 9.82e20 at a = -0.3
+    negative = boundedness_probe(gaussian_square_symbol(-0.3, 128), degrees)
+    assert negative[1] > 1e4 * negative[0] and negative[2] > 1e8 * negative[1]
     real_shift = boundedness_probe(exp_linear_symbol(0.5, 128), degrees)
     assert abs(real_shift[2] - real_shift[0]) < 0.05 * real_shift[0]
     # S[exp(u a)] = e^{a^2/2} W_a for real a, and the truncated unitary W_a
