@@ -118,14 +118,26 @@ def exp_quadratic_coeffs(alpha, beta, degree: int, c0=1.0) -> np.ndarray:
     sqrt(n+1) u_{n+1} = beta u_n + 2 alpha sqrt(n) u_{n-1}: no factorial is
     formed, so u_n stays finite for |alpha| < 1/2 at any degree.  An array
     ``beta`` gives one column per entry, shape (N+1,) + beta.shape.
+
+    One loop runs over Python numbers for a scalar beta and over arrays for
+    an array beta.  Each step multiplies by 1/sqrt(n+1), which is what
+    numpy's division of a complex by a real does, so the coefficients equal
+    those of dividing in numpy (a zero's sign may differ).
     """
+    if np.ndim(beta) == 0:  # Python numbers: numpy scalars cost several times more per step
+        alpha, beta, c0 = (np.asarray(x).item() for x in (alpha, beta, c0))
     root = np.sqrt(np.arange(degree + 1))
-    u = np.zeros((degree + 1,) + np.shape(beta), dtype=np.complex128)
+    two_alpha_root = (2.0 * alpha * root).tolist()
+    inv_root = (1.0 / root[1:]).tolist()  # inv_root[n] = 1/sqrt(n+1)
+    u = np.empty((degree + 1,) + np.shape(beta), dtype=np.complex128)
     u[0] = c0
     if degree >= 1:
-        u[1] = beta * c0
-    for n in range(1, degree):
-        u[n + 1] = (beta * u[n] + 2.0 * alpha * root[n] * u[n - 1]) / root[n + 1]
+        prev, cur = c0, beta * c0
+        rows = [cur]
+        for n in range(1, degree):
+            prev, cur = cur, (beta * cur + two_alpha_root[n] * prev) * inv_root[n]
+            rows.append(cur)
+        u[1:] = rows
     return u
 
 

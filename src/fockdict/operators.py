@@ -2,9 +2,9 @@
 
 Fourier transform as rotation, spectral projections, displacement (Weyl)
 operators, the translation/modulation correspondence, dilation from its
-position ladder, and the multiplication/differentiation pair with its
-commutation relation.  All matrices act on coefficient vectors against
-e_n(z) = z^n/sqrt(n!).
+position ladder, and the multiplication/differentiation pair, whose words
+``ladder_word`` applies by index shifts.  All matrices act on coefficient
+vectors against e_n(z) = z^n/sqrt(n!).
 
 Displacements are covariant under rotation: W_{e^{i theta} rho} =
 R_theta^* W_rho R_theta with R_theta f(z) = f(e^{i theta} z), so
@@ -406,5 +406,41 @@ def a2_matrix(degree: int) -> OperatorMatrix:
     return OperatorMatrix(D.entries - M.entries)
 
 
-def commutator(a: OperatorMatrix, b: OperatorMatrix) -> np.ndarray:
-    return a.entries @ b.entries - b.entries @ a.entries
+# letter -> (scale, sign of M, sign of D): the letter is scale (sign_M M + sign_D D)
+_LADDER_LETTERS = {
+    "M": (1, 1, 0),
+    "D": (1, 0, 1),
+    "X": (0.5, 1, 1),  # a1_matrix
+    "Z": (-0.5j, -1, 1),  # a2_matrix / 2i
+    "S1": (1, 1, 1),  # uncertainty.s1_matrix
+    "S2": (1j, -1, 1),  # uncertainty.s2_matrix
+}
+
+
+def ladder_word(word, arr) -> np.ndarray:
+    """A word in the ladder letters applied to ``arr`` along its first axis.
+
+    ``arr`` holds coefficients of e_0..e_N in its N + 1 rows, and each letter
+    acts as its truncated (N+1) x (N+1) matrix: M and D of ``md_matrices``
+    (M e_N = 0), X = (M + D)/2, Z = (D - M)/(2i), S1 = D + M and
+    S2 = i(D - M).  ``word`` is a sequence of letter names read as a matrix
+    product, its last letter applied first: ``ladder_word("DM", A)`` is D M A
+    and ``ladder_word(("S1", "S2"), A)`` is S1 S2 A.  Each letter is two
+    scaled index shifts, O(N) per column where a dense product costs O(N^2);
+    the letters' scales (powers of 1/2 and i) multiply the result once at the
+    end, so a real ``arr`` is worked on in real arithmetic.  The result equals
+    the dense truncated product up to rounding.  The empty word returns
+    ``arr`` itself.
+    """
+    out = np.asarray(arr)
+    root = np.sqrt(np.arange(1, len(out))).reshape((-1,) + (1,) * (out.ndim - 1))
+    scale = 1
+    for name in reversed(word):
+        s, m, d = _LADDER_LETTERS[name]
+        nxt = np.zeros(out.shape, dtype=np.result_type(out, float))
+        if m:  # M e_n = sqrt(n+1) e_{n+1}
+            nxt[1:] = m * root * out[:-1]
+        if d:  # D e_n = sqrt(n) e_{n-1}
+            nxt[:-1] += d * root * out[1:]
+        out, scale = nxt, scale * s
+    return out if scale == 1 else scale * out

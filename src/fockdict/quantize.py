@@ -14,7 +14,9 @@ any degree:
 
 Each calculus keeps an independent second path in its check only: the
 product sum a_mn D^n M^m for anti-Wick, and McCoy's symmetric ordering of
-the position and scaled-derivative matrices for Weyl.
+the position and scaled-derivative matrices for Weyl.  Their words are
+applied by index shifts (``operators.ladder_word``), O(N^2) each on the
+identity, and equal the dense truncated products up to rounding.
 """
 from __future__ import annotations
 
@@ -22,9 +24,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg import matrix_power
 
-from .operators import OperatorMatrix, a1_matrix, a2_matrix, md_matrices
+from .operators import OperatorMatrix, ladder_word
 
 
 @dataclass(frozen=True)
@@ -176,11 +177,13 @@ def weyl_quantize_poly(sigma: PhasePolynomial, degree: int) -> OperatorMatrix:
 def anti_wick_toeplitz_residual(sigma: PolySymbol, degree: int) -> float:
     """Max interior difference between the product form sum a_mn D^n M^m
     (derivative powers left of multiplication powers) and the anti-Wick
-    matrix; zero in exact arithmetic.  Refuses symbols of degree > degree/2."""
+    matrix; zero in exact arithmetic.  Each word D^n M^m is applied to the
+    identity by ``operators.ladder_word``, which equals the product of the
+    truncated matrices up to rounding.  Refuses symbols of degree > degree/2."""
     if sigma.degree > degree // 2:
         raise ValueError("symbol degree exceeds degree/2")
-    M, D = (A.entries for A in md_matrices(degree))
-    products = sum(c * (matrix_power(D, n) @ matrix_power(M, m)) for (m, n), c in sigma.coeffs.items())
+    eye = np.eye(degree + 1)
+    products = sum(c * ladder_word("D" * n + "M" * m, eye) for (m, n), c in sigma.coeffs.items())
     aw = anti_wick_matrix(sigma, degree).entries
     b = degree + 1 - sigma.degree
     return float(np.max(np.abs(products - aw)[:b, :b]))
@@ -190,15 +193,16 @@ def weyl_toeplitz_residual(phi: PolySymbol, degree: int) -> float:
     """Max interior difference between the Toeplitz matrix of phi and McCoy's
     symmetric ordering of its heat symbol, Weyl(x^i zeta^k) =
     2^{-i} sum_j C(i,j) X^j Z^k X^{i-j} with X the position matrix and Z the
-    scaled derivative; products of truncated band matrices are exact on the
-    block N + 1 - deg phi.  Contract <= 1e-8."""
-    X = a1_matrix(degree).entries
-    Z = a2_matrix(degree).entries / 2j
+    scaled derivative.  Each word is applied to the identity by
+    ``operators.ladder_word``, which equals the product of the truncated band
+    matrices up to rounding; that product is exact on the block
+    N + 1 - deg phi.  Contract <= 1e-8."""
+    tp = toeplitz_poly_matrix(phi, degree).entries  # refuses deg phi > degree before any word
+    eye = np.eye(degree + 1)
     mccoy = sum(
-        c * 0.5**i * math.comb(i, j) * (matrix_power(X, j) @ matrix_power(Z, k) @ matrix_power(X, i - j))
+        c * 0.5**i * math.comb(i, j) * ladder_word("X" * j + "Z" * k + "X" * (i - j), eye)
         for (i, k), c in PhasePolynomial.from_poly_symbol(heat_symbol(phi)).coeffs.items()
         for j in range(i + 1)
     )
-    tp = toeplitz_poly_matrix(phi, degree).entries
     b = degree + 1 - phi.degree
     return float(np.max(np.abs(tp - mccoy)[:b, :b]))

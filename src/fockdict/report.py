@@ -354,11 +354,12 @@ def _case_hilbert(cfg: SuiteConfig) -> list[CaseResult]:
 
 def _case_uncertainty(cfg: SuiteConfig) -> list[CaseResult]:
     N = cfg.degree
-    S1, S2 = uc.s1_matrix(N), uc.s2_matrix(N)
-    C = op.commutator(S1, S2)
+    eye = np.eye(N + 1)
+    C = op.ladder_word(("S1", "S2"), eye) - op.ladder_word(("S2", "S1"), eye)
     # [S1, S2] = -2i [D, M], so this block also checks [D, M] = I
     out = [CaseResult("u1-commutator", "canonical commutator on the interior",
                       float(np.max(np.abs(C[:N, :N] + 2j * np.eye(N)))), 1e-12)]
+    S1, S2 = uc.s1_matrix(N), uc.s2_matrix(N)
     out.append(CaseResult("u2-self-adjoint", "generator pair is self-adjoint",
                           float(max(np.max(np.abs(S1.entries - S1.entries.conj().T)),
                                     np.max(np.abs(S2.entries - S2.entries.conj().T)))), 1e-15))

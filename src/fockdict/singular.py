@@ -33,11 +33,9 @@ closed form's test oracle.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -59,13 +57,29 @@ def _split(u: int, den: int) -> tuple[float, int]:
     return (m / 2, e + 1) if abs(m) >= 1.0 else (m, e)
 
 
-def _sqrt_factorials(n: int):
+# sqrt(k!) = r[k] 2^s[k] for k < len(r), and (len(r))!: grown on demand by
+# _sqrt_factorials, one process-wide table that every caller shares
+_SQRT_FACTORIALS: tuple[tuple[float, ...], tuple[int, ...], int] = ((), (), 1)
+
+
+def _sqrt_factorials(n: int) -> tuple[tuple[float, ...], tuple[int, ...]]:
     """sqrt(k!) = r[k] 2^s[k] for k = 0..n, split from isqrt(k! 4^64) / 2^64.
 
-    k! is the running product 0!, 1!, ..., n!, one multiplication per k.
+    The pairs come from one process-wide table.  A call past its end extends
+    it from the last factorial kept, one multiplication per k, so any prefix
+    is the same whatever order the calls came in.
     """
-    factorials = accumulate(range(1, n + 1), operator.mul, initial=1)
-    return zip(*(_split(math.isqrt(f << 128), 1 << 64) for f in factorials))
+    global _SQRT_FACTORIALS
+    r, s, f = _SQRT_FACTORIALS
+    if len(r) <= n:
+        pairs = []
+        for k in range(len(r), n + 1):
+            pairs.append(_split(math.isqrt(f << 128), 1 << 64))
+            f *= k + 1
+        more_r, more_s = zip(*pairs)
+        # one assignment of a complete table: a concurrent caller sees the old or the new one
+        _SQRT_FACTORIALS = r, s, f = r + more_r, s + more_s, f
+    return r[: n + 1], s[: n + 1]
 
 
 def _round_scaled(u: int, den: int, w: float, sh: int) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockVector, exp_quadratic_coeffs
-from .operators import OperatorMatrix, a1_matrix, a2_matrix
+from .operators import OperatorMatrix, a1_matrix, a2_matrix, ladder_word
 
 
 def s1_matrix(degree: int) -> OperatorMatrix:
@@ -31,22 +31,6 @@ def s2_matrix(degree: int) -> OperatorMatrix:
     return OperatorMatrix(1j * a2_matrix(degree).entries)
 
 
-def _apply_mult(c: np.ndarray) -> np.ndarray:
-    """(M f) on a coefficient array, raising the degree by one (exact)."""
-    out = np.zeros(len(c) + 1, dtype=np.complex128)
-    n = np.arange(1, len(c) + 1)
-    out[1:] = np.sqrt(n) * c
-    return out
-
-
-def _apply_diff(c: np.ndarray) -> np.ndarray:
-    """(D f) on a coefficient array, padded to the same raised degree."""
-    out = np.zeros(len(c) + 1, dtype=np.complex128)
-    n = np.arange(1, len(c))
-    out[: len(c) - 1] = np.sqrt(n) * c[1:]
-    return out
-
-
 def uncertainty_product(f: FockVector, a: float, b: float) -> tuple[float, float]:
     """Returns (lhs, rhs) of the product inequality; lhs >= rhs always.
 
@@ -55,9 +39,8 @@ def uncertainty_product(f: FockVector, a: float, b: float) -> tuple[float, float
     double range (a huge a or b), raised without a floating-point warning.
     """
     c = f.coeffs
-    d = _apply_diff(c)
-    m = _apply_mult(c)
-    ce = np.concatenate([c, [0.0]])
+    ce = np.concatenate([c, [0.0]])  # one degree up, where M f is exact
+    d, m = ladder_word("D", ce), ladder_word("M", ce)
     with np.errstate(over="ignore", invalid="ignore"):
         u = d + m - a * ce
         w = d - m - 1j * b * ce

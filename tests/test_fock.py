@@ -282,6 +282,35 @@ def test_exp_quadratic_coeffs_against_exact_series(alpha, beta):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def _exp_quadratic_numpy(alpha, beta, degree, c0=1.0):
+    # the recurrence stepped through numpy scalars and rows, dividing by sqrt(n+1)
+    root = np.sqrt(np.arange(degree + 1))
+    u = np.zeros((degree + 1,) + np.shape(beta), dtype=np.complex128)
+    u[0] = c0
+    if degree >= 1:
+        u[1] = beta * c0
+    for n in range(1, degree):
+        u[n + 1] = (beta * u[n] + 2.0 * alpha * root[n] * u[n - 1]) / root[n + 1]
+    return u
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 300])
+def test_exp_quadratic_coeffs_equal_the_numpy_recurrence(degree):
+    # multiplying by 1/sqrt(n+1) is what numpy's complex-by-real division does
+    rng = np.random.default_rng(degree)
+    for _ in range(20):
+        alpha = float(rng.uniform(-0.45, 0.45))
+        c0 = complex(*rng.standard_normal(2))
+        for beta in (complex(*rng.standard_normal(2)), float(rng.standard_normal()), 0.0,
+                     np.complex128(complex(*rng.standard_normal(2))),
+                     rng.standard_normal(5) + 1j * rng.standard_normal(5), np.zeros((2, 3))):
+            for c in (1.0, c0, np.complex128(c0)):
+                got = exp_quadratic_coeffs(alpha, beta, degree, c)
+                want = _exp_quadratic_numpy(alpha, beta, degree, c)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+
 def test_exp_quadratic_coeffs_finite_at_high_degree():
     # the factor sqrt(N!) of the Taylor form overflows past N = 303
     beta = np.array([1.0 + 1.0j, -2.0, 0.5j])

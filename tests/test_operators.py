@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -23,11 +24,11 @@ from fockdict.operators import (
     _weyl_real_laguerre,
     a1_matrix,
     a2_matrix,
-    commutator,
     dilation_fock,
     dilation_matrix,
     fourier_fock,
     fourier_line_quadrature,
+    ladder_word,
     md_matrices,
     rotation,
     spectral_projection,
@@ -832,10 +833,37 @@ def test_md_action_on_basis():
 def test_md_commutator_interior():
     N = 64
     M, D = md_matrices(N)
-    C = commutator(D, M)
+    C = D.entries @ M.entries - M.entries @ D.entries
     assert np.max(np.abs(C[:N, :N] - np.eye(N))) < 1e-12
     # truncation corner
     assert abs(C[N, N] + N) < 1e-9
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 8, 40])
+def test_ladder_words_equal_the_dense_truncated_products(N):
+    # every word of length <= 4 in M, D, X, Z, S1, S2, applied to the identity
+    # and to a block of columns, against the product of the dense matrices
+    M, D = (A.entries for A in md_matrices(N))
+    dense = {"M": M, "D": D, "X": a1_matrix(N).entries, "Z": a2_matrix(N).entries / 2j,
+             "S1": 2.0 * a1_matrix(N).entries, "S2": 1j * a2_matrix(N).entries}
+    rng = np.random.default_rng(N)
+    cols = rng.standard_normal((N + 1, 3)) + 1j * rng.standard_normal((N + 1, 3))
+    products = {(): (np.eye(N + 1, dtype=complex), np.eye(N + 1))}  # word -> (product, product of moduli)
+    for length in range(1, 5):
+        for word in itertools.product(dense, repeat=length):
+            prefix, prefix_moduli = products[word[:-1]]
+            want, moduli = products[word] = prefix @ dense[word[-1]], prefix_moduli @ np.abs(dense[word[-1]])
+            got = ladder_word(word, np.eye(N + 1))
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 4 * np.spacing(np.max(np.abs(want))), word
+            # on columns, entrywise: a few ulp of the moduli of every term summed
+            bound = 4 * np.finfo(float).eps * (moduli @ np.abs(cols))
+            assert np.all(np.abs(ladder_word(word, cols) - want @ cols) <= bound), word
+
+
+def test_ladder_word_reads_a_string_of_one_letter_names():
+    c = np.arange(1.0, 7.0)
+    assert np.array_equal(ladder_word("DMX", c), ladder_word(("D", "M", "X"), c))
 
 
 def test_a1_a2_on_vacuum():
@@ -845,5 +873,6 @@ def test_a1_a2_on_vacuum():
 
 def test_a1_a2_commutator_interior():
     N = 64
-    C = commutator(a2_matrix(N), a1_matrix(N))
+    A1, A2 = a1_matrix(N).entries, a2_matrix(N).entries
+    C = A2 @ A1 - A1 @ A2
     assert np.max(np.abs(C[: N - 1, : N - 1] - np.eye(N - 1))) < 1e-12

@@ -201,6 +201,42 @@ def test_weyl_quantize_matches_mccoy_ordering(i, k):
     assert np.max(np.abs(W - mccoy)[:b, :b]) <= 1e-14 * np.max(np.abs(mccoy[:b, :b]))
 
 
+def _dense_anti_wick_residual(sigma, N):
+    # the product form from dense truncated matrices
+    M, D = (A.entries for A in md_matrices(N))
+    products = sum(c * (matrix_power(D, n) @ matrix_power(M, m)) for (m, n), c in sigma.coeffs.items())
+    b = N + 1 - sigma.degree
+    return float(np.max(np.abs(products - anti_wick_matrix(sigma, N).entries)[:b, :b]))
+
+
+def _dense_weyl_residual(phi, N):
+    # McCoy's ordering from dense truncated matrices
+    X = a1_matrix(N).entries
+    Z = a2_matrix(N).entries / 2j
+    mccoy = sum(
+        c * 0.5**i * math.comb(i, j) * (matrix_power(X, j) @ matrix_power(Z, k) @ matrix_power(X, i - j))
+        for (i, k), c in PhasePolynomial.from_poly_symbol(heat_symbol(phi)).coeffs.items()
+        for j in range(i + 1)
+    )
+    b = N + 1 - phi.degree
+    return float(np.max(np.abs(toeplitz_poly_matrix(phi, N).entries - mccoy)[:b, :b]))
+
+
+@pytest.mark.parametrize("N", [8, 40])
+def test_calculus_residuals_match_their_dense_forms(N):
+    # the words applied by index shifts give the dense products' residuals up
+    # to rounding: both sit within a few ulp of the largest matrix entry
+    rng = np.random.default_rng(N)
+    symbols = [PolySymbol({(m, n): complex(*rng.standard_normal(2)) for m in range(3) for n in range(3 - m)}),
+               PolySymbol({(1, 1): 1.0}), PolySymbol({(0, 2): 1.0, (2, 0): -0.5j}), PolySymbol({(1, 0): 1j})]
+    for sym in symbols:
+        scale = np.max(np.abs(anti_wick_matrix(sym, N).entries))
+        for got, want in ((anti_wick_toeplitz_residual(sym, N), _dense_anti_wick_residual(sym, N)),
+                          (weyl_toeplitz_residual(sym, N), _dense_weyl_residual(sym, N))):
+            assert got <= 16 * np.spacing(scale)
+            assert abs(got - want) <= 16 * np.spacing(scale)
+
+
 def test_weyl_quantize_real_symbol_is_hermitian():
     sigma = PhasePolynomial({(4, 0): 1.0, (2, 1): 0.5, (1, 3): -2.0, (0, 4): 1.5, (1, 1): 0.3, (0, 0): -1.0})
     Q = weyl_quantize_poly(sigma, 24).entries

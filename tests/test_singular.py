@@ -11,6 +11,7 @@ import pytest
 from fockdict.errors import AccuracyWarning
 from fockdict.fock import FockVector, evaluate
 from fockdict.hermite import gauss_hermite, gauss_hermite_plane, hermite_function, hermite_functions
+from fockdict import singular
 from fockdict.operators import md_matrices, weyl_matrix
 from fockdict.singular import (
     TSQUARE_SPAN,
@@ -365,6 +366,28 @@ def test_sqrt_factorials_equal_the_per_index_form(n):
     # the running product of k! gives the same integers as math.factorial(k)
     per_index = zip(*(_split(math.isqrt(math.factorial(k) << 128), 1 << 64) for k in range(n + 1)))
     assert tuple(_sqrt_factorials(n)) == tuple(per_index)
+
+
+def test_sqrt_factorial_table_is_the_same_whatever_the_call_order(monkeypatch):
+    # the shared table grows on demand; its prefixes, and every matrix and
+    # vector rounded from them, are those of a table built for one call
+    sym = symbol_from_taylor([0.5, -1.25, 2.0, 0.0, 3.5j])
+    degrees = (0, 3, 40, 17, 399, 1, 64)
+
+    def outputs(n):
+        matrix = s_phi_matrix(sym, n).entries.tobytes() if 2 <= n <= 64 else None
+        return _sqrt_factorials(n), symbol_to_fock(sym, n).coeffs.tobytes(), matrix
+
+    cold = {}
+    for n in degrees:
+        monkeypatch.setattr(singular, "_SQRT_FACTORIALS", ((), (), 1))
+        cold[n] = outputs(n)
+    monkeypatch.setattr(singular, "_SQRT_FACTORIALS", ((), (), 1))
+    for n in degrees:
+        per_index = tuple(zip(*(_split(math.isqrt(math.factorial(k) << 128), 1 << 64) for k in range(n + 1))))
+        assert outputs(n) == cold[n]
+        assert cold[n][0] == per_index
+    assert len(singular._SQRT_FACTORIALS[0]) == 400
 
 
 def test_hilbert_first_column_is_symbol():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fockdict.fock import FockVector
-from fockdict.operators import commutator, md_matrices
+from fockdict.operators import md_matrices
 from fockdict.uncertainty import (
     ExtremalParams,
     extremal_coeffs,
@@ -37,8 +37,32 @@ def test_generators_equal_the_md_sums_bit_for_bit(N):
 
 def test_commutator_is_minus_two_i():
     N = 64
-    C = commutator(s1_matrix(N), s2_matrix(N))
+    S1, S2 = s1_matrix(N).entries, s2_matrix(N).entries
+    C = S1 @ S2 - S2 @ S1
     assert np.max(np.abs(C[: N - 1, : N - 1] + 2j * np.eye(N - 1))) < 1e-12
+
+
+def _shifted_product(f, a, b):
+    # M f and D f formed on their own zero-padded arrays, one degree up
+    c = f.coeffs
+    m = np.zeros(len(c) + 1, dtype=np.complex128)
+    m[1:] = np.sqrt(np.arange(1, len(c) + 1)) * c
+    d = np.zeros(len(c) + 1, dtype=np.complex128)
+    d[: len(c) - 1] = np.sqrt(np.arange(1, len(c))) * c[1:]
+    ce = np.concatenate([c, [0.0]])
+    u, w = d + m - a * ce, d - m - 1j * b * ce
+    return float(np.linalg.norm(u) * np.linalg.norm(w)), float(np.linalg.norm(c) ** 2)
+
+
+def test_uncertainty_product_equals_the_padded_shifts_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for degree in (0, 1, 7, 64, 300):
+        for _ in range(5):
+            f = FockVector(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
+            a, b = rng.standard_normal(2) * 3
+            assert uncertainty_product(f, a, b) == _shifted_product(f, a, b)
+    f = extremal_coeffs(ExtremalParams(1.0, 2.0, 0.5, -1.0), 300)
+    assert uncertainty_product(f, 0.5, -1.0) == _shifted_product(f, 0.5, -1.0)
 
 
 def test_vacuum_attains_equality():
