@@ -33,7 +33,6 @@ from .operators import (
 )
 from .singular import (
     EntireSymbol,
-    antiderivative_coeffs,
     berezin_check,
     boundedness_probe,
     fock_norm_A,
@@ -58,7 +57,6 @@ from .uncertainty import (
     extremal_coeffs,
     s1_matrix,
     s2_matrix,
-    uncertainty_gap,
     uncertainty_product,
 )
 from .quantize import (

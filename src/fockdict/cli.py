@@ -24,13 +24,12 @@ import numpy as np
 
 from . import bargmann as bg
 from . import gabor as gb
-from . import hermite as hm
 from . import operators as op
 from . import quantize as qz
 from . import singular as sg
 from . import uncertainty as uc
 from .errors import AccuracyWarning
-from .fock import resolved_radius
+from .fock import FockVector, resolved_radius
 from .report import SUITE_NAMES, SuiteConfig, default_degree, run_suite, seed_value, truncation_degree
 from .serialize import (
     matrix_to_csv,
@@ -134,22 +133,21 @@ def _radii_arg(text: str) -> list[float]:
 
 def _cmd_bargmann(args) -> int:
     N = args.degree or default_degree()
-    line = _read_vector(args.input, "line").coeffs
-    line = np.concatenate([line, np.zeros(max(0, N + 1 - len(line)))])[: N + 1]
-    _emit_vector(bg.bargmann_coeff(hm.LineVector(line)), args)
+    _emit_vector(bg.bargmann_coeff(_read_vector(args.input, "line")).pad(N), args)
     return 0
 
 
 # --op name: (how many --params values it takes, the operator applied to f
 # at degree N); weyl and dilate take f at its own degree, its reach, since
-# trailing zeros would only raise it
+# trailing zeros would only raise it; a1 and a2 are ladder words, applied by
+# index shifts and never as a dense matrix (2i Z = D - M exactly)
 _OPERATORS = {
     "fourier": (0, lambda p, f, N: op.fourier_fock(f)),
     "rotate": (1, lambda p, f, N: op.rotation(p[0], f)),
     "weyl": (2, lambda p, f, N: op.weyl_matrix(complex(p[0], p[1]), N, f.reach).apply(f)),
     "dilate": (1, lambda p, f, N: op.dilation_matrix(p[0], N, f.reach).apply(f)),
-    "a1": (0, lambda p, f, N: op.a1_matrix(N).apply(f)),
-    "a2": (0, lambda p, f, N: op.a2_matrix(N).apply(f)),
+    "a1": (0, lambda p, f, N: FockVector(op.ladder_word("X", f.coeffs))),
+    "a2": (0, lambda p, f, N: FockVector(2j * op.ladder_word("Z", f.coeffs))),
 }
 
 
@@ -271,7 +269,7 @@ def _cmd_quantize(args) -> int:
 def _cmd_verify(args) -> int:
     report = run_suite(args.suite, SuiteConfig(args.degree, args.seed))
     _write(report.to_json(), args.out)
-    for case in sorted(report.cases, key=lambda c: c.id):
+    for case in report.cases:
         status = "PASS" if case.passed else "FAIL"
         sys.stderr.write(f"{status} {case.id}: residual={case.residual:.3e} "
                          f"tolerance={case.tolerance:.1e}\n")

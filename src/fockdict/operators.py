@@ -91,9 +91,10 @@ def fourier_fock(f: FockVector, inverse: bool = False) -> FockVector:
 
 
 def rotation(theta: float, f: FockVector) -> FockVector:
-    """Rotation operator f(z) -> f(e^{i theta} z); unitary and diagonal."""
+    """Rotation f(z) -> f(e^{i theta} z), unitary and diagonal; a phase past double range is nan, quietly."""
     n = np.arange(len(f.coeffs))
-    return FockVector(f.coeffs * np.exp(1j * theta * n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return FockVector(f.coeffs * np.exp(1j * theta * n))
 
 
 def spectral_projection(k: int, f: FockVector) -> FockVector:

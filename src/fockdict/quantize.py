@@ -2,9 +2,10 @@
 
 A Toeplitz operator on the Fock space compresses multiplication by a symbol:
 T_phi f = P(phi f).  Its matrix for a polynomial symbol has a closed form,
-exact in every entry (the truncation corner included), and it is the one
-engine here; both calculi are Toeplitz matrices of a transformed symbol, at
-any degree:
+exact in every entry (the truncation corner included), and one builder
+writes each term conj(z)^m z^n as its one diagonal, k = j + n - m.  It is
+the one engine here; both calculi are Toeplitz matrices of a transformed
+symbol, at any degree:
 
 * anti-Wick (Berezin): sigma(z, conj z) = sum a_mn z^n conj(z)^m quantizes
   to the Toeplitz matrix of the swapped symbol sigma(conj z, z);
@@ -47,14 +48,6 @@ class PolySymbol:
     def degree(self) -> int:
         return max((m + n for (m, n) in self.coeffs), default=0)
 
-    @property
-    def is_real_valued(self) -> bool:
-        """True when a_mn = conj(a_nm), i.e. the symbol is real on the plane."""
-        for (m, n), c in self.coeffs.items():
-            if not np.isclose(c, np.conj(self.coeffs.get((n, m), 0.0))):
-                return False
-        return True
-
     def swapped(self) -> "PolySymbol":
         """The conjugate-variable symbol: sigma(conj z, z)."""
         return PolySymbol({(n, m): c for (m, n), c in self.coeffs.items()})
@@ -93,35 +86,31 @@ class PhasePolynomial:
 
 
 def toeplitz_monomial_matrix(m: int, n: int, degree: int) -> OperatorMatrix:
-    """Toeplitz matrix of phi = conj(z)^m z^n on e_0..e_N.
-
-    From the Gaussian moment identity int z^p conj(z)^q dlambda = delta_pq p!,
-    the entries are <T e_j, e_k> = delta_{n+j, m+k} (n+j)!/sqrt(j! k!), the
-    square root of the integer P = (j+1)...(n+j) * (k+1)...(n+j).  P is
-    symmetric in (j, k), so real symbols give exactly Hermitian matrices; past
-    1000 bits it is shifted right by an even e before the root, which is
-    scaled back by 2^(e/2).
-    """
-    if m < 0 or n < 0:
-        raise ValueError("powers must be non-negative")
-    if m + n > degree:
-        raise ValueError("monomial degree exceeds the matrix degree")
-    N = degree
-    out = np.zeros((N + 1, N + 1), dtype=np.complex128)
-    for j in range(N + 1):
-        k = n + j - m
-        if 0 <= k <= N:
-            P = math.prod(range(j + 1, n + j + 1)) * math.prod(range(k + 1, n + j + 1))
-            e = max(0, P.bit_length() - 1000) & ~1
-            out[k, j] = math.ldexp(math.sqrt(P >> e), e // 2)
-    return OperatorMatrix(out)
+    """Toeplitz matrix of phi = conj(z)^m z^n on e_0..e_N."""
+    return toeplitz_poly_matrix(PolySymbol({(m, n): 1.0}), degree)
 
 
 def toeplitz_poly_matrix(phi: PolySymbol, degree: int) -> OperatorMatrix:
-    """Toeplitz matrix of a polynomial symbol (sum of monomial matrices)."""
+    """Toeplitz matrix of a polynomial symbol on e_0..e_N, one diagonal per term.
+
+    From the Gaussian moment identity int z^p conj(z)^q dlambda = delta_pq p!,
+    the term c conj(z)^m z^n contributes <T e_j, e_k> = c (n+j)!/sqrt(j! k!)
+    on the diagonal k = n + j - m: c times the square root of the integer
+    P = (j+1)...(n+j) * (k+1)...(n+j).  P is symmetric in (j, k), so real
+    symbols give exactly Hermitian matrices; past 1000 bits it is shifted
+    right by an even e before the root, which is scaled back by 2^(e/2).
+    """
+    if phi.degree > degree:
+        raise ValueError("monomial degree exceeds the matrix degree")
     out = np.zeros((degree + 1, degree + 1), dtype=np.complex128)
     for (m, n), c in phi.coeffs.items():
-        out += c * toeplitz_monomial_matrix(m, n, degree).entries
+        j = np.arange(max(0, m - n), degree + 1 - max(0, n - m))
+        root = np.zeros(len(j))
+        for i, jj in enumerate(j.tolist()):
+            P = math.prod(range(jj + 1, n + jj + 1)) * math.prod(range(jj + n - m + 1, n + jj + 1))
+            e = max(0, P.bit_length() - 1000) & ~1
+            root[i] = math.ldexp(math.sqrt(P >> e), e // 2)
+        out[j + n - m, j] += c * root
     return OperatorMatrix(out)
 
 

@@ -21,8 +21,8 @@ def _fmt(x: float) -> str:
 
 
 def vector_to_json(vec) -> str:
-    coeffs = vec.coeffs if hasattr(vec, "coeffs") else np.asarray(vec)
-    return json.dumps([[c.real, c.imag] for c in np.asarray(coeffs, dtype=complex)], allow_nan=False)
+    coeffs = _finite(np.asarray(vec.coeffs if hasattr(vec, "coeffs") else vec, dtype=complex), "output")
+    return json.dumps([[c.real, c.imag] for c in coeffs], allow_nan=False)
 
 
 def vector_from_json(text: str, kind: str = "fock"):
@@ -60,6 +60,6 @@ def matrix_to_csv(entries: np.ndarray) -> str:
 
 def matrix_to_json(entries: np.ndarray) -> str:
     return json.dumps(
-        [[[v.real, v.imag] for v in row] for row in np.asarray(entries, dtype=complex)],
+        [[[v.real, v.imag] for v in row] for row in _finite(np.asarray(entries, dtype=complex), "output")],
         allow_nan=False,
     )

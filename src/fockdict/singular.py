@@ -156,35 +156,29 @@ def symbol_from_taylor(taylor) -> EntireSymbol:
     return EntireSymbol(nums[: c.size], nums[c.size :], den)
 
 
-def _odd_antiderivative(degree: int, squeeze: int, factor: float = 1.0) -> EntireSymbol:
-    """factor A(z / sqrt(squeeze)) with exact z^{2n+1} coefficient 1/((2n+1) n! squeeze^n).
+def _odd_antiderivative(degree: int, factor: float = 1.0) -> EntireSymbol:
+    """factor A(z / sqrt(2)), A(z) = sum z^{2n+1}/((2n+1) n!) the odd antiderivative of e^{z^2}.
 
-    Over lcm(1, 3, ..., 2M+1) M! squeeze^M; the scale carries factor/sqrt(squeeze).
+    Its z^{2n+1} coefficient 1/((2n+1) n! 2^n) is held exactly over
+    lcm(1, 3, ..., 2M+1) M! 2^M; the scale carries factor/sqrt(2).
     """
     top = max(0, (degree - 1) // 2)  # M, the last n with 2n + 1 <= degree
-    lcm, tail = math.lcm(*range(1, degree + 1, 2)), 1  # tail = M! squeeze^M / (n! squeeze^n)
+    lcm, tail = math.lcm(*range(1, degree + 1, 2)), 1  # tail = M! 2^M / (n! 2^n)
     re = [0] * (degree + 1)
     for n in range((degree - 1) // 2, -1, -1):
-        re[2 * n + 1], tail = lcm // (2 * n + 1) * tail, tail * n * squeeze
-    den = lcm * math.factorial(top) * squeeze**top
-    return EntireSymbol(re, [0] * (degree + 1), den, factor * (1.0 / math.sqrt(squeeze)))
-
-
-def antiderivative_coeffs(degree: int) -> EntireSymbol:
-    """Taylor series of the odd antiderivative of e^{z^2}: sum z^{2n+1}/((2n+1) n!)."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    return _odd_antiderivative(degree, 1)
+        re[2 * n + 1], tail = lcm // (2 * n + 1) * tail, tail * n * 2
+    den = lcm * math.factorial(top) * 2**top
+    return EntireSymbol(re, [0] * (degree + 1), den, factor * (1.0 / math.sqrt(2)))
 
 
 def scaled_antiderivative_symbol(degree: int) -> EntireSymbol:
-    """A(z / sqrt(2)) with A the antiderivative above; scale carries 1/sqrt(2)."""
-    return _odd_antiderivative(degree, 2)
+    """A(z / sqrt(2)) with A(z) = sum z^{2n+1}/((2n+1) n!); scale carries 1/sqrt(2)."""
+    return _odd_antiderivative(degree)
 
 
 def hilbert_symbol(degree: int) -> EntireSymbol:
     """Symbol of the Fock-side Hilbert transform: -(2/sqrt(pi)) A(u/sqrt(2))."""
-    return _odd_antiderivative(degree, 2, -2.0 / math.sqrt(np.pi))
+    return _odd_antiderivative(degree, -2.0 / math.sqrt(np.pi))
 
 
 def _exp_power_symbol(c: complex, power: int, degree: int) -> EntireSymbol:

@@ -51,12 +51,6 @@ def uncertainty_product(f: FockVector, a: float, b: float) -> tuple[float, float
     return lhs, rhs
 
 
-def uncertainty_gap(f: FockVector, a: float, b: float) -> float:
-    """lhs - rhs of the product inequality; zero exactly on the extremal family."""
-    lhs, rhs = uncertainty_product(f, a, b)
-    return lhs - rhs
-
-
 @dataclass(frozen=True)
 class ExtremalParams:
     """Parameters of the equality family C exp(alpha z^2 + beta z).

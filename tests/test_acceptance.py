@@ -263,7 +263,8 @@ def test_criterion_10_uncertainty_inequality_and_equality():
         c = (1 + 2 * alpha) / (1 - 2 * alpha)
         a, b = rng.standard_normal(2)
         f = uc.extremal_coeffs(uc.ExtremalParams(1.0, c, a, b), 300)
-        worst_gap = max(worst_gap, abs(uc.uncertainty_gap(f, a, b)))
+        lhs, rhs = uc.uncertainty_product(f, a, b)
+        worst_gap = max(worst_gap, abs(lhs - rhs))
 
     ok = worst_violation <= 1e-9 and worst_gap <= 1e-6
     _report("AC-10 uncertainty", ok,

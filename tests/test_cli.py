@@ -86,7 +86,8 @@ def test_writers_refuse_non_finite(writer, bad):
     values[1, 2] = bad
     if writer in (vector_to_json, vector_to_csv):
         values = values[1]
-    with pytest.raises(ValueError):
+    # one rule and one text for all four writers, which the CLI prints as its error line
+    with pytest.raises(ValueError, match="^output has a non-finite coefficient$"):
         writer(values)
 
 
@@ -366,6 +367,7 @@ def test_cli_env_degree(tmp_path):
     ("op", "apply", "--op", "weyl", "--params", "1e300,0", "--in", "{tmp}/e1.json",
      "--degree", "8"),
     ("singular", "apply", "--phi", "{tmp}/huge.json", "--in", "{tmp}/e1.json", "--degree", "4"),
+    ("op", "apply", "--op", "rotate", "--params", "1e308", "--in", "{tmp}/e1.json", "--degree", "8"),
 ], ids=["malformed-json", "missing-symbol", "bad-params", "negative-degree",
         "zero-degree", "tail-certificate", "zero-radius", "wrong-shape-vector",
         "symbol-without-terms", "non-finite-vector",
@@ -377,7 +379,8 @@ def test_cli_env_degree(tmp_path):
         "overflowing-product", "overflowing-extremal", "hilbert-takes-no-phi",
         "hilbert-takes-no-format", "apply-takes-no-check", "extremal-takes-no-f",
         "product-takes-no-c", "fourier-takes-no-params", "bargmann-takes-no-mode-quad",
-        "bargmann-takes-no-mode-coeff", "weyl-beyond-double-range", "symbol-beyond-double-range"])
+        "bargmann-takes-no-mode-coeff", "weyl-beyond-double-range", "symbol-beyond-double-range",
+        "non-finite-rotate-output"])
 def test_cli_errors_are_one_line(tmp_path, args, request):
     (tmp_path / "bad.json").write_text("[[1.0, 0.0], ")
     (tmp_path / "shape.json").write_text("[1, 2]")
@@ -528,6 +531,25 @@ def test_cli_weyl_takes_the_input_at_its_own_degree(tmp_path, capsys):
     got = np.array([complex(re, im) for re, im in json.loads(out)])
     want = cli.op.weyl_matrix(0.7 - 0.4j, 200).entries[:, 20]
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name, dense", [("a1", op.a1_matrix), ("a2", op.a2_matrix)])
+@pytest.mark.parametrize("N", [1, 2, 8, 200])
+def test_cli_a1_a2_match_the_dense_matrices(tmp_path, capsys, name, dense, N):
+    # a1 and a2 are applied by index shifts, never as a matrix: the dense
+    # matrix's product on a degree-N/2 input, padded to N, is the reference,
+    # within 2 ulp of the largest output entry
+    rng = np.random.default_rng(N)
+    c = rng.standard_normal(N // 2 + 1) + 1j * rng.standard_normal(N // 2 + 1)
+    path = tmp_path / "f.json"
+    path.write_text(vector_to_json(c))
+    code = cli.main(["op", "apply", "--op", name, "--degree", str(N), "--in", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    got = np.array([complex(re, im) for re, im in json.loads(out)])
+    want = dense(N).apply(FockVector(c).pad(N)).coeffs
+    assert got.shape == want.shape == (N + 1,)
+    assert np.max(np.abs(got - want)) <= 2 * np.spacing(np.max(np.abs(want)))
 
 
 def test_cli_negative_params_take_the_equals_form(tmp_path, capsys):

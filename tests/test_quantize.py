@@ -41,6 +41,71 @@ def test_toeplitz_antiholomorphic_is_differentiation():
     assert np.max(np.abs(T.entries - D.entries)) < 1e-14
 
 
+def _dense_toeplitz_reference(phi, N):
+    # one dense matrix per monomial, c times each summed in term order, with
+    # the entry sqrt((j+1)...(n+j) * (k+1)...(n+j)) of the exact integer
+    # product, shifted right by an even count past 1000 bits
+    out = np.zeros((N + 1, N + 1), dtype=np.complex128)
+    for (m, n), c in phi.coeffs.items():
+        T = np.zeros((N + 1, N + 1), dtype=np.complex128)
+        for j in range(N + 1):
+            k = n + j - m
+            if 0 <= k <= N:
+                P = math.prod(range(j + 1, n + j + 1)) * math.prod(range(k + 1, n + j + 1))
+                e = max(0, P.bit_length() - 1000) & ~1
+                T[k, j] = math.ldexp(math.sqrt(P >> e), e // 2)
+        out += c * T
+    return out
+
+
+def _random_symbols(count):
+    # up to four terms of powers <= 4; coefficients with signed-zero parts
+    # among them, so that a sign of zero the builder gets wrong shows
+    rng = np.random.default_rng(440)
+    specials = [complex(-0.0, 1.0), complex(-1.0, -0.0), complex(0.0, -0.5), complex(2.0, 0.0)]
+    symbols = []
+    for _ in range(count):
+        terms = {}
+        for _ in range(int(rng.integers(1, 5))):
+            m, n = (int(p) for p in rng.integers(0, 5, size=2))
+            terms[(m, n)] = (specials[int(rng.integers(len(specials)))] if rng.random() < 0.3
+                             else complex(*rng.standard_normal(2)))
+        symbols.append(PolySymbol(terms))
+    return symbols
+
+
+_MONOMIALS = [(m, n) for m in range(5) for n in range(5)]
+_TOEPLITZ_SYMBOLS = [PolySymbol({mn: 1.0}) for mn in _MONOMIALS] + _random_symbols(20)
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 8, 16, 64, 300])
+def test_toeplitz_builder_is_bit_identical_to_the_dense_sum(N):
+    # the one-diagonal-per-term builder against the per-monomial dense sum,
+    # as int64 views, so that signed zeros count; anti-Wick matrices and the
+    # monomial entry point included
+    same = lambda got, want: np.array_equal(got.entries.view(np.int64), want.view(np.int64))
+    for sym in _TOEPLITZ_SYMBOLS:
+        if sym.degree <= N:
+            assert same(toeplitz_poly_matrix(sym, N), _dense_toeplitz_reference(sym, N)), (sym.coeffs, N)
+            assert same(anti_wick_matrix(sym, N), _dense_toeplitz_reference(sym.swapped(), N)), (sym.coeffs, N)
+    for m, n in _MONOMIALS:
+        if m + n <= N:
+            assert same(toeplitz_monomial_matrix(m, n, N), _dense_toeplitz_reference(PolySymbol({(m, n): 1.0}), N))
+
+
+@pytest.mark.parametrize("build, text", [
+    (lambda: toeplitz_monomial_matrix(-1, 2, 8), "powers must be non-negative"),
+    (lambda: toeplitz_monomial_matrix(2, -1, 8), "powers must be non-negative"),
+    (lambda: toeplitz_poly_matrix(PolySymbol({(-1, 2): 1.0}), 8), "powers must be non-negative"),
+    (lambda: toeplitz_monomial_matrix(3, 3, 5), "monomial degree exceeds the matrix degree"),
+    (lambda: toeplitz_poly_matrix(PolySymbol({(0, 0): 1.0, (3, 3): 1j}), 5),
+     "monomial degree exceeds the matrix degree"),
+], ids=["monomial-negative-m", "monomial-negative-n", "poly-negative", "monomial-too-high", "poly-too-high"])
+def test_toeplitz_refusals_keep_their_text(build, text):
+    with pytest.raises(ValueError, match=text):
+        build()
+
+
 def test_gaussian_moment_identity():
     # int z^p conj(z)^q dlambda = delta_pq p!, checked by plane quadrature
     plane = gauss_hermite_plane(64)
@@ -74,7 +139,6 @@ def test_poly_symbol_is_the_direct_sum():
 
 def test_real_symbol_gives_hermitian_matrix():
     sym = PolySymbol({(1, 1): 2.0, (0, 1): 1 - 1j, (1, 0): 1 + 1j, (0, 2): 0.5j, (2, 0): -0.5j})
-    assert sym.is_real_valued
     T = toeplitz_poly_matrix(sym, 16).entries
     assert np.max(np.abs(T - T.conj().T)) == 0.0
 

@@ -19,7 +19,6 @@ from fockdict.singular import (
     _round_scaled,
     _split,
     _sqrt_factorials,
-    antiderivative_coeffs,
     berezin_check,
     boundedness_probe,
     exp_linear_symbol,
@@ -41,10 +40,13 @@ from fockdict.singular import (
 # ----------------------------------------------------------------------
 
 def test_antiderivative_taylor():
-    sym = antiderivative_coeffs(9)
-    assert sym.taylor[1] == 1.0
-    assert abs(sym.taylor[3] - 1.0 / 3.0) < 1e-16
+    # A(z / sqrt(2)) = sum z^{2n+1} / ((2n+1) n! 2^n sqrt(2)), and the Hilbert
+    # symbol is -(2/sqrt(pi)) times it
+    sym = scaled_antiderivative_symbol(9)
+    assert sym.taylor[1] == 1.0 / math.sqrt(2)
+    assert abs(sym.taylor[3] - 1.0 / (6.0 * math.sqrt(2))) < 1e-16
     assert np.all(sym.taylor[::2] == 0.0)  # odd function
+    assert np.allclose(hilbert_symbol(9).taylor, -2.0 / math.sqrt(np.pi) * sym.taylor, rtol=1e-15, atol=0)
 
 
 def test_a_symbol_stores_its_exact_coefficients_only():
@@ -243,11 +245,11 @@ def _ref_exp_power(c: complex, power: int, degree: int):
     return exact, 1.0
 
 
-def _ref_odd_antiderivative(degree: int, squeeze: int):
+def _ref_odd_antiderivative(degree: int):
     exact = [(Fraction(0), Fraction(0))] * (degree + 1)
     for n in range((degree - 1) // 2 + 1):
-        exact[2 * n + 1] = (Fraction(1, (2 * n + 1) * math.factorial(n) * squeeze**n), Fraction(0))
-    return exact, 1.0 / math.sqrt(squeeze)
+        exact[2 * n + 1] = (Fraction(1, (2 * n + 1) * math.factorial(n) * 2**n), Fraction(0))
+    return exact, 1.0 / math.sqrt(2)
 
 
 def _ref_from_taylor(taylor):
@@ -273,11 +275,9 @@ _CONSTRUCTORS = (
      for a in _A_GRID for d in (0, 1, 7, 48)]
     + [(f"gaussian-square-{a}-{d}", lambda a=a, d=d: (gaussian_square_symbol(a, d), _ref_exp_power(complex(a), 2, d)))
        for a in _A_GRID for d in (0, 1, 7, 48)]
-    + [(f"antiderivative-{d}", lambda d=d: (antiderivative_coeffs(d), _ref_odd_antiderivative(d, 1)))
-       for d in (1, 2, 9, 64)]
-    + [(f"scaled-antiderivative-{d}", lambda d=d: (scaled_antiderivative_symbol(d), _ref_odd_antiderivative(d, 2)))
-       for d in (0, 1, 9, 399)]
-    + [(f"hilbert-{d}", lambda d=d: (hilbert_symbol(d), (_ref_odd_antiderivative(d, 2)[0],
+    + [(f"scaled-antiderivative-{d}", lambda d=d: (scaled_antiderivative_symbol(d), _ref_odd_antiderivative(d)))
+       for d in (0, 1, 2, 3, 9, 64, 65, 399)]
+    + [(f"hilbert-{d}", lambda d=d: (hilbert_symbol(d), (_ref_odd_antiderivative(d)[0],
                                                         -2.0 / math.sqrt(np.pi) * (1.0 / math.sqrt(2)))))
        for d in (0, 1, 2, 9, 255)]
     + [(f"taylor-{i}", lambda t=t: (symbol_from_taylor(t), _ref_from_taylor(t))) for i, t in enumerate(_TAYLOR_GRID)]
