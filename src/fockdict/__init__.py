@@ -55,8 +55,6 @@ from .gabor import (
 from .uncertainty import (
     ExtremalParams,
     extremal_coeffs,
-    s1_matrix,
-    s2_matrix,
     uncertainty_product,
 )
 from .quantize import (

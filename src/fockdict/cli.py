@@ -11,7 +11,8 @@ vector or a matrix take --format.  A call declares the arguments of its
 own command only; the others are listed by name and help line.  Bad
 input, an unreadable/unwritable file or an AccuracyWarning raised as an
 error (``python -W error``) ends the call with one ``fockdict: error: ...``
-line on stderr and exit code 2.
+line on stderr and exit code 2; a warning that is only shown is one
+``fockdict: warning: ...`` line, and the call goes on.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -105,25 +107,19 @@ def _numbers(text: str) -> list[float]:
     return [_number(part) for part in text.split(",")]
 
 
-def _lattice_arg(text: str) -> tuple[float, float]:
+def _lattice(text: str) -> tuple[float, float]:
     """Steps a,b that ``PointSet.rectangular`` accepts."""
     steps = _numbers(text)
     if len(steps) != 2:
-        raise argparse.ArgumentTypeError(f"expected two comma-separated numbers, got {text!r}")
-    try:
-        gb.PointSet.rectangular(*steps)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise ValueError(f"expected two comma-separated numbers, got {text!r}")
+    gb.PointSet.rectangular(*steps)
     return steps[0], steps[1]
 
 
-def _radii_arg(text: str) -> list[float]:
+def _radii(text: str) -> list[float]:
     """Disk radii that ``density_estimate`` accepts."""
     radii = _numbers(text)
-    try:
-        gb.disk_radii(radii)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    gb.disk_radii(radii)
     return radii
 
 
@@ -311,9 +307,9 @@ def _declare_gabor(p: argparse.ArgumentParser) -> None:
     gsub = p.add_subparsers(dest="action", required=True)
     for action in ("density", "frame-bounds", "predicate"):
         pg = gsub.add_parser(action)
-        pg.add_argument("--lattice", required=True, type=_lattice_arg, help="lattice steps a,b")
+        pg.add_argument("--lattice", required=True, type=_argument_type(_lattice), help="lattice steps a,b")
         if action == "density":
-            pg.add_argument("--R", dest="radii", type=_radii_arg, default="10,20,50",
+            pg.add_argument("--R", dest="radii", type=_argument_type(_radii), default="10,20,50",
                             help="comma-separated disk radii")
         if action == "frame-bounds":
             pg.add_argument("--core", type=int, default=None,
@@ -397,7 +393,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
     try:
-        return args.fn(args)
+        with warnings.catch_warnings():  # a warning shown is one line, without file or source
+            warnings.showwarning = lambda message, *_: sys.stderr.write(f"fockdict: warning: {message}\n")
+            return args.fn(args)
     except (ValueError, OSError, AccuracyWarning) as exc:
         sys.stderr.write(f"fockdict: error: {exc}\n")
         return 2

@@ -8,6 +8,7 @@ power series.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,20 +117,17 @@ def exp_quadratic_coeffs(alpha, beta, degree: int, c0=1.0) -> np.ndarray:
 
     u_n = t_n sqrt(n!) for Taylor coefficients t_n, by the normalized recurrence
     sqrt(n+1) u_{n+1} = beta u_n + 2 alpha sqrt(n) u_{n-1}: no factorial is
-    formed, so u_n stays finite for |alpha| < 1/2 at any degree.  An array
-    ``beta`` gives one column per entry, shape (N+1,) + beta.shape.
-
-    One loop runs over Python numbers for a scalar beta and over arrays for
-    an array beta.  Each step multiplies by 1/sqrt(n+1), which is what
-    numpy's division of a complex by a real does, so the coefficients equal
-    those of dividing in numpy (a zero's sign may differ).
+    formed, so u_n stays finite for |alpha| < 1/2 at any degree.  The loop
+    runs over Python numbers, so every argument is a scalar (an array of
+    several entries raises ValueError).  Each step multiplies by 1/sqrt(n+1),
+    which is what numpy's division of a complex by a real does, so the
+    coefficients equal those of dividing in numpy (a zero's sign may differ).
     """
-    if np.ndim(beta) == 0:  # Python numbers: numpy scalars cost several times more per step
-        alpha, beta, c0 = (np.asarray(x).item() for x in (alpha, beta, c0))
+    alpha, beta, c0 = (np.asarray(x).item() for x in (alpha, beta, c0))
     root = np.sqrt(np.arange(degree + 1))
     two_alpha_root = (2.0 * alpha * root).tolist()
     inv_root = (1.0 / root[1:]).tolist()  # inv_root[n] = 1/sqrt(n+1)
-    u = np.empty((degree + 1,) + np.shape(beta), dtype=np.complex128)
+    u = np.empty(degree + 1, dtype=np.complex128)
     u[0] = c0
     if degree >= 1:
         prev, cur = c0, beta * c0
@@ -190,19 +188,17 @@ def lost_mass(rows) -> np.ndarray:
     return 1.0 - (np.sum(rows.real**2, axis=-1) + np.sum(rows.imag**2, axis=-1))
 
 
-def kernel_truncation_defect(a, degree: int):
+def kernel_truncation_defect(a, degree: int) -> float:
     """The mass k_a loses past the degree: ``lost_mass`` of its row, clipped at 0.
 
-    One point gives a float, an array of points an array of that shape equal
-    to the point-by-point values bit for bit.  A NaN or infinite point reads
-    1.0 and its row is never built; a finite point whose row underflows to
+    ``a`` is one point; an array raises.  A NaN or infinite point reads 1.0
+    and its row is never built; a finite point whose row underflows to
     zeros (|a| past about 1.34e154) reads 1.0 too.
     """
-    z = np.asarray(a, dtype=np.complex128)
-    finite = np.isfinite(z)
-    out = np.ones(z.shape)
-    out[finite] = np.maximum(0.0, lost_mass(kernel_rows(z[finite], degree)))
-    return float(out) if z.ndim == 0 else out
+    a = complex(a)
+    if not cmath.isfinite(a):
+        return 1.0
+    return max(0.0, float(lost_mass(kernel_rows(a, degree))[0]))
 
 
 def resolved_radius(degree: int) -> float:

@@ -91,10 +91,17 @@ def fourier_fock(f: FockVector, inverse: bool = False) -> FockVector:
 
 
 def rotation(theta: float, f: FockVector) -> FockVector:
-    """Rotation f(z) -> f(e^{i theta} z), unitary and diagonal; a phase past double range is nan, quietly."""
+    """Rotation f(z) -> f(e^{i theta} z), unitary and diagonal; ValueError for a non-finite theta.
+
+    A theta past pi is first reduced to the angle of e^{i theta}, whose sine
+    and cosine libm finds exactly, so a phase carries that angle's rounding.
+    """
+    if not np.isfinite(theta):
+        raise ValueError(f"rotation angle must be finite, got {theta!r}")
+    if abs(theta) > np.pi:
+        theta = float(np.angle(np.exp(1j * theta)))
     n = np.arange(len(f.coeffs))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return FockVector(f.coeffs * np.exp(1j * theta * n))
+    return FockVector(f.coeffs * np.exp(1j * theta * n))
 
 
 def spectral_projection(k: int, f: FockVector) -> FockVector:
@@ -413,8 +420,8 @@ _LADDER_LETTERS = {
     "D": (1, 0, 1),
     "X": (0.5, 1, 1),  # a1_matrix
     "Z": (-0.5j, -1, 1),  # a2_matrix / 2i
-    "S1": (1, 1, 1),  # uncertainty.s1_matrix
-    "S2": (1j, -1, 1),  # uncertainty.s2_matrix
+    "S1": (1, 1, 1),  # D + M, the uncertainty pair's first generator
+    "S2": (1j, -1, 1),  # i(D - M), its second
 }
 
 

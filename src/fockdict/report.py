@@ -359,10 +359,9 @@ def _case_uncertainty(cfg: SuiteConfig) -> list[CaseResult]:
     # [S1, S2] = -2i [D, M], so this block also checks [D, M] = I
     out = [CaseResult("u1-commutator", "canonical commutator on the interior",
                       float(np.max(np.abs(C[:N, :N] + 2j * np.eye(N)))), 1e-12)]
-    S1, S2 = uc.s1_matrix(N), uc.s2_matrix(N)
+    S1, S2 = op.ladder_word(("S1",), eye), op.ladder_word(("S2",), eye)
     out.append(CaseResult("u2-self-adjoint", "generator pair is self-adjoint",
-                          float(max(np.max(np.abs(S1.entries - S1.entries.conj().T)),
-                                    np.max(np.abs(S2.entries - S2.entries.conj().T)))), 1e-15))
+                          float(max(np.max(np.abs(S - S.conj().T)) for S in (S1, S2))), 1e-15))
 
     rng = random.Random(cfg.seed)
     worst_violation = 0.0

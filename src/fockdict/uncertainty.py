@@ -9,7 +9,8 @@ S2 = i(D - M); note the second factor is ||(S2 + b) f||, not ||(S2 - b) f||
 (multiplying by -i flips the sign of the b-term), which is why the extremal
 family below uses the same (a, b) as the displayed product.  Both factors
 are computed on degree-raised coefficient arrays, so the products are exact
-for any truncated input and no interior-block caveat is needed.
+for any truncated input and no interior-block caveat is needed.  The pair
+itself is the letters "S1" and "S2" of ``operators.ladder_word``.
 """
 from __future__ import annotations
 
@@ -18,17 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockVector, exp_quadratic_coeffs
-from .operators import OperatorMatrix, a1_matrix, a2_matrix, ladder_word
-
-
-def s1_matrix(degree: int) -> OperatorMatrix:
-    """S1 = D + M = 2 A1; self-adjoint on the truncated basis."""
-    return OperatorMatrix(2.0 * a1_matrix(degree).entries)
-
-
-def s2_matrix(degree: int) -> OperatorMatrix:
-    """S2 = i(D - M) = i A2; self-adjoint, with [S1, S2] = -2i I on the interior."""
-    return OperatorMatrix(1j * a2_matrix(degree).entries)
+from .operators import ladder_word
 
 
 def uncertainty_product(f: FockVector, a: float, b: float) -> tuple[float, float]:

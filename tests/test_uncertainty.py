@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from fockdict.fock import FockVector
-from fockdict.operators import md_matrices
+from fockdict.operators import ladder_word, md_matrices
 from fockdict.uncertainty import (
     ExtremalParams,
     extremal_coeffs,
-    s1_matrix,
-    s2_matrix,
     uncertainty_product,
 )
 
@@ -21,28 +19,37 @@ def _gap(f, a, b):
     return lhs - rhs
 
 
+def _generators(N):
+    """S1 = D + M and S2 = i(D - M) as the dense matrices of their ladder words."""
+    eye = np.eye(N + 1)
+    return ladder_word(("S1",), eye), ladder_word(("S2",), eye)
+
+
 def test_generator_actions_on_vacuum():
-    assert np.allclose(s1_matrix(3).entries[:, 0], [0, 1, 0, 0])
-    assert np.allclose(s2_matrix(3).entries[:, 0], [0, -1j, 0, 0])
+    e0 = np.array([1.0, 0.0, 0.0, 0.0])
+    assert np.allclose(ladder_word(("S1",), e0), [0, 1, 0, 0])
+    assert np.allclose(ladder_word(("S2",), e0), [0, -1j, 0, 0])
 
 
 def test_generators_self_adjoint_exactly():
-    for mat in (s1_matrix(32), s2_matrix(32)):
-        assert np.max(np.abs(mat.entries - mat.entries.conj().T)) == 0.0
+    for mat in _generators(32):
+        assert np.max(np.abs(mat - mat.conj().T)) == 0.0
 
 
 @pytest.mark.parametrize("N", [1, 8, 64])
 def test_generators_equal_the_md_sums_bit_for_bit(N):
-    # S1 = 2 A1 and S2 = i A2 are built from the line pair; scaling by 2 and
-    # by i is exact, so the entries equal D + M and i(D - M) to the bit
+    # each letter is two scaled index shifts, and scaling by i is exact, so
+    # the words' matrices equal D + M and i(D - M) to the bit; only the sign
+    # of a zero may differ (a shift by -1 leaves -0.0), which adding 0.0 clears
     M, D = md_matrices(N)
-    assert s1_matrix(N).entries.tobytes() == (D.entries + M.entries).tobytes()
-    assert s2_matrix(N).entries.tobytes() == (1j * (D.entries - M.entries)).tobytes()
+    S1, S2 = _generators(N)
+    assert (S1 + 0.0).astype(np.complex128).tobytes() == (D.entries + M.entries + 0.0).tobytes()
+    assert (S2 + 0.0).tobytes() == (1j * (D.entries - M.entries) + 0.0).tobytes()
 
 
 def test_commutator_is_minus_two_i():
     N = 64
-    S1, S2 = s1_matrix(N).entries, s2_matrix(N).entries
+    S1, S2 = _generators(N)
     C = S1 @ S2 - S2 @ S1
     assert np.max(np.abs(C[: N - 1, : N - 1] + 2j * np.eye(N - 1))) < 1e-12
 
