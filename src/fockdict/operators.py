@@ -271,6 +271,12 @@ def _weyl_real_laguerre(mod_a: float, N: int, K: int) -> np.ndarray:
     start scaled every row is g_m itself, |g_m| <= 1, so the loop skips the
     growth check and the scales.  Columns n <= K need m <= K only, so the
     recurrence stops there.
+
+    One step grows a row by at most D = r + N + 2K + 2 (|diag| <= D - 1, and
+    back <= step), so a row kept at most T in modulus stays below D T and
+    is shrunk back under T by any factor <= 1/D.  T = 1e100 with the factor
+    1e-100 serves D <= 1e100; past that, T = 1e300 / D and the factor
+    1 / (2D), so no product overflows up to |a| = 1e154.
     """
     r = mod_a ** 2
     alpha = np.arange(N + 1)
@@ -284,14 +290,16 @@ def _weyl_real_laguerre(mod_a: float, N: int, K: int) -> np.ndarray:
     rows = np.empty((K + 1, N + 1))  # rows[m] * exp(scales[m]) = g_m on every diagonal
     scaled = log_scale.any()  # else every row is g_m, nothing grows and nothing is undone
     scales = np.empty((K + 1, N + 1)) if scaled else None
+    growth = r + N + 2 * K + 2
+    limit, shrink_by = (1e100, 1e-100) if growth <= 1e100 else (1e300 / growth, 0.5 / growth)
     for i in range(K + 1):
         rows[i] = cur
         nxt = (diag[i] * cur - back[i] * prev) / step[i]
         if scaled:
             scales[i] = log_scale
-            big = np.abs(nxt) > 1e100
+            big = np.abs(nxt) > limit
             if big.any():
-                shrink = np.where(big, 1e-100, 1.0)
+                shrink = np.where(big, shrink_by, 1.0)
                 log_scale = log_scale - np.log(shrink)
                 cur, nxt = cur * shrink, nxt * shrink
         prev, cur = cur, nxt

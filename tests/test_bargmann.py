@@ -7,6 +7,7 @@ import pytest
 
 from fockdict.bargmann import (
     _BLOCK,
+    _block_sum,
     _pbound_grid,
     _polar_grid,
     _stft_blocks,
@@ -123,18 +124,80 @@ _WINDOW_INPUTS = (
 )
 
 
+def _assert_within_rounding(f, zs, rule):
+    """``bargmann_quadrature`` is within 4 eps of each point's sum of term moduli of the dense sum."""
+    got = bargmann_quadrature(f, zs, rule)
+    want, terms = _dense_forward(f, zs, rule)
+    assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * terms)
+    return got
+
+
+def _window_scan(rule, k, budget):
+    # |Re z| <= 4, and |Im z| spread evenly up to budget
+    rng = np.random.default_rng(rule.n_nodes + k)
+    zs = rng.uniform(-4.0, 4.0, 300) + 1j * rng.permutation(np.linspace(-budget, budget, 300))
+    _assert_within_rounding(_WINDOW_INPUTS[k], zs, rule)
+
+
 @pytest.mark.parametrize("n_nodes", [64, 256])
 @pytest.mark.parametrize("k", range(len(_WINDOW_INPUTS)))
 def test_node_window_stays_within_rounding(n_nodes, k):
     # |Im z| scanned up to the oscillation budget n_nodes / 8; |Re z| <= 4
     # keeps the dense reference's kernel below overflow at |Im z| = 32
-    rule = gauss_hermite(n_nodes)
-    rng = np.random.default_rng(n_nodes + k)
-    budget = n_nodes / 8.0
-    zs = rng.uniform(-4.0, 4.0, 300) + 1j * rng.permutation(np.linspace(-budget, budget, 300))
-    got = bargmann_quadrature(_WINDOW_INPUTS[k], zs, rule)
-    want, terms = _dense_forward(_WINDOW_INPUTS[k], zs, rule)
-    assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * terms)
+    _window_scan(gauss_hermite(n_nodes), k, n_nodes / 8.0)
+
+
+@pytest.mark.parametrize("make_rule", [gauss_hermite, product_rule])
+@pytest.mark.parametrize("k", range(len(_WINDOW_INPUTS)))
+def test_node_window_stays_within_rounding_on_728_nodes(make_rule, k):
+    # the dense reference's kernel, of modulus
+    # exp(2 Re z x + ((Im z)^2 - (Re z)^2) / 2), stays below overflow with
+    # |Re z| <= 4 while (Im z)^2 / 2 + 8 max x <= 700, short of the
+    # oscillation budget 91: |Im z| <= 28.3 on gauss_hermite(728), 31.2 on
+    # product_rule(728)
+    rule = make_rule(728)
+    _window_scan(rule, k, math.sqrt(2.0 * (700.0 - 8.0 * rule.nodes.max())))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_kernel_phase_at_a_pole_of_the_half_angle_tangent(sign):
+    # z = s + it with t (x_k - s/2) = +-(pi/2 + delta), |delta| <= 1e-12:
+    # theta/2 = Im z x_k - Im(z^2/2)/2 sits within 1e-12 of +-pi/2 at node
+    # k, where tau = tan(theta/2) runs from 1e12 up to about 1e16
+    x_k = RULE.nodes[80]
+    rng = np.random.default_rng(80)
+    s = rng.uniform(-2.0, 2.0, 201)
+    t = sign * (math.pi / 2.0 + np.linspace(-0.99e-12, 0.99e-12, 201)) / (x_k - s / 2.0)
+    zs = s + 1j * t
+    half = zs.imag * x_k - (zs**2 / 2.0).imag / 2.0
+    tau = np.abs(np.tan(half))
+    assert tau.min() >= 1e12 and tau.max() >= 1e15
+    for f in (gauss, _packet(0.4, 0.2), lambda x: np.ones_like(x)):
+        _assert_within_rounding(f, zs, RULE)
+
+
+def test_kernel_phase_zero_on_the_real_axis():
+    # theta = 0 exactly for real z: tau = 0, and a real f sums to a real value
+    zs = np.linspace(-4.0, 4.0, 2 * _BLOCK + 5) + 0j
+    assert np.all((zs**2 / 2.0).imag == 0.0)
+    for f in (lambda x: hermite_function(3, x), _packet(0.4, 0.2)):
+        _assert_within_rounding(f, zs, RULE)
+    assert np.all(_assert_within_rounding(gauss, zs, RULE).imag == 0.0)
+
+
+def test_kernel_overflows_where_the_dense_sum_does():
+    # f = 1 on 256 nodes with Re z in [15, 30]: the terms exp(2 Re z x_k) pass
+    # double range from Re z near 21, so some sums are finite and some not
+    rule = gauss_hermite(256)
+    rng = np.random.default_rng(256)
+    zs = np.linspace(15.0, 30.0, 301) + 1j * rng.uniform(-4.0, 4.0, 301)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = bargmann_quadrature(np.ones_like, zs, rule)
+        want, terms = _dense_forward(np.ones_like, zs, rule)
+    finite = np.isfinite(want)
+    assert finite.any() and not finite.all()
+    assert np.array_equal(np.isfinite(got), finite)
+    assert np.all(np.abs(got - want)[finite] <= 4.0 * np.finfo(float).eps * terms[finite])
 
 
 @pytest.mark.parametrize("count", [1, _BLOCK, _BLOCK + 1])
@@ -176,7 +239,7 @@ def _looped_quadrature(f, z, rule):
     The reference for the one-pass certification: per block, the end values
     g_k(s0), g_k(s1) of g_k(s) = log|w_k e^{-x_k^2} f(x_k)| + 2 s x_k, the
     floor max_k min(...) + log(eps / n_nodes), every node kept without finite
-    data or finite ends, and the kernel exp(2 z x - z^2/2) formed out of place.
+    data or finite ends, and each window summed by the same ``_block_sum``.
     """
     zs = np.asarray(z, dtype=np.complex128).ravel()
     x = rule.nodes
@@ -195,8 +258,7 @@ def _looped_quadrature(f, z, rule):
             floor = ends.min(axis=0).max() + np.log(np.finfo(np.float64).eps / x.size)
             keep = np.flatnonzero(ends.max(axis=0) >= floor)
             lo, hi = keep[0], keep[-1] + 1
-        kernel = np.exp(2.0 * np.outer(zb, x[lo:hi]) - (zb**2 / 2.0)[:, None])
-        vals[idx] = GAUSS_CONST * (kernel @ fx[lo:hi])
+        vals[idx] = GAUSS_CONST * _block_sum(fx[lo:hi], x[lo:hi], zb)
     return vals
 
 
@@ -408,6 +470,27 @@ def test_pipeline_cross_validation():
 
 def test_sup_norm_vacuum():
     assert abs(fock_sup_norm(FockVector.basis(0, 4), 4.0, 0.05) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("radius, step", [(4.0, 0.0), (4.0, -0.1), (-1.0, 0.1), (math.nan, 0.1),
+                                          (math.inf, 0.1), (4.0, math.nan), (4.0, math.inf)])
+def test_sup_norm_refuses_a_grid_it_cannot_lay(radius, step):
+    # a zero step divided by zero, a negative step or radius read |F(0)| from
+    # the origin alone, and a non-finite one leaked numpy's arange messages
+    bad = step if not (math.isfinite(step) and step > 0) else radius
+    with pytest.raises(ValueError, match=f"got {bad}"):
+        fock_sup_norm(FockVector.basis(1, 4), radius, step)
+
+
+@pytest.mark.parametrize("radius", [-0.5, math.nan, math.inf])
+def test_pbound_refuses_a_grid_radius_it_cannot_lay(radius):
+    # an infinite radius leaked int(floor(inf))'s OverflowError
+    with pytest.raises(ValueError, match=f"grid radius must be finite and >= 0, got {radius}"):
+        verify_pbound(gauss, RULE, grid_radius=radius)
+
+
+def test_sup_norm_at_radius_zero_reads_the_origin():
+    assert fock_sup_norm(FockVector(np.array([0.5, 2.0])), 0.0, 0.2) == 0.5
 
 
 def test_sup_norm_first_excited():

@@ -375,6 +375,18 @@ def test_weyl_matrix_at_the_edge_of_double_range():
             weyl_matrix(a, 8)
 
 
+@pytest.mark.parametrize("a", [1e50, 1e100, 1e150, 1e154])
+def test_weyl_recurrence_far_past_the_block_is_zero(a):
+    # one step multiplies a row by about |a|^2, which a 1e-100 shrink per step
+    # made up for only to |a|^2 = 1e100: at 1e100 the product overflowed.
+    # The weyl_matrix float path serves these points; the recurrence reads
+    # the zero block too, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        G = _weyl_real_laguerre(a, 8, 8)
+    assert G.shape == (9, 9) and not G.any()
+
+
 # ----------------------------------------------------------------------
 # The real stages against their per-column and per-row forms, bit for bit
 # ----------------------------------------------------------------------
