@@ -48,6 +48,7 @@ from .gabor import (
     density_estimate,
     density_frame_predicate,
     frame_bounds_finite,
+    frame_core,
     lattice_frame_predicate,
     linear_independence_check,
     separation_check,

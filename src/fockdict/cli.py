@@ -34,6 +34,7 @@ from .errors import AccuracyWarning
 from .fock import FockVector, resolved_radius
 from .report import SUITE_NAMES, SuiteConfig, default_degree, run_suite, seed_value, truncation_degree
 from .serialize import (
+    json_complex,
     matrix_to_csv,
     matrix_to_json,
     vector_from_json,
@@ -197,18 +198,15 @@ def _cmd_gabor(args) -> int:
             "radii": list(rep.radii),
             "lower": list(rep.lower),
             "upper": list(rep.upper),
-            "lower_extrapolated": rep.lower_extrapolated,
-            "upper_extrapolated": rep.upper_extrapolated,
+            "lower_extrapolated": rep.lower[-1],
+            "upper_extrapolated": rep.upper[-1],
             "cell_density": 1.0 / (np.pi * a * b),
         }, args)
     elif args.action == "frame-bounds":
         N = args.degree or default_degree()
-        if N < 2:
-            raise ValueError("frame bounds need --degree >= 2, "
-                             "because degree 1 has no core in 1..degree/2")
+        core = gb.frame_core(N)
         Z = gb.PointSet.rectangular(a, b).clip_to_disk(resolved_radius(N))
-        core = min(max(2, N // 8), N // 2) if args.core is None else args.core
-        A, B = gb.frame_bounds_finite(Z, N, core)
+        A, B = gb.frame_bounds_finite(Z, N)
         _emit_obj({"lattice": [a, b], "degree": N, "core": core,
                    "points": len(Z.points), "lower": A, "upper": B}, args)
     else:  # predicate
@@ -246,7 +244,7 @@ def _cmd_quantize(args) -> int:
     with open(args.symbol, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
     try:
-        terms = {(int(m), int(n)): complex(re, im) for m, n, re, im in spec["terms"]}
+        terms = {(m, n): json_complex(re, im) for m, n, re, im in spec["terms"]}
     except (KeyError, TypeError, ValueError, OverflowError):
         raise ValueError(f'{args.symbol}: needs "terms": [[m, n, re, im], ...]') from None
     sym = qz.PolySymbol(terms)
@@ -311,12 +309,7 @@ def _declare_gabor(p: argparse.ArgumentParser) -> None:
         if action == "density":
             pg.add_argument("--R", dest="radii", type=_argument_type(_radii), default="10,20,50",
                             help="comma-separated disk radii")
-        if action == "frame-bounds":
-            pg.add_argument("--core", type=int, default=None,
-                            help="core subspace degree (default degree/8 clamped to 2..degree/2)")
-            _add_options(pg, "degree")
-        else:
-            _add_options(pg)
+        _add_options(pg, *(["degree"] if action == "frame-bounds" else []))
         pg.set_defaults(fn=_cmd_gabor)
 
 

@@ -123,6 +123,8 @@ def exp_quadratic_coeffs(alpha, beta, degree: int, c0=1.0) -> np.ndarray:
     which is what numpy's division of a complex by a real does, so the
     coefficients equal those of dividing in numpy (a zero's sign may differ).
     """
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
     alpha, beta, c0 = (np.asarray(x).item() for x in (alpha, beta, c0))
     root = np.sqrt(np.arange(degree + 1))
     two_alpha_root = (2.0 * alpha * root).tolist()

@@ -162,13 +162,11 @@ def _lattice_points_in_disk(a: float, b: float, center: complex, radius: float) 
 
 @dataclass(frozen=True)
 class DensityReport:
-    """Disk-count density estimates across radii, with endpoint extrapolation."""
+    """Disk-count density estimates across radii; the largest radius's come last."""
 
     radii: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    lower_extrapolated: float
-    upper_extrapolated: float
 
 
 def disk_radii(radii: Sequence[float]) -> np.ndarray:
@@ -184,8 +182,7 @@ def density_estimate(Z: PointSet, radii: Sequence[float]) -> DensityReport:
     """Beurling density estimates: inf/sup over centers of count / (pi R^2).
 
     For lattices the centers are a 6 x 6 grid over one fundamental cell
-    (counts are periodic in the center), for finite sets the origin alone;
-    the extrapolated values are the estimates at the largest radius.
+    (counts are periodic in the center), for finite sets the origin alone.
     """
     radii = disk_radii(radii)
     if Z.is_lattice:
@@ -201,7 +198,7 @@ def density_estimate(Z: PointSet, radii: Sequence[float]) -> DensityReport:
         area = np.pi * R**2
         lower[i] = min(counts) / area
         upper[i] = max(counts) / area
-    return DensityReport(radii, lower, upper, float(lower[-1]), float(upper[-1]))
+    return DensityReport(radii, lower, upper)
 
 
 def separation_check(Z: PointSet) -> tuple[bool, float]:
@@ -246,24 +243,28 @@ def _require_resolved(points, degree: int):
     return points
 
 
-def frame_bounds_finite(
-    Z: PointSet, degree: int, core_degree: int
-) -> tuple[float, float]:
+def frame_core(degree: int) -> int:
+    """The core of ``frame_bounds_finite``: degree/8 clamped to 2..degree/2; ValueError below 2."""
+    if degree < 2:
+        raise ValueError("frame bounds need degree >= 2, because degree 1 has no core in 1..degree/2")
+    return min(max(2, degree // 8), degree // 2)
+
+
+def frame_bounds_finite(Z: PointSet, degree: int) -> tuple[float, float]:
     """Extreme Rayleigh quotients of the kernel frame operator on a core block.
 
-    S = sum_n k_{z_n} (x) k_{z_n}^* restricted to span{e_0..e_core}; the
-    restriction keeps the estimates away from the spurious zero modes a
+    S = sum_n k_{z_n} (x) k_{z_n}^* restricted to span{e_0..e_c}, c = ``frame_core``;
+    the restriction keeps the estimates away from the spurious zero modes a
     finite window of an infinite frame creates.  Only that block is formed,
-    as the sum over point blocks of K_core^T conj(K_core), where K_core holds
-    the leading core + 1 coefficients of each truncated kernel.
+    as the sum over point blocks of K_c^T conj(K_c), where K_c holds the
+    leading c + 1 coefficients of each truncated kernel.
     """
     if Z.is_lattice:
         raise ValueError("frame_bounds_finite needs a finite point set (clip first)")
-    if not 1 <= core_degree <= degree // 2:
-        raise ValueError(f"core_degree must be in 1..degree/2, got {core_degree}")
-    core = np.zeros((core_degree + 1, core_degree + 1), dtype=np.complex128)
+    c = frame_core(degree)
+    core = np.zeros((c + 1, c + 1), dtype=np.complex128)
     for rows in _resolved_kernels(Z.points, degree):
-        head = rows[:, : core_degree + 1]
+        head = rows[:, : c + 1]
         core += head.T @ head.conj()
     vals = np.linalg.eigvalsh(core)
     return float(max(vals[0], 0.0)), float(vals[-1])
@@ -289,7 +290,7 @@ def density_frame_predicate(report: DensityReport, separated: bool) -> str:
     """
     if report.radii[-1] < 30.0:
         raise ValueError("density report must reach radius >= 30")
-    lo = report.lower_extrapolated
+    lo = report.lower[-1]
     if separated and lo > CRITICAL_DENSITY * 1.1:
         return "frame"
     if lo < CRITICAL_DENSITY * 0.9:
@@ -301,11 +302,6 @@ def density_frame_predicate(report: DensityReport, separated: bool) -> str:
 # Box window
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _box_rule():
-    return composite_legendre(0.0, 1.0, 8)
-
-
 def box_window_fock(z):
     """Transform of the box window chi_[0,1) evaluated pointwise.
 
@@ -313,9 +309,8 @@ def box_window_fock(z):
     composite Legendre rule on [0, 1] is valid for complex z.
     """
     zs = np.asarray(z, dtype=np.complex128).ravel()
-    rule = _box_rule()
-    x = rule.nodes
-    vals = np.exp(-((x[None, :] - zs[:, None]) ** 2)) @ rule.weights
+    rule = composite_legendre(0.0, 1.0, 8)
+    vals = np.exp(-((rule.nodes[None, :] - zs[:, None]) ** 2)) @ rule.weights
     out = GAUSS_CONST * np.exp(zs**2 / 2.0) * vals
     return point_values(out, np.shape(z))
 

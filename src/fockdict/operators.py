@@ -400,6 +400,8 @@ def md_matrices(degree: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     M e_n = sqrt(n+1) e_{n+1}, D e_n = sqrt(n) e_{n-1}; DM - MD = I except
     in the (N, N) corner lost to truncation.
     """
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
     N = degree
     root = np.sqrt(np.arange(1, N + 1))
     M = np.zeros((N + 1, N + 1), dtype=np.complex128)

@@ -22,6 +22,7 @@ identity, and equal the dense truncated products up to rounding.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,13 +32,15 @@ from .operators import OperatorMatrix, ladder_word
 
 @dataclass(frozen=True)
 class PolySymbol:
-    """Polynomial in z and conj(z): coeffs[(m, n)] multiplies z^n conj(z)^m."""
+    """Polynomial in z and conj(z): coeffs[(m, n)] multiplies z^n conj(z)^m, m and n integers >= 0."""
 
     coeffs: dict[tuple[int, int], complex] = field(default_factory=dict)
 
     def __post_init__(self):
         clean = {}
         for (m, n), c in self.coeffs.items():
+            if not all(isinstance(p, numbers.Integral) and not isinstance(p, bool) for p in (m, n)):
+                raise ValueError(f"powers must be integers, got {(m, n)}")
             if m < 0 or n < 0:
                 raise ValueError("powers must be non-negative")
             if c != 0:

@@ -265,14 +265,14 @@ def _case_gabor(cfg: SuiteConfig) -> list[CaseResult]:
     Z = gb.PointSet.rectangular(1.0, 1.0)
     rep = gb.density_estimate(Z, [20.0, 50.0])
     target = 1.0 / np.pi
-    dev = max(abs(rep.lower_extrapolated - target), abs(rep.upper_extrapolated - target)) / target
+    dev = max(abs(rep.lower[-1] - target), abs(rep.upper[-1] - target)) / target
     out = [CaseResult("g1-lattice-density", "disk counts approach the cell-area density", dev, 0.05)]
 
     sep, gap = gb.separation_check(Z)
     out.append(CaseResult("g2-separation", "unit lattice gap", abs(gap - 1.0), 1e-12))
 
-    A1, B1 = gb.frame_bounds_finite(gb.PointSet.rectangular(0.8, 0.8).clip_to_disk(6.0), 80, 10)
-    A2, B2 = gb.frame_bounds_finite(gb.PointSet.rectangular(1.1, 1.1).clip_to_disk(6.0), 80, 10)
+    A1, B1 = gb.frame_bounds_finite(gb.PointSet.rectangular(0.8, 0.8).clip_to_disk(6.0), 80)
+    A2, B2 = gb.frame_bounds_finite(gb.PointSet.rectangular(1.1, 1.1).clip_to_disk(6.0), 80)
     out.append(CaseResult("g3-frame-ratio", "dense lattice dominates sparse by 10x",
                           10.0 * (A2 / B2) / (A1 / B1), 1.0))
 

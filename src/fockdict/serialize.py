@@ -29,11 +29,18 @@ def vector_from_json(text: str, kind: str = "fock"):
     """Parse an array of [re, im] pairs; ValueError on any other shape or non-finite value."""
     pairs = json.loads(text)
     try:
-        coeffs = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+        coeffs = np.array([json_complex(re, im) for re, im in pairs], dtype=np.complex128)
     except (TypeError, ValueError, OverflowError):
         raise ValueError("vector JSON must be an array of [re, im] number pairs") from None
     _finite(coeffs, "vector JSON")
     return FockVector(coeffs) if kind == "fock" else LineVector(coeffs)
+
+
+def json_complex(re, im) -> complex:
+    """re + i im from two JSON numbers; TypeError for a boolean, which complex() reads as 0 or 1."""
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise TypeError("a boolean is not a number")
+    return complex(re, im)
 
 
 def _finite(values: np.ndarray, source: str) -> np.ndarray:

@@ -287,6 +287,8 @@ def hilbert_fock_matrix(degree: int) -> OperatorMatrix:
     recurrence ``s_phi_matrix(hilbert_symbol(2N - 1), N)`` rounds
     differently and agrees to 3.3e-16.
     """
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
     N, K = degree, degree + 64
     even, odd = range(0, N + 1, 2), range(1, N + 1, 2)
     a = [math.isqrt(math.comb(e, e // 2) << (2 * K - e)) for e in even]
@@ -339,15 +341,15 @@ def boundedness_probe(symbol: EntireSymbol, degree_list) -> list[float]:
     ]
 
 
-def hilbert_line_pv(f, x, cutoff: float = None, tail_coeff: float = 0.0):
+def hilbert_line_pv(f, x):
     """Line-side Hilbert transform (1/pi) PV int f(t)/(t - x) dt by quadrature.
 
     Mirrored nodes around the singularity: substituting t = x +- s turns the
-    principal value into int_0^S [f(x+s) - f(x-s)]/s ds, smooth at s = 0.
-    Accurate to ~1e-8 on Hermite functions of low index.  For integrands that
-    decay only like a/t (e.g. Hilbert images of even functions) pass the
-    asymptotic coefficient a as ``tail_coeff``; the tail beyond the cutoff is
-    then added in closed form.
+    principal value into int_0^S [f(x+s) - f(x-s)]/s ds, smooth at s = 0,
+    with the cutoff S = max|x| + 10 always.  On h_0..h_2 the Fock columns
+    this gives (``verify`` h5) are 2.5e-14 from the closed form at degree
+    620.  An f decaying only like a/t (the Hilbert image of an even
+    function) misses a log((S + x)/(S - x))/(pi x) past S; callers add it.
 
     x is one point or an array of any shape: a single f gives a complex or
     an array of x's shape, as ``fock.point_values`` does.  f may return
@@ -358,7 +360,7 @@ def hilbert_line_pv(f, x, cutoff: float = None, tail_coeff: float = 0.0):
     (x, function) rows at a time.
     """
     xs = np.asarray(x, dtype=np.float64).ravel()
-    S = (float(np.max(np.abs(xs), initial=0.0)) + 10.0) if cutoff is None else float(cutoff)
+    S = float(np.max(np.abs(xs), initial=0.0)) + 10.0
     rule = composite_legendre(0.0, S, max(8, int(S)))
     s = rule.nodes
     ws = rule.weights / s / np.pi
@@ -375,13 +377,6 @@ def hilbert_line_pv(f, x, cutoff: float = None, tail_coeff: float = 0.0):
         plus = np.asarray(f((blk + s).ravel())).reshape(lead + (len(blk), len(s)))
         minus = np.asarray(f((blk - s).ravel())).reshape(lead + (len(blk), len(s)))
         vals[..., i : i + block] = np.sum((plus - minus) * ws, axis=-1)
-    if tail_coeff != 0.0:
-        small = np.abs(xs) < 1e-12
-        corr = np.empty_like(xs)
-        corr[small] = 2.0 / S
-        xa = xs[~small]
-        corr[~small] = np.log((S + xa) / (S - xa)) / xa
-        vals = vals + tail_coeff * corr / np.pi
     if lead:
         return vals.reshape(lead + np.shape(x))
     return point_values(vals, np.shape(x))

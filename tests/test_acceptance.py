@@ -209,11 +209,11 @@ def test_criterion_08_lattice_density_and_frame_ratio():
         target = 1.0 / (np.pi * a * b)
         worst_density = max(
             worst_density,
-            abs(rep.lower_extrapolated - target) / target,
-            abs(rep.upper_extrapolated - target) / target,
+            abs(rep.lower[-1] - target) / target,
+            abs(rep.upper[-1] - target) / target,
         )
-    A1, B1 = gb.frame_bounds_finite(gb.PointSet.rectangular(0.8, 0.8).clip_to_disk(6.0), 80, 10)
-    A2, B2 = gb.frame_bounds_finite(gb.PointSet.rectangular(1.1, 1.1).clip_to_disk(6.0), 80, 10)
+    A1, B1 = gb.frame_bounds_finite(gb.PointSet.rectangular(0.8, 0.8).clip_to_disk(6.0), 80)
+    A2, B2 = gb.frame_bounds_finite(gb.PointSet.rectangular(1.1, 1.1).clip_to_disk(6.0), 80)
     ratio = (A1 / B1) / (A2 / B2)
     ok = worst_density < 0.05 and ratio >= 10.0
     _report("AC-08 lattice-scale", ok,

@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from fockdict import cli
+from fockdict import gabor as gb
 from fockdict import operators as op
 from fockdict.bargmann import bargmann_coeff
 from fockdict.errors import AccuracyWarning
-from fockdict.fock import FockVector
+from fockdict.fock import FockVector, resolved_radius
 from fockdict.hermite import LineVector
 from fockdict.report import SUITE_NAMES, SuiteConfig, run_suite
 from fockdict.serialize import (
@@ -56,6 +57,13 @@ def test_vector_json_round_trip():
     v = FockVector(rng.standard_normal(7) + 1j * rng.standard_normal(7))
     back = vector_from_json(vector_to_json(v), "fock")
     assert np.array_equal(back.coeffs, v.coeffs)
+
+
+@pytest.mark.parametrize("text", ["[[true, false]]", "[[true, 0.0]]", "[[1.0, false]]"])
+def test_vector_json_refuses_boolean_coefficients(text):
+    # complex() reads true as 1, so [[true, false]] was e_0
+    with pytest.raises(ValueError, match="number pairs"):
+        vector_from_json(text, "fock")
 
 
 def test_vector_csv_round_trip_bit_exact():
@@ -277,19 +285,19 @@ def test_cli_hilbert_norm_tail_is_what_the_series_misses():
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_cli_frame_bounds_default_core_at_low_degree(degree, capsys):
-    # the default core, degree/8 but at least 2, is clamped to the largest
-    # valid core, degree/2; degree 1 has no valid core and stays a usage error
+    # the core, degree/8 but at least 2, is clamped to the largest valid
+    # core, degree/2; degree 1 has no valid core and stays a usage error
     argv = ["gabor", "frame-bounds", "--lattice", "1,1", "--degree", str(degree)]
     if degree == 1:
         assert cli.main(argv) == 2
-        assert ("frame bounds need --degree >= 2, because degree 1 has no core in 1..degree/2"
-                in capsys.readouterr().err)
+        assert (capsys.readouterr().err == "fockdict: error: frame bounds need degree >= 2, "
+                "because degree 1 has no core in 1..degree/2\n")
         return
     assert cli.main(argv) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["core"] == min(2, degree // 2)
-    assert cli.main([*argv, "--core", str(doc["core"])]) == 0
-    assert json.loads(capsys.readouterr().out) == doc
+    assert doc["core"] == min(2, degree // 2) == gb.frame_core(degree)
+    Z = gb.PointSet.rectangular(1.0, 1.0).clip_to_disk(resolved_radius(degree))
+    assert (doc["lower"], doc["upper"]) == gb.frame_bounds_finite(Z, degree)
 
 
 def test_cli_verify_exit_codes():
@@ -347,8 +355,7 @@ def test_cli_env_degree(tmp_path):
     ("uncertainty", "product", "--f", "{tmp}/e1.json", "--format", "csv"),
     ("verify", "all", "--nodes", "128"),
     ("gabor", "predicate", "--lattice", "1,1", "--seed", "7"),
-    ("gabor", "frame-bounds", "--lattice", "0.8,0.8", "--degree", "80", "--core", "-3"),
-    ("gabor", "frame-bounds", "--lattice", "0.8,0.8", "--degree", "80", "--core", "0"),
+    ("gabor", "frame-bounds", "--lattice", "0.8,0.8", "--degree", "80", "--core", "10"),
     ("uncertainty", "extremal", "--c", "nan"),
     ("uncertainty", "extremal", "--a", "nan"),
     ("uncertainty", "product", "--f", "{tmp}/e1.json", "--a", "inf"),
@@ -368,18 +375,24 @@ def test_cli_env_degree(tmp_path):
     ("op", "apply", "--op", "weyl", "--params", "1e300,0", "--in", "{tmp}/e1.json",
      "--degree", "8"),
     ("singular", "apply", "--phi", "{tmp}/huge.json", "--in", "{tmp}/e1.json", "--degree", "4"),
+    ("quantize", "verify-anti-wick", "--symbol", "{tmp}/fraction-power.json", "--degree", "8"),
+    ("quantize", "verify-anti-wick", "--symbol", "{tmp}/boolean-power.json", "--degree", "8"),
+    ("quantize", "verify-weyl", "--symbol", "{tmp}/boolean-coefficient.json", "--degree", "8"),
+    ("op", "apply", "--op", "fourier", "--in", "{tmp}/boolean.json"),
 ], ids=["malformed-json", "missing-symbol", "bad-params", "negative-degree",
         "zero-degree", "tail-certificate", "zero-radius", "wrong-shape-vector",
         "symbol-without-terms", "non-finite-vector",
         "non-finite-weyl-params", "non-finite-rotate-params",
         "non-finite-dilate-params", "huge-lattice-disk", "removed-op-verify", "hilbert-object-as-csv",
         "uncertainty-object-as-csv", "removed-nodes", "option-the-command-does-not-read",
-        "negative-core", "zero-core", "nan-extremal-c", "nan-extremal-a", "infinite-product-a",
+        "removed-core", "nan-extremal-c", "nan-extremal-a", "infinite-product-a",
         "infinite-lattice-step", "overflowing-cell-area", "overflowing-disk-area",
         "overflowing-product", "overflowing-extremal", "hilbert-takes-no-phi",
         "hilbert-takes-no-format", "apply-takes-no-check", "extremal-takes-no-f",
         "product-takes-no-c", "fourier-takes-no-params", "bargmann-takes-no-mode-quad",
-        "bargmann-takes-no-mode-coeff", "weyl-beyond-double-range", "symbol-beyond-double-range"])
+        "bargmann-takes-no-mode-coeff", "weyl-beyond-double-range", "symbol-beyond-double-range",
+        "fractional-symbol-power", "boolean-symbol-power", "boolean-symbol-coefficient",
+        "boolean-vector-coefficient"])
 def test_cli_errors_are_one_line(tmp_path, args, request):
     (tmp_path / "bad.json").write_text("[[1.0, 0.0], ")
     (tmp_path / "shape.json").write_text("[1, 2]")
@@ -387,6 +400,10 @@ def test_cli_errors_are_one_line(tmp_path, args, request):
     (tmp_path / "nan.json").write_text("[[NaN, 0], [1, 0]]")
     (tmp_path / "e1.json").write_text(vector_to_json(FockVector.basis(1, 4)))
     (tmp_path / "huge.json").write_text(json.dumps([[1e307, 0.0]] * 9))
+    (tmp_path / "fraction-power.json").write_text('{"terms": [[1.7, 1, 1, 0]]}')
+    (tmp_path / "boolean-power.json").write_text('{"terms": [[true, 1, 1, 0]]}')
+    (tmp_path / "boolean-coefficient.json").write_text('{"terms": [[1, 1, true, 0]]}')
+    (tmp_path / "boolean.json").write_text("[[true, false]]")
     proc = run_cli(*(a.format(tmp=tmp_path) for a in args), check=False)
     assert proc.returncode == 2
     assert proc.stdout == ""

@@ -17,7 +17,23 @@ from fockdict.fock import (
     kernel_vector,
     resolved_radius,
 )
-from fockdict.operators import weyl_matrix
+from fockdict.operators import md_matrices, weyl_matrix
+from fockdict.singular import hilbert_fock_matrix
+from fockdict.uncertainty import ExtremalParams, extremal_coeffs
+
+
+@pytest.mark.parametrize("build", [
+    lambda d: exp_quadratic_coeffs(0.1, 0.2, d),
+    lambda d: extremal_coeffs(ExtremalParams(), d),
+    lambda d: hilbert_fock_matrix(d),
+    lambda d: md_matrices(d),
+    lambda d: kernel_rows([0.5], d),
+], ids=["exp-quadratic", "extremal", "hilbert", "md", "kernel-rows"])
+@pytest.mark.parametrize("degree", [-1, -5])
+def test_negative_degree_is_refused(build, degree):
+    # an IndexError or an empty 0 x 0 block before
+    with pytest.raises(ValueError, match="^degree must be >= 0$"):
+        build(degree)
 
 
 def test_basis_orthonormality():

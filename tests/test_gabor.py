@@ -26,6 +26,7 @@ from fockdict.gabor import (
     density_estimate,
     density_frame_predicate,
     frame_bounds_finite,
+    frame_core,
     kernel_gram,
     lattice_frame_predicate,
     linear_independence_check,
@@ -102,8 +103,8 @@ def test_lattice_density_matches_cell_area():
     Z = PointSet.rectangular(1.0, 1.0)
     rep = density_estimate(Z, [10.0, 20.0, 50.0])
     target = 1.0 / math.pi
-    assert abs(rep.lower_extrapolated - target) / target < 0.05
-    assert abs(rep.upper_extrapolated - target) / target < 0.05
+    assert abs(rep.lower[-1] - target) / target < 0.05
+    assert abs(rep.upper[-1] - target) / target < 0.05
     assert np.all(rep.lower <= rep.upper)
 
 
@@ -111,14 +112,14 @@ def test_lattice_density_tightens_with_radius():
     Z = PointSet.rectangular(1.0, 1.0)
     rep = density_estimate(Z, [100.0])
     target = 1.0 / math.pi
-    assert abs(rep.lower_extrapolated - target) / target < 0.02
-    assert abs(rep.upper_extrapolated - target) / target < 0.02
+    assert abs(rep.lower[-1] - target) / target < 0.02
+    assert abs(rep.upper[-1] - target) / target < 0.02
 
 
 def test_single_point_density_vanishes():
     Z = PointSet.from_points([0.3 + 0.1j])
     rep = density_estimate(Z, [5.0, 10.0, 30.0])
-    assert rep.upper_extrapolated < 1e-3
+    assert rep.upper[-1] < 1e-3
 
 
 def test_shifted_union_doubles_density():
@@ -127,7 +128,7 @@ def test_shifted_union_doubles_density():
     union = PointSet(np.concatenate([pts, pts + (0.5 + 0.5j)]), clip_radius=58.0)
     rep = density_estimate(union, [50.0])
     target = 2.0 / math.pi
-    assert abs(rep.lower_extrapolated - target) / target < 0.05
+    assert abs(rep.lower[-1] - target) / target < 0.05
 
 
 def test_clipped_set_refuses_oversized_disks():
@@ -167,7 +168,7 @@ def test_verify_lattice_stays_far_below_the_search_cap(monkeypatch):
     # g1 counts the unit lattice at radii 20 and 50; a cap 100 times smaller still admits it
     monkeypatch.setattr(gabor, "MAX_LATTICE_BOX", gabor.MAX_LATTICE_BOX // 100)
     rep = density_estimate(PointSet.rectangular(1.0, 1.0), [20.0, 50.0])
-    assert abs(rep.upper_extrapolated - CRITICAL_DENSITY) / CRITICAL_DENSITY < 0.05
+    assert abs(rep.upper[-1] - CRITICAL_DENSITY) / CRITICAL_DENSITY < 0.05
 
 
 def test_separation_of_lattices_and_finite_sets():
@@ -290,23 +291,23 @@ def test_lattice_disk_box_just_under_the_cap_is_searched_and_just_over_is_refuse
 def test_frame_bounds_dense_vs_sparse():
     dense = PointSet.rectangular(0.8, 0.8).clip_to_disk(6.0)
     sparse = PointSet.rectangular(1.1, 1.1).clip_to_disk(6.0)
-    A1, B1 = frame_bounds_finite(dense, 80, 10)
-    A2, B2 = frame_bounds_finite(sparse, 80, 10)
+    A1, B1 = frame_bounds_finite(dense, 80)
+    A2, B2 = frame_bounds_finite(sparse, 80)
     assert A1 > 0.1 * B1
     assert (A1 / B1) / (A2 / B2) >= 10.0
 
 
 def test_frame_bounds_single_point_degenerate():
-    A, B = frame_bounds_finite(PointSet.from_points([0.5 + 0.5j]), 40, 4)
+    A, B = frame_bounds_finite(PointSet.from_points([0.5 + 0.5j]), 40)
     assert A == 0.0
     assert 0.0 < B <= 1.0 + 1e-12
 
 
 def test_frame_bounds_monotone_under_point_addition():
     Z1 = PointSet.rectangular(0.9, 0.9).clip_to_disk(5.0)
-    A1, B1 = frame_bounds_finite(Z1, 60, 6)
+    A1, B1 = frame_bounds_finite(Z1, 60)
     Z2 = PointSet(np.concatenate([Z1.points, [0.31 + 0.21j]]))
-    A2, B2 = frame_bounds_finite(Z2, 60, 6)
+    A2, B2 = frame_bounds_finite(Z2, 60)
     assert A2 >= A1 - 1e-12
     assert B2 >= B1 - 1e-12
     assert B1 >= A1 >= 0.0
@@ -315,16 +316,16 @@ def test_frame_bounds_monotone_under_point_addition():
 def test_frame_bounds_resolution_guards():
     far = PointSet.from_points([8.0 + 0.0j])
     with pytest.raises(ResolutionError):
-        frame_bounds_finite(far, 40, 4)
-    with pytest.raises(ValueError):
-        frame_bounds_finite(PointSet.from_points([0.0]), 40, 30)
+        frame_bounds_finite(far, 40)
+    with pytest.raises(ValueError, match="degree 1 has no core"):
+        frame_bounds_finite(PointSet.from_points([0.0]), 1)
 
 
 def test_frame_bounds_accept_resolved_points_past_half_the_degree():
     # |z|^2 = 110 > 200/2, yet k_z loses only 5e-15 of its mass past 200
     z = math.sqrt(110.0)
     assert kernel_truncation_defect(z, 200) < 1e-14
-    A, B = frame_bounds_finite(PointSet.from_points([z]), 200, 10)
+    A, B = frame_bounds_finite(PointSet.from_points([z]), 200)
     assert A == 0.0 and 0.0 <= B <= 1.0
 
 
@@ -361,7 +362,7 @@ def test_resolution_gate_decides_as_the_scalar_defect(degree):
 @pytest.mark.parametrize("degree", [16, 64, 200])
 def test_frame_bounds_accept_the_lattice_clipped_at_the_resolved_radius(degree):
     Z = PointSet.rectangular(0.3, 0.2).clip_to_disk(resolved_radius(degree))
-    A, B = frame_bounds_finite(Z, degree, 4)
+    A, B = frame_bounds_finite(Z, degree)
     assert 0.0 <= A <= B
 
 
@@ -370,26 +371,41 @@ def test_frame_bounds_refuse_the_first_unresolved_point():
     Z = PointSet.rectangular(0.1, 0.1).clip_to_disk(1.02 * r)
     first = next(z for z in Z.points if kernel_truncation_defect(z, 64) > RESOLVED_DEFECT)
     with pytest.raises(ResolutionError, match=re.escape(f"kernel at {first} ")):
-        frame_bounds_finite(Z, 64, 8)
+        frame_bounds_finite(Z, 64)
 
 
-@pytest.mark.parametrize("steps, degree, core", [((0.1, 0.1), 64, 8), ((0.3, 0.2), 128, 16)])
+@pytest.mark.parametrize("steps, degree, core", [((0.005, 0.005), 3, 1), ((0.1, 0.1), 64, 8),
+                                                 ((0.3, 0.2), 128, 16), ((0.3, 0.2), 200, 25)])
 def test_frame_bounds_core_block_matches_the_full_operator(steps, degree, core):
+    # degree 3 is where the clamp to degree/2 sets the core
     Z = PointSet.rectangular(*steps).clip_to_disk(resolved_radius(degree))
     assert Z.points.size > gabor._POINT_BLOCK
+    assert frame_core(degree) == core
     KV = np.column_stack([kernel_vector(z, degree).coeffs for z in Z.points])
     vals = np.linalg.eigvalsh((KV @ KV.conj().T)[: core + 1, : core + 1])
-    A, B = frame_bounds_finite(Z, degree, core)
+    A, B = frame_bounds_finite(Z, degree)
     assert abs(A - vals[0]) <= 1e-12 * vals[-1] and abs(B - vals[-1]) <= 1e-12 * vals[-1]
+
+
+@pytest.mark.parametrize("degree, core", [(2, 1), (3, 1), (16, 2), (80, 10), (2000, 250)])
+def test_frame_core_is_an_eighth_of_the_degree_clamped_to_2_and_half(degree, core):
+    assert frame_core(degree) == core
+
+
+@pytest.mark.parametrize("degree", [1, 0, -3])
+def test_frame_core_refuses_a_degree_without_one(degree):
+    with pytest.raises(ValueError, match=re.escape(
+            "frame bounds need degree >= 2, because degree 1 has no core in 1..degree/2")):
+        frame_core(degree)
 
 
 def test_frame_bounds_memory_stays_in_point_blocks():
     # the (0.05, 0.05) lattice clips 11,757 points: all kernels at once take 12 MiB
     Z = PointSet.rectangular(0.05, 0.05).clip_to_disk(resolved_radius(64))
-    frame_bounds_finite(Z, 64, 8)
+    frame_bounds_finite(Z, 64)
     tracemalloc.start()
     try:
-        frame_bounds_finite(Z, 64, 8)
+        frame_bounds_finite(Z, 64)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -562,7 +578,7 @@ def test_non_finite_points_are_refused(bad):
     with pytest.raises(ValueError, match="finite"):
         PointSet.from_points([bad, 1.0])
     with pytest.raises(ValueError):  # a ResolutionError is a ValueError too
-        frame_bounds_finite(PointSet.from_points([bad, 1.0]), 40, 4)
+        frame_bounds_finite(PointSet.from_points([bad, 1.0]), 40)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,19 @@ def test_toeplitz_builder_is_bit_identical_to_the_dense_sum(N):
 def test_toeplitz_refusals_keep_their_text(build, text):
     with pytest.raises(ValueError, match=text):
         build()
+
+
+@pytest.mark.parametrize("power", [1.7, 1.0, True, False, "1", None])
+def test_symbol_powers_must_be_integers(power):
+    # int() read 1.7 as 1 and True as 1, so another symbol was quantized
+    for key in ((power, 1), (1, power)):
+        with pytest.raises(ValueError, match=re.escape(f"powers must be integers, got {key}")):
+            PolySymbol({key: 1.0})
+
+
+def test_symbol_powers_accept_numpy_integers():
+    sym = PolySymbol({(np.int64(2), np.uint8(1)): 1.0})
+    assert [tuple(map(type, key)) for key in sym.coeffs] == [(int, int)] and sym.degree == 3
 
 
 def test_gaussian_moment_identity():

@@ -476,13 +476,13 @@ def test_line_pv_evaluates_in_point_blocks():
     f = lambda t: hermite_function(2, t)
     tracemalloc.start()
     try:
-        hv = hilbert_line_pv(f, x, cutoff=30.0)
+        hv = hilbert_line_pv(f, x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
     for k in (0, 63, 64, 199):
-        assert abs(hv[k] - hilbert_line_pv(f, x[k], cutoff=30.0)) < 1e-15
+        assert abs(hv[k] - hilbert_line_pv(f, x[k])) < 1e-15
 
 
 @pytest.mark.parametrize("n_points", [1, 113, 200])
@@ -494,17 +494,17 @@ def test_line_pv_of_stacked_functions_equals_single_calls(n_points):
     x = gauss_hermite(200).nodes[:n_points]
     tracemalloc.start()
     try:
-        hv = hilbert_line_pv(lambda t: hermite_functions(2, t), x, cutoff=30.0)
+        hv = hilbert_line_pv(lambda t: hermite_functions(2, t), x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
     assert hv.shape == (3, n_points)
     for n in range(3):
-        assert np.array_equal(hv[n], hilbert_line_pv(lambda t: hermite_function(n, t), x, cutoff=30.0))
-    one = hilbert_line_pv(lambda t: hermite_functions(2, t), x[0], cutoff=30.0, tail_coeff=0.5)
+        assert np.array_equal(hv[n], hilbert_line_pv(lambda t: hermite_function(n, t), x))
+    one = hilbert_line_pv(lambda t: hermite_functions(2, t), x[0])
     assert one.shape == (3,)
-    assert one[1] == hilbert_line_pv(lambda t: hermite_function(1, t), x[0], cutoff=30.0, tail_coeff=0.5)
+    assert one[1] == hilbert_line_pv(lambda t: hermite_function(1, t), x[0])
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
@@ -535,13 +535,17 @@ def test_hilbert_squared_residual_decreases():
 
 
 def test_line_pv_involution_pointwise():
-    # double transform with the 1/t tail of the first image corrected
+    # double transform; the first image decays like a/t, a = -m0/pi, and the
+    # second drops a log((S + x)/(S - x))/(pi x) of it past its cutoff
+    # S = max|x| + 10 (2/(pi S) at x = 0), added here in closed form
     rule = gauss_hermite(128)
     n = 0
     m0 = float(np.sum(rule.weights * hermite_function(n, rule.nodes)))
-    inner = lambda x: hilbert_line_pv(lambda t: hermite_function(n, t), x, cutoff=40.0)
+    inner = lambda x: hilbert_line_pv(lambda t: hermite_function(n, t), x)
     xs = np.linspace(-1.5, 1.5, 5)
-    hh = hilbert_line_pv(inner, xs, cutoff=25.0, tail_coeff=-m0 / np.pi)
+    S = np.max(np.abs(xs)) + 10.0
+    tail = -m0 / np.pi**2 * np.array([np.log((S + x) / (S - x)) / x if x else 2.0 / S for x in xs])
+    hh = hilbert_line_pv(inner, xs) + tail
     assert np.max(np.abs(hh + hermite_function(n, xs))) < 1e-4
 
 
